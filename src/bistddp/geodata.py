@@ -50,7 +50,8 @@ class PoiTable:
     """Dense-indexed POI registry; immutable after construction.
 
     External ids map to indices 0..M-1 in insertion order. Coordinates are
-    also held as radian arrays so distance rows vectorize.
+    also held as radian arrays, with the cosine of each latitude, so distance
+    rows vectorize.
     """
 
     def __init__(self, entries: list[tuple[str, GeoPoint]]):
@@ -64,8 +65,9 @@ class PoiTable:
             self.index[ext_id] = i
         self._lat_rad = np.array([math.radians(p.lat) for _, p in self.entries])
         self._lon_rad = np.array([math.radians(p.lon) for _, p in self.entries])
-        self._lat_rad.setflags(write=False)
-        self._lon_rad.setflags(write=False)
+        self._cos_lat = np.cos(self._lat_rad)
+        for a in (self._lat_rad, self._lon_rad, self._cos_lat):
+            a.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -82,7 +84,7 @@ class PoiTable:
         lon0 = self._lon_rad[i]
         s = (
             np.sin((self._lat_rad - lat0) / 2.0) ** 2
-            + np.cos(lat0) * np.cos(self._lat_rad) * np.sin((self._lon_rad - lon0) / 2.0) ** 2
+            + self._cos_lat[i] * self._cos_lat * np.sin((self._lon_rad - lon0) / 2.0) ** 2
         )
         return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 

@@ -12,7 +12,7 @@ A prepared corpus can be written to / read from a versioned TSV file
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -114,6 +114,41 @@ class Sample:
     interval_before: float  # hours, t_t - t_{t-1}
     interval_after: float  # hours, t_{t+1} - t_t
     split: str  # train | val | test
+
+
+@dataclass(frozen=True)
+class SampleBatch:
+    """Samples as parallel arrays, row i holding sample i (struct of arrays)."""
+
+    users: np.ndarray  # (B,) int64
+    targets: np.ndarray  # (B,) int64
+    fwd: np.ndarray  # (B, w) int64, POIs at t-1 .. t-w
+    bwd: np.ndarray  # (B, w) int64, POIs at t+1 .. t+w
+    interval_before: np.ndarray  # (B,) hours
+    interval_after: np.ndarray  # (B,) hours
+    pattern: np.ndarray  # (B, 7) float64 temporal pattern bits
+
+    @classmethod
+    def from_samples(cls, samples: list[Sample]) -> "SampleBatch":
+        def column(name: str, dtype) -> np.ndarray:
+            return np.array([getattr(s, name) for s in samples], dtype=dtype)
+
+        return cls(
+            users=column("user", np.int64),
+            targets=column("target_poi", np.int64),
+            fwd=column("fwd", np.int64),
+            bwd=column("bwd", np.int64),
+            interval_before=column("interval_before", np.float64),
+            interval_after=column("interval_after", np.float64),
+            pattern=column("pattern", np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def take(self, rows: np.ndarray) -> "SampleBatch":
+        """The samples at `rows`, in that order."""
+        return SampleBatch(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 @dataclass

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geodata import PoiTable, SpatialRowCache, spatial_vector
-from .ingest import Sample
+from .ingest import Sample, SampleBatch
 from .numerics import ShapeMismatch, glorot_uniform, log_softmax_at, stable_softmax
 
 CHECKPOINT_MAGIC = b"STDDPCKPT"
@@ -165,116 +165,140 @@ def zero_params(hp: HyperParams, n_users: int, n_pois: int) -> ModelParams:
 
 
 @dataclass
-class ForwardTrace:
-    """Every intermediate of one forward evaluation, kept for backprop.
+class BatchTrace:
+    """Every intermediate of one batched forward evaluation, kept for backprop.
 
-    Branch fields are None when the variant gates them off.
+    Row i belongs to sample i of `samples`. Branch fields are None when the
+    variant gates them off. Spatial rows are the read-only arrays the cache
+    (or `spatial_vector`) returned, one reference per sample, never stacked.
+    The (B x M) interval gates are not kept: backward recomputes them, which
+    costs less than the memory they would hold.
+    """
+
+    samples: SampleBatch
+    variant: VariantConfig
+    fwd_emb: np.ndarray | None  # (B, w, d)
+    bwd_emb: np.ndarray | None
+    user_vec: np.ndarray  # (B, d)
+    h_fwd: np.ndarray | None  # (B, h)
+    h_bwd: np.ndarray | None
+    h_user: np.ndarray
+    h_time: np.ndarray | None
+    pref: np.ndarray  # (B, h) summed dynamic preference
+    spat_before: list[np.ndarray] | None  # B normalized distance rows of p_{t-1}
+    spat_after: list[np.ndarray] | None
+    logits: np.ndarray  # (B, M)
+
+
+@dataclass
+class ForwardTrace:
+    """One sample's forward evaluation: a one-row BatchTrace plus probabilities.
+
+    Any other BatchTrace field reads as its single row.
     """
 
     sample: Sample
     variant: VariantConfig
-    pattern_vec: np.ndarray  # (7,)
-    fwd_emb: np.ndarray | None  # (w, d)
-    bwd_emb: np.ndarray | None
-    user_vec: np.ndarray  # (d,)
-    h_fwd: np.ndarray | None  # (h,)
-    h_bwd: np.ndarray | None
-    h_user: np.ndarray
-    h_time: np.ndarray | None
-    pref: np.ndarray  # (h,) summed dynamic preference
-    spat_before: np.ndarray | None  # (M,) normalized distance row of p_{t-1}
-    spat_after: np.ndarray | None
-    tgate_before: np.ndarray | None  # (M,) tanh(interval_w * interval)
-    tgate_after: np.ndarray | None
-    dep_before: np.ndarray | None  # (M,) spat * tgate
-    dep_after: np.ndarray | None
+    batch: BatchTrace
     logits: np.ndarray  # (M,)
     probs: np.ndarray  # (M,)
+    dep_before: np.ndarray | None  # (M,) spatial row * interval gate
+    dep_after: np.ndarray | None
+
+    def __getattr__(self, name: str):
+        if name.startswith("_") or name == "batch":  # not yet set (copy, unpickle)
+            raise AttributeError(name)
+        value = getattr(self.batch, name)
+        return None if value is None else value[0]
 
 
-def _check_sample(sample: Sample, params: ModelParams, w: int) -> None:
+def _check_batch(batch: SampleBatch, params: ModelParams, w: int) -> None:
     m, n = params.n_pois, params.n_users
-    if not 0 <= sample.user < n:
-        raise ShapeMismatch(f"user {sample.user} outside [0, {n})")
-    if not 0 <= sample.target_poi < m:
-        raise ShapeMismatch(f"target POI {sample.target_poi} outside [0, {m})")
-    if len(sample.fwd) != w or len(sample.bwd) != w:
+    if batch.fwd.shape[1] != w or batch.bwd.shape[1] != w:
         raise ShapeMismatch(
-            f"context width {len(sample.fwd)}/{len(sample.bwd)} does not match w={w}"
+            f"context width {batch.fwd.shape[1]}/{batch.bwd.shape[1]} does not match w={w}"
         )
-    for p in (*sample.fwd, *sample.bwd):
-        if not 0 <= p < m:
-            raise ShapeMismatch(f"context POI {p} outside [0, {m})")
+    context = np.concatenate([batch.fwd, batch.bwd], axis=1)
+    for what, values, bound in (
+        ("user", batch.users, n),
+        ("target POI", batch.targets, m),
+        ("context POI", context, m),
+    ):
+        outside = values[(values < 0) | (values >= bound)]
+        if outside.size:
+            raise ShapeMismatch(f"{what} {outside[0]} outside [0, {bound})")
 
 
-def forward(
-    sample: Sample,
+def interval_gate(weights: np.ndarray, interval: np.ndarray) -> np.ndarray:
+    """(B, M) tanh(interval_w * interval), one row per sample's interval."""
+    gate = np.multiply.outer(interval, weights)
+    return np.tanh(gate, out=gate)
+
+
+def _context_branch(
+    poi_emb: np.ndarray, hidden: list[np.ndarray], context: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings (B, w, d) of the context POIs and tanh(sum_k E_k W_k^T)."""
+    emb = poi_emb[context]
+    acc = emb[:, 0] @ hidden[0].T
+    for k in range(1, len(hidden)):
+        acc += emb[:, k] @ hidden[k].T
+    return emb, np.tanh(acc)
+
+
+def forward_batch(
+    batch: SampleBatch,
     params: ModelParams,
     table: PoiTable,
     variant: VariantConfig = VARIANTS["bi-stddp"],
     cache: SpatialRowCache | None = None,
-) -> ForwardTrace:
-    """Evaluate the model on one sample and return the full trace.
+) -> BatchTrace:
+    """Evaluate the model on a batch: logits are one (B x h) @ (h x M) GEMM.
 
     Dependence terms use only the immediate neighbors (t-1 / t+1) even for
     w > 1; wider context enters through the hidden branches.
     """
-    w = len(params.fwd_hidden)
-    _check_sample(sample, params, w)
-    v = np.array(sample.pattern, dtype=np.float64)
+    _check_batch(batch, params, len(params.fwd_hidden))
 
-    def spat_row(poi: int) -> np.ndarray:
-        return cache.row(poi) if cache is not None else spatial_vector(poi, table)
-
-    fwd_emb = bwd_emb = None
-    h_fwd = h_bwd = None
-    user_vec = params.user_emb[sample.user]
-    pref = np.zeros(params.user_hidden.shape[0])
-
+    fwd_emb = bwd_emb = h_fwd = h_bwd = None
+    user_vec = params.user_emb[batch.users]
+    pref = np.zeros((len(batch), params.user_hidden.shape[0]))
     if variant.use_forward_branch:
-        fwd_emb = params.poi_emb[list(sample.fwd)]
-        acc = np.zeros_like(pref)
-        for k in range(w):
-            acc += params.fwd_hidden[k] @ fwd_emb[k]
-        h_fwd = np.tanh(acc)
+        fwd_emb, h_fwd = _context_branch(params.poi_emb, params.fwd_hidden, batch.fwd)
         pref += h_fwd
     if variant.use_backward_branch:
-        bwd_emb = params.poi_emb[list(sample.bwd)]
-        acc = np.zeros_like(pref)
-        for k in range(w):
-            acc += params.bwd_hidden[k] @ bwd_emb[k]
-        h_bwd = np.tanh(acc)
+        bwd_emb, h_bwd = _context_branch(params.poi_emb, params.bwd_hidden, batch.bwd)
         pref += h_bwd
-
-    h_user = np.tanh(params.user_hidden @ user_vec)
+    h_user = np.tanh(user_vec @ params.user_hidden.T)
     pref += h_user
-
     h_time = None
     if variant.use_time_pattern:
-        h_time = np.tanh(params.time_hidden @ v)
+        h_time = np.tanh(batch.pattern @ params.time_hidden.T)
         pref += h_time
 
-    logits = params.out_weights @ pref
+    logits = pref @ params.out_weights.T
+
+    def dependence(pois: np.ndarray, interval: np.ndarray, weights: np.ndarray):
+        # one row lookup per distinct POI, in order of first appearance
+        distinct = {p: cache.row(p) if cache is not None else spatial_vector(p, table)
+                    for p in dict.fromkeys(pois.tolist())}
+        rows = [distinct[p] for p in pois.tolist()]
+        for row, gate_row, out in zip(rows, interval_gate(weights, interval), logits):
+            out += row * gate_row
+        return rows
 
     spat_before = spat_after = None
-    tgate_before = tgate_after = None
-    dep_before = dep_after = None
     if variant.use_dependence:
         if variant.use_forward_branch:
-            spat_before = spat_row(sample.fwd[0])
-            tgate_before = np.tanh(params.interval_w_before * sample.interval_before)
-            dep_before = spat_before * tgate_before
-            logits = logits + dep_before
+            spat_before = dependence(
+                batch.fwd[:, 0], batch.interval_before, params.interval_w_before)
         if variant.use_backward_branch:
-            spat_after = spat_row(sample.bwd[0])
-            tgate_after = np.tanh(params.interval_w_after * sample.interval_after)
-            dep_after = spat_after * tgate_after
-            logits = logits + dep_after
+            spat_after = dependence(
+                batch.bwd[:, 0], batch.interval_after, params.interval_w_after)
 
-    return ForwardTrace(
-        sample=sample,
+    return BatchTrace(
+        samples=batch,
         variant=variant,
-        pattern_vec=v,
         fwd_emb=fwd_emb,
         bwd_emb=bwd_emb,
         user_vec=user_vec,
@@ -285,12 +309,30 @@ def forward(
         pref=pref,
         spat_before=spat_before,
         spat_after=spat_after,
-        tgate_before=tgate_before,
-        tgate_after=tgate_after,
-        dep_before=dep_before,
-        dep_after=dep_after,
         logits=logits,
-        probs=stable_softmax(logits),
+    )
+
+
+def forward(
+    sample: Sample,
+    params: ModelParams,
+    table: PoiTable,
+    variant: VariantConfig = VARIANTS["bi-stddp"],
+    cache: SpatialRowCache | None = None,
+) -> ForwardTrace:
+    """Evaluate the model on one sample: `forward_batch` on a batch of one."""
+    batch = forward_batch(SampleBatch.from_samples([sample]), params, table, variant, cache)
+    logits = batch.logits[0]
+
+    def dependence(rows, weights, interval):
+        return None if rows is None else rows[0] * interval_gate(weights, interval)[0]
+
+    return ForwardTrace(
+        sample, variant, batch, logits, stable_softmax(logits),
+        dep_before=dependence(batch.spat_before, params.interval_w_before,
+                              batch.samples.interval_before),
+        dep_after=dependence(batch.spat_after, params.interval_w_after,
+                             batch.samples.interval_after),
     )
 
 

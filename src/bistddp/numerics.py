@@ -61,15 +61,25 @@ def stable_softmax(z) -> np.ndarray:
     return e / e.sum()
 
 
-def log_softmax_at(z: np.ndarray, index: int) -> float:
-    """log(softmax(z)[index]) in fused log-sum-exp form.
+def softmax_cross_entropy(z: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row-wise -log(softmax(z[i])[index[i]]) of the 2-D logits z, in place.
 
-    Never takes the log of a stored probability, so it stays finite even
-    when the distribution saturates.
+    Overwrites each row of z with its softmax and returns the losses in
+    fused log-sum-exp form: never the log of a stored probability, so they
+    stay finite when a distribution saturates.
     """
-    z = as_vector(z, "z")
-    m = z.max()
-    return float(z[index] - m - np.log(np.exp(z - m).sum()))
+    z -= z.max(axis=1, keepdims=True)
+    picked = z[np.arange(z.shape[0]), index]
+    np.exp(z, out=z)
+    total = z.sum(axis=1)
+    z /= total[:, None]
+    return np.log(total) - picked
+
+
+def log_softmax_at(z: np.ndarray, index: int) -> float:
+    """log(softmax(z)[index]) of one 1-D logit vector; see softmax_cross_entropy."""
+    rows = np.array(as_vector(z, "z"), ndmin=2)
+    return float(-softmax_cross_entropy(rows, np.array([index]))[0])
 
 
 def glorot_uniform(

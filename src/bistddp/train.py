@@ -18,17 +18,19 @@ import numpy as np
 
 from .evaluation import MetricsReport, evaluate
 from .geodata import PoiTable, SpatialRowCache
-from .ingest import Sample
+from .ingest import Sample, SampleBatch
 from .model import (
+    BatchTrace,
     ForwardTrace,
     ModelParams,
     VariantConfig,
     cross_entropy,
     forward,
+    forward_batch,
+    interval_gate,
     make_ranker,
-    zero_params,
 )
-from .numerics import ShapeMismatch, make_rng
+from .numerics import ShapeMismatch, make_rng, softmax_cross_entropy
 
 # One array per ModelParams tensor, keyed by its named_tensors() name.
 Gradients = dict[str, np.ndarray]
@@ -42,14 +44,12 @@ class EmptyTrainSet(ValueError):
     pass
 
 
+class Diverged(RuntimeError):
+    """A batch loss came out non-finite; the parameters are no longer usable."""
+
+
 def zero_gradients(params: ModelParams) -> Gradients:
     return {name: np.zeros_like(t) for name, t in params.named_tensors()}
-
-
-def scale_gradients(grads: Gradients, factor: float) -> Gradients:
-    for g in grads.values():
-        g *= factor
-    return grads
 
 
 def loss_grad_wrt_logits(trace: ForwardTrace, target: int) -> np.ndarray:
@@ -59,76 +59,98 @@ def loss_grad_wrt_logits(trace: ForwardTrace, target: int) -> np.ndarray:
     return g
 
 
+def _context_grads(
+    grads: Gradients, name: str, hidden: list[np.ndarray], emb: np.ndarray,
+    context: np.ndarray, a: np.ndarray,
+) -> None:
+    for k, weights in enumerate(hidden):
+        np.matmul(a.T, emb[:, k], out=grads[f"{name}[{k}]"])
+        np.add.at(grads["poi_emb"], context[:, k], a @ weights)
+
+
+def _gate_grad(
+    out: np.ndarray, g: np.ndarray, rows: list[np.ndarray], weights: np.ndarray,
+    interval: np.ndarray,
+) -> None:
+    """out += sum_i rows[i] * (1 - T[i]^2) * interval[i] * g[i], with
+    T = interval_gate(weights, interval) recomputed as forward_batch had it."""
+    coef = interval_gate(weights, interval)
+    np.square(coef, out=coef)
+    np.subtract(1.0, coef, out=coef)
+    coef *= interval[:, None]
+    coef *= g
+    for row, c in zip(rows, coef):
+        out += row * c
+
+
+def backward_batch(trace: BatchTrace, g: np.ndarray, params: ModelParams) -> Gradients:
+    """Gradients of sum_i J_i w.r.t. every parameter tensor, where row g[i]
+    is dJ_i/dlogits[i] and `params` are those the trace was made with.
+    Tensors the trace's variant gates off receive zero."""
+    batch, variant = trace.samples, trace.variant
+    grads = zero_gradients(params)
+
+    # first, so _gate_grad's (B x M) scratch is freed before out_weights'
+    # gradient pages are written: this keeps the step's peak memory down
+    if variant.use_dependence:
+        if variant.use_forward_branch:
+            _gate_grad(grads["interval_w_before"], g, trace.spat_before,
+                       params.interval_w_before, batch.interval_before)
+        if variant.use_backward_branch:
+            _gate_grad(grads["interval_w_after"], g, trace.spat_after,
+                       params.interval_w_after, batch.interval_after)
+
+    np.matmul(g.T, trace.pref, out=grads["out_weights"])
+    pref_grad = g @ params.out_weights
+
+    if variant.use_forward_branch:
+        _context_grads(grads, "fwd_hidden", params.fwd_hidden, trace.fwd_emb, batch.fwd,
+                       pref_grad * (1.0 - trace.h_fwd**2))
+    if variant.use_backward_branch:
+        _context_grads(grads, "bwd_hidden", params.bwd_hidden, trace.bwd_emb, batch.bwd,
+                       pref_grad * (1.0 - trace.h_bwd**2))
+
+    a = pref_grad * (1.0 - trace.h_user**2)
+    np.matmul(a.T, trace.user_vec, out=grads["user_hidden"])
+    np.add.at(grads["user_emb"], batch.users, a @ params.user_hidden)
+
+    if variant.use_time_pattern:
+        a = pref_grad * (1.0 - trace.h_time**2)
+        np.matmul(a.T, batch.pattern, out=grads["time_hidden"])
+
+    return grads
+
+
 def backward(
     trace: ForwardTrace,
     sample: Sample,
     params: ModelParams,
     variant: VariantConfig,
-    out: Gradients | None = None,
 ) -> Gradients:
-    """Exact gradients of -log probs[target] w.r.t. every parameter tensor.
-
-    With `out` given, contributions are accumulated into it (used for batch
-    sums without allocating per-sample buffers); otherwise a fresh zeroed
-    Gradients is returned. Tensors a variant gates off receive zero.
-    """
+    """Exact gradients of -log probs[target] w.r.t. every parameter tensor:
+    `backward_batch` on the trace's batch of one."""
     if trace.sample != sample or trace.variant != variant:
         raise TraceMismatch("trace does not belong to this sample/variant")
-    grads = out if out is not None else zero_gradients(params)
-    w = len(params.fwd_hidden)
-
     g = loss_grad_wrt_logits(trace, sample.target_poi)
-
-    grads["out_weights"] += np.outer(g, trace.pref)
-    pref_grad = params.out_weights.T @ g
-
-    if variant.use_forward_branch:
-        a = pref_grad * (1.0 - trace.h_fwd**2)
-        for k in range(w):
-            grads[f"fwd_hidden[{k}]"] += np.outer(a, trace.fwd_emb[k])
-            grads["poi_emb"][sample.fwd[k]] += params.fwd_hidden[k].T @ a
-    if variant.use_backward_branch:
-        a = pref_grad * (1.0 - trace.h_bwd**2)
-        for k in range(w):
-            grads[f"bwd_hidden[{k}]"] += np.outer(a, trace.bwd_emb[k])
-            grads["poi_emb"][sample.bwd[k]] += params.bwd_hidden[k].T @ a
-
-    a = pref_grad * (1.0 - trace.h_user**2)
-    grads["user_hidden"] += np.outer(a, trace.user_vec)
-    grads["user_emb"][sample.user] += params.user_hidden.T @ a
-
-    if variant.use_time_pattern:
-        a = pref_grad * (1.0 - trace.h_time**2)
-        grads["time_hidden"] += np.outer(a, trace.pattern_vec)
-
-    if variant.use_dependence:
-        if variant.use_forward_branch:
-            grads["interval_w_before"] += (
-                g * trace.spat_before * (1.0 - trace.tgate_before**2) * sample.interval_before
-            )
-        if variant.use_backward_branch:
-            grads["interval_w_after"] += (
-                g * trace.spat_after * (1.0 - trace.tgate_after**2) * sample.interval_after
-            )
-    return grads
+    return backward_batch(trace.batch, g[None], params)
 
 
 def batch_gradients(
-    samples: list[Sample],
+    samples: SampleBatch | list[Sample],
     params: ModelParams,
     table: PoiTable,
     variant: VariantConfig,
     cache: SpatialRowCache | None = None,
 ) -> tuple[Gradients, float]:
-    """Mean gradients and mean loss over a batch."""
-    grads = zero_gradients(params)
-    loss = 0.0
-    for s in samples:
-        trace = forward(s, params, table, variant, cache)
-        loss += cross_entropy(trace, s.target_poi)
-        backward(trace, s, params, variant, out=grads)
-    scale_gradients(grads, 1.0 / len(samples))
-    return grads, loss / len(samples)
+    """Mean gradients and mean loss over a batch, from one batched pass."""
+    if not isinstance(samples, SampleBatch):
+        samples = SampleBatch.from_samples(samples)
+    trace = forward_batch(samples, params, table, variant, cache)
+    g = trace.logits  # overwritten with the probabilities, then with dJ/dlogits
+    loss = float(softmax_cross_entropy(g, samples.targets).mean())
+    g[np.arange(len(samples)), samples.targets] -= 1.0
+    g /= len(samples)
+    return backward_batch(trace, g, params), loss
 
 
 @dataclass
@@ -159,11 +181,21 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState):
             raise ShapeMismatch(f"gradient {name} has shape {g.shape}, want {theta.shape}")
         m = state.m[name]
         v = state.v[name]
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        # theta -= lr (m / c1) / (sqrt(v / c2) + eps), operation for operation
+        # in that order (so bit-identical), through two scratch arrays instead
+        # of a temporary per operator
+        a = np.empty_like(theta)
+        b = np.empty_like(theta)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=a)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        np.multiply(1.0 - state.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.multiply(state.lr, np.divide(m, c1, out=a), out=a)
+        np.sqrt(np.divide(v, c2, out=b), out=b)
+        b += state.eps
+        theta -= np.divide(a, b, out=a)
     return params, state
 
 
@@ -264,6 +296,7 @@ def fit(
     Adam on per-batch mean gradients (the last short batch is kept), then
     scores the early-stop metric; training ends after `patience` epochs
     without improvement or at `max_epochs`, returning the best checkpoint.
+    A non-finite batch loss raises Diverged before its update is applied.
     `metric_fn(params, epoch) -> float` overrides the configured metric.
     """
     if not train_samples:
@@ -272,6 +305,7 @@ def fit(
         cache = SpatialRowCache(table, capacity=min(1024, len(table)))
     if rng is None:
         rng = make_rng(config.seed)
+    data = SampleBatch.from_samples(train_samples)
     adam = AdamState.init(params, lr=config.lr)
     early = EarlyStopState()
     ks = (1, 5, 10)
@@ -283,8 +317,10 @@ def fit(
         order = rng.permutation(len(train_samples))
         total_loss = 0.0
         for lo in range(0, len(order), config.batch_size):
-            batch = [train_samples[i] for i in order[lo : lo + config.batch_size]]
+            batch = data.take(order[lo : lo + config.batch_size])
             grads, batch_loss = batch_gradients(batch, params, table, variant, cache)
+            if not math.isfinite(batch_loss):
+                raise Diverged(f"epoch {epoch}: non-finite batch loss {batch_loss}")
             adam_step(params, grads, adam)
             total_loss += batch_loss * len(batch)
         train_loss = total_loss / len(train_samples)

@@ -103,6 +103,15 @@ class TestTrainEvaluate:
         assert set(log[0]) == {"epoch", "train_loss", "val_recall@1", "val_recall@5",
                                "val_recall@10", "val_map", "seconds"}
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverged_run_exits_1_without_artifacts(self, prepared_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert self.train(prepared_dir, out, extra=("--lr", 1e308, "--epochs", 3)) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+        assert not (out / "train_log.csv").exists()
+
     def test_determinism_bitwise(self, prepared_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert self.train(prepared_dir, a, seed=5) == 0

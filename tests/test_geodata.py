@@ -88,6 +88,22 @@ def test_spatial_vector_unit_population_std():
         assert vec.std() == pytest.approx(1.0, rel=1e-12)
 
 
+def test_distance_rows_bitwise_equal_uncached_cosine_formula():
+    # rows read cos(lat) from the table's cache; computing it per row with
+    # np.cos, as the haversine is usually written, must give the same bits
+    rng = np.random.default_rng(17)
+    m = 500
+    coords = list(zip(rng.uniform(-90, 90, m), rng.uniform(-180, 180, m)))
+    table = _table([(float(la), float(lo)) for la, lo in coords])
+    lat = np.radians([la for la, _ in coords])
+    lon = np.radians([lo for _, lo in coords])
+    for i in range(m):
+        s = (np.sin((lat - lat[i]) / 2.0) ** 2
+             + np.cos(lat[i]) * np.cos(lat) * np.sin((lon - lon[i]) / 2.0) ** 2)
+        expected = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+        np.testing.assert_array_equal(table.distance_row_km(i), expected, err_msg=f"POI {i}")
+
+
 def test_degenerate_geometry():
     table = _table([(10.0, 20.0), (10.0, 20.0)])
     with pytest.raises(DegenerateGeometry):

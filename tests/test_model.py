@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bistddp.geodata import GeoPoint, PoiTable
-from bistddp.ingest import Sample
+from bistddp.ingest import Sample, SampleBatch
 from bistddp.model import (
     BadCheckpoint,
     HyperParams,
@@ -15,6 +15,7 @@ from bistddp.model import (
     cross_entropy,
     expect_compatible,
     forward,
+    forward_batch,
     init_params,
     load_checkpoint,
     make_ranker,
@@ -185,6 +186,10 @@ def test_forward_validates_indices():
         forward(replace(sample, fwd=(8,)), params, table)
     with pytest.raises(ShapeMismatch):
         forward(replace(sample, fwd=(1, 2)), params, table)
+    # in a batch, the first offending sample is named
+    batch = [sample, replace(sample, target_poi=9), replace(sample, target_poi=-1)]
+    with pytest.raises(ShapeMismatch, match=r"target POI 9 outside \[0, 8\)"):
+        forward_batch(SampleBatch.from_samples(batch), params, table)
 
 
 class TestCrossEntropy:

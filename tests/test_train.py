@@ -4,9 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bistddp.model import HyperParams, VARIANTS, forward, init_params, make_ranker, zero_params
-from bistddp.numerics import ShapeMismatch, make_rng, seeded_generators
-from bistddp.synthetic import overfit_corpus, random_instance
+from bistddp.ingest import SampleBatch
+from bistddp.model import (
+    HyperParams,
+    VARIANTS,
+    cross_entropy,
+    forward,
+    forward_batch,
+    init_params,
+    make_ranker,
+    zero_params,
+)
+from bistddp.numerics import ShapeMismatch, make_rng, seeded_generators, softmax_cross_entropy
+from bistddp.synthetic import overfit_corpus, planted_corpus, prepared, random_instance
 from bistddp.train import (
     AdamState,
     EarlyStopState,
@@ -129,23 +139,63 @@ class TestAdam:
         with pytest.raises(ShapeMismatch):
             adam_step(params, grads, AdamState.init(params))
 
+    def test_bit_identical_to_textbook_update(self):
+        _, params, _ = random_instance(9, m=8, n=2, d=3, h=4, w=1)
+        state = AdamState.init(params, lr=0.003)
+        rng = make_rng(10)
+        theta = {name: t.copy() for name, t in params.named_tensors()}
+        m = {name: np.zeros_like(t) for name, t in theta.items()}
+        v = {name: np.zeros_like(t) for name, t in theta.items()}
+        b1, b2, lr, eps = 0.9, 0.999, 0.003, 1e-8
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=x.shape) for name, x in theta.items()}
+            adam_step(params, grads, state)
+            for name, g in grads.items():
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                theta[name] = theta[name] - lr * (m[name] / (1.0 - b1**t)) / (
+                    np.sqrt(v[name] / (1.0 - b2**t)) + eps)
+            for name, x in params.named_tensors():
+                np.testing.assert_array_equal(x, theta[name], err_msg=f"{name}, step {t}")
+
 
 def test_batch_mean_equals_mean_of_per_sample_gradients():
-    prep = overfit_corpus()
-    table = prep.corpus.poi_table
-    params = init_params(HyperParams(d=4, h=6, w=1), prep.corpus.n_users,
-                         prep.corpus.n_pois, make_rng(0))
-    batch = prep.samples_for("train")[:7]
-    variant = VARIANTS["bi-stddp"]
-    grads, _ = batch_gradients(batch, params, table, variant)
+    for w in (1, 2):
+        prep = prepared(overfit_corpus().corpus, w)
+        table = prep.corpus.poi_table
+        params = init_params(HyperParams(d=4, h=6, w=w), prep.corpus.n_users,
+                             prep.corpus.n_pois, make_rng(0))
+        batch = prep.samples_for("train")[:7]
+        for name, variant in VARIANTS.items():
+            grads, _ = batch_gradients(batch, params, table, variant)
+            per_sample = []
+            for s in batch:
+                trace = forward(s, params, table, variant)
+                per_sample.append(backward(trace, s, params, variant))
+            for tname in grads:
+                mean = sum(g[tname] for g in per_sample) / len(batch)
+                np.testing.assert_allclose(grads[tname], mean, rtol=1e-12, atol=1e-15,
+                                           err_msg=f"{name}, w={w}: {tname}")
 
-    per_sample = []
-    for s in batch:
-        trace = forward(s, params, table, variant)
-        per_sample.append(backward(trace, s, params, variant))
-    for name in grads:
-        mean = sum(g[name] for g in per_sample) / len(batch)
-        np.testing.assert_allclose(grads[name], mean, rtol=1e-12, atol=1e-15)
+
+def test_batched_logits_and_loss_equal_one_sample_calls():
+    for w in (1, 2):
+        prep = prepared(planted_corpus(2).corpus, w)
+        table = prep.corpus.poi_table
+        params = init_params(HyperParams(d=5, h=8, w=w), prep.corpus.n_users,
+                             prep.corpus.n_pois, make_rng(1))
+        samples = prep.samples_for("train")[:40]
+        batch = SampleBatch.from_samples(samples)
+        for name, variant in VARIANTS.items():
+            logits = forward_batch(batch, params, table, variant).logits
+            losses = softmax_cross_entropy(logits.copy(), batch.targets)
+            _, mean_loss = batch_gradients(batch, params, table, variant)
+            for row, loss, s in zip(logits, losses, samples):
+                trace = forward(s, params, table, variant)
+                np.testing.assert_allclose(row, trace.logits, rtol=1e-12, atol=1e-15,
+                                           err_msg=f"{name}, w={w}")
+                assert loss == pytest.approx(cross_entropy(trace, s.target_poi), rel=1e-12)
+            assert mean_loss == pytest.approx(losses.mean(), rel=1e-12)
 
 
 class TestEarlyStop:
