@@ -13,6 +13,7 @@ from .ingest import (
     CorpusSplit,
     PreparedCorpus,
     Sample,
+    SampleBatch,
     UserHistory,
     build_samples,
     chronological_split,
@@ -37,6 +38,7 @@ from .model import (
     make_ranker,
     predict_topk,
     save_checkpoint,
+    target_ranks,
 )
 from .evaluation import (
     MetricsReport,
@@ -44,6 +46,7 @@ from .evaluation import (
     f1_at_k,
     mean_average_precision,
     recall_at_k,
+    report_from_ranks,
 )
 from .train import (
     AdamState,

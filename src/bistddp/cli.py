@@ -19,12 +19,21 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines as bl
-from .evaluation import MetricsReport, evaluate, format_report_table, report_csv
-from .geodata import SpatialRowCache
+from .evaluation import (
+    MetricsReport,
+    _rank_of,
+    evaluate,
+    format_report_table,
+    report_csv,
+    report_from_ranks,
+)
+from .geodata import PoiTable, SpatialRowCache
 from .ingest import (
     EmptyCorpus,
     ParseResult,
     PreparedCorpus,
+    Sample,
+    SampleBatch,
     build_samples,
     load_corpus,
     parse_foursquare,
@@ -34,12 +43,15 @@ from .ingest import (
 )
 from .model import (
     HyperParams,
+    ModelParams,
     VARIANTS,
+    VariantConfig,
     expect_compatible,
     init_params,
     load_checkpoint,
     make_ranker,
     save_checkpoint,
+    target_ranks,
     variant_from_name,
     zero_params,
 )
@@ -222,6 +234,15 @@ def _load_prepared(cfg: ExperimentConfig) -> PreparedCorpus:
     return load_corpus(cfg.data)
 
 
+def _model_report(
+    params: ModelParams, samples: list[Sample], table: PoiTable, variant: VariantConfig,
+    cache: SpatialRowCache, ks: tuple[int, ...],
+) -> MetricsReport:
+    """The model's metrics on `samples`, ranked through the batched path."""
+    ranks = target_ranks(SampleBatch.from_samples(samples), params, table, variant, cache)
+    return report_from_ranks(ranks, ks)
+
+
 def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None) -> int:
     out = _out_dir(cfg, "train")
     prepared_corpus = _load_prepared(cfg)
@@ -265,11 +286,11 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str, split: str) -> int:
     params = load_checkpoint(checkpoint)
     expect_compatible(params, corpus.n_users, corpus.n_pois, prepared_corpus.window)
     cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
-    ranker = make_ranker(params, corpus.poi_table, variant_from_name(cfg.variant), cache)
     samples = prepared_corpus.samples_for(split)
     if not samples:
         raise EmptyCorpus(f"no samples in split {split!r}")
-    report = evaluate(ranker, samples, ks=cfg.k)
+    report = _model_report(params, samples, corpus.poi_table, variant_from_name(cfg.variant),
+                           cache, cfg.k)
     (out / f"report_{split}.csv").write_text(report_csv(report), encoding="utf-8")
     print(format_report_table(report, label=cfg.variant))
     return 0
@@ -342,8 +363,8 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
             cache=cache,
             rng=shuffle_rng,
         )
-        ranker = make_ranker(result.params, corpus.poi_table, VARIANTS[name], cache)
-        reports[name] = evaluate(ranker, test_samples, ks=cfg.k)
+        reports[name] = _model_report(result.params, test_samples, corpus.poi_table,
+                                      VARIANTS[name], cache, cfg.k)
         print(f"{name}: done ({result.epochs_run} epochs)")
     _write_report_grid(out / "ablation.csv", reports, cfg.k)
     for i, (name, rep) in enumerate(reports.items()):
@@ -396,9 +417,8 @@ def cmd_sweep(cfg: ExperimentConfig, grid: str) -> int:
             )
             result = fit(train_s, val_s, params, corpus.poi_table, tc,
                          variant_from_name(point.variant), cache=cache, rng=shuffle_rng)
-            ranker = make_ranker(result.params, corpus.poi_table,
-                                 variant_from_name(point.variant), cache)
-            rep = evaluate(ranker, test_s, ks=cfg.k)
+            rep = _model_report(result.params, test_s, corpus.poi_table,
+                                variant_from_name(point.variant), cache, cfg.k)
             rows.append((value, rep, "ok"))
             print(f"{param}={value}: map={rep.map:.4f}")
         except Exception as exc:  # record the failure, keep sweeping
@@ -424,7 +444,7 @@ def cmd_sweep(cfg: ExperimentConfig, grid: str) -> int:
 
 
 def cmd_selfcheck(cfg: ExperimentConfig) -> int:
-    """Gradient oracle plus metric identities; the CI gate."""
+    """Gradient oracle, metric identities and batched ranking; the CI gate."""
     failures = 0
 
     def check(label: str, ok: bool, detail: str = "") -> None:
@@ -463,6 +483,22 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
         and np.all(np.abs(trace.probs - 1.0 / 40) < 1e-12)
     )
     check("zero model is uniform with loss ln M", uniform_ok, f"loss {loss:.9f}")
+
+    # one sample per target, more than one rank chunk; the zero model ties
+    # every candidate, so target t must rank t + 1
+    m = 150
+    table, params, sample = random_instance(4, m=m, n=4, d=3, h=5, w=1)
+    samples = [replace(sample, target_poi=t, user=t % 4) for t in range(m)]
+    batch = SampleBatch.from_samples(samples)
+    tied = zero_params(params.hyper, params.n_users, m)
+    ranks_ok = True
+    for variant in VARIANTS.values():
+        for p in (params, tied):
+            ranker = make_ranker(p, table, variant)
+            expected = [_rank_of(ranker(s), s.target_poi) for s in samples]
+            ranks_ok &= target_ranks(batch, p, table, variant).tolist() == expected
+        ranks_ok &= target_ranks(batch, tied, table, variant).tolist() == list(range(1, m + 1))
+    check("batched ranks match per-sample ranking", ranks_ok)
 
     z = np.array([1000.0, 1000.0])
     check("softmax overflow guard", np.allclose(stable_softmax(z), [0.5, 0.5]))

@@ -64,28 +64,30 @@ class MetricsReport:
     count: int
 
 
-def evaluate(ranker: Ranker, samples: list[Sample], ks: tuple[int, ...] = (1, 5, 10)) -> MetricsReport:
-    """Apply `ranker` to every sample and aggregate all metrics in one pass.
+def report_from_ranks(ranks: Sequence[int], ks: tuple[int, ...] = (1, 5, 10)) -> MetricsReport:
+    """Aggregate every metric from the 1-based rank of each instance's truth.
 
     Aggregate F1@K is derived from aggregate Recall@K (2R/(K+1)), so the
     single-truth identity holds exactly in the report, not just per
-    instance. Summation order is the sample order, for determinism.
+    instance. The reciprocal ranks are summed in instance order, so MAP's
+    bits depend only on the ranks, not on how they were computed.
     """
-    if not samples:
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if ranks.size == 0:
         raise ValueError("no samples to evaluate")
-    hits = {k: 0 for k in ks}
-    ap_total = 0.0
-    for s in samples:
-        ranked = ranker(s)
-        rank = _rank_of(ranked, s.target_poi)
-        for k in ks:
-            if rank <= k:
-                hits[k] += 1
-        ap_total += 1.0 / rank
-    n = len(samples)
-    recall = {k: hits[k] / n for k in ks}
+    n = ranks.size
+    recall = {k: np.count_nonzero(ranks <= k) / n for k in ks}
     f1 = {k: 2.0 * recall[k] / (k + 1) for k in ks}
+    ap_total = 0.0
+    for rank in ranks.tolist():
+        ap_total += 1.0 / rank
     return MetricsReport(recall=recall, f1=f1, map=ap_total / n, count=n)
+
+
+def evaluate(ranker: Ranker, samples: list[Sample], ks: tuple[int, ...] = (1, 5, 10)) -> MetricsReport:
+    """Apply `ranker` to every sample and aggregate all metrics with
+    `report_from_ranks`."""
+    return report_from_ranks([_rank_of(ranker(s), s.target_poi) for s in samples], ks)
 
 
 def report_csv(report: MetricsReport) -> str:

@@ -37,8 +37,6 @@ _SESSION_BOUNDS = [
     (17 * 3600 + 1800, 22 * 3600),
 ]
 
-PATTERN_NAMES = ["weekday", "weekend", "morning", "noon", "afternoon", "night", "rest"]
-
 
 class MalformedLine(ValueError):
     """A raw line that cannot be parsed into a check-in."""
@@ -146,8 +144,8 @@ class SampleBatch:
     def __len__(self) -> int:
         return len(self.users)
 
-    def take(self, rows: np.ndarray) -> "SampleBatch":
-        """The samples at `rows`, in that order."""
+    def take(self, rows: np.ndarray | slice) -> "SampleBatch":
+        """The samples at `rows` (indices or a slice), in that order."""
         return SampleBatch(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 

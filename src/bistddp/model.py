@@ -350,6 +350,49 @@ def predict_topk(trace: ForwardTrace, k: int) -> np.ndarray:
     return order[:k]
 
 
+# Samples per forward_batch in target_ranks: bounds its (rows x M) buffer.
+RANK_CHUNK = 128
+
+
+class NonFiniteScores(RuntimeError):
+    """The model gave a non-finite probability; its parameters are unusable."""
+
+
+def target_ranks(
+    batch: SampleBatch,
+    params: ModelParams,
+    table: PoiTable,
+    variant: VariantConfig = VARIANTS["bi-stddp"],
+    cache: SpatialRowCache | None = None,
+) -> np.ndarray:
+    """1-based rank of each sample's target among all M candidates.
+
+    The rank is the target's position in `predict_topk`'s order, counted
+    instead of sorted: 1 + #(p > p_target) + #(p == p_target at a lower
+    index). Probabilities come from the same operations as `stable_softmax`,
+    so ties (and underflows to 0.0) fall exactly as they do there.
+    """
+    ranks = np.empty(len(batch), dtype=np.int64)
+    cols = np.arange(params.n_pois)
+    for lo in range(0, len(batch), RANK_CHUNK):
+        chunk = batch.take(slice(lo, lo + RANK_CHUNK))
+        p = forward_batch(chunk, params, table, variant, cache).logits
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        total = p.sum(axis=1, keepdims=True)
+        # shifted exps lie in [0, 1] unless NaN, so a row's probabilities
+        # are all finite exactly when its sum is
+        if not np.isfinite(total).all():
+            row = lo + int(np.argmin(np.isfinite(total[:, 0])))
+            raise NonFiniteScores(f"non-finite probabilities for sample {row}")
+        p /= total
+        targets = chunk.targets[:, None]
+        p_target = np.take_along_axis(p, targets, axis=1)
+        ahead = np.where(cols < targets, p >= p_target, p > p_target)
+        ranks[lo : lo + len(chunk)] = 1 + np.count_nonzero(ahead, axis=1)
+    return ranks
+
+
 def make_ranker(
     params: ModelParams,
     table: PoiTable,

@@ -33,26 +33,6 @@ def as_vector(x, name: str = "x") -> np.ndarray:
     return v
 
 
-def as_matrix(x, name: str = "W") -> np.ndarray:
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-D, got shape {m.shape}")
-    return m
-
-
-def matvec(w, x) -> np.ndarray:
-    """Matrix-vector product in float64.
-
-    Backed by numpy's dot; summation order is fixed for a given build, so
-    repeated calls are bit-for-bit reproducible.
-    """
-    w = as_matrix(w)
-    x = as_vector(x)
-    if w.shape[1] != x.shape[0]:
-        raise ShapeMismatch(f"matvec: {w.shape} @ {x.shape}")
-    return w @ x
-
-
 def stable_softmax(z) -> np.ndarray:
     """Softmax with max-subtraction; safe for arbitrarily large inputs."""
     z = as_vector(z, "z")

@@ -16,19 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import MetricsReport, evaluate
+# `evaluate` stays a module attribute: perfbench's tracer patches train.evaluate
+from .evaluation import MetricsReport, evaluate, report_from_ranks  # noqa: F401
 from .geodata import PoiTable, SpatialRowCache
 from .ingest import Sample, SampleBatch
 from .model import (
     BatchTrace,
     ForwardTrace,
     ModelParams,
+    NonFiniteScores,
     VariantConfig,
     cross_entropy,
     forward,
     forward_batch,
     interval_gate,
-    make_ranker,
+    target_ranks,
 )
 from .numerics import ShapeMismatch, make_rng, softmax_cross_entropy
 
@@ -45,7 +47,8 @@ class EmptyTrainSet(ValueError):
 
 
 class Diverged(RuntimeError):
-    """A batch loss came out non-finite; the parameters are no longer usable."""
+    """Training produced non-finite losses or scores, or never a finite
+    early-stop metric; the parameters are no longer usable."""
 
 
 def zero_gradients(params: ModelParams) -> Gradients:
@@ -296,8 +299,10 @@ def fit(
     Adam on per-batch mean gradients (the last short batch is kept), then
     scores the early-stop metric; training ends after `patience` epochs
     without improvement or at `max_epochs`, returning the best checkpoint.
-    A non-finite batch loss raises Diverged before its update is applied.
-    `metric_fn(params, epoch) -> float` overrides the configured metric.
+    Raises Diverged on a non-finite batch loss (before its update is
+    applied), on non-finite scores while ranking, or when no epoch scored a
+    finite metric. `metric_fn(params, epoch) -> float` overrides the
+    configured metric.
     """
     if not train_samples:
         raise EmptyTrainSet("no training samples")
@@ -306,6 +311,7 @@ def fit(
     if rng is None:
         rng = make_rng(config.seed)
     data = SampleBatch.from_samples(train_samples)
+    val = SampleBatch.from_samples(val_samples) if val_samples else None
     adam = AdamState.init(params, lr=config.lr)
     early = EarlyStopState()
     ks = (1, 5, 10)
@@ -325,19 +331,20 @@ def fit(
             total_loss += batch_loss * len(batch)
         train_loss = total_loss / len(train_samples)
 
-        val_report = None
-        if val_samples:
-            ranker = make_ranker(params, table, variant, cache)
-            val_report = evaluate(ranker, val_samples, ks=ks)
+        def report(samples: SampleBatch, ks: tuple[int, ...]) -> MetricsReport:
+            try:
+                ranks = target_ranks(samples, params, table, variant, cache)
+            except NonFiniteScores as exc:
+                raise Diverged(f"epoch {epoch}: {exc}") from exc
+            return report_from_ranks(ranks, ks)
+
+        val_report = report(val, ks) if val is not None else None
 
         if metric_fn is not None:
             value = float(metric_fn(params, epoch))
         else:
-            def train_eval(k: int) -> float:
-                ranker = make_ranker(params, table, variant, cache)
-                return evaluate(ranker, train_samples, ks=(k,)).recall[k]
-
-            value = _metric_value(config.metric, train_loss, val_report, train_eval)
+            value = _metric_value(config.metric, train_loss, val_report,
+                                  lambda k: report(data, (k,)).recall[k])
 
         log.append(
             EpochRecord(
@@ -355,6 +362,8 @@ def fit(
         if early.should_stop(config.patience):
             break
 
+    if early.best_params is None:
+        raise Diverged(f"no finite early-stop metric in {epochs_run} epochs")
     return FitResult(
         params=early.best_params,
         log=log,

@@ -1,8 +1,10 @@
 import csv
 
+import numpy as np
 import pytest
 
 from bistddp.cli import main
+from bistddp.model import load_checkpoint, save_checkpoint
 from conftest import foursquare_lines
 
 
@@ -111,6 +113,31 @@ class TestTrainEvaluate:
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "checkpoint.bin").exists()
         assert not (out / "train_log.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverged_last_update_exits_1_without_artifacts(self, prepared_dir, tmp_path,
+                                                            capsys):
+        # one batch, one epoch: the loss is finite, only the update diverges
+        out = tmp_path / "run"
+        assert self.train(prepared_dir, out,
+                          extra=("--lr", 1e308, "--epochs", 1, "--batch", 100000)) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+        assert not (out / "train_log.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_evaluate_non_finite_checkpoint_exits_1(self, prepared_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert self.train(prepared_dir, out) == 0
+        params = load_checkpoint(out / "checkpoint.bin")
+        params.out_weights[3, 0] = np.nan
+        save_checkpoint(out / "checkpoint.bin", params)
+        ev = tmp_path / "ev"
+        assert run("evaluate", "--data", prepared_dir / "corpus.tsv",
+                   "--checkpoint", out / "checkpoint.bin", "--out", ev) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (ev / "report_test.csv").exists()
 
     def test_determinism_bitwise(self, prepared_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -11,6 +11,7 @@ from bistddp.evaluation import (
     mean_average_precision,
     recall_at_k,
     report_csv,
+    report_from_ranks,
 )
 from bistddp.ingest import Sample
 
@@ -137,6 +138,7 @@ class TestEvaluate:
         expected_map = sum(1.0 / r for r in ranks) / 10
         assert rep.map == pytest.approx(expected_map, rel=1e-12)
         assert rep.count == 10
+        assert report_from_ranks(ranks, ks=(1, 5, 10)) == rep
 
     def test_aggregate_identity_exact(self):
         rng = np.random.default_rng(1)

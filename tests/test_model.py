@@ -4,12 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bistddp.evaluation import _rank_of, evaluate, report_from_ranks
 from bistddp.geodata import GeoPoint, PoiTable
 from bistddp.ingest import Sample, SampleBatch
 from bistddp.model import (
+    RANK_CHUNK,
     BadCheckpoint,
     HyperParams,
     ModelParams,
+    NonFiniteScores,
     VARIANTS,
     VariantConfig,
     cross_entropy,
@@ -21,11 +24,13 @@ from bistddp.model import (
     make_ranker,
     predict_topk,
     save_checkpoint,
+    target_ranks,
     variant_from_name,
     zero_params,
 )
 from bistddp.numerics import ShapeMismatch, make_rng
-from bistddp.synthetic import random_instance
+from bistddp.synthetic import planted_corpus, prepared, random_instance
+from bistddp.train import TrainConfig, fit
 
 
 def test_hyperparams_defaults_and_validation():
@@ -256,6 +261,59 @@ def test_make_ranker_returns_full_ranking():
     table, params, sample = random_instance(13, m=9, n=3, d=3, h=4, w=1)
     ranked = make_ranker(params, table)(sample)
     assert sorted(ranked.tolist()) == list(range(9))
+
+
+def test_target_ranks_match_per_sample_ranking():
+    corpus = planted_corpus(3).corpus
+    table = corpus.poi_table
+    ks = (1, 5, 10)
+    for w in (1, 2):
+        prep = prepared(corpus, w)
+        samples = prep.samples
+        assert len(samples) > RANK_CHUNK and len(samples) % RANK_CHUNK
+        params = init_params(HyperParams(d=8, h=16, w=w), corpus.n_users, corpus.n_pois,
+                             make_rng(w))
+        params = fit(prep.samples_for("train"), [], params, table,
+                     TrainConfig(batch_size=64, max_epochs=3, metric="train_loss"),
+                     VARIANTS["bi-stddp"]).params
+        batch = SampleBatch.from_samples(samples)
+        for name, variant in VARIANTS.items():
+            ranker = make_ranker(params, table, variant)
+            expected = [_rank_of(ranker(s), s.target_poi) for s in samples]
+            ranks = target_ranks(batch, params, table, variant)
+            assert ranks.tolist() == expected, f"{name}, w={w}"
+            assert report_from_ranks(ranks, ks) == evaluate(ranker, samples, ks)
+
+
+def test_target_ranks_put_ties_and_underflows_in_index_order():
+    # only user unit 0 and out_weights[:, 0] are non-zero, so the logits are
+    # v * tanh(1): equal v tie exactly, v = -1e4 underflows to 0.0 in exp, and
+    # v = -975.5 only when divided by the row sum (exp gives the least subnormal)
+    v = np.array([0.0, 2.0, 0.0, -1e4, 2.0, -975.5, 0.0, -1e4])
+    m = len(v)
+    table = _grid_table(m)
+    params = zero_params(HyperParams(d=2, h=3, w=1), n_users=1, n_pois=m)
+    params.user_emb[:] = 1.0
+    params.user_hidden[0] = 0.5
+    params.out_weights[:, 0] = v
+    samples = [_sample(target_poi=t) for t in range(m)]
+    for name, variant in VARIANTS.items():
+        probs = forward(samples[0], params, table, variant).probs
+        assert probs[3] == probs[5] == probs[7] == 0.0
+        assert probs[1] == probs[4] and probs[0] == probs[2] == probs[6]
+        ranks = target_ranks(SampleBatch.from_samples(samples), params, table, variant)
+        # predict_topk's order is 1, 4, 0, 2, 6, 3, 5, 7
+        assert ranks.tolist() == [3, 1, 4, 6, 2, 7, 5, 8], name
+        ranker = make_ranker(params, table, variant)
+        assert ranks.tolist() == [_rank_of(ranker(s), s.target_poi) for s in samples]
+
+
+def test_target_ranks_reject_non_finite_scores():
+    table, params, sample = random_instance(17, m=9, n=3, d=3, h=4, w=1)
+    params.user_emb[2] = np.nan
+    samples = [replace(sample, user=0)] * (RANK_CHUNK + 1) + [replace(sample, user=2)]
+    with pytest.raises(NonFiniteScores, match=f"sample {RANK_CHUNK + 1}"):
+        target_ranks(SampleBatch.from_samples(samples), params, table)
 
 
 class TestCheckpoint:

@@ -6,56 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bistddp.numerics import (
-    ShapeMismatch,
     glorot_uniform,
     log_softmax_at,
     make_rng,
-    matvec,
     seeded_generators,
     stable_softmax,
 )
-
-
-def naive_matvec(w, x):
-    """Independent triple-checkable reference: explicit loops, no numpy dot."""
-    rows, cols = len(w), len(w[0])
-    out = [0.0] * rows
-    for i in range(rows):
-        acc = 0.0
-        for j in range(cols):
-            acc += w[i][j] * x[j]
-        out[i] = acc
-    return np.array(out)
-
-
-def test_matvec_identity():
-    np.testing.assert_array_equal(matvec(np.eye(3), [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-
-def test_matvec_zero():
-    np.testing.assert_array_equal(matvec(np.zeros((4, 3)), [1.0, 2.0, 3.0]), np.zeros(4))
-
-
-def test_matvec_matches_naive_loops():
-    rng = make_rng(0)
-    w = rng.normal(size=(4, 3))
-    x = rng.normal(size=3)
-    np.testing.assert_allclose(matvec(w, x), naive_matvec(w.tolist(), x.tolist()), atol=1e-15)
-
-
-def test_matvec_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        matvec(np.zeros((2, 3)), np.zeros(4))
-    with pytest.raises(ShapeMismatch):
-        matvec(np.zeros(3), np.zeros(3))
-
-
-def test_matvec_distributes_over_addition():
-    rng = make_rng(1)
-    for _ in range(20):
-        w = rng.normal(size=(5, 7))
-        x, y = rng.normal(size=7), rng.normal(size=7)
-        np.testing.assert_allclose(matvec(w, x + y), matvec(w, x) + matvec(w, y), rtol=1e-12, atol=1e-12)
 
 
 def test_softmax_uniform_on_zeros():

@@ -19,6 +19,7 @@ from bistddp.numerics import ShapeMismatch, make_rng, seeded_generators, softmax
 from bistddp.synthetic import overfit_corpus, planted_corpus, prepared, random_instance
 from bistddp.train import (
     AdamState,
+    Diverged,
     EarlyStopState,
     EmptyTrainSet,
     TraceMismatch,
@@ -224,6 +225,16 @@ class TestEarlyStop:
         assert res.best_epoch == 1
         for (name, a), (_, b) in zip(res.params.named_tensors(), snapshots[1].named_tensors()):
             np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_no_finite_metric_raises_diverged(self):
+        prep = planted_corpus(3)
+        corpus = prep.corpus
+        params = init_params(HyperParams(d=4, h=6, w=1), corpus.n_users, corpus.n_pois,
+                             make_rng(0))
+        with pytest.raises(Diverged, match="no finite early-stop metric"):
+            fit(prep.samples_for("train"), prep.samples_for("val"), params,
+                corpus.poi_table, TrainConfig(max_epochs=3, patience=2),
+                VARIANTS["bi-stddp"], metric_fn=lambda p, e: float("nan"))
 
     def test_empty_train_set(self):
         prep = overfit_corpus()
