@@ -2,8 +2,10 @@
 
 Forward/Backward rank candidates by how often they follow/precede the
 adjacent context POI in the training segments; TOP1 is global popularity,
-TOP2 per-user popularity. Tie chain everywhere: count, then global
-popularity, then ascending POI index, so rankings are reproducible.
+TOP2 per-user popularity. Each ranking is the POIs with a nonzero count,
+sorted, followed by all other POIs in TOP1 order (global popularity, then
+ascending index). Count ties break by TOP1 order for Forward/Backward and
+by ascending index for TOP2, so rankings are reproducible.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ class TransitionTable:
 class PopularityTable:
     global_counts: np.ndarray  # (M,) check-in counts over all train segments
     user_counts: list[dict[int, int]]  # per dense user, train segment only
-    top1_order: np.ndarray  # cached global ranking
-    top1_pos: np.ndarray  # position of each POI within top1_order
+    top1_order: np.ndarray  # cached global ranking, read-only
+    top1_pos: np.ndarray  # position of each POI within top1_order, read-only
 
 
 def fit_counts(corpus: Corpus, split: CorpusSplit) -> tuple[TransitionTable, PopularityTable]:
@@ -63,15 +65,34 @@ def fit_counts(corpus: Corpus, split: CorpusSplit) -> tuple[TransitionTable, Pop
     top1_order = np.argsort(-global_counts, kind="stable")
     top1_pos = np.empty(m, dtype=np.int64)
     top1_pos[top1_order] = np.arange(m)
+    # rankers hand top1_order itself to every caller
+    for a in (top1_order, top1_pos):
+        a.setflags(write=False)
     return (
         TransitionTable(counts, out_edges, in_edges),
         PopularityTable(global_counts, user_counts, top1_order, top1_pos),
     )
 
 
-def _ranked_by_counts(count_vec: np.ndarray, popularity: PopularityTable) -> np.ndarray:
-    # lexsort: last key is primary; stable, so final ties keep ascending index
-    return np.lexsort((-popularity.global_counts, -count_vec))
+def _counted_then_top1(
+    counts: dict[int, int], popularity: PopularityTable, ties_by_index: bool = False
+) -> np.ndarray:
+    """The POIs in `counts` by count descending, then TOP1 position (or, with
+    `ties_by_index`, POI index), followed by every other POI in TOP1 order.
+
+    Only the few counted POIs are sorted; the uncounted tail is the cached
+    TOP1 order with them taken out. No counts: the TOP1 order itself.
+    """
+    if not counts:
+        return popularity.top1_order
+    pois = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+    n = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    pos = popularity.top1_pos[pois]
+    # lexsort: last key is primary
+    head = pois[np.lexsort((pois if ties_by_index else pos, -n))]
+    keep = np.ones(len(popularity.top1_order), dtype=bool)
+    keep[pos] = False
+    return np.concatenate((head, popularity.top1_order[keep]))
 
 
 def rank_forward(sample: Sample, transitions: TransitionTable, popularity: PopularityTable) -> np.ndarray:
@@ -80,20 +101,14 @@ def rank_forward(sample: Sample, transitions: TransitionTable, popularity: Popul
     An unseen conditioning POI leaves all counts zero, which degrades to the
     pure global-popularity (TOP1) ranking.
     """
-    prev = sample.fwd[0]
-    vec = np.zeros(len(popularity.global_counts), dtype=np.int64)
-    for q, c in transitions.out_edges.get(prev, {}).items():
-        vec[q] = c
-    return _ranked_by_counts(vec, popularity)
+    edges = transitions.out_edges.get(sample.fwd[0], {})
+    return _counted_then_top1(edges, popularity)
 
 
 def rank_backward(sample: Sample, transitions: TransitionTable, popularity: PopularityTable) -> np.ndarray:
     """Rank by count(candidate -> next); same tie chain as rank_forward."""
-    nxt = sample.bwd[0]
-    vec = np.zeros(len(popularity.global_counts), dtype=np.int64)
-    for p, c in transitions.in_edges.get(nxt, {}).items():
-        vec[p] = c
-    return _ranked_by_counts(vec, popularity)
+    edges = transitions.in_edges.get(sample.bwd[0], {})
+    return _counted_then_top1(edges, popularity)
 
 
 def rank_top1(popularity: PopularityTable) -> np.ndarray:
@@ -104,18 +119,12 @@ def rank_top1(popularity: PopularityTable) -> np.ndarray:
 def rank_top2(user: int, popularity: PopularityTable) -> tuple[np.ndarray, bool]:
     """Per-user popularity; POIs the user never visited follow in TOP1 order.
 
-    Returns (ranking, fell_back); a user with no train check-ins falls back
-    to TOP1 outright.
+    Visited POIs tie by ascending index. Returns (ranking, fell_back); a
+    user with no train check-ins falls back to TOP1 outright.
     """
     if not 0 <= user < len(popularity.user_counts) or not popularity.user_counts[user]:
         return popularity.top1_order, True
-    m = len(popularity.global_counts)
-    vec = np.zeros(m, dtype=np.int64)
-    for p, c in popularity.user_counts[user].items():
-        vec[p] = c
-    # visited ties break by index, the unvisited tail keeps TOP1 order
-    secondary = np.where(vec > 0, np.arange(m), popularity.top1_pos)
-    return np.lexsort((secondary, -vec)), False
+    return _counted_then_top1(popularity.user_counts[user], popularity, ties_by_index=True), False
 
 
 class BaselineRankers:

@@ -228,10 +228,16 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_prepared(cfg: ExperimentConfig) -> PreparedCorpus:
+def _load_prepared(cfg: ExperimentConfig, window: int | None = None) -> PreparedCorpus:
+    """The corpus file; `window` is an explicitly set w, which must match it."""
     if not cfg.data:
         raise MalformedConfig("data= must point at a prepared corpus file")
-    return load_corpus(cfg.data)
+    prepared_corpus = load_corpus(cfg.data)
+    if window is not None and window != prepared_corpus.window:
+        raise MalformedConfig(
+            f"w={window} was set, but {cfg.data} was prepared with w={prepared_corpus.window}; "
+            f"the window is fixed at prepare time (prepare --w {window})")
+    return prepared_corpus
 
 
 def _model_report(
@@ -243,9 +249,11 @@ def _model_report(
     return report_from_ranks(ranks, ks)
 
 
-def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None) -> int:
+def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None,
+              window: int | None = None) -> int:
+    prepared_corpus = _load_prepared(cfg, window)
+    cfg = replace(cfg, w=prepared_corpus.window)  # record the window that runs
     out = _out_dir(cfg, "train")
-    prepared_corpus = _load_prepared(cfg)
     corpus = prepared_corpus.corpus
     # the window is baked into the corpus file at prepare time
     hp = HyperParams(d=cfg.d, h=cfg.h, w=prepared_corpus.window)
@@ -279,9 +287,11 @@ def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str, split: str) -> int:
+def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str, split: str,
+                 window: int | None = None) -> int:
+    prepared_corpus = _load_prepared(cfg, window)
+    cfg = replace(cfg, w=prepared_corpus.window)  # record the window that runs
     out = _out_dir(cfg, "evaluate")
-    prepared_corpus = _load_prepared(cfg)
     corpus = prepared_corpus.corpus
     params = load_checkpoint(checkpoint)
     expect_compatible(params, corpus.n_users, corpus.n_pois, prepared_corpus.window)
@@ -335,9 +345,10 @@ def _write_report_grid(path, reports: dict[str, MetricsReport], ks) -> None:
 ABLATION_ORDER = ["bi-stddp", "f-stddp", "b-stddp", "bi-b", "bi-a"]
 
 
-def cmd_ablate(cfg: ExperimentConfig) -> int:
+def cmd_ablate(cfg: ExperimentConfig, window: int | None = None) -> int:
+    prepared_corpus = _load_prepared(cfg, window)
+    cfg = replace(cfg, w=prepared_corpus.window)  # record the window that runs
     out = _out_dir(cfg, "ablate")
-    prepared_corpus = _load_prepared(cfg)
     corpus = prepared_corpus.corpus
     hp = HyperParams(d=cfg.d, h=cfg.h, w=prepared_corpus.window)
     cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
@@ -558,18 +569,20 @@ def main(argv: list[str] | None = None) -> int:
         if "k" in overrides:
             overrides["k"] = _parse_ks(overrides["k"])
         cfg = build_config(file_values, overrides)
+        # an unset w means "the corpus's window"; a set one must match it
+        window = cfg.w if "w" in file_values or "w" in overrides else None
         if args.command == "prepare":
             if not cfg.data:
                 raise MalformedConfig("prepare needs --data (raw check-in file)")
             return cmd_prepare(cfg)
         if args.command == "train":
-            return cmd_train(cfg, resume_from=args.resume_from)
+            return cmd_train(cfg, resume_from=args.resume_from, window=window)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.checkpoint, args.split)
+            return cmd_evaluate(cfg, args.checkpoint, args.split, window)
         if args.command == "baselines":
             return cmd_baselines(cfg, args.split)
         if args.command == "ablate":
-            return cmd_ablate(cfg)
+            return cmd_ablate(cfg, window)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.grid)
         if args.command == "selfcheck":

@@ -9,7 +9,6 @@ demand and kept in a bounded LRU cache.
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -103,7 +102,7 @@ def spatial_vector(poi: int, table: PoiTable) -> np.ndarray:
 
 
 class SpatialRowCache:
-    """Bounded LRU cache of spatial vectors, safe for concurrent readers.
+    """Bounded LRU cache of spatial vectors.
 
     Cached rows are the exact arrays `spatial_vector` produced, marked
     read-only so a hit is bit-identical to a fresh computation.
@@ -115,23 +114,19 @@ class SpatialRowCache:
         self.table = table
         self.capacity = capacity
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def row(self, poi: int) -> np.ndarray:
-        with self._lock:
-            cached = self._rows.get(poi)
-            if cached is not None:
-                self._rows.move_to_end(poi)
-                self.hits += 1
-                return cached
+        cached = self._rows.get(poi)
+        if cached is not None:
+            self._rows.move_to_end(poi)
+            self.hits += 1
+            return cached
         fresh = spatial_vector(poi, self.table)
         fresh.setflags(write=False)
-        with self._lock:
-            self.misses += 1
-            self._rows[poi] = fresh
-            self._rows.move_to_end(poi)
-            while len(self._rows) > self.capacity:
-                self._rows.popitem(last=False)
+        self.misses += 1
+        self._rows[poi] = fresh
+        if len(self._rows) > self.capacity:
+            self._rows.popitem(last=False)
         return fresh

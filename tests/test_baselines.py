@@ -1,6 +1,7 @@
 from collections import Counter, defaultdict
 
 import numpy as np
+import pytest
 
 from bistddp.baselines import (
     BaselineRankers,
@@ -156,24 +157,68 @@ def random_corpus(rng):
     return corpus_of(seqs, n_pois)
 
 
+def edge_case_corpus():
+    """Five POIs whose train segments hit the sparse rankers' edge cases.
+
+    User 0 follows and precedes POI 0 with every POI (0 -> 0 included), so
+    the counted head holds all of them and the TOP1 tail is empty; user 0
+    also visits every POI. Transitions out of 0 tie at count 1 for POIs
+    1-4, which popularity orders 3, 4, 1, 2: POIs 1/2 and 3/4 tie in global
+    popularity.
+    """
+    user0 = [0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0]
+    user1 = [3, 4, 3, 4, 1, 2]
+    seqs = [user0 + [2] * 3, user1 + [0, 0]]  # the tails land in val/test
+    return corpus_of(seqs, n_pois=5)
+
+
+def assert_matches_oracles(corpus):
+    split = split_corpus(corpus)
+    m = corpus.n_pois
+    trans, pop = fit_counts(corpus, split)
+    otrans, oglob, oper = oracle_tables(corpus, split)
+
+    np.testing.assert_array_equal(rank_top1(pop), oracle_top1(m, oglob))
+    for user in range(corpus.n_users):
+        got, _ = rank_top2(user, pop)
+        np.testing.assert_array_equal(got, oracle_top2(user, m, oglob, oper))
+    for prev in range(m):
+        got = rank_forward(sample_with(fwd=prev), trans, pop)
+        np.testing.assert_array_equal(got, oracle_forward(prev, m, otrans, oglob))
+        got = rank_backward(sample_with(bwd=prev), trans, pop)
+        np.testing.assert_array_equal(got, oracle_backward(prev, m, otrans, oglob))
+
+
+def test_edge_case_corpus_has_its_edge_cases():
+    corpus = edge_case_corpus()
+    trans, pop = fit_counts(corpus, split_corpus(corpus))
+    assert set(trans.out_edges[0]) == set(trans.in_edges[0]) == set(range(5))
+    assert trans.counts[(0, 0)] > 1
+    assert [trans.out_edges[0][q] for q in (1, 2, 3, 4)] == [1, 1, 1, 1]
+    assert set(pop.user_counts[0]) == set(range(5))
+    g = pop.global_counts
+    assert g[1] == g[2] and g[3] == g[4] and g[1] != g[3]
+
+
 def test_oracle_equivalence_on_random_corpora():
     rng = make_rng(2024)
-    for _ in range(25):  # the acceptance suite runs the full 100
-        corpus = random_corpus(rng)
-        split = split_corpus(corpus)
-        m = corpus.n_pois
-        trans, pop = fit_counts(corpus, split)
-        otrans, oglob, oper = oracle_tables(corpus, split)
+    corpora = [random_corpus(rng) for _ in range(25)]  # the acceptance suite runs the full 100
+    for corpus in corpora + [edge_case_corpus()]:
+        assert_matches_oracles(corpus)
 
-        np.testing.assert_array_equal(rank_top1(pop), oracle_top1(m, oglob))
-        for user in range(corpus.n_users):
-            got, _ = rank_top2(user, pop)
-            np.testing.assert_array_equal(got, oracle_top2(user, m, oglob, oper))
-        for prev in range(m):
-            got = rank_forward(sample_with(fwd=prev), trans, pop)
-            np.testing.assert_array_equal(got, oracle_forward(prev, m, otrans, oglob))
-            got = rank_backward(sample_with(bwd=prev), trans, pop)
-            np.testing.assert_array_equal(got, oracle_backward(prev, m, otrans, oglob))
+
+def test_shared_rankings_are_read_only():
+    corpus = corpus_of([[0, 1, 0, 2, 0], [1]], n_pois=3)
+    trans, pop = fit_counts(corpus, split_corpus(corpus))
+    shared = {
+        "top1": rank_top1(pop),
+        "forward, unseen context": rank_forward(sample_with(fwd=2), trans, pop),
+        "top2, no train check-ins": rank_top2(1, pop)[0],
+    }
+    for name, ranking in shared.items():
+        with pytest.raises(ValueError):
+            ranking[0] = ranking[1]
+        assert rank_top1(pop).tolist() == [0, 1, 2], name
 
 
 def test_fit_counts_deterministic():

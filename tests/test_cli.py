@@ -126,6 +126,30 @@ class TestTrainEvaluate:
         assert not (out / "checkpoint.bin").exists()
         assert not (out / "train_log.csv").exists()
 
+    def test_window_other_than_the_corpus_exits_2(self, prepared_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert self.train(prepared_dir, out, extra=("--w", 2)) == 2
+        err = capsys.readouterr().err
+        assert "w=2" in err and "w=1" in err
+        assert not (out / "checkpoint.bin").exists()
+        # the corpus's own window, set explicitly or in a config file, is accepted
+        assert self.train(prepared_dir, out, extra=("--w", 1, "--epochs", 1)) == 0
+        cfg = tmp_path / "w2.cfg"
+        cfg.write_text("w=2\n", encoding="utf-8")
+        for command in (("evaluate", "--checkpoint", out / "checkpoint.bin"), ("ablate",)):
+            assert run(*command, "--config", cfg, "--data", prepared_dir / "corpus.tsv",
+                       "--out", tmp_path / command[0]) == 2
+        assert not (tmp_path / "evaluate" / "report_test.csv").exists()
+        assert not (tmp_path / "ablate" / "ablation.csv").exists()
+        # unset, w is the corpus's, and the resolved config records it
+        w2 = tmp_path / "w2"
+        assert run("prepare", "--data", prepared_dir.parent / "raw.tsv", "--format",
+                   "foursquare", "--out", w2, "--w", 2) == 0
+        assert self.train(w2, tmp_path / "r2", extra=("--epochs", 1)) == 0
+        resolved = tmp_path / "r2" / "config.txt"
+        assert "w=2" in resolved.read_text(encoding="utf-8").splitlines()
+        assert run("train", "--config", resolved, "--out", tmp_path / "r3") == 0
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_evaluate_non_finite_checkpoint_exits_1(self, prepared_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -120,25 +119,3 @@ def test_cache_rows_bit_identical_and_bounded():
     # re-read after eviction: still identical
     np.testing.assert_array_equal(cache.row(0), spatial_vector(0, table))
     assert len(cache._rows) <= 4
-
-
-def test_cache_concurrent_reads_correct():
-    rng = np.random.default_rng(13)
-    table = _table([(float(la), float(lo)) for la, lo in
-                    zip(rng.uniform(-80, 80, 20), rng.uniform(-179, 179, 20))])
-    cache = SpatialRowCache(table, capacity=8)
-    expected = {p: spatial_vector(p, table) for p in range(20)}
-    errors = []
-
-    def reader(seed):
-        order = np.random.default_rng(seed).permutation(20)
-        for p in order:
-            if not np.array_equal(cache.row(int(p)), expected[int(p)]):
-                errors.append(int(p))
-
-    threads = [threading.Thread(target=reader, args=(s,)) for s in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert errors == []
