@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from .ingest import (
     PreparedCorpus,
     Sample,
     SampleBatch,
-    build_samples,
     load_corpus,
     parse_foursquare,
     parse_gowalla,
@@ -45,7 +45,6 @@ from .model import (
     HyperParams,
     ModelParams,
     VARIANTS,
-    VariantConfig,
     expect_compatible,
     init_params,
     load_checkpoint,
@@ -56,8 +55,9 @@ from .model import (
     zero_params,
 )
 from .numerics import make_rng, seeded_generators, stable_softmax
-from .synthetic import random_instance
+from .synthetic import corpus_from_events, random_instance
 from .train import (
+    FitResult,
     TrainConfig,
     finite_difference_check,
     fit,
@@ -240,36 +240,32 @@ def _load_prepared(cfg: ExperimentConfig, window: int | None = None) -> Prepared
     return prepared_corpus
 
 
-def _model_report(
-    params: ModelParams, samples: list[Sample], table: PoiTable, variant: VariantConfig,
-    cache: SpatialRowCache, ks: tuple[int, ...],
-) -> MetricsReport:
-    """The model's metrics on `samples`, ranked through the batched path."""
-    ranks = target_ranks(SampleBatch.from_samples(samples), params, table, variant, cache)
-    return report_from_ranks(ranks, ks)
+def _model_report(cfg: ExperimentConfig, params: ModelParams, samples: list[Sample],
+                  table: PoiTable, cache: SpatialRowCache) -> MetricsReport:
+    """`cfg.variant`'s metrics at `cfg.k` on `samples`, ranked through the batched path."""
+    ranks = target_ranks(SampleBatch.from_samples(samples), params, table,
+                         variant_from_name(cfg.variant), cache)
+    return report_from_ranks(ranks, cfg.k)
 
 
-def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None,
-              window: int | None = None) -> int:
-    prepared_corpus = _load_prepared(cfg, window)
-    cfg = replace(cfg, w=prepared_corpus.window)  # record the window that runs
-    out = _out_dir(cfg, "train")
+def _fit(cfg: ExperimentConfig, prepared_corpus: PreparedCorpus, cache: SpatialRowCache,
+         params: ModelParams | None = None) -> FitResult:
+    """Train `cfg.variant` on the train split, early-stopping on val.
+
+    `params` are the tensors to start from; by default they are drawn from
+    `cfg.seed`, whose second generator shuffles the batches either way.
+    """
     corpus = prepared_corpus.corpus
-    # the window is baked into the corpus file at prepare time
-    hp = HyperParams(d=cfg.d, h=cfg.h, w=prepared_corpus.window)
-    print(f"corpus: N={corpus.n_users} M={corpus.n_pois} w={prepared_corpus.window}")
     init_rng, shuffle_rng = seeded_generators(cfg.seed, 2)
-    if resume_from:
-        params = load_checkpoint(resume_from)
-        expect_compatible(params, corpus.n_users, corpus.n_pois, prepared_corpus.window)
-    else:
+    if params is None:
+        # the window is baked into the corpus file at prepare time
+        hp = HyperParams(d=cfg.d, h=cfg.h, w=prepared_corpus.window)
         params = init_params(hp, corpus.n_users, corpus.n_pois, init_rng)
     tc = TrainConfig(
         batch_size=cfg.batch, max_epochs=cfg.epochs, patience=cfg.patience,
         seed=cfg.seed, lr=cfg.lr, metric=cfg.metric,
     )
-    cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
-    result = fit(
+    return fit(
         prepared_corpus.samples_for("train"),
         prepared_corpus.samples_for("val"),
         params,
@@ -279,10 +275,25 @@ def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None,
         cache=cache,
         rng=shuffle_rng,
     )
+
+
+def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None,
+              window: int | None = None) -> int:
+    prepared_corpus = _load_prepared(cfg, window)
+    cfg = replace(cfg, w=prepared_corpus.window)  # record the window that runs
+    out = _out_dir(cfg, "train")
+    corpus = prepared_corpus.corpus
+    print(f"corpus: N={corpus.n_users} M={corpus.n_pois} w={prepared_corpus.window}")
+    params = None
+    if resume_from:
+        params = load_checkpoint(resume_from)
+        expect_compatible(params, corpus.n_users, corpus.n_pois, prepared_corpus.window)
+    cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
+    result = _fit(cfg, prepared_corpus, cache, params)
     save_checkpoint(out / "checkpoint.bin", result.params)
     write_train_log(out / "train_log.csv", result.log)
     print(format_train_table(result.log))
-    print(f"best epoch {result.best_epoch} ({tc.metric}={result.best_value:.6f}); "
+    print(f"best epoch {result.best_epoch} ({cfg.metric}={result.best_value:.6f}); "
           f"checkpoint -> {out / 'checkpoint.bin'}")
     return 0
 
@@ -299,8 +310,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str, split: str,
     samples = prepared_corpus.samples_for(split)
     if not samples:
         raise EmptyCorpus(f"no samples in split {split!r}")
-    report = _model_report(params, samples, corpus.poi_table, variant_from_name(cfg.variant),
-                           cache, cfg.k)
+    report = _model_report(cfg, params, samples, corpus.poi_table, cache)
     (out / f"report_{split}.csv").write_text(report_csv(report), encoding="utf-8")
     print(format_report_table(report, label=cfg.variant))
     return 0
@@ -317,32 +327,34 @@ def cmd_baselines(cfg: ExperimentConfig, split: str) -> int:
     for name, ranker in rankers.named().items():
         reports[name] = evaluate(ranker, samples, ks=cfg.k)
     _write_report_grid(out / "baselines.csv", reports, cfg.k)
-    for i, (name, rep) in enumerate(reports.items()):
-        table = format_report_table(rep, label=name)
-        print(table if i == 0 else table.split("\n")[1])
     if rankers.top2_fallbacks:
         print(f"top2 fell back to top1 for {rankers.top2_fallbacks} instances")
     return 0
 
 
-def _write_report_grid(path, reports: dict[str, MetricsReport], ks) -> None:
+def _metric_head(ks) -> list[str]:
+    return [f"recall@{k}" for k in ks] + [f"f1@{k}" for k in ks] + ["map"]
+
+
+def _metric_cells(rep: MetricsReport | None, ks) -> list[str]:
+    """`rep` as CSV cells in `_metric_head` order; empty cells for no report."""
+    if rep is None:
+        return [""] * (2 * len(ks) + 1)
+    return [f"{rep.recall[k]:.6f}" for k in ks] + [f"{rep.f1[k]:.6f}" for k in ks] + [f"{rep.map:.6f}"]
+
+
+def _write_csv(path, rows: list[list[str]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        head = ",".join(
-            ["model"]
-            + [f"recall@{k}" for k in ks]
-            + [f"f1@{k}" for k in ks]
-            + ["map", "instances"]
-        )
-        fh.write(head + "\n")
-        for name, rep in reports.items():
-            row = [name]
-            row += [f"{rep.recall[k]:.6f}" for k in ks]
-            row += [f"{rep.f1[k]:.6f}" for k in ks]
-            row += [f"{rep.map:.6f}", str(rep.count)]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
-ABLATION_ORDER = ["bi-stddp", "f-stddp", "b-stddp", "bi-b", "bi-a"]
+def _write_report_grid(path, reports: dict[str, MetricsReport], ks) -> None:
+    """One CSV row per named report; the same rows are printed as one table."""
+    _write_csv(path, [["model", *_metric_head(ks), "instances"]]
+               + [[name, *_metric_cells(rep, ks), str(rep.count)] for name, rep in reports.items()])
+    for i, (name, rep) in enumerate(reports.items()):
+        table = format_report_table(rep, label=name)
+        print(table if i == 0 else table.split("\n")[1])
 
 
 def cmd_ablate(cfg: ExperimentConfig, window: int | None = None) -> int:
@@ -350,37 +362,18 @@ def cmd_ablate(cfg: ExperimentConfig, window: int | None = None) -> int:
     cfg = replace(cfg, w=prepared_corpus.window)  # record the window that runs
     out = _out_dir(cfg, "ablate")
     corpus = prepared_corpus.corpus
-    hp = HyperParams(d=cfg.d, h=cfg.h, w=prepared_corpus.window)
     cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
-    tc = TrainConfig(
-        batch_size=cfg.batch, max_epochs=cfg.epochs, patience=cfg.patience,
-        seed=cfg.seed, lr=cfg.lr, metric=cfg.metric,
-    )
     test_samples = prepared_corpus.samples_for("test")
     if not test_samples:
         raise EmptyCorpus("no test samples")
     reports: dict[str, MetricsReport] = {}
-    for name in ABLATION_ORDER:
+    for name in VARIANTS:  # VARIANTS lists the ablation table in order
         # shared seed and data: every variant starts from the same tensors
-        init_rng, shuffle_rng = seeded_generators(cfg.seed, 2)
-        params = init_params(hp, corpus.n_users, corpus.n_pois, init_rng)
-        result = fit(
-            prepared_corpus.samples_for("train"),
-            prepared_corpus.samples_for("val"),
-            params,
-            corpus.poi_table,
-            tc,
-            VARIANTS[name],
-            cache=cache,
-            rng=shuffle_rng,
-        )
-        reports[name] = _model_report(result.params, test_samples, corpus.poi_table,
-                                      VARIANTS[name], cache, cfg.k)
+        point = replace(cfg, variant=name)
+        result = _fit(point, prepared_corpus, cache)
+        reports[name] = _model_report(point, result.params, test_samples, corpus.poi_table, cache)
         print(f"{name}: done ({result.epochs_run} epochs)")
     _write_report_grid(out / "ablation.csv", reports, cfg.k)
-    for i, (name, rep) in enumerate(reports.items()):
-        table = format_report_table(rep, label=name)
-        print(table if i == 0 else table.split("\n")[1])
     return 0
 
 
@@ -410,52 +403,24 @@ def cmd_sweep(cfg: ExperimentConfig, grid: str) -> int:
     for value in values:
         point = replace(cfg, **{param: value})
         try:
-            if param == "w":
-                samples = build_samples(corpus, prepared_corpus.split, value)
-                window = value
-            else:
-                samples = prepared_corpus.samples
-                window = prepared_corpus.window
-            train_s = [s for s in samples if s.split == "train"]
-            val_s = [s for s in samples if s.split == "val"]
-            test_s = [s for s in samples if s.split == "test"]
-            hp = HyperParams(d=point.d, h=point.h, w=window)
-            init_rng, shuffle_rng = seeded_generators(point.seed, 2)
-            params = init_params(hp, corpus.n_users, corpus.n_pois, init_rng)
-            tc = TrainConfig(
-                batch_size=point.batch, max_epochs=point.epochs, patience=point.patience,
-                seed=point.seed, lr=point.lr, metric=point.metric,
-            )
-            result = fit(train_s, val_s, params, corpus.poi_table, tc,
-                         variant_from_name(point.variant), cache=cache, rng=shuffle_rng)
-            rep = _model_report(result.params, test_s, corpus.poi_table,
-                                variant_from_name(point.variant), cache, cfg.k)
+            data = (PreparedCorpus.from_corpus(corpus, value) if param == "w"
+                    else prepared_corpus)
+            result = _fit(point, data, cache)
+            rep = _model_report(point, result.params, data.samples_for("test"),
+                                corpus.poi_table, cache)
             rows.append((value, rep, "ok"))
             print(f"{param}={value}: map={rep.map:.4f}")
         except Exception as exc:  # record the failure, keep sweeping
             rows.append((value, None, f"error: {exc}"))
             print(f"{param}={value}: FAILED ({exc})", file=sys.stderr)
-    with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
-        head = ["param", "value"]
-        head += [f"recall@{k}" for k in cfg.k] + [f"f1@{k}" for k in cfg.k]
-        head += ["map", "status"]
-        fh.write(",".join(head) + "\n")
-        for value, rep, status in rows:
-            row = [param, str(value)]
-            if rep is None:
-                row += ["" for _ in range(2 * len(cfg.k) + 1)]
-            else:
-                row += [f"{rep.recall[k]:.6f}" for k in cfg.k]
-                row += [f"{rep.f1[k]:.6f}" for k in cfg.k]
-                row += [f"{rep.map:.6f}"]
-            row.append(status)
-            fh.write(",".join(row) + "\n")
+    _write_csv(out / "sweep.csv", [["param", "value", *_metric_head(cfg.k), "status"]]
+               + [[param, str(v), *_metric_cells(rep, cfg.k), status] for v, rep, status in rows])
     print(f"wrote {out / 'sweep.csv'}")
     return 1 if all(status != "ok" for _, _, status in rows) else 0
 
 
 def cmd_selfcheck(cfg: ExperimentConfig) -> int:
-    """Gradient oracle, metric identities and batched ranking; the CI gate."""
+    """Gradient oracle, metric identities, batched ranking and the corpus file; the CI gate."""
     failures = 0
 
     def check(label: str, ok: bool, detail: str = "") -> None:
@@ -510,6 +475,19 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
             ranks_ok &= target_ranks(batch, p, table, variant).tolist() == expected
         ranks_ok &= target_ranks(batch, tied, table, variant).tolist() == list(range(1, m + 1))
     check("batched ranks match per-sample ranking", ranks_ok)
+
+    # the corpus file stores check-ins only; loading rebuilds split and samples.
+    # Offsets of -12 h .. +14 h move check-ins across local midnight.
+    rng = make_rng(11)
+    coords = [(float(rng.uniform(-60, 60)), float(rng.uniform(-170, 170))) for _ in range(30)]
+    events = [[(int(rng.integers(30)), 1_500_000_000 + 5_000 * i + int(rng.integers(5_000)),
+                60 * int(rng.integers(-12, 15))) for i in range(40)] for _ in range(6)]
+    source = PreparedCorpus.from_corpus(corpus_from_events(coords, events), 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_corpus(Path(tmp) / "corpus.tsv", source)
+        back = load_corpus(Path(tmp) / "corpus.tsv")
+    check("corpus file round trip reproduces prepare's samples",
+          back.samples == source.samples and back.split.boundaries == source.split.boundaries)
 
     z = np.array([1000.0, 1000.0])
     check("softmax overflow guard", np.allclose(stable_softmax(z), [0.5, 0.5]))

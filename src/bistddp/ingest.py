@@ -6,7 +6,8 @@ temporal pattern of a timestamp, and materializes identification samples
 (one per check-in that has enough context on both sides).
 
 A prepared corpus can be written to / read from a versioned TSV file
-(magic "STDDP1"); see `write_corpus` for the exact layout.
+(magic "STDDP2"); see `write_corpus` for the exact layout. The file holds
+the check-ins only: the split and the samples are rebuilt when it is read.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .geodata import GeoPoint, PoiTable
 
 log = logging.getLogger(__name__)
 
-CORPUS_MAGIC = "STDDP1"
+CORPUS_MAGIC = "STDDP2"
 
 _UTC_MIN = 0  # 1970-01-01
 _UTC_MAX = 4102444800  # 2100-01-01
@@ -47,7 +48,7 @@ class EmptyCorpus(ValueError):
 
 
 class BadCorpusFile(ValueError):
-    """Prepared-corpus file is missing the magic header or is inconsistent."""
+    """A bad prepared-corpus file; the message names the file and line."""
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,9 @@ class Corpus:
 
 @dataclass
 class CorpusSplit:
-    """Per-user (train_end, val_end) boundaries plus global sizes."""
+    """Per-user (train_end, val_end) boundaries."""
 
     boundaries: list[tuple[int, int]]
-    n_users: int
-    n_pois: int
 
 
 @dataclass(frozen=True)
@@ -324,40 +323,32 @@ def chronological_split(history: UserHistory) -> tuple[int, int]:
 
 
 def split_corpus(corpus: Corpus) -> CorpusSplit:
-    return CorpusSplit(
-        boundaries=[chronological_split(h) for h in corpus.histories],
-        n_users=corpus.n_users,
-        n_pois=corpus.n_pois,
-    )
+    return CorpusSplit([chronological_split(h) for h in corpus.histories])
 
 
-def encode_temporal_pattern(utc_seconds: int, tz_offset_minutes: int) -> tuple[int, ...]:
-    """7-bit pattern of a timestamp in local time.
+def temporal_patterns(utc: np.ndarray, tz: np.ndarray) -> np.ndarray:
+    """(n, 7) int64 patterns of n timestamps (UTC seconds, tz minutes) in local time.
 
     Bits 0-1: weekday (Mon-Fri) / weekend. Bits 2-6: morning, noon,
     afternoon, night, rest, by the half-open sessions above. Exactly one bit
     of each group is set.
     """
-    local = utc_seconds + 60 * tz_offset_minutes
-    weekday = datetime.fromtimestamp(local, tz=timezone.utc).weekday()
+    local = np.asarray(utc, dtype=np.int64) + 60 * np.asarray(tz, dtype=np.int64)
+    weekday = (local // 86400 + 3) % 7  # Monday = 0; 1970-01-01 was a Thursday
     second_of_day = local % 86400
-    bits = [0] * 7
-    bits[1 if weekday >= 5 else 0] = 1
-    session = 4  # rest
+    session = np.full(len(local), 4)  # rest
     for k, (lo, hi) in enumerate(_SESSION_BOUNDS):
-        if lo <= second_of_day < hi:
-            session = k
-            break
-    bits[2 + session] = 1
-    return tuple(bits)
+        session[(lo <= second_of_day) & (second_of_day < hi)] = k
+    return np.hstack([np.eye(2, dtype=np.int64)[(weekday >= 5).astype(np.int64)],
+                      np.eye(5, dtype=np.int64)[session]])
 
 
-def _segment(i: int, train_end: int, val_end: int) -> str:
-    if i < train_end:
-        return "train"
-    if i < val_end:
-        return "val"
-    return "test"
+def encode_temporal_pattern(utc_seconds: int, tz_offset_minutes: int) -> tuple[int, ...]:
+    """The 7-bit pattern of one timestamp: one row of `temporal_patterns`."""
+    return tuple(temporal_patterns([utc_seconds], [tz_offset_minutes])[0].tolist())
+
+
+_SEGMENTS = ("train", "val", "test")
 
 
 def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> list[Sample]:
@@ -370,22 +361,22 @@ def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> list[Sample]:
     if w < 1:
         raise ValueError("window width must be >= 1")
     samples = []
-    for h, (train_end, val_end) in zip(corpus.histories, split.boundaries):
-        pois, times, tz = h.pois, h.times, h.tz
-        for i in range(w, len(h) - w):
-            samples.append(
-                Sample(
-                    user=h.user,
-                    target_poi=int(pois[i]),
-                    target_utc=int(times[i]),
-                    pattern=encode_temporal_pattern(int(times[i]), int(tz[i])),
-                    fwd=tuple(int(pois[i - k]) for k in range(1, w + 1)),
-                    bwd=tuple(int(pois[i + k]) for k in range(1, w + 1)),
-                    interval_before=int(times[i] - times[i - 1]) / 3600.0,
-                    interval_after=int(times[i + 1] - times[i]) / 3600.0,
-                    split=_segment(i, train_end, val_end),
-                )
-            )
+    for h, boundaries in zip(corpus.histories, split.boundaries):
+        n = len(h) - 2 * w  # targets are positions w .. w + n - 1
+        if n <= 0:
+            continue
+        pois, times = h.pois.tolist(), h.times.tolist()
+        hours = (np.diff(h.times) / 3600.0).tolist()  # hours[i]: t_{i+1} - t_i
+        patterns = temporal_patterns(h.times[w:w + n], h.tz[w:w + n]).tolist()
+        fwd = zip(*(pois[w - k:w - k + n] for k in range(1, w + 1)))
+        bwd = zip(*(pois[w + k:w + k + n] for k in range(1, w + 1)))
+        segments = np.searchsorted(boundaries, np.arange(w, w + n), side="right").tolist()
+        samples.extend(  # positional, in Sample's field order
+            Sample(h.user, target, utc, tuple(bits), f, b, before, after, _SEGMENTS[seg])
+            for target, utc, bits, f, b, before, after, seg in zip(
+                pois[w:w + n], times[w:w + n], patterns, fwd, bwd, hours[w - 1:], hours[w:],
+                segments)
+        )
     return samples
 
 
@@ -395,6 +386,12 @@ class PreparedCorpus:
     split: CorpusSplit
     samples: list[Sample]
     window: int
+
+    @classmethod
+    def from_corpus(cls, corpus: Corpus, w: int) -> "PreparedCorpus":
+        """`corpus` with its per-user 80/10/10 split and its width-`w` samples."""
+        split = split_corpus(corpus)
+        return cls(corpus, split, build_samples(corpus, split, w), w)
 
     def samples_for(self, split: str) -> list[Sample]:
         return [s for s in self.samples if s.split == split]
@@ -411,102 +408,137 @@ def prepare(
     corpus = filter_min_activity(
         parse_result.table, parse_result.checkins, min_user, min_poi_users, fixpoint
     )
-    split = split_corpus(corpus)
-    return PreparedCorpus(corpus, split, build_samples(corpus, split, w), w)
+    return PreparedCorpus.from_corpus(corpus, w)
 
 
 def write_corpus(path, prepared: PreparedCorpus) -> None:
     """Write a prepared corpus as versioned TSV.
 
-    Layout (UTF-8, one record per line):
-      STDDP1 <N> <M> <w>                          header
+    Layout (UTF-8, one tab-separated record per line):
+      STDDP2 <N> <M> <w>                          header
       P <poi_id> <lat> <lon>                      x M, dense index = order
-      U <user_id> <train_end> <val_end> <T>       x N, dense index = order
+      U <user_id> <T>                             x N, dense index = order
       C <user> <poi> <utc_seconds> <tz_minutes>   x total check-ins, per user in time order
-      S <user> <target_poi> <target_utc> <pattern7> <fwd,...> <bwd,...>
-        <interval_before_s> <interval_after_s> <split>  x samples
 
-    Intervals are stored as exact integer seconds; floats (coordinates) use
-    repr, so a round-trip reproduces every value bit-for-bit.
+    The split and the samples are not stored: `load_corpus` rebuilds them
+    from the check-ins and `w`. Floats (coordinates) use repr, so a
+    round-trip reproduces every value bit-for-bit.
     """
-    corpus, split = prepared.corpus, prepared.split
+    corpus = prepared.corpus
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{CORPUS_MAGIC}\t{corpus.n_users}\t{corpus.n_pois}\t{prepared.window}\n")
         for ext_id, pt in corpus.poi_table.entries:
             fh.write(f"P\t{ext_id}\t{pt.lat!r}\t{pt.lon!r}\n")
-        for uid, h, (tr, va) in zip(corpus.user_ids, corpus.histories, split.boundaries):
-            fh.write(f"U\t{uid}\t{tr}\t{va}\t{len(h)}\n")
+        for uid, h in zip(corpus.user_ids, corpus.histories):
+            fh.write(f"U\t{uid}\t{len(h)}\n")
         for h in corpus.histories:
             for p, t, z in zip(h.pois, h.times, h.tz):
                 fh.write(f"C\t{h.user}\t{p}\t{t}\t{z}\n")
-        for s in prepared.samples:
-            bits = "".join(str(b) for b in s.pattern)
-            fwd = ",".join(str(p) for p in s.fwd)
-            bwd = ",".join(str(p) for p in s.bwd)
-            ib = round(s.interval_before * 3600.0)
-            ia = round(s.interval_after * 3600.0)
-            fh.write(
-                f"S\t{s.user}\t{s.target_poi}\t{s.target_utc}\t{bits}\t{fwd}\t{bwd}"
-                f"\t{ib}\t{ia}\t{s.split}\n"
-            )
+
+
+class _Lines:
+    """The lines of a corpus file; errors name the file and the 1-based line."""
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, encoding="utf-8") as fh:
+            self.lines = fh.read().split("\n")
+        if self.lines[-1]:
+            raise self.error(len(self.lines) - 1, "no newline at the end of the file (truncated?)")
+        del self.lines[-1]
+
+    def error(self, i: int, message: str) -> BadCorpusFile:
+        return BadCorpusFile(f"{self.path}:{i + 1}: {message}")
+
+    def records(self, first: int, n: int, tag: str, n_fields: int) -> list[list[str]]:
+        """The fields of the `n` `tag` records from line index `first`, column by column."""
+        block = self.lines[first:first + n]
+        fields = "\t".join(block).split("\t") if n else []
+        if len(fields) != n * n_fields or fields[::n_fields].count(tag) != n:
+            for i in range(first, first + n):  # find the line at fault
+                if i == len(self.lines):
+                    raise self.error(i, f"the file ends where a {tag} record should be")
+                if self.lines[i].split("\t")[0] != tag or self.lines[i].count("\t") != n_fields - 1:
+                    raise self.error(i, f"expected a {tag} record of {n_fields} fields, "
+                                        f"got {self.lines[i][:60]!r}")
+        return [fields[j::n_fields] for j in range(n_fields)]
+
+    def column(self, first: int, texts: list[str], parse, what: str) -> np.ndarray:
+        """`parse` (int or float) of `texts[k]`, from line `first + k`, as one array."""
+        dtype = np.int64 if parse is int else np.float64
+        try:
+            return np.fromiter(map(parse, texts), dtype=dtype, count=len(texts))
+        except (ValueError, OverflowError):
+            for k, text in enumerate(texts):
+                try:
+                    np.fromiter([parse(text)], dtype=dtype)
+                except (ValueError, OverflowError):
+                    raise self.error(first + k, f"bad {what} {text!r}") from None
+            raise
+
+    def expect(self, ok: np.ndarray, first: int, describe) -> None:
+        """Raise at line `first + k` for the first k where `ok[k]` is False."""
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            raise self.error(first + int(bad[0]), describe(int(bad[0])))
 
 
 def load_corpus(path) -> PreparedCorpus:
-    """Read a file written by `write_corpus`."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if len(header) != 4 or header[0] != CORPUS_MAGIC:
-            raise BadCorpusFile(f"{path}: missing {CORPUS_MAGIC} header")
-        n_users, n_pois, window = (int(x) for x in header[1:])
+    """Read a file written by `write_corpus`; rebuild its split and samples.
 
-        entries = []
-        for _ in range(n_pois):
-            tag, ext_id, lat, lon = fh.readline().rstrip("\n").split("\t")
-            if tag != "P":
-                raise BadCorpusFile(f"{path}: expected P record, got {tag!r}")
-            entries.append((ext_id, GeoPoint(float(lat), float(lon))))
-        table = PoiTable(entries)
+    Raises `BadCorpusFile`, naming the file and line, for a record that
+    `write_corpus` could not have written. Values are checked column by
+    column, not line by line.
+    """
+    lines = _Lines(path)
+    if lines.lines[:1] and lines.lines[0].split("\t")[0] == "STDDP1":
+        raise lines.error(0, "a STDDP1 corpus file, which this version no longer reads; "
+                             "re-run `bistddp prepare` to write it as STDDP2")
+    n_users, n_pois, window = (int(lines.column(0, c, int, "count")[0])
+                               for c in lines.records(0, 1, CORPUS_MAGIC, 4)[1:])
+    if min(n_users, n_pois, window) < 1:
+        raise lines.error(0, f"counts {n_users}, {n_pois}, {window} must be >= 1")
 
-        user_ids, boundaries, lengths = [], [], []
-        for _ in range(n_users):
-            tag, uid, tr, va, t = fh.readline().rstrip("\n").split("\t")
-            if tag != "U":
-                raise BadCorpusFile(f"{path}: expected U record, got {tag!r}")
-            user_ids.append(uid)
-            boundaries.append((int(tr), int(va)))
-            lengths.append(int(t))
+    ids, lat, lon = lines.records(1, n_pois, "P", 4)[1:]
+    lat, lon = lines.column(1, lat, float, "latitude"), lines.column(1, lon, float, "longitude")
+    lines.expect((-90 <= lat) & (lat <= 90) & (-180 <= lon) & (lon <= 180), 1,
+                 lambda k: f"coordinates ({lat[k]}, {lon[k]}) out of range")
+    first_k: dict[str, int] = {}
+    lines.expect(np.array([first_k.setdefault(pid, k) == k for k, pid in enumerate(ids)]), 1,
+                 lambda k: f"duplicate POI id {ids[k]!r} (first on line {first_k[ids[k]] + 2})")
+    table = PoiTable([(p, GeoPoint(a, b)) for p, a, b in zip(ids, lat.tolist(), lon.tolist())])
 
-        histories = []
-        for u, t_len in enumerate(lengths):
-            pois = np.empty(t_len, dtype=np.int64)
-            times = np.empty(t_len, dtype=np.int64)
-            tz = np.empty(t_len, dtype=np.int64)
-            for j in range(t_len):
-                tag, cu, p, ts, z = fh.readline().rstrip("\n").split("\t")
-                if tag != "C" or int(cu) != u:
-                    raise BadCorpusFile(f"{path}: check-in block out of order")
-                pois[j], times[j], tz[j] = int(p), int(ts), int(z)
-            histories.append(UserHistory(u, pois, times, tz))
+    first = 1 + n_pois
+    user_ids, lengths = lines.records(first, n_users, "U", 3)[1:]
+    lengths = lines.column(first, lengths, int, "check-in count")
+    lines.expect((0 <= lengths) & (lengths <= len(lines.lines)), first,
+                 lambda k: f"check-in count {lengths[k]} out of range")
 
-        samples = []
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if parts[0] != "S" or len(parts) != 10:
-                raise BadCorpusFile(f"{path}: bad sample record {parts[:2]}")
-            _, u, tp, tu, bits, fwd, bwd, ib, ia, tag = parts
-            samples.append(
-                Sample(
-                    user=int(u),
-                    target_poi=int(tp),
-                    target_utc=int(tu),
-                    pattern=tuple(int(b) for b in bits),
-                    fwd=tuple(int(x) for x in fwd.split(",")),
-                    bwd=tuple(int(x) for x in bwd.split(",")),
-                    interval_before=int(ib) / 3600.0,
-                    interval_after=int(ia) / 3600.0,
-                    split=tag,
-                )
-            )
-    corpus = Corpus(table, user_ids, histories)
-    split = CorpusSplit(boundaries, n_users, n_pois)
-    return PreparedCorpus(corpus, split, samples, window)
+    first += n_users
+    end = first + int(lengths.sum())
+    users, pois, times, tz = (
+        lines.column(first, texts, int, what) for texts, what in
+        zip(lines.records(first, end - first, "C", 5)[1:], ("user", "POI", "timestamp", "tz"))
+    )
+    if len(lines.lines) > end:
+        raise lines.error(end, "extra line after the last C record")
+    owner = np.repeat(np.arange(n_users), lengths)
+    lines.expect(users == owner, first,
+                 lambda k: f"check-in of user {users[k]} out of user order (user {owner[k]} expected)")
+    lines.expect((0 <= pois) & (pois < n_pois), first,
+                 lambda k: f"POI {pois[k]} outside [0, {n_pois})")
+    lines.expect((_UTC_MIN <= times) & (times < _UTC_MAX), first,
+                 lambda k: f"timestamp {times[k]} outside [1970, 2100)")
+    lines.expect((_TZ_MIN <= tz) & (tz <= _TZ_MAX), first,
+                 lambda k: f"tz offset {tz[k]} outside [{_TZ_MIN}, {_TZ_MAX}]")
+    in_order = np.ones(len(times), dtype=bool)
+    in_order[1:] = (times[1:] >= times[:-1]) | (owner[1:] != owner[:-1])
+    lines.expect(in_order, first,
+                 lambda k: f"timestamp {times[k]} is earlier than the user's previous one")
+
+    cuts = np.cumsum(lengths)[:-1]
+    histories = [
+        UserHistory(u, p, t, z)
+        for u, (p, t, z) in enumerate(zip(*(np.split(c, cuts) for c in (pois, times, tz))))
+    ]
+    return PreparedCorpus.from_corpus(Corpus(table, user_ids, histories), window)

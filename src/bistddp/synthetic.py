@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geodata import GeoPoint, PoiTable
-from .ingest import Corpus, PreparedCorpus, Sample, UserHistory, build_samples, split_corpus
+from .ingest import Corpus, PreparedCorpus, Sample, UserHistory, encode_temporal_pattern
 from .model import HyperParams, ModelParams, init_params
 from .numerics import make_rng
 
@@ -35,11 +35,6 @@ def corpus_from_events(
     return Corpus(table, [f"u{u}" for u in range(len(user_events))], histories)
 
 
-def prepared(corpus: Corpus, w: int = 1) -> PreparedCorpus:
-    split = split_corpus(corpus)
-    return PreparedCorpus(corpus, split, build_samples(corpus, split, w), w)
-
-
 def overfit_corpus(
     n_users: int = 5, n_pois: int = 10, t_per_user: int = 10
 ) -> PreparedCorpus:
@@ -57,14 +52,7 @@ def overfit_corpus(
         events.append(
             [((a * i + u) % n_pois, base + u * 977 + i * 6 * 3600, 0) for i in range(t_per_user)]
         )
-    return prepared(corpus_from_events(coords, events))
-
-
-def _session_index(utc_seconds: int) -> int:
-    from .ingest import encode_temporal_pattern
-
-    bits = encode_temporal_pattern(utc_seconds, 0)
-    return bits[2:].index(1)
+    return PreparedCorpus.from_corpus(corpus_from_events(coords, events), 1)
 
 
 def planted_corpus(
@@ -112,8 +100,8 @@ def planted_corpus(
                     t += int(rng.uniform(10.0, 16.0) * 3600)
                 else:
                     t += int(rng.uniform(2.0, 8.0) * 3600)
-            weekend = ((t // 86400) + 3) % 7 >= 5
-            slot = (3 * _session_index(t) + (5 if weekend else 0)) % pois_per_cluster
+            bits = encode_temporal_pattern(t, 0)  # bits[1]: weekend; bits[2:]: session
+            slot = (3 * bits[2:].index(1) + 5 * bits[1]) % pois_per_cluster
             r = rng.uniform()
             if r < 0.15:
                 slot = (slot + 1) % pois_per_cluster
@@ -125,7 +113,7 @@ def planted_corpus(
             mine.append((poi, t, 0))
         events.append(mine)
     assert len(coords) == m
-    return prepared(corpus_from_events(coords, events))
+    return PreparedCorpus.from_corpus(corpus_from_events(coords, events), 1)
 
 
 def random_instance(

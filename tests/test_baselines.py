@@ -11,9 +11,9 @@ from bistddp.baselines import (
     rank_top1,
     rank_top2,
 )
-from bistddp.ingest import Sample, split_corpus
+from bistddp.ingest import PreparedCorpus, Sample, split_corpus
 from bistddp.numerics import make_rng
-from bistddp.synthetic import corpus_from_events, prepared
+from bistddp.synthetic import corpus_from_events
 
 
 def corpus_of(sequences, n_pois):
@@ -232,7 +232,7 @@ def test_fit_counts_deterministic():
 
 def test_baseline_rankers_adapter_counts_fallbacks():
     corpus = corpus_of([[0, 1, 0, 2, 0], [1]], n_pois=3)
-    prep = prepared(corpus)
+    prep = PreparedCorpus.from_corpus(corpus, 1)
     rankers = BaselineRankers(prep.corpus, prep.split)
     # user 1 has no train check-ins: top2 falls back
     rankers.top2(sample_with(user=1))

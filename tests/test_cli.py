@@ -187,6 +187,19 @@ class TestTrainEvaluate:
                    "--resume-from", out / "checkpoint.bin")
         assert code == 2
 
+    def test_resume_starts_from_the_checkpoint(self, prepared_dir, tmp_path):
+        first, fresh, resumed = tmp_path / "first", tmp_path / "fresh", tmp_path / "resumed"
+        assert self.train(prepared_dir, first) == 0
+        assert self.train(prepared_dir, fresh) == 0
+        assert self.train(prepared_dir, resumed,
+                          extra=("--resume-from", first / "checkpoint.bin")) == 0
+
+        def first_loss(out):
+            return float(read_csv(out / "train_log.csv")[0]["train_loss"])
+
+        assert first_loss(fresh) == first_loss(first)  # same seed, same start
+        assert first_loss(resumed) < first_loss(first)  # two epochs further along
+
     def test_evaluate_writes_report(self, prepared_dir, tmp_path):
         out = tmp_path / "run"
         assert self.train(prepared_dir, out) == 0
@@ -266,6 +279,74 @@ class TestAblateAndSweep:
     def test_bad_grid_is_bad_input(self, prepared_dir, tmp_path):
         assert run("sweep", "--data", prepared_dir / "corpus.tsv",
                    "--out", tmp_path / "x", "--grid", "lr=0.1") == 2
+
+
+
+def _set_field(lines, line, field, value):
+    """Set field `field` of 1-based line `line` and return the file's text."""
+    parts = lines[line - 1].split("\t")
+    parts[field] = str(value)
+    lines[line - 1] = "\t".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def _earlier_than_previous(lines):
+    previous = int(lines[35 - 1].split("\t")[3])
+    return _set_field(lines, 36, 3, previous - 1)
+
+
+# The fixture's corpus file: header on line 1, P records on lines 2-13,
+# U records on 14-33, C records on 34-273 (user 0 on 34-45, user 1 from 46).
+# Each edit returns the corrupted text; it is paired with the line at fault
+# and a piece of the message.
+CORRUPTIONS = {
+    "header field count": (lambda L: _set_field(L, 1, 3, "1\t9"), 1, "4 fields"),
+    "header count not an integer": (lambda L: _set_field(L, 1, 2, "12x"), 1, "bad count"),
+    "P field count": (lambda L: _set_field(L, 2, 3, "-74.0\t0"), 2, "P record of 4 fields"),
+    "U field count": (lambda L: _set_field(L, 14, 2, "12\t0\t12"), 14, "U record of 3 fields"),
+    "C field count": (lambda L: _set_field(L, 40, 4, "-240\t1"), 40, "C record of 5 fields"),
+    "check-in count not an integer": (lambda L: _set_field(L, 15, 2, "twelve"), 15,
+                                      "bad check-in count"),
+    "timestamp not an integer": (lambda L: _set_field(L, 41, 3, "1333500000.5"), 41,
+                                 "bad timestamp"),
+    "latitude out of range": (lambda L: _set_field(L, 5, 2, "95.0"), 5, "out of range"),
+    "duplicate POI id": (lambda L: _set_field(L, 3, 1, "venue0"), 3, "first on line 2"),
+    "C block out of user order": (lambda L: _set_field(L, 46, 1, "2"), 46, "user order"),
+    "POI outside [0, M)": (lambda L: _set_field(L, 50, 2, "99999"), 50, "outside [0, 12)"),
+    "timestamp out of range": (lambda L: _set_field(L, 60, 3, "-5"), 60, "outside [1970"),
+    "tz out of range": (lambda L: _set_field(L, 61, 4, "900"), 61, "tz offset 900"),
+    "time decreases within a user": (_earlier_than_previous, 36, "earlier"),
+    "missing last line": (lambda L: "\n".join(L[:-1]) + "\n", 273, "file ends"),
+    "extra line": (lambda L: "\n".join(L + [L[-1]]) + "\n", 274, "extra line"),
+    "last line cut short": (lambda L: "\n".join(L)[:-3], 273, "no newline"),
+}
+
+
+class TestCorpusFile:
+    @pytest.mark.parametrize("edit, line, message", CORRUPTIONS.values(), ids=list(CORRUPTIONS))
+    def test_corrupt_file_exits_2_naming_the_line(self, prepared_dir, tmp_path, capsys,
+                                                  edit, line, message):
+        path = prepared_dir / "corpus.tsv"
+        path.write_text(edit(path.read_text(encoding="utf-8").split("\n")[:-1]),
+                        encoding="utf-8")
+        assert run("baselines", "--data", path, "--out", tmp_path / "bl") == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{line}: " in err and message in err
+
+    def test_range_ends_are_accepted(self, prepared_dir, tmp_path):
+        path = prepared_dir / "corpus.tsv"
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        _set_field(lines, 34, 4, -720)
+        path.write_text(_set_field(lines, 35, 4, 840), encoding="utf-8")
+        assert run("baselines", "--data", path, "--out", tmp_path / "bl") == 0
+
+    def test_stddp1_file_asks_for_prepare(self, prepared_dir, tmp_path, capsys):
+        path = prepared_dir / "corpus.tsv"
+        path.write_text(path.read_text(encoding="utf-8").replace("STDDP2", "STDDP1", 1),
+                        encoding="utf-8")
+        assert run("baselines", "--data", path, "--out", tmp_path / "bl") == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: " in err and "re-run `bistddp prepare`" in err
 
 
 def test_selfcheck_passes():

@@ -2,13 +2,14 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bistddp.geodata import GeoPoint, PoiTable
 from bistddp.ingest import (
     CheckIn,
     EmptyCorpus,
+    PreparedCorpus,
     Sample,
     build_samples,
     chronological_split,
@@ -21,7 +22,7 @@ from bistddp.ingest import (
     split_corpus,
     write_corpus,
 )
-from bistddp.synthetic import corpus_from_events, prepared
+from bistddp.synthetic import corpus_from_events
 
 
 def fsq_line(user="u1", venue="v1", lat=40.7, lon=-74.0, tz=-240,
@@ -228,14 +229,72 @@ class TestTemporalPattern:
 
     @given(st.integers(min_value=0, max_value=4_000_000_000),
            st.integers(min_value=-720, max_value=840))
+    @example(0, -720)  # local time before 1970-01-01
+    @example(22 * 3600, 0)  # 22:00 sharp: the night session has just ended
     @settings(max_examples=300)
     def test_exactly_two_bits(self, utc, tz):
         bits = encode_temporal_pattern(utc, tz)
         assert sum(bits[:2]) == 1
         assert sum(bits[2:]) == 1
+        local = datetime.fromtimestamp(utc + 60 * tz, tz=timezone.utc)
+        assert bits[1] == (local.weekday() >= 5)
+        minute = 60 * local.hour + local.minute
+        session = 4  # rest
+        for k, (lo, hi) in enumerate([(480, 690), (690, 840), (840, 1050), (1050, 1320)]):
+            if lo <= minute < hi:
+                session = k
+        assert bits[2 + session] == 1
+
+
+def random_corpus(seed, n_users=3, n_pois=6, t=12):
+    """Random histories whose tz offsets move check-ins across local midnight."""
+    rng = np.random.default_rng(seed)
+    coords = [(float(x), float(y))
+              for x, y in zip(rng.uniform(-50, 50, n_pois), rng.uniform(-120, 120, n_pois))]
+    events = []
+    for u in range(n_users):
+        when = 1_500_000_000 + u * 111
+        mine = []
+        for i in range(t):
+            when += int(rng.integers(900, 90_000))
+            mine.append((int(rng.integers(n_pois)), when, 60 * int(rng.integers(-12, 14))))
+        events.append(mine)
+    return corpus_from_events(coords, events)
+
+
+def reference_samples(corpus, w):
+    """`build_samples` written one sample at a time, as its definition reads."""
+    samples = []
+    for h in corpus.histories:
+        train_end, val_end = chronological_split(h)
+        for i in range(w, len(h) - w):
+            samples.append(Sample(
+                user=h.user,
+                target_poi=int(h.pois[i]),
+                target_utc=int(h.times[i]),
+                pattern=encode_temporal_pattern(int(h.times[i]), int(h.tz[i])),
+                fwd=tuple(int(h.pois[i - k]) for k in range(1, w + 1)),
+                bwd=tuple(int(h.pois[i + k]) for k in range(1, w + 1)),
+                interval_before=int(h.times[i] - h.times[i - 1]) / 3600.0,
+                interval_after=int(h.times[i + 1] - h.times[i]) / 3600.0,
+                split="train" if i < train_end else "val" if i < val_end else "test",
+            ))
+    return samples
 
 
 class TestBuildSamples:
+    def test_matches_per_sample_reference(self):
+        for seed in range(5):
+            corpus = random_corpus(seed, n_users=6, t=int(5 + 4 * seed))
+            for w in (1, 2, 3):
+                samples = build_samples(corpus, split_corpus(corpus), w)
+                assert samples == reference_samples(corpus, w)
+                for s in samples:  # plain Python values, as the per-sample path made
+                    ints = (s.user, s.target_poi, s.target_utc, *s.pattern, *s.fwd, *s.bwd)
+                    assert {type(v) for v in ints} == {int}
+                    assert type(s.interval_before) is type(s.interval_after) is float
+                    assert type(s.split) is str and type(s.fwd) is type(s.pattern) is tuple
+
     def corpus(self, t=5):
         coords = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
         events = [[(i % 4, 1_500_000_000 + i * 7200, 0) for i in range(t)]]
@@ -298,32 +357,24 @@ class TestRoundTrips:
         assert a.split.boundaries == b.split.boundaries
 
     def test_corpus_file_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        coords = [(float(x), float(y)) for x, y in zip(rng.uniform(-50, 50, 6), rng.uniform(-120, 120, 6))]
-        events = []
-        for u in range(3):
-            t = 1_500_000_000 + u * 111
-            mine = []
-            for i in range(12):
-                t += int(rng.integers(900, 90_000))
-                mine.append((int(rng.integers(6)), t, 60 * int(rng.integers(-12, 14))))
-            events.append(mine)
-        prep = prepared(corpus_from_events(coords, events), w=2)
+        corpus = random_corpus(4)
+        for w in (1, 2, 3):
+            prep = PreparedCorpus.from_corpus(corpus, w)
+            path = tmp_path / f"corpus{w}.tsv"
+            write_corpus(path, prep)
+            back = load_corpus(path)
 
-        path = tmp_path / "corpus.tsv"
-        write_corpus(path, prep)
-        back = load_corpus(path)
-
-        assert back.window == 2
-        assert back.samples == prep.samples  # bitwise: dataclass equality on floats
-        assert back.split.boundaries == prep.split.boundaries
-        assert back.corpus.user_ids == prep.corpus.user_ids
-        for a, b in zip(back.corpus.histories, prep.corpus.histories):
-            np.testing.assert_array_equal(a.pois, b.pois)
-            np.testing.assert_array_equal(a.times, b.times)
-            np.testing.assert_array_equal(a.tz, b.tz)
-        for i in range(6):
-            assert back.corpus.poi_table.point(i) == prep.corpus.poi_table.point(i)
+            assert back.window == w
+            assert back.samples == prep.samples  # bitwise: dataclass equality on floats
+            assert hash(tuple(back.samples)) == hash(tuple(prep.samples))
+            assert back.split.boundaries == prep.split.boundaries
+            assert back.corpus.user_ids == prep.corpus.user_ids
+            for a, b in zip(back.corpus.histories, prep.corpus.histories):
+                np.testing.assert_array_equal(a.pois, b.pois)
+                np.testing.assert_array_equal(a.times, b.times)
+                np.testing.assert_array_equal(a.tz, b.tz)
+            for i in range(6):
+                assert back.corpus.poi_table.point(i) == prep.corpus.poi_table.point(i)
 
     def test_corpus_file_magic_checked(self, tmp_path):
         p = tmp_path / "bad.tsv"

@@ -6,7 +6,7 @@ import pytest
 
 from bistddp.evaluation import _rank_of, evaluate, report_from_ranks
 from bistddp.geodata import GeoPoint, PoiTable
-from bistddp.ingest import Sample, SampleBatch
+from bistddp.ingest import PreparedCorpus, Sample, SampleBatch
 from bistddp.model import (
     RANK_CHUNK,
     BadCheckpoint,
@@ -29,7 +29,7 @@ from bistddp.model import (
     zero_params,
 )
 from bistddp.numerics import ShapeMismatch, make_rng
-from bistddp.synthetic import planted_corpus, prepared, random_instance
+from bistddp.synthetic import planted_corpus, random_instance
 from bistddp.train import TrainConfig, fit
 
 
@@ -268,7 +268,7 @@ def test_target_ranks_match_per_sample_ranking():
     table = corpus.poi_table
     ks = (1, 5, 10)
     for w in (1, 2):
-        prep = prepared(corpus, w)
+        prep = PreparedCorpus.from_corpus(corpus, w)
         samples = prep.samples
         assert len(samples) > RANK_CHUNK and len(samples) % RANK_CHUNK
         params = init_params(HyperParams(d=8, h=16, w=w), corpus.n_users, corpus.n_pois,

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bistddp.ingest import SampleBatch
+from bistddp.ingest import PreparedCorpus, SampleBatch
 from bistddp.model import (
     HyperParams,
     VARIANTS,
@@ -16,7 +16,7 @@ from bistddp.model import (
     zero_params,
 )
 from bistddp.numerics import ShapeMismatch, make_rng, seeded_generators, softmax_cross_entropy
-from bistddp.synthetic import overfit_corpus, planted_corpus, prepared, random_instance
+from bistddp.synthetic import overfit_corpus, planted_corpus, random_instance
 from bistddp.train import (
     AdamState,
     Diverged,
@@ -162,7 +162,7 @@ class TestAdam:
 
 def test_batch_mean_equals_mean_of_per_sample_gradients():
     for w in (1, 2):
-        prep = prepared(overfit_corpus().corpus, w)
+        prep = PreparedCorpus.from_corpus(overfit_corpus().corpus, w)
         table = prep.corpus.poi_table
         params = init_params(HyperParams(d=4, h=6, w=w), prep.corpus.n_users,
                              prep.corpus.n_pois, make_rng(0))
@@ -181,7 +181,7 @@ def test_batch_mean_equals_mean_of_per_sample_gradients():
 
 def test_batched_logits_and_loss_equal_one_sample_calls():
     for w in (1, 2):
-        prep = prepared(planted_corpus(2).corpus, w)
+        prep = PreparedCorpus.from_corpus(planted_corpus(2).corpus, w)
         table = prep.corpus.poi_table
         params = init_params(HyperParams(d=5, h=8, w=w), prep.corpus.n_users,
                              prep.corpus.n_pois, make_rng(1))
