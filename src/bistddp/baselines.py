@@ -10,7 +10,7 @@ by ascending index for TOP2, so rankings are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,81 +18,87 @@ from .ingest import Corpus, CorpusSplit, Sample
 
 
 @dataclass
-class TransitionTable:
-    """Counts of consecutive train-segment pairs, with per-endpoint views."""
+class CountTable:
+    """Counted POIs per key in CSR form, every array read-only: key k's head,
+    entries `offsets[k]:offsets[k + 1]`, is in ranking order (count descending,
+    then the table's tie key)."""
 
-    counts: dict[tuple[int, int], int]
-    out_edges: dict[int, dict[int, int]]  # prev -> {next: count}
-    in_edges: dict[int, dict[int, int]]  # next -> {prev: count}
+    offsets: np.ndarray  # (n_keys + 1,)
+    pois: np.ndarray  # counted POI of each entry
+    counts: np.ndarray  # its count, >= 1
+    top1_pos: np.ndarray  # its position within top1_order
+
+
+@dataclass
+class TransitionTable:
+    forward: CountTable  # consecutive train-segment pairs (p, q), keyed by p
+    backward: CountTable  # the same pairs keyed by q
 
 
 @dataclass
 class PopularityTable:
-    global_counts: np.ndarray  # (M,) check-in counts over all train segments
-    user_counts: list[dict[int, int]]  # per dense user, train segment only
+    global_counts: np.ndarray  # (M,) check-in counts over all train segments, read-only
     top1_order: np.ndarray  # cached global ranking, read-only
     top1_pos: np.ndarray  # position of each POI within top1_order, read-only
+    users: CountTable  # keyed by dense user, train segment only
+
+
+def _count_table(keys, pois, counts, tie, n_keys: int, top1_pos: np.ndarray) -> CountTable:
+    """Group (key, poi, count) entries by key, each head sorted once."""
+    order = np.lexsort((tie, -counts, keys))  # last key is primary
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_keys))))
+    pois = pois[order]
+    table = CountTable(offsets, pois, counts[order], top1_pos[pois])
+    for f in fields(table):
+        getattr(table, f.name).setflags(write=False)
+    return table
 
 
 def fit_counts(corpus: Corpus, split: CorpusSplit) -> tuple[TransitionTable, PopularityTable]:
     """Count transitions and popularity from the train segments only.
 
     A pair straddling the train/val boundary is not counted; val and test
-    targets must stay unseen.
+    targets must stay unseen. The train segments are concatenated, so a pair
+    is counted only where both check-ins belong to the same user: the one
+    after a user's last train check-in is the next user's first, or nothing.
     """
-    m = corpus.n_pois
-    counts: dict[tuple[int, int], int] = {}
-    global_counts = np.zeros(m, dtype=np.int64)
-    user_counts: list[dict[int, int]] = []
-    for h, (train_end, _) in zip(corpus.histories, split.boundaries):
-        mine: dict[int, int] = {}
-        pois = h.pois
-        for i in range(train_end):
-            p = int(pois[i])
-            global_counts[p] += 1
-            mine[p] = mine.get(p, 0) + 1
-            if i + 1 < train_end:
-                key = (p, int(pois[i + 1]))
-                counts[key] = counts.get(key, 0) + 1
-        user_counts.append(mine)
+    m, n = corpus.n_pois, corpus.n_users
+    segments = [h.pois[:train_end] for h, (train_end, _) in zip(corpus.histories, split.boundaries)]
+    pois = np.concatenate(segments)
+    users = np.repeat(np.arange(n), [len(s) for s in segments])
+    same_user = users[1:] == users[:-1]
 
-    out_edges: dict[int, dict[int, int]] = {}
-    in_edges: dict[int, dict[int, int]] = {}
-    for (p, q), c in counts.items():
-        out_edges.setdefault(p, {})[q] = c
-        in_edges.setdefault(q, {})[p] = c
-
+    global_counts = np.bincount(pois, minlength=m)
     top1_order = np.argsort(-global_counts, kind="stable")
     top1_pos = np.empty(m, dtype=np.int64)
     top1_pos[top1_order] = np.arange(m)
-    # rankers hand top1_order itself to every caller
-    for a in (top1_order, top1_pos):
+    # rankers hand top1_order itself to every caller; no table array is writable
+    for a in (global_counts, top1_order, top1_pos):
         a.setflags(write=False)
+
+    codes, counts = np.unique(pois[:-1][same_user] * m + pois[1:][same_user], return_counts=True)
+    p, q = np.divmod(codes, m)
+    codes, visits = np.unique(users * m + pois, return_counts=True)
+    u, visited = np.divmod(codes, m)
     return (
-        TransitionTable(counts, out_edges, in_edges),
-        PopularityTable(global_counts, user_counts, top1_order, top1_pos),
+        TransitionTable(_count_table(p, q, counts, top1_pos[q], m, top1_pos),
+                        _count_table(q, p, counts, top1_pos[p], m, top1_pos)),
+        PopularityTable(global_counts, top1_order, top1_pos,
+                        _count_table(u, visited, visits, visited, n, top1_pos)),
     )
 
 
-def _counted_then_top1(
-    counts: dict[int, int], popularity: PopularityTable, ties_by_index: bool = False
-) -> np.ndarray:
-    """The POIs in `counts` by count descending, then TOP1 position (or, with
-    `ties_by_index`, POI index), followed by every other POI in TOP1 order.
+def _counted_then_top1(table: CountTable, key: int, popularity: PopularityTable) -> np.ndarray:
+    """Key's head, then every other POI in TOP1 order.
 
-    Only the few counted POIs are sorted; the uncounted tail is the cached
-    TOP1 order with them taken out. No counts: the TOP1 order itself.
+    No counts, or a key outside the table: the TOP1 order itself.
     """
-    if not counts:
+    if not 0 <= key < len(table.offsets) - 1 or table.offsets[key] == table.offsets[key + 1]:
         return popularity.top1_order
-    pois = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-    n = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    pos = popularity.top1_pos[pois]
-    # lexsort: last key is primary
-    head = pois[np.lexsort((pois if ties_by_index else pos, -n))]
+    head = slice(table.offsets[key], table.offsets[key + 1])
     keep = np.ones(len(popularity.top1_order), dtype=bool)
-    keep[pos] = False
-    return np.concatenate((head, popularity.top1_order[keep]))
+    keep[table.top1_pos[head]] = False
+    return np.concatenate((table.pois[head], popularity.top1_order[keep]))
 
 
 def rank_forward(sample: Sample, transitions: TransitionTable, popularity: PopularityTable) -> np.ndarray:
@@ -101,14 +107,12 @@ def rank_forward(sample: Sample, transitions: TransitionTable, popularity: Popul
     An unseen conditioning POI leaves all counts zero, which degrades to the
     pure global-popularity (TOP1) ranking.
     """
-    edges = transitions.out_edges.get(sample.fwd[0], {})
-    return _counted_then_top1(edges, popularity)
+    return _counted_then_top1(transitions.forward, sample.fwd[0], popularity)
 
 
 def rank_backward(sample: Sample, transitions: TransitionTable, popularity: PopularityTable) -> np.ndarray:
     """Rank by count(candidate -> next); same tie chain as rank_forward."""
-    edges = transitions.in_edges.get(sample.bwd[0], {})
-    return _counted_then_top1(edges, popularity)
+    return _counted_then_top1(transitions.backward, sample.bwd[0], popularity)
 
 
 def rank_top1(popularity: PopularityTable) -> np.ndarray:
@@ -122,9 +126,8 @@ def rank_top2(user: int, popularity: PopularityTable) -> tuple[np.ndarray, bool]
     Visited POIs tie by ascending index. Returns (ranking, fell_back); a
     user with no train check-ins falls back to TOP1 outright.
     """
-    if not 0 <= user < len(popularity.user_counts) or not popularity.user_counts[user]:
-        return popularity.top1_order, True
-    return _counted_then_top1(popularity.user_counts[user], popularity, ties_by_index=True), False
+    ranking = _counted_then_top1(popularity.users, user, popularity)
+    return ranking, ranking is popularity.top1_order  # only an empty head returns it
 
 
 class BaselineRankers:

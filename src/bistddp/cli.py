@@ -25,7 +25,6 @@ from .evaluation import (
     _rank_of,
     evaluate,
     format_report_table,
-    report_csv,
     report_from_ranks,
 )
 from .geodata import PoiTable, SpatialRowCache
@@ -105,7 +104,7 @@ def _parse_bool(s: str) -> bool:
 
 def _parse_ks(s: str) -> tuple[int, ...]:
     try:
-        ks = tuple(int(x) for x in s.split(","))
+        ks = tuple(dict.fromkeys(int(x) for x in s.split(",")))  # first occurrences, in order
     except ValueError:
         raise MalformedConfig(f"bad k list {s!r}") from None
     if not ks or any(k < 1 for k in ks):
@@ -228,8 +227,9 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_prepared(cfg: ExperimentConfig, window: int | None = None) -> PreparedCorpus:
-    """The corpus file; `window` is an explicitly set w, which must match it."""
+def _load_prepared(cfg: ExperimentConfig,
+                   window: int | None = None) -> tuple[ExperimentConfig, PreparedCorpus]:
+    """The corpus file and `cfg` recording its window; a `window` set explicitly must match."""
     if not cfg.data:
         raise MalformedConfig("data= must point at a prepared corpus file")
     prepared_corpus = load_corpus(cfg.data)
@@ -237,7 +237,7 @@ def _load_prepared(cfg: ExperimentConfig, window: int | None = None) -> Prepared
         raise MalformedConfig(
             f"w={window} was set, but {cfg.data} was prepared with w={prepared_corpus.window}; "
             f"the window is fixed at prepare time (prepare --w {window})")
-    return prepared_corpus
+    return replace(cfg, w=prepared_corpus.window), prepared_corpus
 
 
 def _model_report(cfg: ExperimentConfig, params: ModelParams, samples: list[Sample],
@@ -279,8 +279,7 @@ def _fit(cfg: ExperimentConfig, prepared_corpus: PreparedCorpus, cache: SpatialR
 
 def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None,
               window: int | None = None) -> int:
-    prepared_corpus = _load_prepared(cfg, window)
-    cfg = replace(cfg, w=prepared_corpus.window)  # record the window that runs
+    cfg, prepared_corpus = _load_prepared(cfg, window)
     out = _out_dir(cfg, "train")
     corpus = prepared_corpus.corpus
     print(f"corpus: N={corpus.n_users} M={corpus.n_pois} w={prepared_corpus.window}")
@@ -300,8 +299,7 @@ def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None,
 
 def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str, split: str,
                  window: int | None = None) -> int:
-    prepared_corpus = _load_prepared(cfg, window)
-    cfg = replace(cfg, w=prepared_corpus.window)  # record the window that runs
+    cfg, prepared_corpus = _load_prepared(cfg, window)
     out = _out_dir(cfg, "evaluate")
     corpus = prepared_corpus.corpus
     params = load_checkpoint(checkpoint)
@@ -311,14 +309,15 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str, split: str,
     if not samples:
         raise EmptyCorpus(f"no samples in split {split!r}")
     report = _model_report(cfg, params, samples, corpus.poi_table, cache)
-    (out / f"report_{split}.csv").write_text(report_csv(report), encoding="utf-8")
+    _write_csv(out / f"report_{split}.csv", [["metric", "value"], *zip(
+        _metric_head(cfg.k), _metric_cells(report, cfg.k)), ["instances", str(report.count)]])
     print(format_report_table(report, label=cfg.variant))
     return 0
 
 
 def cmd_baselines(cfg: ExperimentConfig, split: str) -> int:
+    cfg, prepared_corpus = _load_prepared(cfg)
     out = _out_dir(cfg, "baselines")
-    prepared_corpus = _load_prepared(cfg)
     rankers = bl.BaselineRankers(prepared_corpus.corpus, prepared_corpus.split)
     samples = prepared_corpus.samples_for(split)
     if not samples:
@@ -358,8 +357,7 @@ def _write_report_grid(path, reports: dict[str, MetricsReport], ks) -> None:
 
 
 def cmd_ablate(cfg: ExperimentConfig, window: int | None = None) -> int:
-    prepared_corpus = _load_prepared(cfg, window)
-    cfg = replace(cfg, w=prepared_corpus.window)  # record the window that runs
+    cfg, prepared_corpus = _load_prepared(cfg, window)
     out = _out_dir(cfg, "ablate")
     corpus = prepared_corpus.corpus
     cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
@@ -394,9 +392,9 @@ def _parse_grid(grid: str) -> tuple[str, list[int]]:
 
 
 def cmd_sweep(cfg: ExperimentConfig, grid: str) -> int:
-    out = _out_dir(cfg, "sweep")
     param, values = _parse_grid(grid)
-    prepared_corpus = _load_prepared(cfg)
+    cfg, prepared_corpus = _load_prepared(cfg)
+    out = _out_dir(cfg, "sweep")
     corpus = prepared_corpus.corpus
     cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
     rows = []

@@ -90,19 +90,8 @@ def evaluate(ranker: Ranker, samples: list[Sample], ks: tuple[int, ...] = (1, 5,
     return report_from_ranks([_rank_of(ranker(s), s.target_poi) for s in samples], ks)
 
 
-def report_csv(report: MetricsReport) -> str:
-    lines = ["metric,value"]
-    for k in sorted(report.recall):
-        lines.append(f"recall@{k},{report.recall[k]:.6f}")
-    for k in sorted(report.f1):
-        lines.append(f"f1@{k},{report.f1[k]:.6f}")
-    lines.append(f"map,{report.map:.6f}")
-    lines.append(f"instances,{report.count}")
-    return "\n".join(lines) + "\n"
-
-
 def format_report_table(report: MetricsReport, label: str = "") -> str:
-    ks = sorted(report.recall)
+    ks = list(report.recall)
     head = f"{'model':<12}" + "".join(f"{f'r@{k}':>9}" for k in ks)
     head += "".join(f"{f'f1@{k}':>9}" for k in ks) + f"{'map':>9}{'n':>8}"
     row = f"{label:<12}" + "".join(f"{report.recall[k]:>9.4f}" for k in ks)

@@ -36,13 +36,18 @@ class GeoPoint:
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in km on a spherical Earth (R = 6371 km)."""
-    lat1 = math.radians(a.lat)
-    lat2 = math.radians(b.lat)
-    dlat = math.radians(b.lat - a.lat)
-    dlon = math.radians(b.lon - a.lon)
-    s = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
+    """Great-circle distance in km on a spherical Earth (R = 6371 km).
+
+    Vincenty's atan2 form, accurate near antipodes where the haversine's asin
+    is not. Ordering the points first makes it bitwise symmetric.
+    """
+    if (b.lat, b.lon) < (a.lat, a.lon):
+        a, b = b, a
+    lat1, lat2, dlon = math.radians(a.lat), math.radians(b.lat), math.radians(b.lon - a.lon)
+    x = math.sin(lat1) * math.sin(lat2) + math.cos(lat1) * math.cos(lat2) * math.cos(dlon)
+    y = math.hypot(math.cos(lat2) * math.sin(dlon), math.cos(lat1) * math.sin(lat2)
+                   - math.sin(lat1) * math.cos(lat2) * math.cos(dlon))
+    return EARTH_RADIUS_KM * math.atan2(y, x)
 
 
 class PoiTable:

@@ -16,6 +16,7 @@ time pattern).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -428,15 +429,19 @@ def load_checkpoint(path) -> ModelParams:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise BadCheckpoint(f"{path}: bad magic {magic!r}")
-        n, m, d, h, w = struct.unpack("<5I", fh.read(20))
+        header = fh.read(20)
+        if len(header) != 20:
+            raise BadCheckpoint(f"{path}: truncated header")
+        n, m, d, h, w = struct.unpack("<5I", header)
+        # zero_params' tensors, counted before any of them is allocated
+        values = (m + n + (2 * w + 1) * h) * d + 7 * h + (2 + h) * m
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != 8 * values:
+            raise BadCheckpoint(f"{path}: header (N={n}, M={m}, d={d}, h={h}, w={w}) implies "
+                                f"{8 * values} bytes of tensors, the file holds {payload}")
         params = zero_params(HyperParams(d=d, h=h, w=w), n, m)
-        for name, tensor in params.named_tensors():
-            raw = fh.read(tensor.size * 8)
-            if len(raw) != tensor.size * 8:
-                raise BadCheckpoint(f"{path}: truncated at tensor {name}")
-            tensor[...] = np.frombuffer(raw, dtype="<f8").reshape(tensor.shape)
-        if fh.read(1):
-            raise BadCheckpoint(f"{path}: trailing bytes after last tensor")
+        for _, tensor in params.named_tensors():
+            tensor[...] = np.frombuffer(fh.read(tensor.size * 8), dtype="<f8").reshape(tensor.shape)
     return params
 
 

@@ -1,4 +1,5 @@
 from collections import Counter, defaultdict
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ def sample_with(fwd=0, bwd=0, user=0):
                   split="test")
 
 
+def entries(table):
+    """A CSR count table back as {(key, poi): count}."""
+    keys = np.repeat(np.arange(len(table.offsets) - 1), np.diff(table.offsets))
+    return {(int(k), int(p)): int(c) for k, p, c in zip(keys, table.pois, table.counts)}
+
+
+def transitions_of(trans):
+    """{(p, q): count}, read from the forward table; the backward table must agree."""
+    counts = entries(trans.forward)
+    assert {(p, q): c for (q, p), c in entries(trans.backward).items()} == counts
+    return counts
+
+
 class TestFitCounts:
     def test_hand_counted_transitions(self):
         # A,B,A,C plus a val/test tail the counts must not see
@@ -37,7 +51,7 @@ class TestFitCounts:
         split = split_corpus(corpus)
         assert split.boundaries[0] == (4, 4)  # T=5: train is first 4
         trans, pop = fit_counts(corpus, split)
-        assert trans.counts == {(0, 1): 1, (1, 0): 1, (0, 2): 1}
+        assert transitions_of(trans) == {(0, 1): 1, (1, 0): 1, (0, 2): 1}
         np.testing.assert_array_equal(pop.global_counts, [2, 1, 1])
 
     def test_single_checkin_train_segment(self):
@@ -45,7 +59,8 @@ class TestFitCounts:
         split = split_corpus(corpus)
         assert split.boundaries[0] == (0, 0)
         trans, pop = fit_counts(corpus, split)
-        assert trans.counts == {}
+        assert transitions_of(trans) == {}
+        assert entries(pop.users) == {}
         np.testing.assert_array_equal(pop.global_counts, [0, 0])
 
     def test_global_is_sum_of_per_user(self):
@@ -53,10 +68,22 @@ class TestFitCounts:
         split = split_corpus(corpus)
         _, pop = fit_counts(corpus, split)
         summed = np.zeros(3, dtype=np.int64)
-        for cnts in pop.user_counts:
-            for p, c in cnts.items():
-                summed[p] += c
+        for (_, p), c in entries(pop.users).items():
+            summed[p] += c
         np.testing.assert_array_equal(pop.global_counts, summed)
+
+    def test_pairs_across_users_or_the_train_boundary_are_not_counted(self):
+        # the concatenated train segments read 0,1,2,3 | 4,0,1,2: the 3 -> 4
+        # there joins two users, and each user's 3 -> 5 / 2 -> 5 crosses into val
+        corpus = corpus_of([[0, 1, 2, 3, 5], [4, 0, 1, 2, 5]], n_pois=6)
+        split = split_corpus(corpus)
+        assert split.boundaries == [(4, 4), (4, 4)]
+        trans, pop = fit_counts(corpus, split)
+        assert transitions_of(trans) == {(0, 1): 2, (1, 2): 2, (2, 3): 1, (4, 0): 1}
+        # no head at all: the shared TOP1 order comes back
+        assert rank_forward(sample_with(fwd=3), trans, pop) is rank_top1(pop)
+        assert rank_backward(sample_with(bwd=4), trans, pop) is rank_top1(pop)
+        assert rank_backward(sample_with(bwd=5), trans, pop) is rank_top1(pop)
 
 
 class TestRankers:
@@ -192,10 +219,11 @@ def assert_matches_oracles(corpus):
 def test_edge_case_corpus_has_its_edge_cases():
     corpus = edge_case_corpus()
     trans, pop = fit_counts(corpus, split_corpus(corpus))
-    assert set(trans.out_edges[0]) == set(trans.in_edges[0]) == set(range(5))
-    assert trans.counts[(0, 0)] > 1
-    assert [trans.out_edges[0][q] for q in (1, 2, 3, 4)] == [1, 1, 1, 1]
-    assert set(pop.user_counts[0]) == set(range(5))
+    counts = transitions_of(trans)
+    assert {q for p, q in counts if p == 0} == {p for p, q in counts if q == 0} == set(range(5))
+    assert counts[(0, 0)] > 1
+    assert [counts[(0, q)] for q in (1, 2, 3, 4)] == [1, 1, 1, 1]
+    assert {p for u, p in entries(pop.users) if u == 0} == set(range(5))
     g = pop.global_counts
     assert g[1] == g[2] and g[3] == g[4] and g[1] != g[3]
 
@@ -219,6 +247,10 @@ def test_shared_rankings_are_read_only():
         with pytest.raises(ValueError):
             ranking[0] = ranking[1]
         assert rank_top1(pop).tolist() == [0, 1, 2], name
+    for table in (trans.forward, trans.backward, pop.users, pop):
+        for f in fields(table):
+            array = getattr(table, f.name)
+            assert not isinstance(array, np.ndarray) or not array.flags.writeable, f.name
 
 
 def test_fit_counts_deterministic():
@@ -226,7 +258,9 @@ def test_fit_counts_deterministic():
     split = split_corpus(corpus)
     t1, p1 = fit_counts(corpus, split)
     t2, p2 = fit_counts(corpus, split)
-    assert t1.counts == t2.counts
+    for a, b in ((t1.forward, t2.forward), (t1.backward, t2.backward), (p1.users, p2.users)):
+        for f in fields(a):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
     np.testing.assert_array_equal(p1.global_counts, p2.global_counts)
 
 

@@ -1,10 +1,11 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
 
 from bistddp.cli import main
-from bistddp.model import load_checkpoint, save_checkpoint
+from bistddp.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from conftest import foursquare_lines
 
 
@@ -163,6 +164,15 @@ class TestTrainEvaluate:
         assert "non-finite" in capsys.readouterr().err
         assert not (ev / "report_test.csv").exists()
 
+    def test_checkpoint_header_past_the_file_exits_2(self, prepared_dir, tmp_path, capsys):
+        # a header claiming M = 4e9 would need 119 GiB of tensors
+        ck = tmp_path / "huge.bin"
+        ck.write_bytes(CHECKPOINT_MAGIC + struct.pack("<5I", 20, 4_000_000_000, 4, 6, 1)
+                       + b"\0" * 64)
+        assert run("evaluate", "--data", prepared_dir / "corpus.tsv",
+                   "--checkpoint", ck, "--out", tmp_path / "ev") == 2
+        assert "implies" in capsys.readouterr().err
+
     def test_determinism_bitwise(self, prepared_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert self.train(prepared_dir, a, seed=5) == 0
@@ -231,6 +241,36 @@ class TestBaselinesCommand:
         assert [r["model"] for r in rows] == ["forward", "backward", "top1", "top2"]
         for r in rows:
             assert 0.0 <= float(r["map"]) <= 1.0
+
+    def test_baselines_and_sweep_record_the_corpus_window(self, tmp_path):
+        raw = tmp_path / "raw.tsv"  # long enough histories for test samples at w=2
+        raw.write_text("\n".join(foursquare_lines(checkins_per_user=30)) + "\n", encoding="utf-8")
+        w2 = tmp_path / "w2"
+        assert run("prepare", "--data", raw, "--format", "foursquare", "--out", w2, "--w", 2) == 0
+        assert run("baselines", "--data", w2 / "corpus.tsv", "--out", tmp_path / "bl") == 0
+        assert run("sweep", "--data", w2 / "corpus.tsv", "--out", tmp_path / "sw",
+                   "--grid", "d=2", "--h", 4, "--epochs", 1, "--batch", 64) == 0
+        for command in ("bl", "sw"):
+            resolved = (tmp_path / command / "config.txt").read_text(encoding="utf-8")
+            assert "w=2" in resolved.splitlines(), command
+
+    def test_cutoffs_follow_the_k_order(self, prepared_dir, tmp_path, capsys):
+        # a repeated cutoff is listed once, where it first appears
+        data = prepared_dir / "corpus.tsv"
+        assert run("train", "--data", data, "--out", tmp_path / "tr", "--d", 3, "--h", 4,
+                   "--epochs", 1, "--batch", 64) == 0
+        assert run("evaluate", "--data", data, "--checkpoint", tmp_path / "tr" / "checkpoint.bin",
+                   "--out", tmp_path / "ev", "--k", "10,1,10") == 0
+        assert run("baselines", "--data", data, "--out", tmp_path / "bl", "--k", "10,1,10") == 0
+        order = ["recall@10", "recall@1", "f1@10", "f1@1", "map"]
+        report = read_csv(tmp_path / "ev" / "report_test.csv")
+        assert [r["metric"] for r in report] == [*order, "instances"]
+        assert all(len(r["value"].split(".")[1]) == 6 for r in report[:-1])
+        assert report[-1]["value"] == "20"
+        assert list(read_csv(tmp_path / "bl" / "baselines.csv")[0])[1:6] == order
+        heads = [line.split() for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("model")]
+        assert heads and all(head[1:6] == ["r@10", "r@1", "f1@10", "f1@1", "map"] for head in heads)
 
 
 class TestAblateAndSweep:

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bistddp.evaluation import (
-    MetricsReport,
     TruthMissing,
     evaluate,
     f1_at_k,
     mean_average_precision,
     recall_at_k,
-    report_csv,
     report_from_ranks,
 )
 from bistddp.ingest import Sample
@@ -155,13 +153,3 @@ class TestEvaluate:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             evaluate(lambda s: [0], [])
-
-
-def test_report_csv_shape():
-    rep = MetricsReport(recall={1: 0.5, 5: 0.75}, f1={1: 0.5, 5: 0.25}, map=0.6, count=4)
-    text = report_csv(rep)
-    lines = text.strip().split("\n")
-    assert lines[0] == "metric,value"
-    assert "recall@1,0.500000" in lines
-    assert "map,0.600000" in lines
-    assert "instances,4" in lines

@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from bistddp.evaluation import _rank_of, evaluate, report_from_ranks
 from bistddp.geodata import GeoPoint, PoiTable
 from bistddp.ingest import PreparedCorpus, Sample, SampleBatch
+from bistddp import model
 from bistddp.model import (
+    CHECKPOINT_MAGIC,
     RANK_CHUNK,
     BadCheckpoint,
     HyperParams,
@@ -339,6 +342,20 @@ class TestCheckpoint:
         path.write_bytes(raw[:-16])
         with pytest.raises(BadCheckpoint):
             load_checkpoint(path)
+
+    def test_header_is_checked_against_the_file_size_first(self, tmp_path, monkeypatch):
+        _, params, _ = random_instance(18, m=9, n=3, d=3, h=4, w=1)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, params)
+        raw = path.read_bytes()
+        at = len(CHECKPOINT_MAGIC)
+        huge_m = raw[:at] + struct.pack("<5I", 3, 4_000_000_000, 3, 4, 1) + raw[at + 20:]
+        monkeypatch.setattr(model, "zero_params", lambda *a: pytest.fail("tensors allocated"))
+        for name, text in {"M = 4e9": huge_m, "trailing byte": raw + b"\0",
+                           "truncated header": raw[:at + 10]}.items():
+            path.write_bytes(text)
+            with pytest.raises(BadCheckpoint):
+                load_checkpoint(path)
 
     def test_expect_compatible(self):
         _, params, _ = random_instance(16, m=9, n=3, d=3, h=4, w=1)
