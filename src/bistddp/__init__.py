@@ -8,7 +8,6 @@ counting baselines, and ranking metrics.
 
 from .geodata import GeoPoint, PoiTable, SpatialRowCache, haversine_km, spatial_vector
 from .ingest import (
-    CheckIn,
     Corpus,
     CorpusSplit,
     PreparedCorpus,
@@ -35,7 +34,6 @@ from .model import (
     forward,
     init_params,
     load_checkpoint,
-    make_ranker,
     predict_topk,
     save_checkpoint,
     target_ranks,

@@ -44,10 +44,12 @@ from .model import (
     HyperParams,
     ModelParams,
     VARIANTS,
+    cross_entropy,
     expect_compatible,
+    forward,
     init_params,
     load_checkpoint,
-    make_ranker,
+    predict_topk,
     save_checkpoint,
     target_ranks,
     variant_from_name,
@@ -190,10 +192,9 @@ def _sparsity(users: int, pois: int, checkins: int) -> float:
 
 
 def _stats_rows(parsed: ParseResult, prepared_corpus: PreparedCorpus):
-    raw_users = len({c.user_id for c in parsed.checkins})
     corpus = prepared_corpus.corpus
     return [
-        ("raw", raw_users, len(parsed.table), len(parsed.checkins)),
+        ("raw", len(parsed.user_ids), len(parsed.table), len(parsed.checkins)),
         ("filtered", corpus.n_users, corpus.n_pois, corpus.n_checkins),
     ]
 
@@ -315,8 +316,8 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str, split: str,
     return 0
 
 
-def cmd_baselines(cfg: ExperimentConfig, split: str) -> int:
-    cfg, prepared_corpus = _load_prepared(cfg)
+def cmd_baselines(cfg: ExperimentConfig, split: str, window: int | None = None) -> int:
+    cfg, prepared_corpus = _load_prepared(cfg, window)
     out = _out_dir(cfg, "baselines")
     rankers = bl.BaselineRankers(prepared_corpus.corpus, prepared_corpus.split)
     samples = prepared_corpus.samples_for(split)
@@ -391,9 +392,9 @@ def _parse_grid(grid: str) -> tuple[str, list[int]]:
     return param, vals
 
 
-def cmd_sweep(cfg: ExperimentConfig, grid: str) -> int:
+def cmd_sweep(cfg: ExperimentConfig, grid: str, window: int | None = None) -> int:
     param, values = _parse_grid(grid)
-    cfg, prepared_corpus = _load_prepared(cfg)
+    cfg, prepared_corpus = _load_prepared(cfg, window)
     out = _out_dir(cfg, "sweep")
     corpus = prepared_corpus.corpus
     cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
@@ -448,8 +449,6 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
 
     table, _, sample = random_instance(3, m=40, n=3, d=4, h=6, w=1)
     params = zero_params(HyperParams(d=4, h=6, w=1), 3, 40)
-    from .model import cross_entropy, forward
-
     trace = forward(sample, params, table, VARIANTS["bi-stddp"])
     loss = cross_entropy(trace, sample.target_poi)
     uniform_ok = (
@@ -468,8 +467,8 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
     ranks_ok = True
     for variant in VARIANTS.values():
         for p in (params, tied):
-            ranker = make_ranker(p, table, variant)
-            expected = [_rank_of(ranker(s), s.target_poi) for s in samples]
+            expected = [_rank_of(predict_topk(forward(s, p, table, variant), m), s.target_poi)
+                        for s in samples]
             ranks_ok &= target_ranks(batch, p, table, variant).tolist() == expected
         ranks_ok &= target_ranks(batch, tied, table, variant).tolist() == list(range(1, m + 1))
     check("batched ranks match per-sample ranking", ranks_ok)
@@ -556,11 +555,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.checkpoint, args.split, window)
         if args.command == "baselines":
-            return cmd_baselines(cfg, args.split)
+            return cmd_baselines(cfg, args.split, window)
         if args.command == "ablate":
             return cmd_ablate(cfg, window)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.grid)
+            return cmd_sweep(cfg, args.grid, window)
         if args.command == "selfcheck":
             return cmd_selfcheck(cfg)
         raise MalformedConfig(f"unknown command {args.command!r}")

@@ -13,6 +13,7 @@ the check-ins only: the split and the samples are rebuilt when it is read.
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
@@ -52,11 +53,16 @@ class BadCorpusFile(ValueError):
 
 
 @dataclass(frozen=True)
-class CheckIn:
-    user_id: str
-    poi_id: str
-    utc_seconds: int
-    tz_offset_minutes: int
+class CheckIns:
+    """Check-ins as parallel int64 columns, row i holding check-in i."""
+
+    users: np.ndarray  # user index
+    pois: np.ndarray  # POI index
+    times: np.ndarray  # UTC seconds
+    tz: np.ndarray  # minutes east of UTC
+
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 @dataclass
@@ -89,6 +95,16 @@ class Corpus:
     @property
     def n_checkins(self) -> int:
         return sum(len(h) for h in self.histories)
+
+    @classmethod
+    def from_columns(cls, table: PoiTable, user_ids: list[str], checkins: CheckIns) -> "Corpus":
+        """The corpus of `checkins`, which are grouped by user in index order and time-sorted."""
+        cuts = np.cumsum(np.bincount(checkins.users, minlength=len(user_ids)))[:-1]
+        histories = [
+            UserHistory(u, p, t, z) for u, (p, t, z) in
+            enumerate(zip(*(np.split(c, cuts) for c in (checkins.pois, checkins.times, checkins.tz))))
+        ]
+        return cls(table, user_ids, histories)
 
 
 @dataclass
@@ -150,8 +166,9 @@ class SampleBatch:
 
 @dataclass
 class ParseResult:
-    table: PoiTable
-    checkins: list[CheckIn]
+    table: PoiTable  # POIs in order of first appearance
+    user_ids: list[str]  # users in order of first appearance; `checkins.users` indexes it
+    checkins: CheckIns  # in file order
     malformed: list[tuple[int, str]]  # (line number, reason)
 
 
@@ -162,7 +179,7 @@ def _check_ranges(utc_seconds: int, tz_offset: int) -> None:
         raise MalformedLine(f"tz offset {tz_offset} outside [{_TZ_MIN}, {_TZ_MAX}]")
 
 
-def _parse_foursquare_line(parts: list[str]) -> tuple[CheckIn, GeoPoint]:
+def _parse_foursquare_line(parts: list[str]) -> tuple[str, str, int, int, GeoPoint]:
     if len(parts) != 8:
         raise MalformedLine(f"expected 8 tab-separated fields, got {len(parts)}")
     user_id, venue_id, _cat_id, _cat_name, lat_s, lon_s, tz_s, time_s = parts
@@ -175,10 +192,10 @@ def _parse_foursquare_line(parts: list[str]) -> tuple[CheckIn, GeoPoint]:
         raise MalformedLine(str(exc)) from None
     utc_seconds = int(dt.timestamp())
     _check_ranges(utc_seconds, tz_offset)
-    return CheckIn(user_id, venue_id, utc_seconds, tz_offset), point
+    return user_id, venue_id, utc_seconds, tz_offset, point
 
 
-def _parse_gowalla_line(parts: list[str]) -> tuple[CheckIn, GeoPoint]:
+def _parse_gowalla_line(parts: list[str]) -> tuple[str, str, int, int, GeoPoint]:
     if len(parts) != 5:
         raise MalformedLine(f"expected 5 tab-separated fields, got {len(parts)}")
     user_id, time_s, lat_s, lon_s, loc_id = parts
@@ -191,35 +208,39 @@ def _parse_gowalla_line(parts: list[str]) -> tuple[CheckIn, GeoPoint]:
     utc_seconds = int(dt.replace(tzinfo=timezone.utc).timestamp())
     # the distribution carries no timezone; local time falls back to UTC
     _check_ranges(utc_seconds, 0)
-    return CheckIn(user_id, loc_id, utc_seconds, 0), point
+    return user_id, loc_id, utc_seconds, 0, point
 
 
 def _parse_file(path, line_parser) -> ParseResult:
-    checkins: list[CheckIn] = []
+    users: dict[str, int] = {}  # id -> index, in order of first appearance
+    pois: dict[str, int] = {}
+    points: list[GeoPoint] = []  # duplicates keep their first-seen coordinates
+    columns = {name: array("q") for name in ("users", "pois", "times", "tz")}
     malformed: list[tuple[int, str]] = []
-    poi_order: list[tuple[str, GeoPoint]] = []
-    seen_pois: set[str] = set()
     with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\r\n")
             if not line:
                 continue
             try:
-                checkin, point = line_parser(line.split("\t"))
+                user_id, poi_id, utc_seconds, tz_offset, point = line_parser(line.split("\t"))
             except MalformedLine as exc:
                 malformed.append((lineno, str(exc)))
                 continue
-            checkins.append(checkin)
-            if checkin.poi_id not in seen_pois:
-                # duplicates keep their first-seen coordinates
-                seen_pois.add(checkin.poi_id)
-                poi_order.append((checkin.poi_id, point))
+            poi = pois.setdefault(poi_id, len(pois))
+            if poi == len(points):
+                points.append(point)
+            columns["users"].append(users.setdefault(user_id, len(users)))
+            columns["pois"].append(poi)
+            columns["times"].append(utc_seconds)
+            columns["tz"].append(tz_offset)
     if malformed:
         log.warning("%s: skipped %d malformed lines (first: line %d, %s)",
                     path, len(malformed), malformed[0][0], malformed[0][1])
-    if not checkins:
+    if not users:
         raise EmptyCorpus(f"{path}: no valid check-ins")
-    return ParseResult(PoiTable(poi_order), checkins, malformed)
+    checkins = CheckIns(**{name: np.frombuffer(c, dtype=np.int64) for name, c in columns.items()})
+    return ParseResult(PoiTable(list(zip(pois, points))), list(users), checkins, malformed)
 
 
 def parse_foursquare(path) -> ParseResult:
@@ -242,26 +263,8 @@ def parse_gowalla(path) -> ParseResult:
     return _parse_file(path, _parse_gowalla_line)
 
 
-def _one_filter_pass(
-    checkins: list[CheckIn], min_user: int, min_poi_users: int
-) -> list[CheckIn]:
-    user_counts: dict[str, int] = {}
-    for ci in checkins:
-        user_counts[ci.user_id] = user_counts.get(ci.user_id, 0) + 1
-    kept_users = {u for u, c in user_counts.items() if c >= min_user}
-
-    poi_users: dict[str, set[str]] = {}
-    for ci in checkins:
-        if ci.user_id in kept_users:
-            poi_users.setdefault(ci.poi_id, set()).add(ci.user_id)
-    kept_pois = {p for p, us in poi_users.items() if len(us) >= min_poi_users}
-
-    return [ci for ci in checkins if ci.user_id in kept_users and ci.poi_id in kept_pois]
-
-
 def filter_min_activity(
-    table: PoiTable,
-    checkins: list[CheckIn],
+    parsed: ParseResult,
     min_user: int = 10,
     min_poi_users: int = 10,
     fixpoint: bool = False,
@@ -272,45 +275,39 @@ def filter_min_activity(
     check-ins go first, then POIs visited by fewer than `min_poi_users`
     distinct remaining users (with all their check-ins). `fixpoint=True`
     repeats the pass until nothing changes. Users left with no check-ins
-    after the POI drop are removed during reindexing.
+    after the POI drop are removed during reindexing: the survivors are
+    numbered in order of first appearance, POIs keep their table order, and
+    each history is time-sorted with ties in file order.
     """
-    if not checkins:
+    ci, n_users, n_pois = parsed.checkins, len(parsed.user_ids), len(parsed.table)
+    if not len(ci):
         raise EmptyCorpus("no check-ins to filter")
-    kept = _one_filter_pass(checkins, min_user, min_poi_users)
-    if fixpoint:
-        while True:
-            again = _one_filter_pass(kept, min_user, min_poi_users)
-            if len(again) == len(kept):
-                break
-            kept = again
-    if not kept:
+    keep = np.ones(len(ci), dtype=bool)
+    while True:
+        before = np.count_nonzero(keep)
+        keep &= (np.bincount(ci.users[keep], minlength=n_users) >= min_user)[ci.users]
+        visits = np.unique(ci.pois[keep] * n_users + ci.users[keep])  # distinct (POI, user)
+        keep &= (np.bincount(visits // n_users, minlength=n_pois) >= min_poi_users)[ci.pois]
+        if not fixpoint or np.count_nonzero(keep) == before:
+            break
+    rows = np.flatnonzero(keep)
+    if not len(rows):
         raise EmptyCorpus("no check-ins survive activity filtering")
 
-    user_index: dict[str, int] = {}
-    for ci in kept:  # dense user ids in order of first appearance
-        if ci.user_id not in user_index:
-            user_index[ci.user_id] = len(user_index)
-    surviving_pois = {ci.poi_id for ci in kept}
-    poi_entries = [(pid, pt) for pid, pt in table.entries if pid in surviving_pois]
-    new_table = PoiTable(poi_entries)
+    survivors, first = np.unique(ci.users[rows], return_index=True)
+    survivors = survivors[np.argsort(first)]  # in order of first appearance
+    user_index = np.zeros(n_users, dtype=np.int64)
+    user_index[survivors] = np.arange(len(survivors))
+    kept_pois = np.flatnonzero(np.bincount(ci.pois[rows], minlength=n_pois))
+    poi_index = np.zeros(n_pois, dtype=np.int64)
+    poi_index[kept_pois] = np.arange(len(kept_pois))
 
-    per_user: list[list[CheckIn]] = [[] for _ in user_index]
-    for ci in kept:
-        per_user[user_index[ci.user_id]].append(ci)
-
-    histories = []
-    for u, rows in enumerate(per_user):
-        rows.sort(key=lambda ci: ci.utc_seconds)  # stable: ties keep file order
-        histories.append(
-            UserHistory(
-                user=u,
-                pois=np.array([new_table.index[ci.poi_id] for ci in rows], dtype=np.int64),
-                times=np.array([ci.utc_seconds for ci in rows], dtype=np.int64),
-                tz=np.array([ci.tz_offset_minutes for ci in rows], dtype=np.int64),
-            )
-        )
-    user_ids = [uid for uid, _ in sorted(user_index.items(), key=lambda kv: kv[1])]
-    return Corpus(new_table, user_ids, histories)
+    users = user_index[ci.users[rows]]
+    order = np.lexsort((ci.times[rows], users))  # stable: ties keep file order
+    rows = rows[order]
+    kept = CheckIns(users[order], poi_index[ci.pois[rows]], ci.times[rows], ci.tz[rows])
+    table = PoiTable([parsed.table.entries[p] for p in kept_pois.tolist()])
+    return Corpus.from_columns(table, [parsed.user_ids[u] for u in survivors.tolist()], kept)
 
 
 def chronological_split(history: UserHistory) -> tuple[int, int]:
@@ -405,9 +402,7 @@ def prepare(
     fixpoint: bool = False,
 ) -> PreparedCorpus:
     """Filter, split, and materialize samples from a parsed corpus."""
-    corpus = filter_min_activity(
-        parse_result.table, parse_result.checkins, min_user, min_poi_users, fixpoint
-    )
+    corpus = filter_min_activity(parse_result, min_user, min_poi_users, fixpoint)
     return PreparedCorpus.from_corpus(corpus, w)
 
 
@@ -536,9 +531,5 @@ def load_corpus(path) -> PreparedCorpus:
     lines.expect(in_order, first,
                  lambda k: f"timestamp {times[k]} is earlier than the user's previous one")
 
-    cuts = np.cumsum(lengths)[:-1]
-    histories = [
-        UserHistory(u, p, t, z)
-        for u, (p, t, z) in enumerate(zip(*(np.split(c, cuts) for c in (pois, times, tz))))
-    ]
-    return PreparedCorpus.from_corpus(Corpus(table, user_ids, histories), window)
+    corpus = Corpus.from_columns(table, user_ids, CheckIns(users, pois, times, tz))
+    return PreparedCorpus.from_corpus(corpus, window)

@@ -394,21 +394,6 @@ def target_ranks(
     return ranks
 
 
-def make_ranker(
-    params: ModelParams,
-    table: PoiTable,
-    variant: VariantConfig = VARIANTS["bi-stddp"],
-    cache: SpatialRowCache | None = None,
-):
-    """Callable Sample -> full candidate ranking, for the eval harness."""
-    m = params.n_pois
-
-    def rank(sample: Sample) -> np.ndarray:
-        return predict_topk(forward(sample, params, table, variant, cache), m)
-
-    return rank
-
-
 def save_checkpoint(path, params: ModelParams) -> None:
     """Binary checkpoint: magic, 5 uint32 LE dims (N, M, d, h, w), then all
     tensors as little-endian float64 in `named_tensors` order."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geodata import GeoPoint, PoiTable
-from .ingest import Corpus, PreparedCorpus, Sample, UserHistory, encode_temporal_pattern
+from .ingest import CheckIns, Corpus, PreparedCorpus, Sample, encode_temporal_pattern
 from .model import HyperParams, ModelParams, init_params
 from .numerics import make_rng
 
@@ -21,18 +21,11 @@ def corpus_from_events(
 ) -> Corpus:
     """Build a Corpus from explicit (poi, utc_seconds, tz_minutes) events."""
     table = PoiTable([(f"p{i}", GeoPoint(lat, lon)) for i, (lat, lon) in enumerate(coords)])
-    histories = []
-    for u, events in enumerate(user_events):
-        events = sorted(events, key=lambda e: e[1])
-        histories.append(
-            UserHistory(
-                user=u,
-                pois=np.array([e[0] for e in events], dtype=np.int64),
-                times=np.array([e[1] for e in events], dtype=np.int64),
-                tz=np.array([e[2] for e in events], dtype=np.int64),
-            )
-        )
-    return Corpus(table, [f"u{u}" for u in range(len(user_events))], histories)
+    rows = [(u, *event) for u, events in enumerate(user_events) for event in events]
+    users, pois, times, tz = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    order = np.lexsort((times, users))  # stable: ties keep event order
+    checkins = CheckIns(users[order], pois[order], times[order], tz[order])
+    return Corpus.from_columns(table, [f"u{u}" for u in range(len(user_events))], checkins)
 
 
 def overfit_corpus(

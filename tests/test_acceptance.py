@@ -23,7 +23,7 @@ from bistddp.model import (
     cross_entropy,
     forward,
     init_params,
-    make_ranker,
+    predict_topk,
     zero_params,
 )
 from bistddp.numerics import make_rng, seeded_generators
@@ -95,7 +95,9 @@ def test_criterion_3_overfit():
                       metric="train_recall@1", stop_threshold=1.0)
     res = fit(prep.samples_for("train"), prep.samples_for("val"), params,
               corpus.poi_table, cfg, VARIANTS["bi-stddp"], rng=shuffle_rng)
-    ranker = make_ranker(res.params, corpus.poi_table)
+    def ranker(s):
+        return predict_topk(forward(s, res.params, corpus.poi_table), corpus.n_pois)
+
     r1 = evaluate(ranker, prep.samples_for("train"), ks=(1,)).recall[1]
     elapsed = time.perf_counter() - t0
     report(3, r1 == 1.0 and res.epochs_run <= 1000 and elapsed < 60,
@@ -162,7 +164,10 @@ def test_criterion_6_ablation_ordering():
             cfg = TrainConfig(max_epochs=100, patience=15, seed=seed, lr=0.003)
             res = fit(train_s, val_s, params, corpus.poi_table, cfg,
                       VARIANTS[name], rng=shuffle_rng)
-            ranker = make_ranker(res.params, corpus.poi_table, VARIANTS[name])
+            def ranker(s):
+                return predict_topk(forward(s, res.params, corpus.poi_table, VARIANTS[name]),
+                                    corpus.n_pois)
+
             acc[name].append(evaluate(ranker, test_s, ks=(5,)).recall[5])
     mean = {n: float(np.mean(acc[n])) for n in names}
     ordering = mean["bi-stddp"] >= mean["bi-b"] >= mean["bi-a"]
@@ -192,7 +197,10 @@ def test_criterion_7_nyc_best_effort():
     res = fit(prep.samples_for("train"), prep.samples_for("val"), params,
               corpus.poi_table, cfg, VARIANTS["bi-stddp"], rng=shuffle_rng)
     test_s = prep.samples_for("test")
-    model_r5 = evaluate(make_ranker(res.params, corpus.poi_table), test_s, ks=(5,)).recall[5]
+    def ranker(s):
+        return predict_topk(forward(s, res.params, corpus.poi_table), corpus.n_pois)
+
+    model_r5 = evaluate(ranker, test_s, ks=(5,)).recall[5]
     rankers = BaselineRankers(corpus, prep.split)
     base_r5 = {name: evaluate(r, test_s, ks=(5,)).recall[5]
                for name, r in rankers.named().items()}

@@ -254,6 +254,18 @@ class TestBaselinesCommand:
             resolved = (tmp_path / command / "config.txt").read_text(encoding="utf-8")
             assert "w=2" in resolved.splitlines(), command
 
+    def test_baselines_and_sweep_reject_a_window_the_corpus_lacks(self, prepared_dir, tmp_path):
+        data = prepared_dir / "corpus.tsv"  # prepared with w=1
+        config = tmp_path / "w3.cfg"
+        config.write_text("w=3\n", encoding="utf-8")
+        assert run("baselines", "--data", data, "--out", tmp_path / "bl", "--w", 3) == 2
+        assert run("baselines", "--data", data, "--out", tmp_path / "bl", "--config", config) == 2
+        assert run("sweep", "--data", data, "--out", tmp_path / "sw", "--w", 3,
+                   "--grid", "d=2", "--h", 4, "--epochs", 1, "--batch", 64) == 2
+        assert not (tmp_path / "bl" / "baselines.csv").exists()
+        assert not (tmp_path / "sw" / "sweep.csv").exists()
+        assert run("baselines", "--data", data, "--out", tmp_path / "bl", "--w", 1) == 0
+
     def test_cutoffs_follow_the_k_order(self, prepared_dir, tmp_path, capsys):
         # a repeated cutoff is listed once, where it first appears
         data = prepared_dir / "corpus.tsv"

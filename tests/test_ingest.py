@@ -1,3 +1,4 @@
+from collections import Counter
 from datetime import datetime, timezone
 
 import numpy as np
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 
 from bistddp.geodata import GeoPoint, PoiTable
 from bistddp.ingest import (
-    CheckIn,
+    CheckIns,
+    Corpus,
     EmptyCorpus,
+    ParseResult,
     PreparedCorpus,
     Sample,
+    UserHistory,
     build_samples,
     chronological_split,
     encode_temporal_pattern,
@@ -44,10 +48,13 @@ class TestParsers:
     def test_foursquare_single_line(self, tmp_path):
         res = parse_foursquare(write(tmp_path, "a.tsv", [fsq_line()]))
         assert len(res.checkins) == 1 and len(res.table) == 1
-        ci = res.checkins[0]
         expected = int(datetime(2012, 4, 3, 18, 0, 9, tzinfo=timezone.utc).timestamp())
-        assert ci.utc_seconds == expected
-        assert ci.tz_offset_minutes == -240
+        assert res.checkins.times.tolist() == [expected]
+        assert res.checkins.tz.tolist() == [-240]
+        assert res.checkins.users.tolist() == [0] and res.user_ids == ["u1"]
+        assert res.checkins.pois.tolist() == [0] and res.table.external_id(0) == "v1"
+        assert {c.dtype for c in (res.checkins.users, res.checkins.pois,
+                                  res.checkins.times, res.checkins.tz)} == {np.dtype(np.int64)}
         assert res.table.point(0) == GeoPoint(40.7, -74.0)
 
     def test_foursquare_bad_latitude_skipped(self, tmp_path):
@@ -67,6 +74,9 @@ class TestParsers:
         assert len(res.checkins) == 3
         assert len(res.table) == 2
         assert res.table.point(res.table.index["v9"]) == GeoPoint(10.0, 20.0)
+        # POI indices follow first appearance; the rows point into the table
+        assert res.checkins.pois.tolist() == [0, 0, 1]
+        assert [e for e, _ in res.table.entries] == ["v9", "v2"]
 
     def test_foursquare_wrong_columns_and_time(self, tmp_path):
         res = parse_foursquare(write(tmp_path, "a.tsv", [
@@ -84,10 +94,10 @@ class TestParsers:
 
     def test_gowalla_single_line(self, tmp_path):
         res = parse_gowalla(write(tmp_path, "g.tsv", [gow_line()]))
-        ci = res.checkins[0]
         expected = int(datetime(2010, 10, 19, 23, 55, 27, tzinfo=timezone.utc).timestamp())
-        assert ci.utc_seconds == expected
-        assert ci.tz_offset_minutes == 0  # distribution carries no timezone
+        assert res.checkins.times.tolist() == [expected]
+        assert res.checkins.tz.tolist() == [0]  # distribution carries no timezone
+        assert res.user_ids == ["7"] and res.table.external_id(0) == "420315"
 
     def test_gowalla_bad_line_and_dedup(self, tmp_path):
         lines = [
@@ -99,20 +109,94 @@ class TestParsers:
         assert len(res.checkins) == 2
         assert len(res.malformed) == 1
         assert res.table.point(res.table.index["L1"]) == GeoPoint(10.0, -97.7)
+        assert res.checkins.pois.tolist() == [0, 0] and res.checkins.users.tolist() == [0, 0]
 
 
 def make_checkins(spec):
-    """spec: list of (user, poi, t). Coordinates are synthesized per POI."""
-    return [CheckIn(u, p, 1_500_000_000 + t, 0) for u, p, t in spec]
+    """spec: list of (user, poi, t) -> the ParseResult a parser would give for it.
+
+    Users and POIs are indexed by first appearance; coordinates are
+    synthesized per POI.
+    """
+    users, pois = {}, {}
+    rows = [(users.setdefault(u, len(users)), pois.setdefault(p, len(pois)), 1_500_000_000 + t, 0)
+            for u, p, t in spec]
+    table = PoiTable([(p, GeoPoint((i + 1) * 0.5, (i + 1) * 0.25)) for i, p in enumerate(pois)])
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return ParseResult(table, list(users), CheckIns(*columns), [])
 
 
-def table_for(checkins):
-    ids, entries = set(), []
-    for i, ci in enumerate(checkins):
-        if ci.poi_id not in ids:
-            ids.add(ci.poi_id)
-            entries.append((ci.poi_id, GeoPoint(len(ids) * 0.5, len(ids) * 0.25)))
-    return PoiTable(entries)
+def reference_filter(parsed, min_user, min_poi_users, fixpoint=False):
+    """`filter_min_activity` written one check-in at a time, with dicts and sets."""
+    ci = parsed.checkins
+    checkins = [(parsed.user_ids[u], parsed.table.external_id(p), t, z) for u, p, t, z in
+                zip(ci.users.tolist(), ci.pois.tolist(), ci.times.tolist(), ci.tz.tolist())]
+
+    def one_pass(checkins):
+        user_counts = Counter(u for u, _, _, _ in checkins)
+        kept_users = {u for u, n in user_counts.items() if n >= min_user}
+        poi_users = {}
+        for u, p, _, _ in checkins:
+            if u in kept_users:
+                poi_users.setdefault(p, set()).add(u)
+        kept_pois = {p for p, us in poi_users.items() if len(us) >= min_poi_users}
+        return [c for c in checkins if c[0] in kept_users and c[1] in kept_pois]
+
+    kept = one_pass(checkins)
+    while fixpoint:
+        again = one_pass(kept)
+        if len(again) == len(kept):
+            break
+        kept = again
+    if not kept:
+        raise EmptyCorpus("no check-ins survive activity filtering")
+    user_index = {}
+    for u, _, _, _ in kept:  # dense user ids in order of first appearance
+        user_index.setdefault(u, len(user_index))
+    surviving_pois = {p for _, p, _, _ in kept}
+    table = PoiTable([(p, pt) for p, pt in parsed.table.entries if p in surviving_pois])
+    per_user = [[] for _ in user_index]
+    for c in kept:
+        per_user[user_index[c[0]]].append(c)
+    histories = []
+    for u, rows in enumerate(per_user):
+        rows.sort(key=lambda c: c[2])  # stable: ties keep file order
+        histories.append(UserHistory(
+            u, *(np.array(col, dtype=np.int64) for col in
+                 ([table.index[p] for _, p, _, _ in rows], [t for _, _, t, _ in rows],
+                  [z for _, _, _, z in rows]))))
+    return Corpus(table, list(user_index), histories)
+
+
+def assert_same_corpus(got, expected):
+    assert got.user_ids == expected.user_ids
+    assert got.poi_table.entries == expected.poi_table.entries
+    assert len(got.histories) == len(expected.histories)
+    for a, b in zip(got.histories, expected.histories):
+        assert a.user == b.user and type(a.user) is int
+        for name in ("pois", "times", "tz"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            assert getattr(a, name).dtype == np.int64
+
+
+def random_checkins(seed, min_user, min_poi_users):
+    """Seeded check-ins in shuffled file order with the filter's hard cases planted.
+
+    Timestamps fall on 60 distinct seconds, so users have tied check-ins;
+    "lonely" has `min_user` check-ins, all at POIs nobody else visits, so
+    the POI pass empties it; "x" keeps one check-in at "weak" after the
+    first pass, and only a second pass drops x and then "weak".
+    """
+    rng = np.random.default_rng(seed)
+    spec = [(f"u{u}", f"p{rng.integers(10)}", int(rng.integers(60)))
+            for u in range(15) for _ in range(int(rng.integers(1, 3 * min_user)))]
+    spec += [(f"h{h}", f"p{rng.integers(10)}", int(rng.integers(60)))
+             for h in range(min_poi_users - 1) for _ in range(min_user)]
+    spec += [(f"h{h}", "weak", int(rng.integers(60))) for h in range(min_poi_users - 1)]
+    spec += [("lonely", f"solo{i % 2}", int(rng.integers(60))) for i in range(min_user)]
+    spec += [("x", "dying", int(rng.integers(60))) for _ in range(min_user - 1)]
+    spec += [("x", "weak", int(rng.integers(60)))]
+    return make_checkins([spec[i] for i in rng.permutation(len(spec))])
 
 
 class TestFilter:
@@ -121,8 +205,7 @@ class TestFilter:
         spec += [("b", f"p{i % 3}", 100 + i) for i in range(12)]
         # POIs p0..p2 get both users; keep thresholds small so only the
         # user rule bites
-        checkins = make_checkins(spec)
-        corpus = filter_min_activity(table_for(checkins), checkins, min_user=10, min_poi_users=1)
+        corpus = filter_min_activity(make_checkins(spec), min_user=10, min_poi_users=1)
         assert corpus.user_ids == ["b"]
         assert corpus.n_checkins == 12
 
@@ -135,10 +218,10 @@ class TestFilter:
             spec += [(u, f"solo-{u}-{i}", n * 100 + 50 + i) for i in range(5)]
         for n, u in enumerate(("d", "e", "f", "g")):
             spec += [(u, "popular", 1000 + n * 100 + i) for i in range(10)]
-        checkins = make_checkins(spec)
+        parsed = make_checkins(spec)
         with pytest.raises(EmptyCorpus):
-            filter_min_activity(table_for(checkins), checkins, min_user=10, min_poi_users=10)
-        corpus = filter_min_activity(table_for(checkins), checkins, min_user=10, min_poi_users=4)
+            filter_min_activity(parsed, min_user=10, min_poi_users=10)
+        corpus = filter_min_activity(parsed, min_user=10, min_poi_users=4)
         kept_pois = {corpus.poi_table.external_id(i) for i in range(corpus.n_pois)}
         assert kept_pois == {"popular"}
         assert sorted(corpus.user_ids) == ["d", "e", "f", "g"]
@@ -148,24 +231,22 @@ class TestFilter:
         rng = np.random.default_rng(0)
         spec = [(f"u{rng.integers(20)}", f"p{rng.integers(15)}", int(t))
                 for t in rng.integers(0, 10_000, size=400)]
-        checkins = make_checkins(spec)
 
         # oracle: independent two-line recount
-        from collections import Counter
-        user_n = Counter(c.user_id for c in checkins)
+        user_n = Counter(u for u, _, _ in spec)
         kept_users = {u for u, n in user_n.items() if n >= 10}
         poi_users = {}
-        for c in checkins:
-            if c.user_id in kept_users:
-                poi_users.setdefault(c.poi_id, set()).add(c.user_id)
+        for u, p, _ in spec:
+            if u in kept_users:
+                poi_users.setdefault(p, set()).add(u)
         kept_pois = {p for p, us in poi_users.items() if len(us) >= 10}
-        expected = [c for c in checkins if c.user_id in kept_users and c.poi_id in kept_pois]
+        expected = [(u, p) for u, p, _ in spec if u in kept_users and p in kept_pois]
 
-        corpus = filter_min_activity(table_for(checkins), checkins, 10, 10)
+        corpus = filter_min_activity(make_checkins(spec), 10, 10)
         assert corpus.n_checkins == len(expected)
         assert {corpus.poi_table.external_id(i) for i in range(corpus.n_pois)} == kept_pois
         got_users = set(corpus.user_ids)
-        assert got_users == {c.user_id for c in expected}
+        assert got_users == {u for u, _ in expected}
 
     def test_fixpoint_mode_cascades_beyond_single_pass(self):
         # x leans on POI "dying"; losing it pulls x under the user threshold
@@ -175,13 +256,32 @@ class TestFilter:
             spec += [(s, "weak", 10 + n)]
             spec += [(s, "core", 20 + 3 * n + i) for i in range(3)]
         spec += [("s3", "core", 40 + i) for i in range(4)]
-        checkins = make_checkins(spec)
-        single = filter_min_activity(table_for(checkins), checkins, min_user=4, min_poi_users=3)
+        parsed = make_checkins(spec)
+        single = filter_min_activity(parsed, min_user=4, min_poi_users=3)
         assert sorted(single.user_ids) == ["s1", "s2", "s3", "x"]
         assert single.n_checkins == 13  # x keeps its one "weak" check-in
         with pytest.raises(EmptyCorpus):
-            filter_min_activity(table_for(checkins), checkins, min_user=4,
-                                min_poi_users=3, fixpoint=True)
+            filter_min_activity(parsed, min_user=4, min_poi_users=3, fixpoint=True)
+
+    def test_matches_per_checkin_reference(self):
+        seen = Counter()
+        for seed in range(30):
+            min_user, min_poi_users = [(3, 2), (4, 3), (5, 4)][seed % 3]
+            parsed = random_checkins(seed, min_user, min_poi_users)
+            single = filter_min_activity(parsed, min_user, min_poi_users)
+            full = filter_min_activity(parsed, min_user, min_poi_users, fixpoint=True)
+            assert_same_corpus(single, reference_filter(parsed, min_user, min_poi_users))
+            assert_same_corpus(full, reference_filter(parsed, min_user, min_poi_users, True))
+            # the planted cases are really there
+            assert "lonely" not in single.user_ids
+            assert "x" in single.user_ids and "x" not in full.user_ids
+            assert "weak" in dict(single.poi_table.entries)
+            assert "weak" not in dict(full.poi_table.entries)
+            seen["ties"] += any(np.any(np.diff(h.times) == 0) for h in single.histories)
+            # the first surviving check-in, not the first line, orders the users
+            parse_order = sorted(single.user_ids, key=parsed.user_ids.index)
+            seen["reordered"] += single.user_ids != parse_order
+        assert seen["ties"] == 30 and seen["reordered"] > 0, seen
 
 
 def history(n, start=0, step=3600):

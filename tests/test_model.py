@@ -24,7 +24,6 @@ from bistddp.model import (
     forward_batch,
     init_params,
     load_checkpoint,
-    make_ranker,
     predict_topk,
     save_checkpoint,
     target_ranks,
@@ -260,9 +259,9 @@ class TestTopK:
         np.testing.assert_array_equal(predict_topk(t, 9), ranked)
 
 
-def test_make_ranker_returns_full_ranking():
+def test_predict_topk_over_m_is_a_full_ranking():
     table, params, sample = random_instance(13, m=9, n=3, d=3, h=4, w=1)
-    ranked = make_ranker(params, table)(sample)
+    ranked = predict_topk(forward(sample, params, table), 9)
     assert sorted(ranked.tolist()) == list(range(9))
 
 
@@ -281,7 +280,9 @@ def test_target_ranks_match_per_sample_ranking():
                      VARIANTS["bi-stddp"]).params
         batch = SampleBatch.from_samples(samples)
         for name, variant in VARIANTS.items():
-            ranker = make_ranker(params, table, variant)
+            def ranker(s):
+                return predict_topk(forward(s, params, table, variant), corpus.n_pois)
+
             expected = [_rank_of(ranker(s), s.target_poi) for s in samples]
             ranks = target_ranks(batch, params, table, variant)
             assert ranks.tolist() == expected, f"{name}, w={w}"
@@ -307,8 +308,8 @@ def test_target_ranks_put_ties_and_underflows_in_index_order():
         ranks = target_ranks(SampleBatch.from_samples(samples), params, table, variant)
         # predict_topk's order is 1, 4, 0, 2, 6, 3, 5, 7
         assert ranks.tolist() == [3, 1, 4, 6, 2, 7, 5, 8], name
-        ranker = make_ranker(params, table, variant)
-        assert ranks.tolist() == [_rank_of(ranker(s), s.target_poi) for s in samples]
+        assert ranks.tolist() == [_rank_of(predict_topk(forward(s, params, table, variant), m),
+                                           s.target_poi) for s in samples]
 
 
 def test_target_ranks_reject_non_finite_scores():

@@ -12,7 +12,7 @@ from bistddp.model import (
     forward,
     forward_batch,
     init_params,
-    make_ranker,
+    predict_topk,
     zero_params,
 )
 from bistddp.numerics import ShapeMismatch, make_rng, seeded_generators, softmax_cross_entropy
@@ -288,7 +288,9 @@ def test_overfit_reaches_perfect_training_recall():
                       metric="train_recall@1", stop_threshold=1.0)
     res = fit(prep.samples_for("train"), prep.samples_for("val"), params,
               corpus.poi_table, cfg, VARIANTS["bi-stddp"], rng=shuffle_rng)
-    ranker = make_ranker(res.params, corpus.poi_table)
+    def ranker(s):
+        return predict_topk(forward(s, res.params, corpus.poi_table), corpus.n_pois)
+
     report = evaluate(ranker, prep.samples_for("train"), ks=(1,))
     assert report.recall[1] == 1.0
     assert res.epochs_run <= 1000
