@@ -13,7 +13,6 @@ from .ingest import (
     PreparedCorpus,
     Sample,
     SampleBatch,
-    UserHistory,
     build_samples,
     chronological_split,
     encode_temporal_pattern,

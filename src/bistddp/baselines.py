@@ -55,17 +55,12 @@ def _count_table(keys, pois, counts, tie, n_keys: int, top1_pos: np.ndarray) -> 
 
 
 def fit_counts(corpus: Corpus, split: CorpusSplit) -> tuple[TransitionTable, PopularityTable]:
-    """Count transitions and popularity from the train segments only.
-
-    A pair straddling the train/val boundary is not counted; val and test
-    targets must stay unseen. The train segments are concatenated, so a pair
-    is counted only where both check-ins belong to the same user: the one
-    after a user's last train check-in is the next user's first, or nothing.
-    """
+    """Count transitions and popularity from the train check-ins only, so
+    val and test targets stay unseen: a transition is a pair of consecutive
+    train check-ins of one user."""
     m, n = corpus.n_pois, corpus.n_users
-    segments = [h.pois[:train_end] for h, (train_end, _) in zip(corpus.histories, split.boundaries)]
-    pois = np.concatenate(segments)
-    users = np.repeat(np.arange(n), [len(s) for s in segments])
+    train = split.segments == 0
+    pois, users = corpus.checkins.pois[train], corpus.checkins.users[train]
     same_user = users[1:] == users[:-1]
 
     global_counts = np.bincount(pois, minlength=m)

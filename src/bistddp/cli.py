@@ -166,8 +166,7 @@ def _validate(cfg: ExperimentConfig) -> None:
                  "min_user", "min_poi_users"):
         if getattr(cfg, name) < 1:
             raise MalformedConfig(f"{name} must be >= 1")
-    if cfg.lr <= 0:
-        raise MalformedConfig("lr must be positive")
+    TrainConfig(lr=cfg.lr, metric=cfg.metric)  # raises on a bad lr or metric
 
 
 def _config_text(cfg: ExperimentConfig, command: str) -> str:
@@ -484,7 +483,8 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
         write_corpus(Path(tmp) / "corpus.tsv", source)
         back = load_corpus(Path(tmp) / "corpus.tsv")
     check("corpus file round trip reproduces prepare's samples",
-          back.samples == source.samples and back.split.boundaries == source.split.boundaries)
+          back.samples == source.samples
+          and np.array_equal(back.split.segments, source.split.segments))
 
     z = np.array([1000.0, 1000.0])
     check("softmax overflow guard", np.allclose(stable_softmax(z), [0.5, 0.5]))

@@ -3,7 +3,9 @@
 Parses raw Foursquare/Gowalla check-in dumps, applies activity filtering,
 splits each user's history chronologically 80/10/10, encodes the 7-bit
 temporal pattern of a timestamp, and materializes identification samples
-(one per check-in that has enough context on both sides).
+(one per check-in that has enough context on both sides). A corpus is its
+check-in columns and the split one segment code per check-in: no step
+after parsing builds per-user objects.
 
 A prepared corpus can be written to / read from a versioned TSV file
 (magic "STDDP2"); see `write_corpus` for the exact layout. The file holds
@@ -13,6 +15,7 @@ the check-ins only: the split and the samples are rebuilt when it is read.
 from __future__ import annotations
 
 import logging
+import os
 from array import array
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -66,27 +69,16 @@ class CheckIns:
 
 
 @dataclass
-class UserHistory:
-    """One user's check-ins, time-sorted, with dense POI indices."""
-
-    user: int
-    pois: np.ndarray  # int64, POI index per check-in
-    times: np.ndarray  # int64, UTC seconds
-    tz: np.ndarray  # int64, minutes east of UTC
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-@dataclass
 class Corpus:
+    """POIs, users, and check-ins grouped by user in index order, each user's time-sorted."""
+
     poi_table: PoiTable
     user_ids: list[str]
-    histories: list[UserHistory]
+    checkins: CheckIns
 
     @property
     def n_users(self) -> int:
-        return len(self.histories)
+        return len(self.user_ids)
 
     @property
     def n_pois(self) -> int:
@@ -94,24 +86,14 @@ class Corpus:
 
     @property
     def n_checkins(self) -> int:
-        return sum(len(h) for h in self.histories)
-
-    @classmethod
-    def from_columns(cls, table: PoiTable, user_ids: list[str], checkins: CheckIns) -> "Corpus":
-        """The corpus of `checkins`, which are grouped by user in index order and time-sorted."""
-        cuts = np.cumsum(np.bincount(checkins.users, minlength=len(user_ids)))[:-1]
-        histories = [
-            UserHistory(u, p, t, z) for u, (p, t, z) in
-            enumerate(zip(*(np.split(c, cuts) for c in (checkins.pois, checkins.times, checkins.tz))))
-        ]
-        return cls(table, user_ids, histories)
+        return len(self.checkins)
 
 
 @dataclass
 class CorpusSplit:
-    """Per-user (train_end, val_end) boundaries."""
+    """Segment of each check-in: 0 train, 1 val, 2 test."""
 
-    boundaries: list[tuple[int, int]]
+    segments: np.ndarray  # (n_checkins,) int8
 
 
 @dataclass(frozen=True)
@@ -307,20 +289,23 @@ def filter_min_activity(
     rows = rows[order]
     kept = CheckIns(users[order], poi_index[ci.pois[rows]], ci.times[rows], ci.tz[rows])
     table = PoiTable([parsed.table.entries[p] for p in kept_pois.tolist()])
-    return Corpus.from_columns(table, [parsed.user_ids[u] for u in survivors.tolist()], kept)
+    return Corpus(table, [parsed.user_ids[u] for u in survivors.tolist()], kept)
 
 
-def chronological_split(history: UserHistory) -> tuple[int, int]:
-    """(train_end, val_end): first 80% train, next 10% val, rest test.
-
-    Integer arithmetic so the floors are exact: train_end = floor(0.8 T).
-    """
-    t = len(history)
+def chronological_split(t):
+    """(train_end, val_end) = exactly (floor(0.8 T), floor(0.9 T)) for T = `t`, a count or an
+    array of counts: the first 80% of a history is train, the next 10% val, the rest test."""
     return (8 * t) // 10, (9 * t) // 10
 
 
 def split_corpus(corpus: Corpus) -> CorpusSplit:
-    return CorpusSplit([chronological_split(h) for h in corpus.histories])
+    """Each check-in's segment, from its position in its user's history."""
+    users = corpus.checkins.users
+    lengths = np.bincount(users, minlength=corpus.n_users)
+    position = np.arange(len(users)) - (np.cumsum(lengths) - lengths)[users]
+    train_end, val_end = chronological_split(lengths)
+    return CorpusSplit((position >= train_end[users]).astype(np.int8)
+                       + (position >= val_end[users]))
 
 
 def temporal_patterns(utc: np.ndarray, tz: np.ndarray) -> np.ndarray:
@@ -346,34 +331,38 @@ def encode_temporal_pattern(utc_seconds: int, tz_offset_minutes: int) -> tuple[i
 
 
 _SEGMENTS = ("train", "val", "test")
+_BLOCK = 1 << 12  # rows per block: bounds the lists build_samples and write_corpus make
+_BIT_TUPLES = [tuple(c >> b & 1 for b in range(7)) for c in range(128)]  # bits of each 7-bit code
 
 
 def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> list[Sample]:
-    """One sample per position with >= w check-ins on each side.
+    """One sample per check-in with >= w check-ins of its user on each side, in row order.
 
-    The split tag follows the target position; context windows may cross
+    The split tag follows the target's segment; context windows may cross
     segment boundaries. Intervals are fractional hours and non-negative
     because histories are time-sorted.
     """
     if w < 1:
         raise ValueError("window width must be >= 1")
+    ci = corpus.checkins
+    # users are contiguous: rows i - w and i + w of one user enclose only its rows
+    span = max(len(ci) - 2 * w, 0)
+    targets = w + np.flatnonzero(ci.users[:span] == ci.users[2 * w:])
+    offsets = np.arange(1, w + 1)[:, None]
+    hours = np.diff(ci.times) / 3600.0  # hours[i]: t_{i+1} - t_i
+    users = list(range(corpus.n_users))  # one int per user, shared by its samples
     samples = []
-    for h, boundaries in zip(corpus.histories, split.boundaries):
-        n = len(h) - 2 * w  # targets are positions w .. w + n - 1
-        if n <= 0:
-            continue
-        pois, times = h.pois.tolist(), h.times.tolist()
-        hours = (np.diff(h.times) / 3600.0).tolist()  # hours[i]: t_{i+1} - t_i
-        patterns = temporal_patterns(h.times[w:w + n], h.tz[w:w + n]).tolist()
-        fwd = zip(*(pois[w - k:w - k + n] for k in range(1, w + 1)))
-        bwd = zip(*(pois[w + k:w + k + n] for k in range(1, w + 1)))
-        segments = np.searchsorted(boundaries, np.arange(w, w + n), side="right").tolist()
-        samples.extend(  # positional, in Sample's field order
-            Sample(h.user, target, utc, tuple(bits), f, b, before, after, _SEGMENTS[seg])
-            for target, utc, bits, f, b, before, after, seg in zip(
-                pois[w:w + n], times[w:w + n], patterns, fwd, bwd, hours[w - 1:], hours[w:],
-                segments)
-        )
+    for lo in range(0, len(targets), _BLOCK):
+        rows = targets[lo:lo + _BLOCK]
+        codes = temporal_patterns(ci.times[rows], ci.tz[rows]) @ (1 << np.arange(7))
+        samples += [  # positional, in Sample's field order; patterns shared, one per code
+            Sample(users[u], target, utc, _BIT_TUPLES[c], fwd, bwd, before, after, _SEGMENTS[seg])
+            for u, target, utc, c, fwd, bwd, before, after, seg in zip(
+                ci.users[rows].tolist(), ci.pois[rows].tolist(), ci.times[rows].tolist(),
+                codes.tolist(), zip(*ci.pois[rows - offsets].tolist()),
+                zip(*ci.pois[rows + offsets].tolist()), hours[rows - 1].tolist(),
+                hours[rows].tolist(), split.segments[rows].tolist())
+        ]
     return samples
 
 
@@ -417,18 +406,25 @@ def write_corpus(path, prepared: PreparedCorpus) -> None:
 
     The split and the samples are not stored: `load_corpus` rebuilds them
     from the check-ins and `w`. Floats (coordinates) use repr, so a
-    round-trip reproduces every value bit-for-bit.
+    round-trip reproduces every value bit-for-bit. A temporary file in the
+    same directory then replaces `path`, which never holds a partial file.
     """
-    corpus = prepared.corpus
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{CORPUS_MAGIC}\t{corpus.n_users}\t{corpus.n_pois}\t{prepared.window}\n")
-        for ext_id, pt in corpus.poi_table.entries:
-            fh.write(f"P\t{ext_id}\t{pt.lat!r}\t{pt.lon!r}\n")
-        for uid, h in zip(corpus.user_ids, corpus.histories):
-            fh.write(f"U\t{uid}\t{len(h)}\n")
-        for h in corpus.histories:
-            for p, t, z in zip(h.pois, h.times, h.tz):
-                fh.write(f"C\t{h.user}\t{p}\t{t}\t{z}\n")
+    corpus, ci = prepared.corpus, prepared.corpus.checkins
+    lengths = np.bincount(ci.users, minlength=corpus.n_users)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(f"{CORPUS_MAGIC}\t{corpus.n_users}\t{corpus.n_pois}\t{prepared.window}\n")
+            fh.writelines(f"P\t{ext_id}\t{pt.lat!r}\t{pt.lon!r}\n"
+                          for ext_id, pt in corpus.poi_table.entries)
+            fh.writelines(f"U\t{uid}\t{n}\n" for uid, n in zip(corpus.user_ids, lengths.tolist()))
+            for lo in range(0, len(ci), _BLOCK):
+                fh.writelines(f"C\t{u}\t{p}\t{t}\t{z}\n" for u, p, t, z in zip(
+                    *(c[lo:lo + _BLOCK].tolist() for c in (ci.users, ci.pois, ci.times, ci.tz))))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.unlink(tmp)
 
 
 class _Lines:
@@ -531,5 +527,5 @@ def load_corpus(path) -> PreparedCorpus:
     lines.expect(in_order, first,
                  lambda k: f"timestamp {times[k]} is earlier than the user's previous one")
 
-    corpus = Corpus.from_columns(table, user_ids, CheckIns(users, pois, times, tz))
+    corpus = Corpus(table, user_ids, CheckIns(users, pois, times, tz))
     return PreparedCorpus.from_corpus(corpus, window)

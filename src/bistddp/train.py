@@ -11,6 +11,7 @@ Spatial rows are data, not parameters, so no gradient reaches coordinates.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -202,6 +203,11 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState):
     return params, state
 
 
+_VAL_KS = (1, 5, 10)  # the validation recalls `fit` records every epoch
+_METRICS = re.compile(r"val_map|train_loss|val_recall@(%s)|train_recall@[1-9]\d*"
+                      % "|".join(map(str, _VAL_KS)))
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 128
@@ -209,7 +215,7 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     lr: float = 0.001
-    # "val_map" (default), "val_recall@K", "train_loss" or "train_recall@K"
+    # "val_map" (default), "val_recall@K" for K in _VAL_KS, "train_loss" or "train_recall@K"
     metric: str = "val_map"
     # optional early exit once the metric reaches this value
     stop_threshold: float | None = None
@@ -217,6 +223,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
             raise ValueError(f"bad training config: {self}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not _METRICS.fullmatch(self.metric):
+            raise ValueError(f"unknown early-stop metric {self.metric!r}: choose val_map, "
+                             f"train_loss, val_recall@K for K in {_VAL_KS} or train_recall@K")
 
 
 @dataclass
@@ -266,20 +277,13 @@ def _metric_value(
     val_report: MetricsReport | None,
     train_eval,
 ) -> float:
-    """Higher-is-better value of the selected early-stop metric."""
+    """Higher-is-better value of the early-stop metric; `fit` checked it can be scored."""
     if metric == "train_loss":
         return -train_loss
-    if metric.startswith("val_"):
-        if val_report is None:
-            raise ValueError(f"metric {metric!r} needs a non-empty validation split")
-        if metric == "val_map":
-            return val_report.map
-        k = int(metric.split("@")[1])
-        return val_report.recall[k]
-    if metric.startswith("train_recall@"):
-        k = int(metric.split("@")[1])
-        return train_eval(k)
-    raise ValueError(f"unknown early-stop metric {metric!r}")
+    if metric == "val_map":
+        return val_report.map
+    k = int(metric.split("@")[1])
+    return val_report.recall[k] if metric.startswith("val_") else train_eval(k)
 
 
 def fit(
@@ -306,6 +310,8 @@ def fit(
     """
     if not train_samples:
         raise EmptyTrainSet("no training samples")
+    if metric_fn is None and config.metric.startswith("val_") and not val_samples:
+        raise ValueError(f"metric {config.metric!r} needs a non-empty validation split")
     if cache is None:
         cache = SpatialRowCache(table, capacity=min(1024, len(table)))
     if rng is None:
@@ -314,7 +320,6 @@ def fit(
     val = SampleBatch.from_samples(val_samples) if val_samples else None
     adam = AdamState.init(params, lr=config.lr)
     early = EarlyStopState()
-    ks = (1, 5, 10)
     log: list[EpochRecord] = []
     epochs_run = 0
 
@@ -338,7 +343,7 @@ def fit(
                 raise Diverged(f"epoch {epoch}: {exc}") from exc
             return report_from_ranks(ranks, ks)
 
-        val_report = report(val, ks) if val is not None else None
+        val_report = report(val, _VAL_KS) if val is not None else None
 
         if metric_fn is not None:
             value = float(metric_fn(params, epoch))
@@ -350,7 +355,7 @@ def fit(
             EpochRecord(
                 epoch=epoch,
                 train_loss=train_loss,
-                val_recall={k: (val_report.recall[k] if val_report else math.nan) for k in ks},
+                val_recall={k: (val_report.recall[k] if val_report else math.nan) for k in _VAL_KS},
                 val_map=val_report.map if val_report else math.nan,
                 seconds=time.perf_counter() - t0,
             )

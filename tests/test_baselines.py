@@ -49,7 +49,7 @@ class TestFitCounts:
         # A,B,A,C plus a val/test tail the counts must not see
         corpus = corpus_of([[0, 1, 0, 2, 2]], n_pois=3)
         split = split_corpus(corpus)
-        assert split.boundaries[0] == (4, 4)  # T=5: train is first 4
+        assert split.segments.tolist() == [0, 0, 0, 0, 2]  # T=5: train is first 4
         trans, pop = fit_counts(corpus, split)
         assert transitions_of(trans) == {(0, 1): 1, (1, 0): 1, (0, 2): 1}
         np.testing.assert_array_equal(pop.global_counts, [2, 1, 1])
@@ -57,7 +57,7 @@ class TestFitCounts:
     def test_single_checkin_train_segment(self):
         corpus = corpus_of([[1]], n_pois=2)
         split = split_corpus(corpus)
-        assert split.boundaries[0] == (0, 0)
+        assert split.segments.tolist() == [2]
         trans, pop = fit_counts(corpus, split)
         assert transitions_of(trans) == {}
         assert entries(pop.users) == {}
@@ -77,7 +77,7 @@ class TestFitCounts:
         # there joins two users, and each user's 3 -> 5 / 2 -> 5 crosses into val
         corpus = corpus_of([[0, 1, 2, 3, 5], [4, 0, 1, 2, 5]], n_pois=6)
         split = split_corpus(corpus)
-        assert split.boundaries == [(4, 4), (4, 4)]
+        assert split.segments.tolist() == [0, 0, 0, 0, 2] * 2
         trans, pop = fit_counts(corpus, split)
         assert transitions_of(trans) == {(0, 1): 2, (1, 2): 2, (2, 3): 1, (4, 0): 1}
         # no head at all: the shared TOP1 order comes back
@@ -142,16 +142,21 @@ class TestRankers:
 # --- independent recount + sort oracle -----------------------------------
 
 def oracle_tables(corpus, split):
+    """Counts from the train check-ins, one check-in at a time."""
     trans = Counter()
     glob = Counter()
     per_user = defaultdict(Counter)
-    for h, (tr, _) in zip(corpus.histories, split.boundaries):
-        seq = [int(p) for p in h.pois[:tr]]
-        for p in seq:
-            glob[p] += 1
-            per_user[h.user][p] += 1
-        for a, b in zip(seq, seq[1:]):
-            trans[(a, b)] += 1
+    previous = None  # (user, POI) of the previous check-in if it is train
+    for u, p, segment in zip(corpus.checkins.users.tolist(), corpus.checkins.pois.tolist(),
+                             split.segments.tolist()):
+        if segment != 0:
+            previous = None
+            continue
+        glob[p] += 1
+        per_user[u][p] += 1
+        if previous is not None and previous[0] == u:
+            trans[(previous[1], p)] += 1
+        previous = (u, p)
     return trans, glob, per_user
 
 

@@ -127,6 +127,28 @@ class TestTrainEvaluate:
         assert not (out / "checkpoint.bin").exists()
         assert not (out / "train_log.csv").exists()
 
+    @pytest.mark.parametrize("flag", [("--lr", "nan"), ("--lr", "inf"), ("--lr", 0),
+                                      ("--metric", "val_recall@7"), ("--metric", "val_mrr"),
+                                      ("--metric", "train_recall@0")])
+    def test_bad_lr_or_metric_exits_2_before_training(self, prepared_dir, tmp_path, capsys,
+                                                      flag):
+        out = tmp_path / "run"
+        assert self.train(prepared_dir, out, extra=flag) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()  # found while reading the config, before anything is written
+
+    def test_val_metric_on_a_corpus_with_no_val_samples_exits_2(self, raw_foursquare, tmp_path,
+                                                                capsys):
+        prep = tmp_path / "w3"  # 12 check-ins per user at w=3: train samples only
+        assert run("prepare", "--data", raw_foursquare, "--format", "foursquare",
+                   "--out", prep, "--w", 3) == 0
+        out = tmp_path / "run"
+        assert self.train(prep, out) == 2
+        assert "needs a non-empty validation split" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+        assert not (out / "train_log.csv").exists()
+        assert self.train(prep, out, extra=("--metric", "train_loss")) == 0
+
     def test_window_other_than_the_corpus_exits_2(self, prepared_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert self.train(prepared_dir, out, extra=("--w", 2)) == 2

@@ -14,7 +14,6 @@ from bistddp.ingest import (
     ParseResult,
     PreparedCorpus,
     Sample,
-    UserHistory,
     build_samples,
     chronological_split,
     encode_temporal_pattern,
@@ -155,28 +154,19 @@ def reference_filter(parsed, min_user, min_poi_users, fixpoint=False):
         user_index.setdefault(u, len(user_index))
     surviving_pois = {p for _, p, _, _ in kept}
     table = PoiTable([(p, pt) for p, pt in parsed.table.entries if p in surviving_pois])
-    per_user = [[] for _ in user_index]
-    for c in kept:
-        per_user[user_index[c[0]]].append(c)
-    histories = []
-    for u, rows in enumerate(per_user):
-        rows.sort(key=lambda c: c[2])  # stable: ties keep file order
-        histories.append(UserHistory(
-            u, *(np.array(col, dtype=np.int64) for col in
-                 ([table.index[p] for _, p, _, _ in rows], [t for _, _, t, _ in rows],
-                  [z for _, _, _, z in rows]))))
-    return Corpus(table, list(user_index), histories)
+    # grouped by user, each user's check-ins by time; sorted is stable, so
+    # tied timestamps keep file order
+    rows = sorted(((user_index[u], table.index[p], t, z) for u, p, t, z in kept),
+                  key=lambda row: (row[0], row[2]))
+    return Corpus(table, list(user_index), CheckIns(*np.array(rows, dtype=np.int64).T))
 
 
 def assert_same_corpus(got, expected):
     assert got.user_ids == expected.user_ids
     assert got.poi_table.entries == expected.poi_table.entries
-    assert len(got.histories) == len(expected.histories)
-    for a, b in zip(got.histories, expected.histories):
-        assert a.user == b.user and type(a.user) is int
-        for name in ("pois", "times", "tz"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-            assert getattr(a, name).dtype == np.int64
+    for name in ("users", "pois", "times", "tz"):
+        np.testing.assert_array_equal(getattr(got.checkins, name), getattr(expected.checkins, name))
+        assert getattr(got.checkins, name).dtype == np.int64
 
 
 def random_checkins(seed, min_user, min_poi_users):
@@ -277,34 +267,38 @@ class TestFilter:
             assert "x" in single.user_ids and "x" not in full.user_ids
             assert "weak" in dict(single.poi_table.entries)
             assert "weak" not in dict(full.poi_table.entries)
-            seen["ties"] += any(np.any(np.diff(h.times) == 0) for h in single.histories)
+            ci = single.checkins
+            seen["ties"] += bool(np.any((np.diff(ci.times) == 0) & (np.diff(ci.users) == 0)))
             # the first surviving check-in, not the first line, orders the users
             parse_order = sorted(single.user_ids, key=parsed.user_ids.index)
             seen["reordered"] += single.user_ids != parse_order
         assert seen["ties"] == 30 and seen["reordered"] > 0, seen
 
 
-def history(n, start=0, step=3600):
-    events = [[(i % 3, start + i * step, 0) for i in range(n)]]
-    coords = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
-    return corpus_from_events(coords, events).histories[0]
-
-
 class TestSplit:
     def test_split_10(self):
-        assert chronological_split(history(10)) == (8, 9)
+        assert chronological_split(10) == (8, 9)
 
     def test_split_7(self):
-        assert chronological_split(history(7)) == (5, 6)
+        assert chronological_split(7) == (5, 6)
 
     def test_split_3(self):
-        assert chronological_split(history(3)) == (2, 2)
+        assert chronological_split(3) == (2, 2)
 
     def test_split_exact_floors_across_sizes(self):
         for t in range(1, 200):
-            tr, va = chronological_split(history(t))
+            tr, va = chronological_split(t)
             assert tr == int(0.8 * t) or tr == (8 * t) // 10
             assert 0 <= tr <= va <= t
+        # an array of counts gives the same floors, count by count
+        trs, vas = chronological_split(np.arange(200))
+        assert [(tr, va) for tr, va in zip(trs.tolist(), vas.tolist())] == \
+            [chronological_split(t) for t in range(200)]
+
+    def test_segments_match_per_checkin_reference(self):
+        for seed in range(10):  # users of 1 to 14 check-ins, all kept
+            corpus = filter_min_activity(random_checkins(seed, 5, 4), 1, 1)
+            assert split_corpus(corpus).segments.tolist() == reference_segments(corpus)
 
 
 class TestTemporalPattern:
@@ -362,23 +356,39 @@ def random_corpus(seed, n_users=3, n_pois=6, t=12):
     return corpus_from_events(coords, events)
 
 
+def reference_segments(corpus):
+    """Each check-in's segment code, found one check-in at a time: with T
+    check-ins, position i is train while the i + 1 check-ins up to it are at
+    most 80% of T, then val while they are at most 90%."""
+    users = corpus.checkins.users.tolist()
+    lengths, seen, codes = Counter(users), Counter(), []
+    for u in users:
+        i, t = seen[u], lengths[u]
+        seen[u] += 1
+        codes.append(0 if 10 * (i + 1) <= 8 * t else 1 if 10 * (i + 1) <= 9 * t else 2)
+    return codes
+
+
 def reference_samples(corpus, w):
     """`build_samples` written one sample at a time, as its definition reads."""
+    ci = corpus.checkins
+    users, pois, times, tz = (c.tolist() for c in (ci.users, ci.pois, ci.times, ci.tz))
+    segments = reference_segments(corpus)
     samples = []
-    for h in corpus.histories:
-        train_end, val_end = chronological_split(h)
-        for i in range(w, len(h) - w):
-            samples.append(Sample(
-                user=h.user,
-                target_poi=int(h.pois[i]),
-                target_utc=int(h.times[i]),
-                pattern=encode_temporal_pattern(int(h.times[i]), int(h.tz[i])),
-                fwd=tuple(int(h.pois[i - k]) for k in range(1, w + 1)),
-                bwd=tuple(int(h.pois[i + k]) for k in range(1, w + 1)),
-                interval_before=int(h.times[i] - h.times[i - 1]) / 3600.0,
-                interval_after=int(h.times[i + 1] - h.times[i]) / 3600.0,
-                split="train" if i < train_end else "val" if i < val_end else "test",
-            ))
+    for i in range(w, len(users) - w):
+        if any(users[j] != users[i] for j in range(i - w, i + w + 1)):
+            continue  # fewer than w check-ins of the user on one side
+        samples.append(Sample(
+            user=users[i],
+            target_poi=pois[i],
+            target_utc=times[i],
+            pattern=encode_temporal_pattern(times[i], tz[i]),
+            fwd=tuple(pois[i - k] for k in range(1, w + 1)),
+            bwd=tuple(pois[i + k] for k in range(1, w + 1)),
+            interval_before=(times[i] - times[i - 1]) / 3600.0,
+            interval_after=(times[i + 1] - times[i]) / 3600.0,
+            split=("train", "val", "test")[segments[i]],
+        ))
     return samples
 
 
@@ -454,7 +464,7 @@ class TestRoundTrips:
 
         a, b = run(), run()
         assert a.samples == b.samples
-        assert a.split.boundaries == b.split.boundaries
+        np.testing.assert_array_equal(a.split.segments, b.split.segments)
 
     def test_corpus_file_round_trip(self, tmp_path):
         corpus = random_corpus(4)
@@ -467,14 +477,58 @@ class TestRoundTrips:
             assert back.window == w
             assert back.samples == prep.samples  # bitwise: dataclass equality on floats
             assert hash(tuple(back.samples)) == hash(tuple(prep.samples))
-            assert back.split.boundaries == prep.split.boundaries
+            np.testing.assert_array_equal(back.split.segments, prep.split.segments)
             assert back.corpus.user_ids == prep.corpus.user_ids
-            for a, b in zip(back.corpus.histories, prep.corpus.histories):
-                np.testing.assert_array_equal(a.pois, b.pois)
-                np.testing.assert_array_equal(a.times, b.times)
-                np.testing.assert_array_equal(a.tz, b.tz)
+            for name in ("users", "pois", "times", "tz"):
+                np.testing.assert_array_equal(getattr(back.corpus.checkins, name),
+                                              getattr(prep.corpus.checkins, name))
             for i in range(6):
                 assert back.corpus.poi_table.point(i) == prep.corpus.poi_table.point(i)
+
+    def test_hand_written_file_with_empty_and_short_histories(self, tmp_path):
+        # T = 0 for the first and last users, and T <= 2w for some users at
+        # every w: they load, give no samples, and still get split codes
+        lengths = {"none": 0, "a": 7, "b": 2, "c": 4, "d": 5, "e": 1, "last": 0}
+        checkins = [(u, (3 * u + i) % 4, 1_500_000_000 + 5_400 * i + 97 * u, 60 * (u - 3))
+                    for u, t in enumerate(lengths.values()) for i in range(t)]
+        for w in (1, 2, 3):
+            path = tmp_path / f"hand{w}.tsv"
+            path.write_text("\n".join(
+                [f"STDDP2\t{len(lengths)}\t4\t{w}"]
+                + [f"P\tv{p}\t{40 + p / 8}\t{-74 + p / 16}" for p in range(4)]
+                + [f"U\t{uid}\t{t}" for uid, t in lengths.items()]
+                + ["C\t" + "\t".join(map(str, c)) for c in checkins]) + "\n", encoding="utf-8")
+            prep = load_corpus(path)
+            corpus = prep.corpus
+            assert (corpus.n_users, corpus.n_pois, corpus.n_checkins) == (7, 4, 19)
+            assert corpus.user_ids == list(lengths)
+            assert prep.split.segments.tolist() == reference_segments(corpus) == [
+                0, 0, 0, 0, 0, 1, 2,  # a: T = 7, train_end 5, val_end 6
+                0, 2,  # b: T = 2, train_end 1, val_end 1
+                0, 0, 0, 2,  # c
+                0, 0, 0, 0, 2,  # d
+                2]  # e: T = 1, no train check-in
+            assert prep.samples == reference_samples(corpus, w)
+            assert {s.user for s in prep.samples} == {1: {1, 3, 4}, 2: {1, 4}, 3: {1}}[w]
+
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        write_corpus(path, PreparedCorpus.from_corpus(random_corpus(1), 1))
+        old = path.read_bytes()
+        prep = PreparedCorpus.from_corpus(random_corpus(2, n_pois=2000), 1)
+        written = []
+
+        class FailingId(str):
+            def __format__(self, spec):  # the first U record: the P block is on disk
+                written.extend(p.stat().st_size for p in tmp_path.iterdir() if p != path)
+                raise OSError("no space left on device")
+
+        prep.corpus.user_ids[0] = FailingId("u0")
+        with pytest.raises(OSError, match="no space"):
+            write_corpus(path, prep)
+        assert len(written) == 1 and written[0] > 0  # it failed partway through a temp file
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_corpus_file_magic_checked(self, tmp_path):
         p = tmp_path / "bad.tsv"

@@ -236,6 +236,17 @@ class TestEarlyStop:
                 corpus.poi_table, TrainConfig(max_epochs=3, patience=2),
                 VARIANTS["bi-stddp"], metric_fn=lambda p, e: float("nan"))
 
+    def test_val_metric_with_no_val_samples_is_rejected_before_training(self):
+        prep = overfit_corpus()
+        params = init_params(HyperParams(d=4, h=6, w=1), 5, 10, make_rng(0))
+        before = params.copy()
+        for metric in ("val_map", "val_recall@5"):
+            with pytest.raises(ValueError, match="needs a non-empty validation split"):
+                fit(prep.samples_for("train"), [], params, prep.corpus.poi_table,
+                    TrainConfig(metric=metric), VARIANTS["bi-stddp"])
+        for (name, a), (_, b) in zip(params.named_tensors(), before.named_tensors()):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
     def test_empty_train_set(self):
         prep = overfit_corpus()
         params = init_params(HyperParams(d=4, h=6, w=1), 5, 10, make_rng(0))
@@ -294,3 +305,22 @@ def test_overfit_reaches_perfect_training_recall():
     report = evaluate(ranker, prep.samples_for("train"), ks=(1,))
     assert report.recall[1] == 1.0
     assert res.epochs_run <= 1000
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -0.001])
+    def test_rejects_a_learning_rate_that_is_not_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("metric", ["val_recall@7", "val_recall@", "val_recall",
+                                        "train_recall@0", "train_recall@x", "train_recall@-1",
+                                        "val_loss", "map", ""])
+    def test_rejects_a_metric_fit_cannot_score(self, metric):
+        with pytest.raises(ValueError, match="unknown early-stop metric"):
+            TrainConfig(metric=metric)
+
+    def test_accepts_every_metric_fit_can_score(self):
+        for metric in ("val_map", "train_loss", "val_recall@1", "val_recall@5",
+                       "val_recall@10", "train_recall@1", "train_recall@7"):
+            assert TrainConfig(metric=metric).metric == metric
