@@ -32,8 +32,8 @@ from .ingest import (
     EmptyCorpus,
     ParseResult,
     PreparedCorpus,
-    Sample,
     SampleBatch,
+    atomic_open,
     load_corpus,
     parse_foursquare,
     parse_gowalla,
@@ -60,6 +60,7 @@ from .synthetic import corpus_from_events, random_instance
 from .train import (
     FitResult,
     TrainConfig,
+    check_fit_inputs,
     finite_difference_check,
     fit,
     format_train_table,
@@ -182,7 +183,8 @@ def _config_text(cfg: ExperimentConfig, command: str) -> str:
 def _out_dir(cfg: ExperimentConfig, command: str) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(_config_text(cfg, command), encoding="utf-8")
+    with atomic_open(out / "config.txt") as fh:
+        fh.write(_config_text(cfg, command))
     return out
 
 
@@ -212,10 +214,9 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
     write_corpus(corpus_path, prepared_corpus)
 
     rows = _stats_rows(parsed, prepared_corpus)
-    with open(out / "stats.csv", "w", encoding="utf-8") as fh:
-        fh.write("stage,users,pois,checkins,sparsity\n")
-        for stage, n, m, c in rows:
-            fh.write(f"{stage},{n},{m},{c},{_sparsity(n, m, c):.6f}\n")
+    _write_csv(out / "stats.csv", [["stage", "users", "pois", "checkins", "sparsity"]]
+               + [[stage, str(n), str(m), str(c), f"{_sparsity(n, m, c):.6f}"]
+                  for stage, n, m, c in rows])
     print(f"{'stage':<10}{'#user':>8}{'#POI':>8}{'#check_in':>11}{'sparsity':>10}")
     for stage, n, m, c in rows:
         print(f"{stage:<10}{n:>8}{m:>8}{c:>11}{100 * _sparsity(n, m, c):>9.3f}%")
@@ -240,11 +241,10 @@ def _load_prepared(cfg: ExperimentConfig,
     return replace(cfg, w=prepared_corpus.window), prepared_corpus
 
 
-def _model_report(cfg: ExperimentConfig, params: ModelParams, samples: list[Sample],
+def _model_report(cfg: ExperimentConfig, params: ModelParams, samples: SampleBatch,
                   table: PoiTable, cache: SpatialRowCache) -> MetricsReport:
     """`cfg.variant`'s metrics at `cfg.k` on `samples`, ranked through the batched path."""
-    ranks = target_ranks(SampleBatch.from_samples(samples), params, table,
-                         variant_from_name(cfg.variant), cache)
+    ranks = target_ranks(samples, params, table, variant_from_name(cfg.variant), cache)
     return report_from_ranks(ranks, cfg.k)
 
 
@@ -343,7 +343,7 @@ def _metric_cells(rep: MetricsReport | None, ks) -> list[str]:
 
 
 def _write_csv(path, rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
@@ -403,9 +403,12 @@ def cmd_sweep(cfg: ExperimentConfig, grid: str, window: int | None = None) -> in
         try:
             data = (PreparedCorpus.from_corpus(corpus, value) if param == "w"
                     else prepared_corpus)
+            test = data.samples_for("test")
+            if not test:  # raise what training, then scoring, would raise, but train nothing
+                check_fit_inputs(data.samples_for("train"), data.samples_for("val"), point.metric)
+                raise ValueError("no samples to evaluate")
             result = _fit(point, data, cache)
-            rep = _model_report(point, result.params, data.samples_for("test"),
-                                corpus.poi_table, cache)
+            rep = _model_report(point, result.params, test, corpus.poi_table, cache)
             rows.append((value, rep, "ok"))
             print(f"{param}={value}: map={rep.map:.4f}")
         except Exception as exc:  # record the failure, keep sweeping
@@ -483,7 +486,7 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
         write_corpus(Path(tmp) / "corpus.tsv", source)
         back = load_corpus(Path(tmp) / "corpus.tsv")
     check("corpus file round trip reproduces prepare's samples",
-          back.samples == source.samples
+          list(back.samples) == list(source.samples)
           and np.array_equal(back.split.segments, source.split.segments))
 
     z = np.array([1000.0, 1000.0])

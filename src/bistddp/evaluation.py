@@ -8,7 +8,7 @@ definitions: Recall@K is a hit indicator, precision@K is hit/K, F1@K is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def report_from_ranks(ranks: Sequence[int], ks: tuple[int, ...] = (1, 5, 10)) ->
     return MetricsReport(recall=recall, f1=f1, map=ap_total / n, count=n)
 
 
-def evaluate(ranker: Ranker, samples: list[Sample], ks: tuple[int, ...] = (1, 5, 10)) -> MetricsReport:
+def evaluate(ranker: Ranker, samples: Iterable[Sample], ks: tuple[int, ...] = (1, 5, 10)) -> MetricsReport:
     """Apply `ranker` to every sample and aggregate all metrics with
     `report_from_ranks`."""
     return report_from_ranks([_rank_of(ranker(s), s.target_poi) for s in samples], ks)

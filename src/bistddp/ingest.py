@@ -2,10 +2,11 @@
 
 Parses raw Foursquare/Gowalla check-in dumps, applies activity filtering,
 splits each user's history chronologically 80/10/10, encodes the 7-bit
-temporal pattern of a timestamp, and materializes identification samples
+temporal pattern of a timestamp, and builds the identification samples
 (one per check-in that has enough context on both sides). A corpus is its
-check-in columns and the split one segment code per check-in: no step
-after parsing builds per-user objects.
+check-in columns, the split one segment code per check-in, and the samples
+one `SampleBatch` of columns: no step after parsing builds per-user or
+per-sample objects. `Sample` is a batch's row view, made only on request.
 
 A prepared corpus can be written to / read from a versioned TSV file
 (magic "STDDP2"); see `write_corpus` for the exact layout. The file holds
@@ -14,7 +15,9 @@ the check-ins only: the split and the samples are rebuilt when it is read.
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import operator
 import os
 from array import array
 from dataclasses import dataclass, fields
@@ -98,7 +101,8 @@ class CorpusSplit:
 
 @dataclass(frozen=True)
 class Sample:
-    """One identification instance: rank all POIs for the missing check-in."""
+    """One identification instance: rank all POIs for the missing check-in.
+    A `SampleBatch` yields its rows as these, in plain Python values."""
 
     user: int
     target_poi: int
@@ -111,39 +115,76 @@ class Sample:
     split: str  # train | val | test
 
 
+_SEGMENTS = ("train", "val", "test")
+_BLOCK = 1 << 12  # rows per block: bounds the lists that iterating a batch and write_corpus make
+_BIT_TUPLES = [tuple(c >> b & 1 for b in range(7)) for c in range(128)]  # bits of each 7-bit code
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """Samples as parallel arrays, row i holding sample i (struct of arrays)."""
 
     users: np.ndarray  # (B,) int64
     targets: np.ndarray  # (B,) int64
+    target_utc: np.ndarray  # (B,) int64 UTC seconds
     fwd: np.ndarray  # (B, w) int64, POIs at t-1 .. t-w
     bwd: np.ndarray  # (B, w) int64, POIs at t+1 .. t+w
     interval_before: np.ndarray  # (B,) hours
     interval_after: np.ndarray  # (B,) hours
     pattern: np.ndarray  # (B, 7) float64 temporal pattern bits
+    split: np.ndarray  # (B,) int8 segment of the target: 0 train, 1 val, 2 test
 
     @classmethod
-    def from_samples(cls, samples: list[Sample]) -> "SampleBatch":
+    def from_samples(cls, samples: "SampleBatch | list[Sample]") -> "SampleBatch":
+        """`samples` as one batch; a batch is returned as it is."""
+        if isinstance(samples, SampleBatch):
+            return samples
+
         def column(name: str, dtype) -> np.ndarray:
             return np.array([getattr(s, name) for s in samples], dtype=dtype)
 
         return cls(
             users=column("user", np.int64),
             targets=column("target_poi", np.int64),
+            target_utc=column("target_utc", np.int64),
             fwd=column("fwd", np.int64),
             bwd=column("bwd", np.int64),
             interval_before=column("interval_before", np.float64),
             interval_after=column("interval_after", np.float64),
             pattern=column("pattern", np.float64),
+            split=np.array([_SEGMENTS.index(s.split) for s in samples], dtype=np.int8),
         )
 
     def __len__(self) -> int:
         return len(self.users)
 
     def take(self, rows: np.ndarray | slice) -> "SampleBatch":
-        """The samples at `rows` (indices or a slice), in that order."""
+        """The samples at `rows` (indices, a boolean mask or a slice), in that order."""
         return SampleBatch(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    def __getitem__(self, i) -> Sample:
+        """Row `i` (an integer; negative counts from the end) as a `Sample`."""
+        i = range(len(self))[operator.index(i)]
+        return next(self._rows(slice(i, i + 1), {}))
+
+    def __iter__(self):
+        """The rows as `Sample`s, built a block at a time. Rows share one object
+        per distinct user, context and pattern, so a list of them stays small."""
+        shared: dict = {}
+        for lo in range(0, len(self), _BLOCK):
+            yield from self._rows(slice(lo, lo + _BLOCK), shared)
+
+    def _rows(self, rows: slice, shared: dict):
+        keep = shared.setdefault
+        codes = (self.pattern[rows] @ (1 << np.arange(7))).astype(np.int64)  # exact: 0/1 bits
+        for u, target, utc, code, fwd, bwd, before, after, seg in zip(
+                self.users[rows].tolist(), self.targets[rows].tolist(),
+                self.target_utc[rows].tolist(), codes.tolist(),
+                zip(*self.fwd[rows].T.tolist()), zip(*self.bwd[rows].T.tolist()),
+                self.interval_before[rows].tolist(), self.interval_after[rows].tolist(),
+                self.split[rows].tolist()):
+            yield Sample(keep(u, u), target, utc, _BIT_TUPLES[code], keep(fwd, fwd),
+                         keep(bwd, bwd), before, after, _SEGMENTS[seg])
 
 
 @dataclass
@@ -330,17 +371,12 @@ def encode_temporal_pattern(utc_seconds: int, tz_offset_minutes: int) -> tuple[i
     return tuple(temporal_patterns([utc_seconds], [tz_offset_minutes])[0].tolist())
 
 
-_SEGMENTS = ("train", "val", "test")
-_BLOCK = 1 << 12  # rows per block: bounds the lists build_samples and write_corpus make
-_BIT_TUPLES = [tuple(c >> b & 1 for b in range(7)) for c in range(128)]  # bits of each 7-bit code
-
-
-def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> list[Sample]:
+def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> SampleBatch:
     """One sample per check-in with >= w check-ins of its user on each side, in row order.
 
-    The split tag follows the target's segment; context windows may cross
-    segment boundaries. Intervals are fractional hours and non-negative
-    because histories are time-sorted.
+    Each sample's split code is its target's segment; context windows may
+    cross segment boundaries. Intervals are fractional hours and
+    non-negative because histories are time-sorted.
     """
     if w < 1:
         raise ValueError("window width must be >= 1")
@@ -348,29 +384,26 @@ def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> list[Sample]:
     # users are contiguous: rows i - w and i + w of one user enclose only its rows
     span = max(len(ci) - 2 * w, 0)
     targets = w + np.flatnonzero(ci.users[:span] == ci.users[2 * w:])
-    offsets = np.arange(1, w + 1)[:, None]
+    offsets = np.arange(1, w + 1)
     hours = np.diff(ci.times) / 3600.0  # hours[i]: t_{i+1} - t_i
-    users = list(range(corpus.n_users))  # one int per user, shared by its samples
-    samples = []
-    for lo in range(0, len(targets), _BLOCK):
-        rows = targets[lo:lo + _BLOCK]
-        codes = temporal_patterns(ci.times[rows], ci.tz[rows]) @ (1 << np.arange(7))
-        samples += [  # positional, in Sample's field order; patterns shared, one per code
-            Sample(users[u], target, utc, _BIT_TUPLES[c], fwd, bwd, before, after, _SEGMENTS[seg])
-            for u, target, utc, c, fwd, bwd, before, after, seg in zip(
-                ci.users[rows].tolist(), ci.pois[rows].tolist(), ci.times[rows].tolist(),
-                codes.tolist(), zip(*ci.pois[rows - offsets].tolist()),
-                zip(*ci.pois[rows + offsets].tolist()), hours[rows - 1].tolist(),
-                hours[rows].tolist(), split.segments[rows].tolist())
-        ]
-    return samples
+    return SampleBatch(
+        users=ci.users[targets],
+        targets=ci.pois[targets],
+        target_utc=ci.times[targets],
+        fwd=ci.pois[targets[:, None] - offsets],
+        bwd=ci.pois[targets[:, None] + offsets],
+        interval_before=hours[targets - 1],
+        interval_after=hours[targets],
+        pattern=temporal_patterns(ci.times[targets], ci.tz[targets]).astype(np.float64),
+        split=split.segments[targets],
+    )
 
 
 @dataclass
 class PreparedCorpus:
     corpus: Corpus
     split: CorpusSplit
-    samples: list[Sample]
+    samples: SampleBatch
     window: int
 
     @classmethod
@@ -379,8 +412,9 @@ class PreparedCorpus:
         split = split_corpus(corpus)
         return cls(corpus, split, build_samples(corpus, split, w), w)
 
-    def samples_for(self, split: str) -> list[Sample]:
-        return [s for s in self.samples if s.split == split]
+    def samples_for(self, split: str) -> SampleBatch:
+        """The samples whose target is in `split` (train, val or test), in row order."""
+        return self.samples.take(self.samples.split == _SEGMENTS.index(split))
 
 
 def prepare(
@@ -395,6 +429,21 @@ def prepare(
     return PreparedCorpus.from_corpus(corpus, w)
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temporary file in `path`'s directory for writing (text in UTF-8,
+    or bytes for mode "wb"); it replaces `path` only when the block completes,
+    so `path` never holds a partial file and a failed write leaves none behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.unlink(tmp)
+
+
 def write_corpus(path, prepared: PreparedCorpus) -> None:
     """Write a prepared corpus as versioned TSV.
 
@@ -406,25 +455,19 @@ def write_corpus(path, prepared: PreparedCorpus) -> None:
 
     The split and the samples are not stored: `load_corpus` rebuilds them
     from the check-ins and `w`. Floats (coordinates) use repr, so a
-    round-trip reproduces every value bit-for-bit. A temporary file in the
-    same directory then replaces `path`, which never holds a partial file.
+    round-trip reproduces every value bit-for-bit. The file is written
+    through `atomic_open`.
     """
     corpus, ci = prepared.corpus, prepared.corpus.checkins
     lengths = np.bincount(ci.users, minlength=corpus.n_users)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"{CORPUS_MAGIC}\t{corpus.n_users}\t{corpus.n_pois}\t{prepared.window}\n")
-            fh.writelines(f"P\t{ext_id}\t{pt.lat!r}\t{pt.lon!r}\n"
-                          for ext_id, pt in corpus.poi_table.entries)
-            fh.writelines(f"U\t{uid}\t{n}\n" for uid, n in zip(corpus.user_ids, lengths.tolist()))
-            for lo in range(0, len(ci), _BLOCK):
-                fh.writelines(f"C\t{u}\t{p}\t{t}\t{z}\n" for u, p, t, z in zip(
-                    *(c[lo:lo + _BLOCK].tolist() for c in (ci.users, ci.pois, ci.times, ci.tz))))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write failed
-            os.unlink(tmp)
+    with atomic_open(path) as fh:
+        fh.write(f"{CORPUS_MAGIC}\t{corpus.n_users}\t{corpus.n_pois}\t{prepared.window}\n")
+        fh.writelines(f"P\t{ext_id}\t{pt.lat!r}\t{pt.lon!r}\n"
+                      for ext_id, pt in corpus.poi_table.entries)
+        fh.writelines(f"U\t{uid}\t{n}\n" for uid, n in zip(corpus.user_ids, lengths.tolist()))
+        for lo in range(0, len(ci), _BLOCK):
+            fh.writelines(f"C\t{u}\t{p}\t{t}\t{z}\n" for u, p, t, z in zip(
+                *(c[lo:lo + _BLOCK].tolist() for c in (ci.users, ci.pois, ci.times, ci.tz))))
 
 
 class _Lines:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geodata import PoiTable, SpatialRowCache, spatial_vector
-from .ingest import Sample, SampleBatch
+from .ingest import Sample, SampleBatch, atomic_open
 from .numerics import ShapeMismatch, glorot_uniform, log_softmax_at, stable_softmax
 
 CHECKPOINT_MAGIC = b"STDDPCKPT"
@@ -396,9 +396,10 @@ def target_ranks(
 
 def save_checkpoint(path, params: ModelParams) -> None:
     """Binary checkpoint: magic, 5 uint32 LE dims (N, M, d, h, w), then all
-    tensors as little-endian float64 in `named_tensors` order."""
+    tensors as little-endian float64 in `named_tensors` order. Written through
+    `atomic_open`, so a failed save leaves any old checkpoint in place."""
     hp = params.hyper
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<5I", params.n_users, params.n_pois, hp.d, hp.h, hp.w))
         for _, tensor in params.named_tensors():

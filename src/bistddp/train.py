@@ -20,7 +20,7 @@ import numpy as np
 # `evaluate` stays a module attribute: perfbench's tracer patches train.evaluate
 from .evaluation import MetricsReport, evaluate, report_from_ranks  # noqa: F401
 from .geodata import PoiTable, SpatialRowCache
-from .ingest import Sample, SampleBatch
+from .ingest import Sample, SampleBatch, atomic_open
 from .model import (
     BatchTrace,
     ForwardTrace,
@@ -147,8 +147,7 @@ def batch_gradients(
     cache: SpatialRowCache | None = None,
 ) -> tuple[Gradients, float]:
     """Mean gradients and mean loss over a batch, from one batched pass."""
-    if not isinstance(samples, SampleBatch):
-        samples = SampleBatch.from_samples(samples)
+    samples = SampleBatch.from_samples(samples)
     trace = forward_batch(samples, params, table, variant, cache)
     g = trace.logits  # overwritten with the probabilities, then with dJ/dlogits
     loss = float(softmax_cross_entropy(g, samples.targets).mean())
@@ -286,9 +285,19 @@ def _metric_value(
     return val_report.recall[k] if metric.startswith("val_") else train_eval(k)
 
 
+def check_fit_inputs(train_samples, val_samples, metric: str | None) -> None:
+    """Raise what `fit` raises before it trains: no training samples, or the
+    early-stop `metric` (None when a `metric_fn` scores instead) is a
+    validation metric and there are no validation samples."""
+    if not train_samples:
+        raise EmptyTrainSet("no training samples")
+    if metric is not None and metric.startswith("val_") and not val_samples:
+        raise ValueError(f"metric {metric!r} needs a non-empty validation split")
+
+
 def fit(
-    train_samples: list[Sample],
-    val_samples: list[Sample],
+    train_samples: SampleBatch | list[Sample],
+    val_samples: SampleBatch | list[Sample],
     params: ModelParams,
     table: PoiTable,
     config: TrainConfig,
@@ -308,10 +317,7 @@ def fit(
     finite metric. `metric_fn(params, epoch) -> float` overrides the
     configured metric.
     """
-    if not train_samples:
-        raise EmptyTrainSet("no training samples")
-    if metric_fn is None and config.metric.startswith("val_") and not val_samples:
-        raise ValueError(f"metric {config.metric!r} needs a non-empty validation split")
+    check_fit_inputs(train_samples, val_samples, None if metric_fn is not None else config.metric)
     if cache is None:
         cache = SpatialRowCache(table, capacity=min(1024, len(table)))
     if rng is None:
@@ -437,7 +443,7 @@ def finite_difference_check(
 
 
 def write_train_log(path, log: list[EpochRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("epoch,train_loss,val_recall@1,val_recall@5,val_recall@10,val_map,seconds\n")
         for r in log:
             fh.write(

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from bistddp import cli
 from bistddp.cli import main
 from bistddp.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from conftest import foursquare_lines
@@ -325,6 +326,20 @@ class TestAblateAndSweep:
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("error")
 
+    def test_sweep_trains_no_point_it_cannot_score(self, prepared_dir, tmp_path, monkeypatch,
+                                                   capsys):
+        # on the fixture, w=2 leaves no test samples and w=3 no val samples either
+        trained, fit = [], cli._fit
+        monkeypatch.setattr(cli, "_fit", lambda cfg, *a: trained.append(cfg.w) or fit(cfg, *a))
+        out = tmp_path / "sw"
+        assert run("sweep", "--data", prepared_dir / "corpus.tsv", "--out", out,
+                   "--grid", "w=1,2,3", "--d", 3, "--h", 4, "--epochs", 1, "--batch", 64) == 0
+        assert trained == [1]
+        assert [(r["value"], r["status"]) for r in read_csv(out / "sweep.csv")] == [
+            ("1", "ok"), ("2", "error: no samples to evaluate"),
+            ("3", "error: metric 'val_map' needs a non-empty validation split")]
+        assert "w=2: FAILED (no samples to evaluate)\n" in capsys.readouterr().err
+
     def test_sweep_single_point_matches_train_evaluate(self, prepared_dir, tmp_path):
         out = tmp_path / "sw1"
         assert run("sweep", "--data", prepared_dir / "corpus.tsv", "--out", out,
@@ -354,6 +369,24 @@ class TestAblateAndSweep:
         assert run("sweep", "--data", prepared_dir / "corpus.tsv",
                    "--out", tmp_path / "x", "--grid", "lr=0.1") == 2
 
+
+
+def test_failed_csv_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "report.csv"
+    cli._write_csv(path, [["metric", "value"], ["map", "0.500000"]])
+    old = path.read_bytes()
+    written = []
+
+    def failing_row():  # after a row larger than the write buffer: it is on disk
+        written.extend(p.stat().st_size for p in tmp_path.iterdir() if p != path)
+        raise OSError("no space left on device")
+        yield
+
+    with pytest.raises(OSError, match="no space"):
+        cli._write_csv(path, [["metric", "value"], ["x" * 20_000, "1"], failing_row()])
+    assert len(written) == 1 and written[0] > 0  # it failed partway through a temp file
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _set_field(lines, line, field, value):

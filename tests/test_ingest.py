@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -14,6 +15,7 @@ from bistddp.ingest import (
     ParseResult,
     PreparedCorpus,
     Sample,
+    SampleBatch,
     build_samples,
     chronological_split,
     encode_temporal_pattern,
@@ -392,18 +394,51 @@ def reference_samples(corpus, w):
     return samples
 
 
+def assert_plain(s):
+    """`s` holds plain Python values, as the per-sample path made them."""
+    ints = (s.user, s.target_poi, s.target_utc, *s.pattern, *s.fwd, *s.bwd)
+    assert {type(v) for v in ints} == {int}
+    assert type(s.interval_before) is type(s.interval_after) is float
+    assert type(s.split) is str and type(s.fwd) is type(s.pattern) is tuple
+
+
 class TestBuildSamples:
     def test_matches_per_sample_reference(self):
         for seed in range(5):
             corpus = random_corpus(seed, n_users=6, t=int(5 + 4 * seed))
             for w in (1, 2, 3):
                 samples = build_samples(corpus, split_corpus(corpus), w)
-                assert samples == reference_samples(corpus, w)
-                for s in samples:  # plain Python values, as the per-sample path made
-                    ints = (s.user, s.target_poi, s.target_utc, *s.pattern, *s.fwd, *s.bwd)
-                    assert {type(v) for v in ints} == {int}
-                    assert type(s.interval_before) is type(s.interval_after) is float
-                    assert type(s.split) is str and type(s.fwd) is type(s.pattern) is tuple
+                assert list(samples) == reference_samples(corpus, w)
+                for s in samples:
+                    assert_plain(s)
+
+    def test_rows_indexing_and_splits_match_the_reference(self):
+        # t=900 puts more than one iteration block (4,096 rows) in the batch
+        for seed, t in ((1, 9), (3, 17), (5, 900)):
+            corpus = random_corpus(seed, n_users=6, t=t)
+            for w in (1, 2, 3):
+                prep = PreparedCorpus.from_corpus(corpus, w)
+                batch, expected = prep.samples, reference_samples(corpus, w)
+                assert len(batch) == len(expected) > 0
+                rows = list(batch)
+                assert rows == expected
+                assert [batch[i] for i in np.arange(len(batch))] == expected  # numpy ints
+                assert [batch[i] for i in range(-len(batch), 0)] == expected
+                for i in (len(batch), -len(batch) - 1):
+                    with pytest.raises(IndexError):
+                        batch[i]
+                for tag in ("train", "val", "test"):
+                    part = list(prep.samples_for(tag))
+                    assert part == [s for s in expected if s.split == tag]
+                    rows += part
+                for s in rows + [batch[0], batch[np.int64(-1)]]:
+                    assert_plain(s)
+                again = SampleBatch.from_samples(list(batch))
+                for f in fields(SampleBatch):
+                    column, want = getattr(again, f.name), getattr(batch, f.name)
+                    assert column.dtype == want.dtype, f.name
+                    np.testing.assert_array_equal(column, want, err_msg=f.name)
+                assert SampleBatch.from_samples(batch) is batch
 
     def corpus(self, t=5):
         coords = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
@@ -463,7 +498,7 @@ class TestRoundTrips:
             return prepare(parse_foursquare(path), w=1, min_user=10, min_poi_users=2)
 
         a, b = run(), run()
-        assert a.samples == b.samples
+        assert list(a.samples) == list(b.samples)
         np.testing.assert_array_equal(a.split.segments, b.split.segments)
 
     def test_corpus_file_round_trip(self, tmp_path):
@@ -475,7 +510,7 @@ class TestRoundTrips:
             back = load_corpus(path)
 
             assert back.window == w
-            assert back.samples == prep.samples  # bitwise: dataclass equality on floats
+            assert list(back.samples) == list(prep.samples)  # bitwise: dataclass equality on floats
             assert hash(tuple(back.samples)) == hash(tuple(prep.samples))
             np.testing.assert_array_equal(back.split.segments, prep.split.segments)
             assert back.corpus.user_ids == prep.corpus.user_ids
@@ -508,7 +543,7 @@ class TestRoundTrips:
                 0, 0, 0, 2,  # c
                 0, 0, 0, 0, 2,  # d
                 2]  # e: T = 1, no train check-in
-            assert prep.samples == reference_samples(corpus, w)
+            assert list(prep.samples) == reference_samples(corpus, w)
             assert {s.user for s in prep.samples} == {1: {1, 3, 4}, 2: {1, 4}, 3: {1}}[w]
 
     def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):

@@ -329,6 +329,25 @@ class TestCheckpoint:
         for (name, a), (_, b) in zip(params.named_tensors(), back.named_tensors()):
             np.testing.assert_array_equal(a, b, err_msg=name)
 
+    def test_failed_save_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, random_instance(14, m=9, n=3, d=3, h=4, w=1)[1])
+        old = path.read_bytes()
+        _, params, _ = random_instance(17, m=2000, n=3, d=3, h=4, w=1)
+        written = []
+
+        class Failing:  # the last tensor: the ones before it are on disk
+            def __array__(self, dtype=None, copy=None):
+                written.extend(p.stat().st_size for p in tmp_path.iterdir() if p != path)
+                raise OSError("no space left on device")
+
+        params.out_weights = Failing()
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, params)
+        assert len(written) == 1 and written[0] > 0  # it failed partway through a temp file
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOTACKPT" + b"\0" * 64)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bistddp.ingest import PreparedCorpus, SampleBatch
+from bistddp.ingest import PreparedCorpus
 from bistddp.model import (
     HyperParams,
     VARIANTS,
@@ -166,7 +166,7 @@ def test_batch_mean_equals_mean_of_per_sample_gradients():
         table = prep.corpus.poi_table
         params = init_params(HyperParams(d=4, h=6, w=w), prep.corpus.n_users,
                              prep.corpus.n_pois, make_rng(0))
-        batch = prep.samples_for("train")[:7]
+        batch = prep.samples_for("train").take(slice(0, 7))
         for name, variant in VARIANTS.items():
             grads, _ = batch_gradients(batch, params, table, variant)
             per_sample = []
@@ -185,13 +185,12 @@ def test_batched_logits_and_loss_equal_one_sample_calls():
         table = prep.corpus.poi_table
         params = init_params(HyperParams(d=5, h=8, w=w), prep.corpus.n_users,
                              prep.corpus.n_pois, make_rng(1))
-        samples = prep.samples_for("train")[:40]
-        batch = SampleBatch.from_samples(samples)
+        batch = prep.samples_for("train").take(slice(0, 40))
         for name, variant in VARIANTS.items():
             logits = forward_batch(batch, params, table, variant).logits
             losses = softmax_cross_entropy(logits.copy(), batch.targets)
             _, mean_loss = batch_gradients(batch, params, table, variant)
-            for row, loss, s in zip(logits, losses, samples):
+            for row, loss, s in zip(logits, losses, batch):
                 trace = forward(s, params, table, variant)
                 np.testing.assert_allclose(row, trace.logits, rtol=1e-12, atol=1e-15,
                                            err_msg=f"{name}, w={w}")
