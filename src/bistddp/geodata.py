@@ -93,14 +93,21 @@ class PoiTable:
         return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
-def spatial_vector(poi: int, table: PoiTable) -> np.ndarray:
+def spatial_vector(
+    poi: int, table: PoiTable, sigmas: dict[int, float] | None = None
+) -> np.ndarray:
     """Distance row of `poi` divided by its population standard deviation.
 
     The self-distance (zero) is part of the row and of the deviation, so the
-    result always has entry 0 at `poi` and population std 1.
+    result always has entry 0 at `poi` and population std 1. `sigmas`, if
+    given, memoizes the deviations by POI: a POI found there skips its
+    `row.std()`, one not yet there is added.
     """
     row = table.distance_row_km(poi)
-    sigma = row.std()  # population std (divide by M)
+    sigmas = {} if sigmas is None else sigmas
+    sigma = sigmas.get(poi)
+    if sigma is None:
+        sigma = sigmas[poi] = row.std()  # population std (divide by M)
     if sigma == 0.0:
         raise DegenerateGeometry(f"all POIs coincide with POI {poi}; row std is 0")
     return row / sigma
@@ -110,7 +117,10 @@ class SpatialRowCache:
     """Bounded LRU cache of spatial vectors.
 
     Cached rows are the exact arrays `spatial_vector` produced, marked
-    read-only so a hit is bit-identical to a fresh computation.
+    read-only so a hit is bit-identical to a fresh computation. Every miss
+    goes through `spatial_vector`; the cache keeps each row's deviation
+    (one float per POI seen, never evicted), so a row that misses again
+    after its eviction recomputes its distances but not their deviation.
     """
 
     def __init__(self, table: PoiTable, capacity: int = 1024):
@@ -119,6 +129,7 @@ class SpatialRowCache:
         self.table = table
         self.capacity = capacity
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._sigmas: dict[int, float] = {}
         self.hits = 0
         self.misses = 0
 
@@ -128,7 +139,7 @@ class SpatialRowCache:
             self._rows.move_to_end(poi)
             self.hits += 1
             return cached
-        fresh = spatial_vector(poi, self.table)
+        fresh = spatial_vector(poi, self.table, self._sigmas)
         fresh.setflags(write=False)
         self.misses += 1
         self._rows[poi] = fresh

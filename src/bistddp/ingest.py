@@ -16,12 +16,14 @@ the check-ins only: the split and the samples are rebuilt when it is read.
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import operator
 import os
+import re
 from array import array
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -202,6 +204,53 @@ def _check_ranges(utc_seconds: int, tz_offset: int) -> None:
         raise MalformedLine(f"tz offset {tz_offset} outside [{_TZ_MIN}, {_TZ_MAX}]")
 
 
+# The dumps' time layouts, exactly: C-locale names, two-digit fields, and
+# offset minutes 00-59 as strptime's %z takes them.
+_FOURSQUARE_TIME = re.compile(
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) "
+    r"([0-9]{2}) ([0-9]{2}):([0-9]{2}):([0-9]{2}) ([+-][0-9]{2}[0-5][0-9]) ([0-9]{4})")
+_GOWALLA_TIME = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
+_MONTHS = {name: i for i, name in enumerate(
+    ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"), 1)}
+
+
+@functools.lru_cache(maxsize=64)
+def _utc_offset(text: str) -> timezone:
+    """The zone of a "+hhmm" / "-hhmm" offset, as strptime's %z builds it."""
+    offset = timedelta(hours=int(text[1:3]), minutes=int(text[3:]))
+    return timezone(-offset if text[0] == "-" else offset)
+
+
+def _foursquare_time(text: str) -> datetime:
+    """`datetime.strptime(text, "%a %b %d %H:%M:%S %z %Y")`, decoded from
+    its fields when `text` has the exact layout "Tue Apr 03 18:00:09 +0000
+    2012". Any other text, or a field out of range, goes to strptime, which
+    accepts it or raises as it always did. Like strptime, this does not
+    check the day name against the date."""
+    match = _FOURSQUARE_TIME.fullmatch(text)
+    if match:
+        month, day, hour, minute, second, offset, year = match.groups()
+        try:
+            return datetime(int(year), _MONTHS[month], int(day), int(hour), int(minute),
+                            int(second), tzinfo=_utc_offset(offset))
+        except ValueError:
+            pass
+    return datetime.strptime(text, "%a %b %d %H:%M:%S %z %Y")
+
+
+def _gowalla_time(text: str) -> datetime:
+    """`datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")`, decoded from its
+    fields when `text` has the exact layout "2010-10-19T23:55:27Z"; see
+    `_foursquare_time`."""
+    match = _GOWALLA_TIME.fullmatch(text)
+    if match:
+        try:
+            return datetime(*map(int, match.groups()))
+        except ValueError:
+            pass
+    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
+
+
 def _parse_foursquare_line(parts: list[str]) -> tuple[str, str, int, int, GeoPoint]:
     if len(parts) != 8:
         raise MalformedLine(f"expected 8 tab-separated fields, got {len(parts)}")
@@ -209,8 +258,7 @@ def _parse_foursquare_line(parts: list[str]) -> tuple[str, str, int, int, GeoPoi
     try:
         point = GeoPoint(float(lat_s), float(lon_s))
         tz_offset = int(tz_s)
-        # e.g. "Tue Apr 03 18:00:09 +0000 2012"
-        dt = datetime.strptime(time_s.strip(), "%a %b %d %H:%M:%S %z %Y")
+        dt = _foursquare_time(time_s.strip())
     except ValueError as exc:
         raise MalformedLine(str(exc)) from None
     utc_seconds = int(dt.timestamp())
@@ -224,8 +272,7 @@ def _parse_gowalla_line(parts: list[str]) -> tuple[str, str, int, int, GeoPoint]
     user_id, time_s, lat_s, lon_s, loc_id = parts
     try:
         point = GeoPoint(float(lat_s), float(lon_s))
-        # e.g. "2010-10-19T23:55:27Z"
-        dt = datetime.strptime(time_s.strip(), "%Y-%m-%dT%H:%M:%SZ")
+        dt = _gowalla_time(time_s.strip())
     except ValueError as exc:
         raise MalformedLine(str(exc)) from None
     utc_seconds = int(dt.replace(tzinfo=timezone.utc).timestamp())

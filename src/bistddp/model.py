@@ -172,8 +172,8 @@ class BatchTrace:
     Row i belongs to sample i of `samples`. Branch fields are None when the
     variant gates them off. Spatial rows are the read-only arrays the cache
     (or `spatial_vector`) returned, one reference per sample, never stacked.
-    The (B x M) interval gates are not kept: backward recomputes them, which
-    costs less than the memory they would hold.
+    The interval gates are not kept: forward and backward each compute them
+    one sample's length-M row at a time, so no (B x M) gate array exists.
     """
 
     samples: SampleBatch
@@ -284,8 +284,13 @@ def forward_batch(
         distinct = {p: cache.row(p) if cache is not None else spatial_vector(p, table)
                     for p in dict.fromkeys(pois.tolist())}
         rows = [distinct[p] for p in pois.tolist()]
-        for row, gate_row, out in zip(rows, interval_gate(weights, interval), logits):
-            out += row * gate_row
+        # each sample's gate row in one length-M buffer, element for element
+        # as interval_gate computes it: no (B x M) gate array is built
+        gate = np.empty_like(weights)
+        for row, iv, out in zip(rows, interval, logits):
+            np.tanh(np.multiply(iv, weights, out=gate), out=gate)
+            gate *= row
+            out += gate
         return rows
 
     spat_before = spat_after = None

@@ -30,7 +30,6 @@ from .model import (
     cross_entropy,
     forward,
     forward_batch,
-    interval_gate,
     target_ranks,
 )
 from .numerics import ShapeMismatch, make_rng, softmax_cross_entropy
@@ -76,15 +75,21 @@ def _gate_grad(
     out: np.ndarray, g: np.ndarray, rows: list[np.ndarray], weights: np.ndarray,
     interval: np.ndarray,
 ) -> None:
-    """out += sum_i rows[i] * (1 - T[i]^2) * interval[i] * g[i], with
-    T = interval_gate(weights, interval) recomputed as forward_batch had it."""
-    coef = interval_gate(weights, interval)
-    np.square(coef, out=coef)
-    np.subtract(1.0, coef, out=coef)
-    coef *= interval[:, None]
-    coef *= g
-    for row, c in zip(rows, coef):
-        out += row * c
+    """out += sum_i rows[i] * (1 - T[i]^2) * interval[i] * g[i], with gate
+    row T[i] = tanh(interval[i] * weights) recomputed as forward_batch had it.
+
+    One sample at a time in a single length-M buffer, with the operations
+    per element of `interval_gate` and the expression above in that order,
+    so the sum is bit-identical to a pass over the (B x M) gate array."""
+    coef = np.empty_like(weights)
+    for row, iv, g_row in zip(rows, interval, g):
+        np.tanh(np.multiply(iv, weights, out=coef), out=coef)
+        np.square(coef, out=coef)
+        np.subtract(1.0, coef, out=coef)
+        coef *= iv
+        coef *= g_row
+        coef *= row
+        out += coef
 
 
 def backward_batch(trace: BatchTrace, g: np.ndarray, params: ModelParams) -> Gradients:
@@ -94,8 +99,6 @@ def backward_batch(trace: BatchTrace, g: np.ndarray, params: ModelParams) -> Gra
     batch, variant = trace.samples, trace.variant
     grads = zero_gradients(params)
 
-    # first, so _gate_grad's (B x M) scratch is freed before out_weights'
-    # gradient pages are written: this keeps the step's peak memory down
     if variant.use_dependence:
         if variant.use_forward_branch:
             _gate_grad(grads["interval_w_before"], g, trace.spat_before,
@@ -173,32 +176,58 @@ class AdamState:
         return cls(m=zero_gradients(params), v=zero_gradients(params), lr=lr)
 
 
+# Elements per piece of adam_step's update: its six 256 KB working arrays
+# (theta, m, v, g and two scratch) stay in a core's L2 cache between operations.
+ADAM_BLOCK = 1 << 15
+
+
+def _flat(x: np.ndarray, what: str) -> np.ndarray:
+    """1-D view of a C-contiguous array; raises where reshape would copy."""
+    if not x.flags.c_contiguous:
+        raise ValueError(f"{what} is not C-contiguous")
+    return x.reshape(-1)
+
+
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState):
-    """One in-place Adam update; returns (params, state) for chaining."""
-    state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    """One in-place Adam update; returns (params, state) for chaining.
+
+    Each tensor is updated in pieces of ADAM_BLOCK elements, every piece
+    through the whole operation sequence before the next, so the arrays it
+    touches stay in cache. The operations per element are the textbook
+    update's, in its order, so the result is bit-identical to whole-tensor
+    passes. Parameters and moments are updated through flat views, so each
+    must be C-contiguous; a wrong gradient shape or a non-contiguous tensor
+    raises before anything is updated.
+    """
+    tensors = []
     for name, theta in params.named_tensors():
         g = grads[name]
         if g.shape != theta.shape:
             raise ShapeMismatch(f"gradient {name} has shape {g.shape}, want {theta.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
-        # theta -= lr (m / c1) / (sqrt(v / c2) + eps), operation for operation
-        # in that order (so bit-identical), through two scratch arrays instead
-        # of a temporary per operator
-        a = np.empty_like(theta)
-        b = np.empty_like(theta)
-        m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, g, out=a)
-        v *= state.beta2
-        np.multiply(1.0 - state.beta2, g, out=a)
-        v += np.multiply(a, g, out=a)
-        np.multiply(state.lr, np.divide(m, c1, out=a), out=a)
-        np.sqrt(np.divide(v, c2, out=b), out=b)
-        b += state.eps
-        theta -= np.divide(a, b, out=a)
+        tensors.append((_flat(theta, f"parameter {name}"),
+                        _flat(state.m[name], f"first moment of {name}"),
+                        _flat(state.v[name], f"second moment of {name}"), g.reshape(-1)))
+    state.t += 1
+    c1 = 1.0 - state.beta1**state.t
+    c2 = 1.0 - state.beta2**state.t
+    a_buf, b_buf = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    for theta, m, v, g in tensors:
+        for lo in range(0, theta.size, ADAM_BLOCK):
+            piece = slice(lo, lo + ADAM_BLOCK)
+            th, mp, vp, gp = theta[piece], m[piece], v[piece], g[piece]
+            a, b = a_buf[: th.size], b_buf[: th.size]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+            # theta -= lr (m / c1) / (sqrt(v / c2) + eps), operation for
+            # operation in that order, through the two scratch arrays
+            mp *= state.beta1
+            mp += np.multiply(1.0 - state.beta1, gp, out=a)
+            vp *= state.beta2
+            np.multiply(1.0 - state.beta2, gp, out=a)
+            vp += np.multiply(a, gp, out=a)
+            np.multiply(state.lr, np.divide(mp, c1, out=a), out=a)
+            np.sqrt(np.divide(vp, c2, out=b), out=b)
+            b += state.eps
+            th -= np.divide(a, b, out=a)
     return params, state
 
 

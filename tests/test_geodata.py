@@ -120,3 +120,31 @@ def test_cache_rows_bit_identical_and_bounded():
     # re-read after eviction: still identical
     np.testing.assert_array_equal(cache.row(0), spatial_vector(0, table))
     assert len(cache._rows) <= 4
+
+
+def test_cache_remembers_each_deviation_and_misses_through_spatial_vector(monkeypatch):
+    from bistddp import geodata
+
+    calls = []
+    real = geodata.spatial_vector
+
+    def counting(poi, table, sigmas=None):
+        calls.append(poi)
+        return real(poi, table, sigmas)
+
+    monkeypatch.setattr(geodata, "spatial_vector", counting)
+    rng = np.random.default_rng(12)
+    table = _table([(float(la), float(lo)) for la, lo in
+                    zip(rng.uniform(-80, 80, 9), rng.uniform(-179, 179, 9))])
+    cache = SpatialRowCache(table, capacity=3)
+    for _ in range(3):  # capacity 3: a round misses on all 9 rows and on the first 4
+        for p in (*range(9), 4, 4, 8):
+            np.testing.assert_array_equal(cache.row(p), real(p, table), err_msg=f"POI {p}")
+    assert cache.misses == len(calls) == 30 and cache.hits == 6
+    assert cache._sigmas == {p: table.distance_row_km(p).std() for p in range(9)}
+
+    flat = SpatialRowCache(_table([(10.0, 20.0), (10.0, 20.0)]), capacity=1)
+    for p in (0, 1, 0, 0):
+        with pytest.raises(DegenerateGeometry):
+            flat.row(p)
+    assert len(calls) == 34 and flat.misses == 0

@@ -16,6 +16,8 @@ from bistddp.ingest import (
     PreparedCorpus,
     Sample,
     SampleBatch,
+    _foursquare_time,
+    _gowalla_time,
     build_samples,
     chronological_split,
     encode_temporal_pattern,
@@ -189,6 +191,84 @@ def random_checkins(seed, min_user, min_poi_users):
     spec += [("x", "dying", int(rng.integers(60))) for _ in range(min_user - 1)]
     spec += [("x", "weak", int(rng.integers(60)))]
     return make_checkins([spec[i] for i in rng.permutation(len(spec))])
+
+
+FSQ_FORMAT, GOW_FORMAT = "%a %b %d %H:%M:%S %z %Y", "%Y-%m-%dT%H:%M:%SZ"
+DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+EDIT_CHARS = "0123456789 :+-TZtzaJ\t\u0663\u00b2"  # with an Arabic-Indic 3 and a superscript 2
+
+
+def two_digits(lo, hi):
+    """Mostly in [lo, hi], sometimes any two digits (out of range for the field)."""
+    return st.one_of(st.integers(lo, hi), st.integers(0, 99)).map("{:02d}".format)
+
+
+@st.composite
+def foursquare_times(draw):
+    day = draw(st.sampled_from(DAY_NAMES + ("tue", "Tuesday", "Xyz")))
+    month = draw(st.sampled_from(MONTH_NAMES + ("apr", "Sept")))
+    zone = draw(st.sampled_from("+-")) + draw(two_digits(0, 14)) + draw(two_digits(0, 59))
+    return (f"{day} {month} {draw(two_digits(1, 31))} {draw(two_digits(0, 23))}:"
+            f"{draw(two_digits(0, 59))}:{draw(two_digits(0, 59))} {zone} "
+            f"{draw(st.integers(0, 9999)):04d}")
+
+
+@st.composite
+def gowalla_times(draw):
+    return (f"{draw(st.integers(0, 9999)):04d}-{draw(two_digits(1, 12))}-"
+            f"{draw(two_digits(1, 31))}T{draw(two_digits(0, 23))}:{draw(two_digits(0, 59))}:"
+            f"{draw(two_digits(0, 59))}Z")
+
+
+@st.composite
+def mutated(draw, texts):
+    """A text of `texts` after up to two one-character edits."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from(EDIT_CHARS))
+        text = draw(st.sampled_from([text[:i] + c + text[i:], text[:i] + text[i + 1:],
+                                     text[:i] + c + text[i + 1:]]))
+    return text
+
+
+def outcome(decode, text):
+    """The decoded value's repr (tzinfo included), or the error's text."""
+    try:
+        return repr(decode(text))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestTimeDecoders:
+    """The parsers decode timestamps without strptime where the layout is
+    exact; every string must still decode to strptime's value or fail with
+    strptime's error."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(mutated(foursquare_times()))
+    @example("Tue Apr 03 18:00:09 +0000 2012")
+    @example("Mon Apr 02 18:00:09 -0430 2012")  # day name of another date, as strptime allows
+    @example("Tue Apr 03 18:00:09 +0075 2012")  # strptime's %z takes minutes 00-59 only
+    @example("Tue Apr 03 18:00:09 +2400 2012")
+    @example("Tue Feb 29 18:00:09 +0000 2011")
+    @example("Tue Apr 03 18:00:60 +0000 2012")
+    @example("Tue Apr 03 18:00:09 +0000 0000")
+    @example("Tue Apr 3 18:00:09 +0000 2012")
+    def test_foursquare_agrees_with_strptime(self, text):
+        assert outcome(_foursquare_time, text) == outcome(
+            lambda t: datetime.strptime(t, FSQ_FORMAT), text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(mutated(gowalla_times()))
+    @example("2010-10-19T23:55:27Z")
+    @example("2010-10-19t23:55:27z")
+    @example("2010-02-29T23:55:27Z")
+    @example("2010-10-19T24:55:27Z")
+    def test_gowalla_agrees_with_strptime(self, text):
+        assert outcome(_gowalla_time, text) == outcome(
+            lambda t: datetime.strptime(t, GOW_FORMAT), text)
 
 
 class TestFilter:

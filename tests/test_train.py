@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bistddp.ingest import PreparedCorpus
+from bistddp.geodata import SpatialRowCache, spatial_vector
+from bistddp.ingest import PreparedCorpus, SampleBatch
 from bistddp.model import (
     HyperParams,
     VARIANTS,
@@ -12,12 +14,14 @@ from bistddp.model import (
     forward,
     forward_batch,
     init_params,
+    interval_gate,
     predict_topk,
     zero_params,
 )
 from bistddp.numerics import ShapeMismatch, make_rng, seeded_generators, softmax_cross_entropy
 from bistddp.synthetic import overfit_corpus, planted_corpus, random_instance
 from bistddp.train import (
+    ADAM_BLOCK,
     AdamState,
     Diverged,
     EarlyStopState,
@@ -26,6 +30,7 @@ from bistddp.train import (
     TrainConfig,
     adam_step,
     backward,
+    backward_batch,
     batch_gradients,
     finite_difference_check,
     fit,
@@ -141,23 +146,43 @@ class TestAdam:
             adam_step(params, grads, AdamState.init(params))
 
     def test_bit_identical_to_textbook_update(self):
-        _, params, _ = random_instance(9, m=8, n=2, d=3, h=4, w=1)
-        state = AdamState.init(params, lr=0.003)
-        rng = make_rng(10)
-        theta = {name: t.copy() for name, t in params.named_tensors()}
-        m = {name: np.zeros_like(t) for name, t in theta.items()}
-        v = {name: np.zeros_like(t) for name, t in theta.items()}
-        b1, b2, lr, eps = 0.9, 0.999, 0.003, 1e-8
-        for t in range(1, 6):
-            grads = {name: rng.normal(size=x.shape) for name, x in theta.items()}
+        # the interval weights hold n_pois elements and out_weights 4 n_pois,
+        # so tensors end inside a block, at its boundary and one past it
+        for n_pois in (8, 1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1, 5 * ADAM_BLOCK // 2):
+            _, params, _ = random_instance(9, m=n_pois, n=2, d=3, h=4, w=1)
+            state = AdamState.init(params, lr=0.003)
+            rng = make_rng(10)
+            theta = {name: t.copy() for name, t in params.named_tensors()}
+            m = {name: np.zeros_like(t) for name, t in theta.items()}
+            v = {name: np.zeros_like(t) for name, t in theta.items()}
+            b1, b2, lr, eps = 0.9, 0.999, 0.003, 1e-8
+            for t in range(1, 6):
+                grads = {name: rng.normal(size=x.shape) for name, x in theta.items()}
+                adam_step(params, grads, state)
+                for name, g in grads.items():
+                    m[name] = b1 * m[name] + (1.0 - b1) * g
+                    v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                    theta[name] = theta[name] - lr * (m[name] / (1.0 - b1**t)) / (
+                        np.sqrt(v[name] / (1.0 - b2**t)) + eps)
+                for name, x in params.named_tensors():
+                    np.testing.assert_array_equal(
+                        x, theta[name], err_msg=f"M={n_pois}: {name}, step {t}")
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_parameter_raises_before_any_update(self, layout):
+        _, params, _ = random_instance(11, m=8, n=2, d=3, h=4, w=1)
+        if layout == "fortran":  # flattening it would update a copy
+            params.out_weights = np.asfortranarray(params.out_weights)
+        else:
+            params.out_weights = np.repeat(params.out_weights, 2, axis=1)[:, ::2]
+        state = AdamState.init(params)
+        before = params.copy()
+        grads = {name: make_rng(12).normal(size=t.shape) for name, t in params.named_tensors()}
+        with pytest.raises(ValueError, match="parameter out_weights is not C-contiguous"):
             adam_step(params, grads, state)
-            for name, g in grads.items():
-                m[name] = b1 * m[name] + (1.0 - b1) * g
-                v[name] = b2 * v[name] + (1.0 - b2) * g * g
-                theta[name] = theta[name] - lr * (m[name] / (1.0 - b1**t)) / (
-                    np.sqrt(v[name] / (1.0 - b2**t)) + eps)
-            for name, x in params.named_tensors():
-                np.testing.assert_array_equal(x, theta[name], err_msg=f"{name}, step {t}")
+        assert state.t == 0
+        for (name, a), (_, b) in zip(params.named_tensors(), before.named_tensors()):
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def test_batch_mean_equals_mean_of_per_sample_gradients():
@@ -196,6 +221,103 @@ def test_batched_logits_and_loss_equal_one_sample_calls():
                                            err_msg=f"{name}, w={w}")
                 assert loss == pytest.approx(cross_entropy(trace, s.target_poi), rel=1e-12)
             assert mean_loss == pytest.approx(losses.mean(), rel=1e-12)
+
+
+def _whole_batch_gate_reference(batch, params, table, variant, g):
+    """Logits, and gradients for dJ/dlogits g, with each direction's
+    interval gates as one (B x M) `interval_gate` array: the dependence
+    terms and the interval-weight gradients come from that array, the rest
+    from the same model without dependence terms."""
+    plain = replace(variant, use_dependence=False)
+    logits = forward_batch(batch, params, table, plain).logits
+    grads = backward_batch(forward_batch(batch, params, table, plain), g, params)
+    if variant.use_dependence:
+        for use, pois, interval, name in (
+                (variant.use_forward_branch, batch.fwd[:, 0], batch.interval_before,
+                 "interval_w_before"),
+                (variant.use_backward_branch, batch.bwd[:, 0], batch.interval_after,
+                 "interval_w_after")):
+            if not use:
+                continue
+            weights = getattr(params, name)
+            rows = [spatial_vector(p, table) for p in pois.tolist()]
+            for row, gate_row, out in zip(rows, interval_gate(weights, interval), logits):
+                out += row * gate_row
+            coef = interval_gate(weights, interval)
+            np.square(coef, out=coef)
+            np.subtract(1.0, coef, out=coef)
+            coef *= interval[:, None]
+            coef *= g
+            for row, c in zip(rows, coef):
+                grads[name] += row * c
+    return logits, grads
+
+
+def test_per_row_gates_equal_whole_batch_gate_arrays():
+    corpus = planted_corpus(2).corpus
+    table = corpus.poi_table
+    for w in (1, 2):
+        prep = PreparedCorpus.from_corpus(corpus, w)
+        params = init_params(HyperParams(d=5, h=8, w=w), corpus.n_users, corpus.n_pois,
+                             make_rng(w))
+        # every sample twice or more, so context POIs repeat within the batch
+        batch = prep.samples_for("train").take(np.r_[0:30, 0:30, 5:15])
+        g = make_rng(3).normal(size=(len(batch), corpus.n_pois)) / len(batch)
+        for name, variant in VARIANTS.items():
+            logits, expected = _whole_batch_gate_reference(batch, params, table, variant, g)
+            for cache in (None, SpatialRowCache(table, capacity=1)):
+                trace = forward_batch(batch, params, table, variant, cache)
+                np.testing.assert_array_equal(trace.logits, logits, err_msg=f"{name}, w={w}")
+                grads = backward_batch(trace, g, params)
+                for tname, grad in grads.items():
+                    np.testing.assert_array_equal(grad, expected[tname],
+                                                  err_msg=f"{name}, w={w}: {tname}")
+            if variant.use_dependence:
+                assert grads["interval_w_before"].any() or grads["interval_w_after"].any()
+
+
+class TestMemory:
+    """tracemalloc peaks of one training step at train-5k's shapes."""
+
+    M, N, B = 5000, 50, 128
+
+    @pytest.fixture(scope="class")
+    def step(self):
+        table, params, sample = random_instance(21, m=self.M, n=self.N, d=64, h=256, w=1)
+        rng = make_rng(22)
+        batch = SampleBatch.from_samples([
+            replace(sample, user=int(u), target_poi=int(t), fwd=(int(f),), bwd=(int(b),))
+            for u, t, f, b in rng.integers(0, [self.N, self.M, self.M, self.M], (self.B, 4))])
+        cache = SpatialRowCache(table, capacity=self.M)
+        batch_gradients(batch, params, table, VARIANTS["bi-stddp"], cache)  # rows cached
+        return table, params, batch, cache
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_adam_step_peak_is_two_blocks_of_scratch(self, step):
+        _, params, _, _ = step
+        params = params.copy()
+        grads = {name: make_rng(23).normal(size=t.shape) for name, t in params.named_tensors()}
+        state = AdamState.init(params)
+        peak, _ = self.peak_bytes(lambda: adam_step(params, grads, state))
+        assert peak < 1_000_000  # whole-tensor scratch arrays took 19.6 MB
+
+    def test_batch_gradients_builds_no_gate_array(self, step):
+        table, params, batch, cache = step
+        peak, (grads, _) = self.peak_bytes(
+            lambda: batch_gradients(batch, params, table, VARIANTS["bi-stddp"], cache))
+        # the gradients and the (B x M) logits must coexist; a (B x M) gate
+        # array on top of them (as a whole-batch interval_gate builds) would
+        # cross this line
+        bm = self.B * self.M * 8
+        assert peak < sum(g.nbytes for g in grads.values()) + 2 * bm
 
 
 class TestEarlyStop:
