@@ -27,7 +27,15 @@ from .evaluation import (
     format_report_table,
     report_from_ranks,
 )
-from .geodata import PoiTable, SpatialRowCache
+from .geodata import (
+    ROW_ABS_TOL_KM,
+    ROW_REL_MIN_KM,
+    ROW_REL_TOL,
+    GeoPoint,
+    PoiTable,
+    SpatialRowCache,
+    haversine_km,
+)
 from .ingest import (
     EmptyCorpus,
     ParseResult,
@@ -421,7 +429,7 @@ def cmd_sweep(cfg: ExperimentConfig, grid: str, window: int | None = None) -> in
 
 
 def cmd_selfcheck(cfg: ExperimentConfig) -> int:
-    """Gradient oracle, metric identities, batched ranking and the corpus file; the CI gate."""
+    """Gradient oracle, distance rows, metric identities, ranks, corpus file; the CI gate."""
     failures = 0
 
     def check(label: str, ok: bool, detail: str = "") -> None:
@@ -435,6 +443,21 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
             report = finite_difference_check(params, sample, table, variant)
             check(f"gradient oracle {name} seed {seed}", report.ok,
                   f"max rel err {report.max_error:.2e}")
+
+    # every POI paired with a neighbour under a few metres away or a near-antipode
+    rng = make_rng(13)
+    points = [GeoPoint(float(rng.uniform(-85, 85)), float(rng.uniform(-175, 175)))
+              for _ in range(20)]
+    points += [GeoPoint(p.lat + float(rng.uniform(-2e-5, 2e-5)),
+                        p.lon + float(rng.uniform(-2e-5, 2e-5))) for p in points[:10]]
+    points += [GeoPoint(-p.lat + 1e-7, p.lon - math.copysign(180.0, p.lon)) for p in points[10:20]]
+    table = PoiTable([(f"p{i}", p) for i, p in enumerate(points)])
+    rows = np.array([table.distance_row_km(i) for i in range(len(table))])
+    exact = np.array([[haversine_km(p, q) for q in points] for p in points])
+    err, far = np.abs(rows - exact), exact >= ROW_REL_MIN_KM
+    rel, near = float(np.max(err[far] / exact[far])), float(np.max(err[~far]))
+    check("distance rows match haversine_km", rel <= ROW_REL_TOL and near <= ROW_ABS_TOL_KM,
+          f"max rel err {rel:.2e}, max abs err {near:.1e} km under 1 m")
 
     rng = make_rng(7)
     ident_ok = True

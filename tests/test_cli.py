@@ -456,5 +456,6 @@ class TestCorpusFile:
         assert f"{path}:1: " in err and "re-run `bistddp prepare`" in err
 
 
-def test_selfcheck_passes():
+def test_selfcheck_passes(capsys):
     assert run("selfcheck") == 0
+    assert "PASS  distance rows match haversine_km  max rel err " in capsys.readouterr().out

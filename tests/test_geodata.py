@@ -6,6 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bistddp.geodata import (
+    ROW_ABS_TOL_KM,
+    ROW_REL_MIN_KM,
+    ROW_REL_TOL,
     DegenerateGeometry,
     GeoPoint,
     PoiTable,
@@ -13,6 +16,11 @@ from bistddp.geodata import (
     haversine_km,
     spatial_vector,
 )
+from bistddp.ingest import SampleBatch
+from bistddp.model import VARIANTS, HyperParams, forward_batch, init_params
+from bistddp.numerics import make_rng
+from bistddp.synthetic import planted_corpus, random_instance
+from bistddp.train import TrainConfig, fit
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -84,24 +92,112 @@ def test_spatial_vector_unit_population_std():
                     zip(rng.uniform(-80, 80, 40), rng.uniform(-179, 179, 40))])
     for p in (0, 7, 39):
         vec = spatial_vector(p, table)
+        row = table.distance_row_km(p)
+        np.testing.assert_array_equal(vec, row / row.std())
         assert vec[p] == 0.0
         assert vec.std() == pytest.approx(1.0, rel=1e-12)
 
 
-def test_distance_rows_bitwise_equal_uncached_cosine_formula():
-    # rows read cos(lat) from the table's cache; computing it per row with
-    # np.cos, as the haversine is usually written, must give the same bits
+class SinDifferenceTable(PoiTable):
+    """Oracle: the distance kernel before the half-angle tables, two np.sin per row."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self._lat_rad = np.array([math.radians(p.lat) for _, p in self.entries])
+        self._lon_rad = np.array([math.radians(p.lon) for _, p in self.entries])
+        self._cos_lat = np.cos(self._lat_rad)
+
+    def distance_row_km(self, i: int) -> np.ndarray:
+        lat0 = self._lat_rad[i]
+        lon0 = self._lon_rad[i]
+        s = (
+            np.sin((self._lat_rad - lat0) / 2.0) ** 2
+            + self._cos_lat[i] * self._cos_lat * np.sin((self._lon_rad - lon0) / 2.0) ** 2
+        )
+        return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
+def _rows(table):
+    return np.array([table.distance_row_km(i) for i in range(len(table))])
+
+
+def _assert_within_row_bound(rows, reference, rtol=ROW_REL_TOL, atol_km=ROW_ABS_TOL_KM):
+    # relative bound for pairs at least ROW_REL_MIN_KM apart, absolute below
+    err = np.abs(rows - reference)
+    far = reference >= ROW_REL_MIN_KM
+    assert np.all(err[far] <= rtol * reference[far]), (err[far] / reference[far]).max()
+    assert np.all(err[~far] <= atol_km), err[~far].max()
+
+
+def _coordinate_sets():
     rng = np.random.default_rng(17)
-    m = 500
-    coords = list(zip(rng.uniform(-90, 90, m), rng.uniform(-180, 180, m)))
-    table = _table([(float(la), float(lo)) for la, lo in coords])
-    lat = np.radians([la for la, _ in coords])
-    lon = np.radians([lo for _, lo in coords])
-    for i in range(m):
-        s = (np.sin((lat - lat[i]) / 2.0) ** 2
-             + np.cos(lat[i]) * np.cos(lat) * np.sin((lon - lon[i]) / 2.0) ** 2)
-        expected = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
-        np.testing.assert_array_equal(table.distance_row_km(i), expected, err_msg=f"POI {i}")
+    m = 300
+    half = rng.uniform(-80, 80, m // 2), rng.uniform(-179, 179, m // 2)
+    offset = rng.uniform(-1e-5, 1e-5, (2, m // 2))  # about 1 m at the equator
+    antipode_offset = offset / 10
+    antipode_offset[:, ::2] = 0.0  # exact antipodes: the haversine term can round above 1
+    return {
+        "nyc": (rng.uniform(40.55, 40.95, m), rng.uniform(-74.27, -73.68, m)),
+        "globe": (np.degrees(np.arcsin(rng.uniform(-1, 1, m))), rng.uniform(-180, 180, m)),
+        "submetre": (np.r_[half[0], half[0] + offset[0]], np.r_[half[1], half[1] + offset[1]]),
+        "antipodal": (np.r_[half[0], -half[0] + antipode_offset[0]],
+                      np.r_[half[1], half[1] - np.sign(half[1]) * 180 + antipode_offset[1]]),
+    }
+
+
+# per-set bounds against the old kernel: (relative, for pairs >= 1 m apart; absolute km)
+_ORACLE_BOUNDS = {
+    "nyc": (1e-10, 0.0),
+    "globe": (1e-12, 0.0),
+    "submetre": (5e-9, ROW_ABS_TOL_KM),
+    "antipodal": (ROW_REL_TOL, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_BOUNDS))
+def test_distance_rows_match_sin_difference_oracle(name):
+    # the half-angle kernel changes the rows' last bits; it must stay within
+    # the stated bound of the old kernel on city, global, sub-metre and
+    # near-antipodal coordinates, and keep an exact zero diagonal
+    lat, lon = _coordinate_sets()[name]
+    entries = [(f"p{i}", GeoPoint(float(la), float(lo)))
+               for i, (la, lo) in enumerate(zip(lat, lon))]
+    rows, old = _rows(PoiTable(entries)), _rows(SinDifferenceTable(entries))
+    np.testing.assert_array_equal(rows, rows.T)
+    assert np.all(np.diag(rows) == 0.0)
+    rtol, atol_km = _ORACLE_BOUNDS[name]
+    _assert_within_row_bound(rows, old, rtol, atol_km)
+
+
+@st.composite
+def poi_tables(draw):
+    """2-60 POIs with duplicated, sub-metre and near-antipodal points drawn in."""
+    base = draw(st.lists(points, min_size=1, max_size=30))
+    tiny = st.floats(min_value=-1e-6, max_value=1e-6, allow_nan=False)
+    out = list(base)
+    for p in base:
+        kind = draw(st.sampled_from(["none", "duplicate", "near", "antipode"]))
+        if kind == "duplicate":
+            out.append(p)
+        elif kind in ("near", "antipode"):
+            lat = p.lat if kind == "near" else -p.lat
+            lon = p.lon if kind == "near" else p.lon - math.copysign(180.0, p.lon)
+            out.append(GeoPoint(min(90.0, max(-90.0, lat + draw(tiny))),
+                                min(180.0, max(-180.0, lon + draw(tiny)))))
+    if len(out) < 2:
+        out.append(draw(points))
+    return PoiTable([(f"p{i}", p) for i, p in enumerate(out)])
+
+
+@given(poi_tables())
+@settings(max_examples=150, deadline=None)
+def test_distance_rows_symmetric_zero_diagonal_and_within_bound(table):
+    rows = _rows(table)
+    np.testing.assert_array_equal(rows, rows.T)
+    assert np.all(np.diag(rows) == 0.0)
+    exact = np.array([[haversine_km(table.point(i), table.point(j)) for j in range(len(table))]
+                      for i in range(len(table))])
+    _assert_within_row_bound(rows, exact)
 
 
 def test_degenerate_geometry():
@@ -148,3 +244,33 @@ def test_cache_remembers_each_deviation_and_misses_through_spatial_vector(monkey
         with pytest.raises(DegenerateGeometry):
             flat.row(p)
     assert len(calls) == 34 and flat.misses == 0
+
+
+# model-level agreement with the old kernel: logits and one-epoch losses
+_LOGIT_ATOL = 1e-12
+_LOSS_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_model_agrees_with_sin_difference_oracle(seed):
+    table, params, sample = random_instance(seed, m=40, w=2)
+    old = SinDifferenceTable(table.entries)
+    batch = SampleBatch.from_samples([sample])
+    for name, variant in VARIANTS.items():
+        np.testing.assert_allclose(forward_batch(batch, params, table, variant).logits,
+                                   forward_batch(batch, params, old, variant).logits,
+                                   rtol=0, atol=_LOGIT_ATOL, err_msg=name)
+
+    prep = planted_corpus(seed)
+    corpus = prep.corpus
+    table, old = corpus.poi_table, SinDifferenceTable(corpus.poi_table.entries)
+    params = init_params(HyperParams(d=5, h=8, w=1), corpus.n_users, corpus.n_pois,
+                         make_rng(seed))
+    train, val = prep.samples_for("train"), prep.samples_for("val")
+    np.testing.assert_allclose(forward_batch(train, params, table).logits,
+                               forward_batch(train, params, old).logits,
+                               rtol=0, atol=_LOGIT_ATOL)
+    config = TrainConfig(max_epochs=1, batch_size=64, seed=seed)
+    losses = [fit(train, val, params.copy(), t, config, VARIANTS["bi-stddp"]).log[0].train_loss
+              for t in (table, old)]
+    assert losses[0] == pytest.approx(losses[1], rel=_LOSS_RTOL, abs=0)
