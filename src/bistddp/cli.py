@@ -294,7 +294,8 @@ def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None,
     params = None
     if resume_from:
         params = load_checkpoint(resume_from)
-        expect_compatible(params, corpus.n_users, corpus.n_pois, prepared_corpus.window)
+        expect_compatible(params, corpus.n_users, corpus.n_pois, prepared_corpus.window,
+                          resume_from, cfg.data)
     cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
     result = _fit(cfg, prepared_corpus, cache, params)
     save_checkpoint(out / "checkpoint.bin", result.params)
@@ -311,7 +312,8 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str, split: str,
     out = _out_dir(cfg, "evaluate")
     corpus = prepared_corpus.corpus
     params = load_checkpoint(checkpoint)
-    expect_compatible(params, corpus.n_users, corpus.n_pois, prepared_corpus.window)
+    expect_compatible(params, corpus.n_users, corpus.n_pois, prepared_corpus.window,
+                      checkpoint, cfg.data)
     cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
     samples = prepared_corpus.samples_for(split)
     if not samples:

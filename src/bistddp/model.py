@@ -16,9 +16,10 @@ time pattern).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,100 +70,75 @@ def variant_from_name(name: str) -> VariantConfig:
         raise ValueError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}") from None
 
 
-@dataclass
+def param_layout(hp: HyperParams, n_users: int, n_pois: int) -> list[tuple[str, tuple, int, int]]:
+    """(name, shape, fan_in, fan_out) of every learnable tensor, in arena
+    and checkpoint order. Fans follow each tensor's role as a linear map;
+    the length-M interval weight vectors count as M x 1 maps."""
+    d, h, w, m, n = hp.d, hp.h, hp.w, n_pois, n_users
+    return [
+        ("poi_emb", (m, d), m, d),
+        ("user_emb", (n, d), n, d),
+        *((f"fwd_hidden[{k}]", (h, d), d, h) for k in range(w)),
+        *((f"bwd_hidden[{k}]", (h, d), d, h) for k in range(w)),
+        ("user_hidden", (h, d), d, h),
+        ("time_hidden", (h, 7), 7, h),
+        ("interval_w_before", (m,), 1, m),
+        ("interval_w_after", (m,), 1, m),
+        ("out_weights", (m, h), h, m),
+    ]
+
+
+def arena_size(hp: HyperParams, n_users: int, n_pois: int) -> int:
+    return sum(math.prod(shape) for _, shape, _, _ in param_layout(hp, n_users, n_pois))
+
+
 class ModelParams:
-    """All learnable tensors. Field order is the checkpoint order."""
+    """All learnable tensors as reshaped views of one float64 arena `data`, laid
+    out by `param_layout` (the checkpoint order): `poi_emb`, `user_emb`, the
+    lists `fwd_hidden` and `bwd_hidden`, `user_hidden`, `time_hidden`, the two
+    interval weights and `out_weights`. Adam's moments and the gradients share
+    the layout, so each is copied, zeroed, updated or saved as one array."""
 
-    poi_emb: np.ndarray  # (M, d)
-    user_emb: np.ndarray  # (N, d)
-    fwd_hidden: list[np.ndarray] = field(default_factory=list)  # w x (h, d)
-    bwd_hidden: list[np.ndarray] = field(default_factory=list)  # w x (h, d)
-    user_hidden: np.ndarray = None  # (h, d)
-    time_hidden: np.ndarray = None  # (h, 7)
-    interval_w_before: np.ndarray = None  # (M,)
-    interval_w_after: np.ndarray = None  # (M,)
-    out_weights: np.ndarray = None  # (M, h)
-
-    @property
-    def n_pois(self) -> int:
-        return self.poi_emb.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.user_emb.shape[0]
-
-    @property
-    def hyper(self) -> HyperParams:
-        return HyperParams(
-            d=self.poi_emb.shape[1],
-            h=self.user_hidden.shape[0],
-            w=len(self.fwd_hidden),
-        )
+    def __init__(self, hyper: HyperParams, n_users: int, n_pois: int, data: np.ndarray):
+        size = arena_size(hyper, n_users, n_pois)
+        if data.dtype != np.float64 or data.shape != (size,):
+            raise ShapeMismatch(f"arena is {data.dtype} {data.shape}, the layout of "
+                                f"(N={n_users}, M={n_pois}, {hyper}) needs float64 ({size},)")
+        self.hyper, self.n_users, self.n_pois, self.data = hyper, n_users, n_pois, data
+        self.fwd_hidden, self.bwd_hidden = [], []  # w views each
+        self._named: list[tuple[str, np.ndarray]] = []
+        lo = 0
+        for name, shape, _, _ in param_layout(hyper, n_users, n_pois):
+            view = data[lo : lo + math.prod(shape)].reshape(shape)
+            lo += view.size
+            self._named.append((name, view))
+            if name.endswith("]"):
+                getattr(self, name[: name.index("[")]).append(view)
+            else:
+                setattr(self, name, view)
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        out = [("poi_emb", self.poi_emb), ("user_emb", self.user_emb)]
-        out += [(f"fwd_hidden[{k}]", t) for k, t in enumerate(self.fwd_hidden)]
-        out += [(f"bwd_hidden[{k}]", t) for k, t in enumerate(self.bwd_hidden)]
-        out += [
-            ("user_hidden", self.user_hidden),
-            ("time_hidden", self.time_hidden),
-            ("interval_w_before", self.interval_w_before),
-            ("interval_w_after", self.interval_w_after),
-            ("out_weights", self.out_weights),
-        ]
-        return out
+        return list(self._named)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            poi_emb=self.poi_emb.copy(),
-            user_emb=self.user_emb.copy(),
-            fwd_hidden=[t.copy() for t in self.fwd_hidden],
-            bwd_hidden=[t.copy() for t in self.bwd_hidden],
-            user_hidden=self.user_hidden.copy(),
-            time_hidden=self.time_hidden.copy(),
-            interval_w_before=self.interval_w_before.copy(),
-            interval_w_after=self.interval_w_after.copy(),
-            out_weights=self.out_weights.copy(),
-        )
+        return ModelParams(self.hyper, self.n_users, self.n_pois, self.data.copy())
+
+
+def zero_params(hp: HyperParams, n_users: int, n_pois: int) -> ModelParams:
+    """An all-zero arena: the model with uniform scores, or a gradient buffer."""
+    return ModelParams(hp, n_users, n_pois, np.zeros(arena_size(hp, n_users, n_pois)))
 
 
 def init_params(
     hp: HyperParams, n_users: int, n_pois: int, rng: np.random.Generator
 ) -> ModelParams:
-    """Glorot-uniform initialization of every tensor.
-
-    Fans follow each tensor's role as a linear map; the length-M interval
-    weight vectors count as M x 1 maps (fan_in 1, fan_out M). Tensors are
-    drawn in checkpoint order, so one seed fixes the whole model.
-    """
-    d, h, w = hp.d, hp.h, hp.w
-    return ModelParams(
-        poi_emb=glorot_uniform(rng, n_pois, d, (n_pois, d)),
-        user_emb=glorot_uniform(rng, n_users, d, (n_users, d)),
-        fwd_hidden=[glorot_uniform(rng, d, h, (h, d)) for _ in range(w)],
-        bwd_hidden=[glorot_uniform(rng, d, h, (h, d)) for _ in range(w)],
-        user_hidden=glorot_uniform(rng, d, h, (h, d)),
-        time_hidden=glorot_uniform(rng, 7, h, (h, 7)),
-        interval_w_before=glorot_uniform(rng, 1, n_pois, (n_pois,)),
-        interval_w_after=glorot_uniform(rng, 1, n_pois, (n_pois,)),
-        out_weights=glorot_uniform(rng, h, n_pois, (n_pois, h)),
-    )
-
-
-def zero_params(hp: HyperParams, n_users: int, n_pois: int) -> ModelParams:
-    d, h, w = hp.d, hp.h, hp.w
-    z = np.zeros
-    return ModelParams(
-        poi_emb=z((n_pois, d)),
-        user_emb=z((n_users, d)),
-        fwd_hidden=[z((h, d)) for _ in range(w)],
-        bwd_hidden=[z((h, d)) for _ in range(w)],
-        user_hidden=z((h, d)),
-        time_hidden=z((h, 7)),
-        interval_w_before=z(n_pois),
-        interval_w_after=z(n_pois),
-        out_weights=z((n_pois, h)),
-    )
+    """Glorot-uniform initialization of every tensor, drawn in layout order,
+    so one seed fixes the whole model."""
+    params = zero_params(hp, n_users, n_pois)
+    for (_, view), (_, shape, fan_in, fan_out) in zip(
+            params.named_tensors(), param_layout(hp, n_users, n_pois)):
+        view[...] = glorot_uniform(rng, fan_in, fan_out, shape)
+    return params
 
 
 @dataclass
@@ -400,15 +376,14 @@ def target_ranks(
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    """Binary checkpoint: magic, 5 uint32 LE dims (N, M, d, h, w), then all
-    tensors as little-endian float64 in `named_tensors` order. Written through
-    `atomic_open`, so a failed save leaves any old checkpoint in place."""
+    """Binary checkpoint: magic, 5 uint32 LE dims (N, M, d, h, w), then the
+    arena as little-endian float64. Written through `atomic_open`, so a
+    failed save leaves any old checkpoint in place."""
     hp = params.hyper
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<5I", params.n_users, params.n_pois, hp.d, hp.h, hp.w))
-        for _, tensor in params.named_tensors():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        fh.write(params.data.astype("<f8", copy=False))
 
 
 class BadCheckpoint(ValueError):
@@ -424,23 +399,26 @@ def load_checkpoint(path) -> ModelParams:
         if len(header) != 20:
             raise BadCheckpoint(f"{path}: truncated header")
         n, m, d, h, w = struct.unpack("<5I", header)
-        # zero_params' tensors, counted before any of them is allocated
-        values = (m + n + (2 * w + 1) * h) * d + 7 * h + (2 + h) * m
+        dims = f"header (N={n}, M={m}, d={d}, h={h}, w={w})"
+        if 0 in (n, m, d, h, w):
+            raise BadCheckpoint(f"{path}: {dims} has a zero dimension")
+        hp = HyperParams(d=d, h=h, w=w)
+        # the arena's size, checked before any of it is allocated
+        nbytes = 8 * arena_size(hp, n, m)
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload != 8 * values:
-            raise BadCheckpoint(f"{path}: header (N={n}, M={m}, d={d}, h={h}, w={w}) implies "
-                                f"{8 * values} bytes of tensors, the file holds {payload}")
-        params = zero_params(HyperParams(d=d, h=h, w=w), n, m)
-        for _, tensor in params.named_tensors():
-            tensor[...] = np.frombuffer(fh.read(tensor.size * 8), dtype="<f8").reshape(tensor.shape)
+        if payload != nbytes:
+            raise BadCheckpoint(f"{path}: {dims} implies {nbytes} bytes of tensors, "
+                                f"the file holds {payload}")
+        params = zero_params(hp, n, m)
+        params.data[:] = np.frombuffer(fh.read(nbytes), dtype="<f8")
     return params
 
 
-def expect_compatible(params: ModelParams, n_users: int, n_pois: int, w: int) -> None:
-    """Raise ShapeMismatch unless the checkpoint fits the corpus."""
-    hp = params.hyper
-    if (params.n_users, params.n_pois, hp.w) != (n_users, n_pois, w):
+def expect_compatible(params: ModelParams, n_users: int, n_pois: int, w: int,
+                      checkpoint, corpus) -> None:
+    """Raise ShapeMismatch, naming both files, unless the checkpoint fits the corpus."""
+    if (params.n_users, params.n_pois, params.hyper.w) != (n_users, n_pois, w):
         raise ShapeMismatch(
-            f"checkpoint (N={params.n_users}, M={params.n_pois}, w={hp.w}) does not "
-            f"match corpus (N={n_users}, M={n_pois}, w={w})"
+            f"checkpoint {checkpoint} (N={params.n_users}, M={params.n_pois}, w={params.hyper.w}) "
+            f"does not match corpus {corpus} (N={n_users}, M={n_pois}, w={w})"
         )

@@ -6,6 +6,7 @@ output projection, the four tanh hidden branches (touching only the
 embedding rows the sample used), and the interval-gate path
 dJ/d(interval weight) = (o - y) * spatial_row * (1 - gate^2) * interval.
 Spatial rows are data, not parameters, so no gradient reaches coordinates.
+Gradients and Adam's moments are flat arenas in the parameters' layout.
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ from .model import (
     forward,
     forward_batch,
     target_ranks,
+    zero_params,
 )
 from .numerics import ShapeMismatch, make_rng, softmax_cross_entropy
 
-# One array per ModelParams tensor, keyed by its named_tensors() name.
-Gradients = dict[str, np.ndarray]
+# dJ/dtheta as a ModelParams arena: each gradient is the view of the
+# parameter it belongs to, in the same layout.
+Gradients = ModelParams
 
 
 class TraceMismatch(ValueError):
@@ -51,24 +54,11 @@ class Diverged(RuntimeError):
     early-stop metric; the parameters are no longer usable."""
 
 
-def zero_gradients(params: ModelParams) -> Gradients:
-    return {name: np.zeros_like(t) for name, t in params.named_tensors()}
-
-
 def loss_grad_wrt_logits(trace: ForwardTrace, target: int) -> np.ndarray:
     """dJ/dlogits for J = -log probs[target]: probs - onehot(target)."""
     g = trace.probs.copy()
     g[target] -= 1.0
     return g
-
-
-def _context_grads(
-    grads: Gradients, name: str, hidden: list[np.ndarray], emb: np.ndarray,
-    context: np.ndarray, a: np.ndarray,
-) -> None:
-    for k, weights in enumerate(hidden):
-        np.matmul(a.T, emb[:, k], out=grads[f"{name}[{k}]"])
-        np.add.at(grads["poi_emb"], context[:, k], a @ weights)
 
 
 def _gate_grad(
@@ -92,40 +82,47 @@ def _gate_grad(
         out += coef
 
 
-def backward_batch(trace: BatchTrace, g: np.ndarray, params: ModelParams) -> Gradients:
-    """Gradients of sum_i J_i w.r.t. every parameter tensor, where row g[i]
-    is dJ_i/dlogits[i] and `params` are those the trace was made with.
-    Tensors the trace's variant gates off receive zero."""
+def backward_batch(trace: BatchTrace, g: np.ndarray, params: ModelParams,
+                   out: Gradients) -> Gradients:
+    """Gradients of sum_i J_i w.r.t. every parameter tensor, written into
+    and returned as `out`, where row g[i] is dJ_i/dlogits[i] and `params`
+    are those the trace was made with. Tensors the trace's variant gates
+    off receive zero. Nothing `out` held survives: `out_weights`, last in
+    the layout, is one GEMM's output, and all before it is zeroed first."""
     batch, variant = trace.samples, trace.variant
-    grads = zero_gradients(params)
+    out.data[: out.data.size - out.out_weights.size] = 0.0
 
     if variant.use_dependence:
         if variant.use_forward_branch:
-            _gate_grad(grads["interval_w_before"], g, trace.spat_before,
+            _gate_grad(out.interval_w_before, g, trace.spat_before,
                        params.interval_w_before, batch.interval_before)
         if variant.use_backward_branch:
-            _gate_grad(grads["interval_w_after"], g, trace.spat_after,
+            _gate_grad(out.interval_w_after, g, trace.spat_after,
                        params.interval_w_after, batch.interval_after)
 
-    np.matmul(g.T, trace.pref, out=grads["out_weights"])
+    np.matmul(g.T, trace.pref, out=out.out_weights)
     pref_grad = g @ params.out_weights
 
-    if variant.use_forward_branch:
-        _context_grads(grads, "fwd_hidden", params.fwd_hidden, trace.fwd_emb, batch.fwd,
-                       pref_grad * (1.0 - trace.h_fwd**2))
-    if variant.use_backward_branch:
-        _context_grads(grads, "bwd_hidden", params.bwd_hidden, trace.bwd_emb, batch.bwd,
-                       pref_grad * (1.0 - trace.h_bwd**2))
+    for use, hidden, hidden_grads, emb, context, act in (
+            (variant.use_forward_branch, params.fwd_hidden, out.fwd_hidden, trace.fwd_emb,
+             batch.fwd, trace.h_fwd),
+            (variant.use_backward_branch, params.bwd_hidden, out.bwd_hidden, trace.bwd_emb,
+             batch.bwd, trace.h_bwd)):
+        if use:
+            a = pref_grad * (1.0 - act**2)
+            for k, weights in enumerate(hidden):
+                np.matmul(a.T, emb[:, k], out=hidden_grads[k])
+                np.add.at(out.poi_emb, context[:, k], a @ weights)
 
     a = pref_grad * (1.0 - trace.h_user**2)
-    np.matmul(a.T, trace.user_vec, out=grads["user_hidden"])
-    np.add.at(grads["user_emb"], batch.users, a @ params.user_hidden)
+    np.matmul(a.T, trace.user_vec, out=out.user_hidden)
+    np.add.at(out.user_emb, batch.users, a @ params.user_hidden)
 
     if variant.use_time_pattern:
         a = pref_grad * (1.0 - trace.h_time**2)
-        np.matmul(a.T, batch.pattern, out=grads["time_hidden"])
+        np.matmul(a.T, batch.pattern, out=out.time_hidden)
 
-    return grads
+    return out
 
 
 def backward(
@@ -133,13 +130,14 @@ def backward(
     sample: Sample,
     params: ModelParams,
     variant: VariantConfig,
-) -> Gradients:
-    """Exact gradients of -log probs[target] w.r.t. every parameter tensor:
-    `backward_batch` on the trace's batch of one."""
+) -> dict[str, np.ndarray]:
+    """Exact gradients of -log probs[target] w.r.t. every parameter tensor,
+    keyed by name: `backward_batch` on the trace's batch of one."""
     if trace.sample != sample or trace.variant != variant:
         raise TraceMismatch("trace does not belong to this sample/variant")
     g = loss_grad_wrt_logits(trace, sample.target_poi)
-    return backward_batch(trace.batch, g[None], params)
+    out = zero_params(params.hyper, params.n_users, params.n_pois)
+    return dict(backward_batch(trace.batch, g[None], params, out).named_tensors())
 
 
 def batch_gradients(
@@ -147,24 +145,26 @@ def batch_gradients(
     params: ModelParams,
     table: PoiTable,
     variant: VariantConfig,
+    out: Gradients,
     cache: SpatialRowCache | None = None,
 ) -> tuple[Gradients, float]:
-    """Mean gradients and mean loss over a batch, from one batched pass."""
+    """Mean gradients, written into `out`, and mean loss over a batch, in one pass."""
     samples = SampleBatch.from_samples(samples)
     trace = forward_batch(samples, params, table, variant, cache)
     g = trace.logits  # overwritten with the probabilities, then with dJ/dlogits
     loss = float(softmax_cross_entropy(g, samples.targets).mean())
     g[np.arange(len(samples)), samples.targets] -= 1.0
     g /= len(samples)
-    return backward_batch(trace, g, params), loss
+    return backward_batch(trace, g, params, out), loss
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates with the standard bias correction."""
+    """First/second moment estimates with the standard bias correction; `m`
+    and `v` are flat arrays in the parameters' arena layout."""
 
-    m: Gradients
-    v: Gradients
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -173,7 +173,7 @@ class AdamState:
 
     @classmethod
     def init(cls, params: ModelParams, lr: float = 0.001) -> "AdamState":
-        return cls(m=zero_gradients(params), v=zero_gradients(params), lr=lr)
+        return cls(m=np.zeros_like(params.data), v=np.zeros_like(params.data), lr=lr)
 
 
 # Elements per piece of adam_step's update: its six 256 KB working arrays
@@ -181,53 +181,40 @@ class AdamState:
 ADAM_BLOCK = 1 << 15
 
 
-def _flat(x: np.ndarray, what: str) -> np.ndarray:
-    """1-D view of a C-contiguous array; raises where reshape would copy."""
-    if not x.flags.c_contiguous:
-        raise ValueError(f"{what} is not C-contiguous")
-    return x.reshape(-1)
-
-
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState):
-    """One in-place Adam update; returns (params, state) for chaining.
+    """One in-place Adam update of the arena; returns (params, state) for chaining.
 
-    Each tensor is updated in pieces of ADAM_BLOCK elements, every piece
+    The arena is updated in pieces of ADAM_BLOCK elements, every piece
     through the whole operation sequence before the next, so the arrays it
     touches stay in cache. The operations per element are the textbook
-    update's, in its order, so the result is bit-identical to whole-tensor
-    passes. Parameters and moments are updated through flat views, so each
-    must be C-contiguous; a wrong gradient shape or a non-contiguous tensor
-    raises before anything is updated.
+    update's, in its order, so the result is bit-identical to whole-array
+    passes. Gradients and moments of another length than the parameters
+    raise before anything is updated.
     """
-    tensors = []
-    for name, theta in params.named_tensors():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ShapeMismatch(f"gradient {name} has shape {g.shape}, want {theta.shape}")
-        tensors.append((_flat(theta, f"parameter {name}"),
-                        _flat(state.m[name], f"first moment of {name}"),
-                        _flat(state.v[name], f"second moment of {name}"), g.reshape(-1)))
+    theta, g, m, v = params.data, grads.data, state.m, state.v
+    if not theta.shape == g.shape == m.shape == v.shape:
+        raise ShapeMismatch(f"parameters {theta.shape}, gradients {g.shape} and moments "
+                            f"{m.shape}, {v.shape} differ")
     state.t += 1
     c1 = 1.0 - state.beta1**state.t
     c2 = 1.0 - state.beta2**state.t
     a_buf, b_buf = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
-    for theta, m, v, g in tensors:
-        for lo in range(0, theta.size, ADAM_BLOCK):
-            piece = slice(lo, lo + ADAM_BLOCK)
-            th, mp, vp, gp = theta[piece], m[piece], v[piece], g[piece]
-            a, b = a_buf[: th.size], b_buf[: th.size]
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
-            # theta -= lr (m / c1) / (sqrt(v / c2) + eps), operation for
-            # operation in that order, through the two scratch arrays
-            mp *= state.beta1
-            mp += np.multiply(1.0 - state.beta1, gp, out=a)
-            vp *= state.beta2
-            np.multiply(1.0 - state.beta2, gp, out=a)
-            vp += np.multiply(a, gp, out=a)
-            np.multiply(state.lr, np.divide(mp, c1, out=a), out=a)
-            np.sqrt(np.divide(vp, c2, out=b), out=b)
-            b += state.eps
-            th -= np.divide(a, b, out=a)
+    for lo in range(0, theta.size, ADAM_BLOCK):
+        piece = slice(lo, lo + ADAM_BLOCK)
+        th, mp, vp, gp = theta[piece], m[piece], v[piece], g[piece]
+        a, b = a_buf[: th.size], b_buf[: th.size]
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        # theta -= lr (m / c1) / (sqrt(v / c2) + eps), operation for
+        # operation in that order, through the two scratch arrays
+        mp *= state.beta1
+        mp += np.multiply(1.0 - state.beta1, gp, out=a)
+        vp *= state.beta2
+        np.multiply(1.0 - state.beta2, gp, out=a)
+        vp += np.multiply(a, gp, out=a)
+        np.multiply(state.lr, np.divide(mp, c1, out=a), out=a)
+        np.sqrt(np.divide(vp, c2, out=b), out=b)
+        b += state.eps
+        th -= np.divide(a, b, out=a)
     return params, state
 
 
@@ -354,6 +341,7 @@ def fit(
     data = SampleBatch.from_samples(train_samples)
     val = SampleBatch.from_samples(val_samples) if val_samples else None
     adam = AdamState.init(params, lr=config.lr)
+    grads = zero_params(params.hyper, params.n_users, params.n_pois)
     early = EarlyStopState()
     log: list[EpochRecord] = []
     epochs_run = 0
@@ -364,7 +352,7 @@ def fit(
         total_loss = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = data.take(order[lo : lo + config.batch_size])
-            grads, batch_loss = batch_gradients(batch, params, table, variant, cache)
+            _, batch_loss = batch_gradients(batch, params, table, variant, grads, cache)
             if not math.isfinite(batch_loss):
                 raise Diverged(f"epoch {epoch}: non-finite batch loss {batch_loss}")
             adam_step(params, grads, adam)
@@ -433,7 +421,7 @@ def finite_difference_check(
     variant: VariantConfig,
     delta: float = 1e-5,
     tolerance: float = 1e-4,
-    grads: Gradients | None = None,
+    grads: dict[str, np.ndarray] | None = None,
 ) -> FdReport:
     """Compare analytic gradients against central differences, coordinate by
     coordinate. Relative error is |a - n| / max(|a|, |n|, 1e-8). Cost is two

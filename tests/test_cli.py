@@ -196,6 +196,17 @@ class TestTrainEvaluate:
                    "--checkpoint", ck, "--out", tmp_path / "ev") == 2
         assert "implies" in capsys.readouterr().err
 
+    def test_checkpoint_header_with_a_zero_dimension_exits_2(self, prepared_dir, tmp_path,
+                                                             capsys):
+        # N = 0 with a payload of the size it implies: no model to evaluate
+        ck = tmp_path / "empty.bin"
+        ck.write_bytes(CHECKPOINT_MAGIC + struct.pack("<5I", 0, 12, 4, 6, 1)
+                       + b"\0" * 8 * ((12 + 3 * 6) * 4 + 7 * 6 + 8 * 12))
+        assert run("evaluate", "--data", prepared_dir / "corpus.tsv",
+                   "--checkpoint", ck, "--out", tmp_path / "ev") == 2
+        err = capsys.readouterr().err
+        assert str(ck) in err and "zero dimension" in err
+
     def test_determinism_bitwise(self, prepared_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert self.train(prepared_dir, a, seed=5) == 0
@@ -207,7 +218,7 @@ class TestTrainEvaluate:
             ra.pop("seconds"), rb.pop("seconds")  # wall time may differ
             assert ra == rb
 
-    def test_resume_refuses_mismatched_shapes(self, prepared_dir, tmp_path):
+    def test_resume_refuses_mismatched_shapes(self, prepared_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert self.train(prepared_dir, out) == 0
         # rebuild the corpus with w=2: different sample width, same data
@@ -215,10 +226,20 @@ class TestTrainEvaluate:
         raw = prepared_dir / "corpus.tsv"
         assert run("prepare", "--data", raw.parent.parent / "raw.tsv", "--format",
                    "foursquare", "--out", out2, "--w", 2) == 0
+        capsys.readouterr()
         code = run("train", "--data", out2 / "corpus.tsv", "--out", tmp_path / "r2",
                    "--d", 4, "--h", 6, "--epochs", 1,
                    "--resume-from", out / "checkpoint.bin")
         assert code == 2
+        # the error names the checkpoint and the corpus, and so does evaluate's
+        err = capsys.readouterr().err
+        assert "does not match" in err
+        assert str(out / "checkpoint.bin") in err and str(out2 / "corpus.tsv") in err
+        assert run("evaluate", "--data", out2 / "corpus.tsv", "--split", "val",
+                   "--checkpoint", out / "checkpoint.bin", "--out", tmp_path / "ev") == 2
+        err = capsys.readouterr().err
+        assert "does not match" in err
+        assert str(out / "checkpoint.bin") in err and str(out2 / "corpus.tsv") in err
 
     def test_resume_starts_from_the_checkpoint(self, prepared_dir, tmp_path):
         first, fresh, resumed = tmp_path / "first", tmp_path / "fresh", tmp_path / "resumed"

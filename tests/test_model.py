@@ -1,9 +1,12 @@
+import contextlib
 import math
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bistddp.evaluation import _rank_of, evaluate, report_from_ranks
 from bistddp.geodata import GeoPoint, PoiTable
@@ -18,6 +21,7 @@ from bistddp.model import (
     NonFiniteScores,
     VARIANTS,
     VariantConfig,
+    arena_size,
     cross_entropy,
     expect_compatible,
     forward,
@@ -67,6 +71,42 @@ def test_init_shapes_and_determinism():
         np.testing.assert_array_equal(t, dict(b.named_tensors())[name])
     # interval weights follow the M x 1 fan convention
     assert np.abs(a.interval_w_before).max() <= math.sqrt(6.0 / 10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 12), d=st.integers(1, 4), h=st.integers(1, 5),
+       w=st.integers(1, 3))
+def test_views_tile_the_arena_once_in_checkpoint_order(n, m, d, h, w):
+    hp = HyperParams(d=d, h=h, w=w)
+    params = zero_params(hp, n, m)
+    size = params.data.size
+    names = ["poi_emb", "user_emb", *(f"fwd_hidden[{k}]" for k in range(w)),
+             *(f"bwd_hidden[{k}]" for k in range(w)), "user_hidden", "time_hidden",
+             "interval_w_before", "interval_w_after", "out_weights"]
+    named = params.named_tensors()
+    assert [name for name, _ in named] == names
+    attrs = [params.poi_emb, params.user_emb, *params.fwd_hidden, *params.bwd_hidden,
+             params.user_hidden, params.time_hidden, params.interval_w_before,
+             params.interval_w_after, params.out_weights]
+    assert all(view is attr for (_, view), attr in zip(named, attrs))
+    # each view starts where the one before it ends, and the last ends the arena
+    start = params.data.__array_interface__["data"][0]
+    offset = 0
+    for name, view in named:
+        assert view.flags.c_contiguous, name
+        assert view.__array_interface__["data"][0] == start + 8 * offset, name
+        offset += view.size
+    assert offset == size == arena_size(hp, n, m)
+    params.data[:] = np.arange(size)
+    np.testing.assert_array_equal(np.concatenate([t.ravel() for _, t in named]), np.arange(size))
+    twin = params.copy()
+    np.testing.assert_array_equal(twin.data, params.data)
+    assert not any(np.shares_memory(a, b) for _, a in twin.named_tensors()
+                   for b in (params.data, *attrs))
+    for bad in (np.zeros(size - 1), np.zeros(size + 1), np.zeros(size, dtype=np.float32),
+                np.zeros((size, 1)), np.zeros(size, dtype=np.int64)):
+        with pytest.raises(ShapeMismatch):
+            ModelParams(hp, n, m, bad)
 
 
 def _sample(**kw):
@@ -329,24 +369,53 @@ class TestCheckpoint:
         for (name, a), (_, b) in zip(params.named_tensors(), back.named_tensors()):
             np.testing.assert_array_equal(a, b, err_msg=name)
 
-    def test_failed_save_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
+    def test_failed_save_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "ck.bin"
         save_checkpoint(path, random_instance(14, m=9, n=3, d=3, h=4, w=1)[1])
         old = path.read_bytes()
         _, params, _ = random_instance(17, m=2000, n=3, d=3, h=4, w=1)
         written = []
 
-        class Failing:  # the last tensor: the ones before it are on disk
-            def __array__(self, dtype=None, copy=None):
+        class HalfWrite:  # the arena's write stops halfway, as on a full disk
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                if len(data) < 1000:  # magic and header
+                    return self.fh.write(data)
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
                 written.extend(p.stat().st_size for p in tmp_path.iterdir() if p != path)
                 raise OSError("no space left on device")
 
-        params.out_weights = Failing()
+        real_open = model.atomic_open
+
+        @contextlib.contextmanager
+        def half_open(target, mode):
+            with real_open(target, mode) as fh:
+                yield HalfWrite(fh)
+
+        monkeypatch.setattr(model, "atomic_open", half_open)
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(path, params)
         assert len(written) == 1 and written[0] > 0  # it failed partway through a temp file
         assert path.read_bytes() == old
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_bytes_are_the_v1_format(self, tmp_path, w):
+        _, params, _ = random_instance(19, m=9, n=3, d=3, h=4, w=w)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, params)
+        # v1 written out longhand: magic, the (N, M, d, h, w) header, then each
+        # tensor as little-endian float64, one after the other
+        tensors = [params.poi_emb, params.user_emb, *params.fwd_hidden, *params.bwd_hidden,
+                   params.user_hidden, params.time_hidden, params.interval_w_before,
+                   params.interval_w_after, params.out_weights]
+        v1 = [CHECKPOINT_MAGIC, struct.pack("<5I", 3, 9, 3, 4, w)]
+        v1 += [np.asarray(t, dtype="<f8").tobytes() for t in tensors]
+        assert path.read_bytes() == b"".join(v1)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"
@@ -377,10 +446,23 @@ class TestCheckpoint:
             with pytest.raises(BadCheckpoint):
                 load_checkpoint(path)
 
+    @pytest.mark.parametrize("field", ["N", "M", "d", "h", "w"])
+    def test_zero_dimension_is_rejected_before_anything_is_allocated(self, tmp_path,
+                                                                     monkeypatch, field):
+        dims = {"N": 3, "M": 9, "d": 3, "h": 4, "w": 1, field: 0}
+        n, m, d, h, w = dims.values()
+        values = (m + n + (2 * w + 1) * h) * d + 7 * h + (2 + h) * m  # the payload fits
+        path = tmp_path / "ck.bin"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<5I", n, m, d, h, w) + b"\0" * 8 * values)
+        monkeypatch.setattr(model, "zero_params", lambda *a: pytest.fail("tensors allocated"))
+        with pytest.raises(BadCheckpoint, match="zero dimension") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     def test_expect_compatible(self):
         _, params, _ = random_instance(16, m=9, n=3, d=3, h=4, w=1)
-        expect_compatible(params, 3, 9, 1)
+        expect_compatible(params, 3, 9, 1, "ck.bin", "corpus.tsv")
+        with pytest.raises(ShapeMismatch, match="ck.bin .* corpus.tsv"):
+            expect_compatible(params, 3, 10, 1, "ck.bin", "corpus.tsv")
         with pytest.raises(ShapeMismatch):
-            expect_compatible(params, 3, 10, 1)
-        with pytest.raises(ShapeMismatch):
-            expect_compatible(params, 3, 9, 2)
+            expect_compatible(params, 3, 9, 2, "ck.bin", "corpus.tsv")

@@ -9,7 +9,9 @@ from bistddp.geodata import SpatialRowCache, spatial_vector
 from bistddp.ingest import PreparedCorpus, SampleBatch
 from bistddp.model import (
     HyperParams,
+    ModelParams,
     VARIANTS,
+    arena_size,
     cross_entropy,
     forward,
     forward_batch,
@@ -35,9 +37,19 @@ from bistddp.train import (
     finite_difference_check,
     fit,
     loss_grad_wrt_logits,
-    zero_gradients,
 )
 from bistddp.evaluation import evaluate
+
+
+def zeros_like(params):
+    """A zero arena in `params`' layout: a fresh gradient buffer."""
+    return zero_params(params.hyper, params.n_users, params.n_pois)
+
+
+def random_arena(params, seed):
+    """Standard-normal values in `params`' layout, as gradients."""
+    return ModelParams(params.hyper, params.n_users, params.n_pois,
+                       make_rng(seed).normal(size=params.data.size))
 
 
 class TestBackward:
@@ -103,7 +115,7 @@ class TestAdam:
         _, params, _ = random_instance(5, m=8, n=2, d=3, h=4, w=1)
         before = params.copy()
         state = AdamState.init(params)
-        adam_step(params, zero_gradients(params), state)
+        adam_step(params, zeros_like(params), state)
         for (name, a), (_, b) in zip(params.named_tensors(), before.named_tensors()):
             np.testing.assert_array_equal(a, b, err_msg=name)
 
@@ -113,8 +125,8 @@ class TestAdam:
         _, params, _ = random_instance(6, m=8, n=2, d=3, h=4, w=1)
         g = 0.5
         theta0 = params.user_hidden[0, 0]
-        grads = zero_gradients(params)
-        grads["user_hidden"][0, 0] = g
+        grads = zeros_like(params)
+        grads.user_hidden[0, 0] = g
         adam_step(params, grads, AdamState.init(params))
         expected = theta0 - 0.001 * g / (math.sqrt(g * g) + 1e-8)
         assert params.user_hidden[0, 0] == pytest.approx(expected, abs=1e-15)
@@ -133,56 +145,49 @@ class TestAdam:
         params.user_hidden[0, 0] = 0.25
         state = AdamState.init(params)
         for g in (g1, g2):
-            grads = zero_gradients(params)
-            grads["user_hidden"][0, 0] = g
+            grads = zeros_like(params)
+            grads.user_hidden[0, 0] = g
             adam_step(params, grads, state)
         assert params.user_hidden[0, 0] == pytest.approx(theta, abs=1e-12)
 
     def test_shape_mismatch(self):
+        # a gradient arena or a moment of another length raises before any update
         _, params, _ = random_instance(8, m=8, n=2, d=3, h=4, w=1)
-        grads = zero_gradients(params)
-        grads["user_hidden"] = np.zeros((2, 2))
+        before = params.copy()
+        state = AdamState.init(params)
         with pytest.raises(ShapeMismatch):
-            adam_step(params, grads, AdamState.init(params))
+            adam_step(params, zero_params(params.hyper, params.n_users, 9), state)
+        assert state.t == 0
+        for moment in ("m", "v"):
+            state = AdamState.init(params)
+            setattr(state, moment, np.zeros(params.data.size - 1))
+            with pytest.raises(ShapeMismatch):
+                adam_step(params, random_arena(params, 12), state)
+            assert state.t == 0
+        np.testing.assert_array_equal(params.data, before.data)
 
     def test_bit_identical_to_textbook_update(self):
-        # the interval weights hold n_pois elements and out_weights 4 n_pois,
-        # so tensors end inside a block, at its boundary and one past it
-        for n_pois in (8, 1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1, 5 * ADAM_BLOCK // 2):
+        # at n=2, d=3, h=4, w=1 the arena holds 9 M + 70 elements; the last
+        # three sizes end one short of a block boundary, on one and one past
+        hp = HyperParams(d=3, h=4, w=1)
+        assert [arena_size(hp, 2, m) % ADAM_BLOCK for m in (3633, 7274, 10915)] == [
+            ADAM_BLOCK - 1, 0, 1]
+        for n_pois in (8, 1, 3633, 7274, 10915):
             _, params, _ = random_instance(9, m=n_pois, n=2, d=3, h=4, w=1)
             state = AdamState.init(params, lr=0.003)
-            rng = make_rng(10)
-            theta = {name: t.copy() for name, t in params.named_tensors()}
-            m = {name: np.zeros_like(t) for name, t in theta.items()}
-            v = {name: np.zeros_like(t) for name, t in theta.items()}
+            theta = params.data.copy()
+            m = np.zeros_like(theta)
+            v = np.zeros_like(theta)
             b1, b2, lr, eps = 0.9, 0.999, 0.003, 1e-8
             for t in range(1, 6):
-                grads = {name: rng.normal(size=x.shape) for name, x in theta.items()}
+                grads = random_arena(params, 10 + t)
                 adam_step(params, grads, state)
-                for name, g in grads.items():
-                    m[name] = b1 * m[name] + (1.0 - b1) * g
-                    v[name] = b2 * v[name] + (1.0 - b2) * g * g
-                    theta[name] = theta[name] - lr * (m[name] / (1.0 - b1**t)) / (
-                        np.sqrt(v[name] / (1.0 - b2**t)) + eps)
-                for name, x in params.named_tensors():
-                    np.testing.assert_array_equal(
-                        x, theta[name], err_msg=f"M={n_pois}: {name}, step {t}")
-
-    @pytest.mark.parametrize("layout", ["fortran", "strided"])
-    def test_non_contiguous_parameter_raises_before_any_update(self, layout):
-        _, params, _ = random_instance(11, m=8, n=2, d=3, h=4, w=1)
-        if layout == "fortran":  # flattening it would update a copy
-            params.out_weights = np.asfortranarray(params.out_weights)
-        else:
-            params.out_weights = np.repeat(params.out_weights, 2, axis=1)[:, ::2]
-        state = AdamState.init(params)
-        before = params.copy()
-        grads = {name: make_rng(12).normal(size=t.shape) for name, t in params.named_tensors()}
-        with pytest.raises(ValueError, match="parameter out_weights is not C-contiguous"):
-            adam_step(params, grads, state)
-        assert state.t == 0
-        for (name, a), (_, b) in zip(params.named_tensors(), before.named_tensors()):
-            np.testing.assert_array_equal(a, b, err_msg=name)
+                g = grads.data
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                theta = theta - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+                np.testing.assert_array_equal(params.data, theta,
+                                              err_msg=f"M={n_pois}, step {t}")
 
 
 def test_batch_mean_equals_mean_of_per_sample_gradients():
@@ -193,14 +198,14 @@ def test_batch_mean_equals_mean_of_per_sample_gradients():
                              prep.corpus.n_pois, make_rng(0))
         batch = prep.samples_for("train").take(slice(0, 7))
         for name, variant in VARIANTS.items():
-            grads, _ = batch_gradients(batch, params, table, variant)
+            grads, _ = batch_gradients(batch, params, table, variant, zeros_like(params))
             per_sample = []
             for s in batch:
                 trace = forward(s, params, table, variant)
                 per_sample.append(backward(trace, s, params, variant))
-            for tname in grads:
+            for tname, grad in grads.named_tensors():
                 mean = sum(g[tname] for g in per_sample) / len(batch)
-                np.testing.assert_allclose(grads[tname], mean, rtol=1e-12, atol=1e-15,
+                np.testing.assert_allclose(grad, mean, rtol=1e-12, atol=1e-15,
                                            err_msg=f"{name}, w={w}: {tname}")
 
 
@@ -214,7 +219,7 @@ def test_batched_logits_and_loss_equal_one_sample_calls():
         for name, variant in VARIANTS.items():
             logits = forward_batch(batch, params, table, variant).logits
             losses = softmax_cross_entropy(logits.copy(), batch.targets)
-            _, mean_loss = batch_gradients(batch, params, table, variant)
+            _, mean_loss = batch_gradients(batch, params, table, variant, zeros_like(params))
             for row, loss, s in zip(logits, losses, batch):
                 trace = forward(s, params, table, variant)
                 np.testing.assert_allclose(row, trace.logits, rtol=1e-12, atol=1e-15,
@@ -230,7 +235,8 @@ def _whole_batch_gate_reference(batch, params, table, variant, g):
     from the same model without dependence terms."""
     plain = replace(variant, use_dependence=False)
     logits = forward_batch(batch, params, table, plain).logits
-    grads = backward_batch(forward_batch(batch, params, table, plain), g, params)
+    grads = dict(backward_batch(forward_batch(batch, params, table, plain), g, params,
+                                zeros_like(params)).named_tensors())
     if variant.use_dependence:
         for use, pois, interval, name in (
                 (variant.use_forward_branch, batch.fwd[:, 0], batch.interval_before,
@@ -268,12 +274,31 @@ def test_per_row_gates_equal_whole_batch_gate_arrays():
             for cache in (None, SpatialRowCache(table, capacity=1)):
                 trace = forward_batch(batch, params, table, variant, cache)
                 np.testing.assert_array_equal(trace.logits, logits, err_msg=f"{name}, w={w}")
-                grads = backward_batch(trace, g, params)
-                for tname, grad in grads.items():
+                grads = backward_batch(trace, g, params, zeros_like(params))
+                for tname, grad in grads.named_tensors():
                     np.testing.assert_array_equal(grad, expected[tname],
                                                   err_msg=f"{name}, w={w}: {tname}")
             if variant.use_dependence:
-                assert grads["interval_w_before"].any() or grads["interval_w_after"].any()
+                assert grads.interval_w_before.any() or grads.interval_w_after.any()
+
+
+def test_backward_batch_leaves_nothing_of_what_the_arena_held():
+    # backward_batch zeroes only part of its output arena; a stale arena full
+    # of NaN must come out bit for bit as a fresh zero one does
+    corpus = planted_corpus(2).corpus
+    for w in (1, 2):
+        prep = PreparedCorpus.from_corpus(corpus, w)
+        params = init_params(HyperParams(d=5, h=8, w=w), corpus.n_users, corpus.n_pois,
+                             make_rng(w))
+        batch = prep.samples_for("train").take(slice(0, 40))
+        g = make_rng(4).normal(size=(len(batch), corpus.n_pois)) / len(batch)
+        for name, variant in VARIANTS.items():
+            trace = forward_batch(batch, params, corpus.poi_table, variant)
+            fresh = backward_batch(trace, g, params, zeros_like(params))
+            stale = zeros_like(params)
+            stale.data[:] = np.nan
+            assert backward_batch(trace, g, params, stale) is stale
+            assert stale.data.tobytes() == fresh.data.tobytes(), f"{name}, w={w}"
 
 
 class TestMemory:
@@ -289,8 +314,9 @@ class TestMemory:
             replace(sample, user=int(u), target_poi=int(t), fwd=(int(f),), bwd=(int(b),))
             for u, t, f, b in rng.integers(0, [self.N, self.M, self.M, self.M], (self.B, 4))])
         cache = SpatialRowCache(table, capacity=self.M)
-        batch_gradients(batch, params, table, VARIANTS["bi-stddp"], cache)  # rows cached
-        return table, params, batch, cache
+        grads = zeros_like(params)
+        batch_gradients(batch, params, table, VARIANTS["bi-stddp"], grads, cache)  # rows cached
+        return table, params, batch, cache, grads
 
     @staticmethod
     def peak_bytes(fn):
@@ -302,22 +328,30 @@ class TestMemory:
             tracemalloc.stop()
 
     def test_adam_step_peak_is_two_blocks_of_scratch(self, step):
-        _, params, _, _ = step
+        _, params, _, _, _ = step
         params = params.copy()
-        grads = {name: make_rng(23).normal(size=t.shape) for name, t in params.named_tensors()}
+        grads = random_arena(params, 23)
         state = AdamState.init(params)
         peak, _ = self.peak_bytes(lambda: adam_step(params, grads, state))
         assert peak < 1_000_000  # whole-tensor scratch arrays took 19.6 MB
 
     def test_batch_gradients_builds_no_gate_array(self, step):
-        table, params, batch, cache = step
+        table, params, batch, cache, out = step
         peak, (grads, _) = self.peak_bytes(
-            lambda: batch_gradients(batch, params, table, VARIANTS["bi-stddp"], cache))
+            lambda: batch_gradients(batch, params, table, VARIANTS["bi-stddp"], out, cache))
         # the gradients and the (B x M) logits must coexist; a (B x M) gate
         # array on top of them (as a whole-batch interval_gate builds) would
         # cross this line
         bm = self.B * self.M * 8
-        assert peak < sum(g.nbytes for g in grads.values()) + 2 * bm
+        assert peak < grads.data.nbytes + 2 * bm
+
+    def test_batch_gradients_allocates_no_gradient_arena(self, step):
+        # with the arena passed in, the (B x M) logits are the largest
+        # allocation; a fresh gradient arena per step (13.3 MB here) is not
+        table, params, batch, cache, grads = step
+        peak, _ = self.peak_bytes(
+            lambda: batch_gradients(batch, params, table, VARIANTS["bi-stddp"], grads, cache))
+        assert peak < 2 * self.B * self.M * 8
 
 
 class TestEarlyStop:
@@ -402,9 +436,10 @@ def test_loss_non_increasing_over_first_steps():
         params = init_params(HyperParams(d=4, h=6, w=1), corpus.n_users,
                              corpus.n_pois, make_rng(seed))
         state = AdamState.init(params, lr=0.001)
+        grads = zeros_like(params)
         losses = []
         for _ in range(6):
-            grads, loss = batch_gradients(batch, params, corpus.poi_table, variant)
+            _, loss = batch_gradients(batch, params, corpus.poi_table, variant, grads)
             losses.append(loss)
             adam_step(params, grads, state)
         for a, b in zip(losses, losses[1:]):
