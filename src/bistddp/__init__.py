@@ -6,7 +6,7 @@ Foursquare/Gowalla dumps, the trainable model with ablation variants,
 counting baselines, and ranking metrics.
 """
 
-from .geodata import GeoPoint, PoiTable, SpatialRowCache, haversine_km, spatial_vector
+from .geodata import PoiTable, SpatialRowCache, haversine_km, spatial_vector
 from .ingest import (
     Corpus,
     CorpusSplit,

@@ -31,7 +31,6 @@ from .geodata import (
     ROW_ABS_TOL_KM,
     ROW_REL_MIN_KM,
     ROW_REL_TOL,
-    GeoPoint,
     PoiTable,
     SpatialRowCache,
     haversine_km,
@@ -249,6 +248,20 @@ def _load_prepared(cfg: ExperimentConfig,
     return replace(cfg, w=prepared_corpus.window), prepared_corpus
 
 
+def _load_params(cfg: ExperimentConfig, path: str, prepared_corpus: PreparedCorpus,
+                 dims: tuple[str, ...] = ()) -> tuple[ExperimentConfig, ModelParams]:
+    """The checkpoint at `path`, checked against the corpus, and `cfg` recording
+    its d and h; a d or h named in `dims` (set explicitly) must match."""
+    params, corpus = load_checkpoint(path), prepared_corpus.corpus
+    expect_compatible(params, corpus.n_users, corpus.n_pois, prepared_corpus.window,
+                      path, cfg.data)
+    for key in dims:
+        if getattr(cfg, key) != getattr(params.hyper, key):
+            raise MalformedConfig(f"{key}={getattr(cfg, key)} was set, but checkpoint {path} has "
+                                  f"{key}={getattr(params.hyper, key)}; a checkpoint fixes d and h")
+    return replace(cfg, d=params.hyper.d, h=params.hyper.h), params
+
+
 def _model_report(cfg: ExperimentConfig, params: ModelParams, samples: SampleBatch,
                   table: PoiTable, cache: SpatialRowCache) -> MetricsReport:
     """`cfg.variant`'s metrics at `cfg.k` on `samples`, ranked through the batched path."""
@@ -286,16 +299,14 @@ def _fit(cfg: ExperimentConfig, prepared_corpus: PreparedCorpus, cache: SpatialR
 
 
 def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None,
-              window: int | None = None) -> int:
+              window: int | None = None, dims: tuple[str, ...] = ()) -> int:
     cfg, prepared_corpus = _load_prepared(cfg, window)
+    params = None
+    if resume_from:
+        cfg, params = _load_params(cfg, resume_from, prepared_corpus, dims)
     out = _out_dir(cfg, "train")
     corpus = prepared_corpus.corpus
     print(f"corpus: N={corpus.n_users} M={corpus.n_pois} w={prepared_corpus.window}")
-    params = None
-    if resume_from:
-        params = load_checkpoint(resume_from)
-        expect_compatible(params, corpus.n_users, corpus.n_pois, prepared_corpus.window,
-                          resume_from, cfg.data)
     cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
     result = _fit(cfg, prepared_corpus, cache, params)
     save_checkpoint(out / "checkpoint.bin", result.params)
@@ -307,13 +318,11 @@ def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None,
 
 
 def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str, split: str,
-                 window: int | None = None) -> int:
+                 window: int | None = None, dims: tuple[str, ...] = ()) -> int:
     cfg, prepared_corpus = _load_prepared(cfg, window)
+    cfg, params = _load_params(cfg, checkpoint, prepared_corpus, dims)
     out = _out_dir(cfg, "evaluate")
     corpus = prepared_corpus.corpus
-    params = load_checkpoint(checkpoint)
-    expect_compatible(params, corpus.n_users, corpus.n_pois, prepared_corpus.window,
-                      checkpoint, cfg.data)
     cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
     samples = prepared_corpus.samples_for(split)
     if not samples:
@@ -448,14 +457,14 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
 
     # every POI paired with a neighbour under a few metres away or a near-antipode
     rng = make_rng(13)
-    points = [GeoPoint(float(rng.uniform(-85, 85)), float(rng.uniform(-175, 175)))
-              for _ in range(20)]
-    points += [GeoPoint(p.lat + float(rng.uniform(-2e-5, 2e-5)),
-                        p.lon + float(rng.uniform(-2e-5, 2e-5))) for p in points[:10]]
-    points += [GeoPoint(-p.lat + 1e-7, p.lon - math.copysign(180.0, p.lon)) for p in points[10:20]]
-    table = PoiTable([(f"p{i}", p) for i, p in enumerate(points)])
+    lat, lon = rng.uniform([-85, -175], [85, 175], (20, 2)).T  # lat, lon drawn in turn
+    jitter_lat, jitter_lon = rng.uniform(-2e-5, 2e-5, (10, 2)).T
+    lat = np.r_[lat, lat[:10] + jitter_lat, -lat[10:20] + 1e-7]
+    lon = np.r_[lon, lon[:10] + jitter_lon, lon[10:20] - np.copysign(180.0, lon[10:20])]
+    table = PoiTable([f"p{i}" for i in range(len(lat))], lat, lon)
     rows = np.array([table.distance_row_km(i) for i in range(len(table))])
-    exact = np.array([[haversine_km(p, q) for q in points] for p in points])
+    points = list(zip(lat.tolist(), lon.tolist()))
+    exact = np.array([[haversine_km(*p, *q) for q in points] for p in points])
     err, far = np.abs(rows - exact), exact >= ROW_REL_MIN_KM
     rel, near = float(np.max(err[far] / exact[far])), float(np.max(err[~far]))
     check("distance rows match haversine_km", rel <= ROW_REL_TOL and near <= ROW_ABS_TOL_KM,
@@ -503,7 +512,7 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
     # the corpus file stores check-ins only; loading rebuilds split and samples.
     # Offsets of -12 h .. +14 h move check-ins across local midnight.
     rng = make_rng(11)
-    coords = [(float(rng.uniform(-60, 60)), float(rng.uniform(-170, 170))) for _ in range(30)]
+    coords = rng.uniform([-60, -170], [60, 170], (30, 2))  # lat, lon drawn in turn
     events = [[(int(rng.integers(30)), 1_500_000_000 + 5_000 * i + int(rng.integers(5_000)),
                 60 * int(rng.integers(-12, 15))) for i in range(40)] for _ in range(6)]
     source = PreparedCorpus.from_corpus(corpus_from_events(coords, events), 2)
@@ -572,16 +581,19 @@ def main(argv: list[str] | None = None) -> int:
         if "k" in overrides:
             overrides["k"] = _parse_ks(overrides["k"])
         cfg = build_config(file_values, overrides)
-        # an unset w means "the corpus's window"; a set one must match it
-        window = cfg.w if "w" in file_values or "w" in overrides else None
+        # unset, w means the corpus's window and d and h the checkpoint's;
+        # a set one must match
+        set_keys = file_values.keys() | overrides.keys()
+        window = cfg.w if "w" in set_keys else None
+        dims = tuple(key for key in ("d", "h") if key in set_keys)
         if args.command == "prepare":
             if not cfg.data:
                 raise MalformedConfig("prepare needs --data (raw check-in file)")
             return cmd_prepare(cfg)
         if args.command == "train":
-            return cmd_train(cfg, resume_from=args.resume_from, window=window)
+            return cmd_train(cfg, resume_from=args.resume_from, window=window, dims=dims)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.checkpoint, args.split, window)
+            return cmd_evaluate(cfg, args.checkpoint, args.split, window, dims)
         if args.command == "baselines":
             return cmd_baselines(cfg, args.split, window)
         if args.command == "ablate":

@@ -1,5 +1,9 @@
 """POI coordinates, great-circle distance, and normalized spatial vectors.
 
+A `PoiTable` holds the POI ids, latitudes and longitudes once, as columns.
+Every coordinate that enters the package (a dump line, a corpus file, a
+table's arrays) passes one range rule, `coordinate_error`.
+
 A POI's spatial vector is its distance row to every candidate POI divided by
 the population standard deviation of that row. The full M x M distance
 matrix is never built (M can reach tens of thousands); rows are computed on
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,35 +32,38 @@ EARTH_RADIUS_KM = 6371.0
 ROW_REL_TOL = 5e-8
 ROW_REL_MIN_KM = 1e-3
 ROW_ABS_TOL_KM = 1e-11
+MAX_LAT, MAX_LON = 90.0, 180.0  # degrees; see `coordinate_error`
 
 
 class DegenerateGeometry(ValueError):
     """All pairwise distances in a row are zero, so normalization fails."""
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    """Latitude/longitude in decimal degrees."""
-
-    lat: float
-    lon: float
-
-    def __post_init__(self):
-        if not (-90.0 <= self.lat <= 90.0):
-            raise ValueError(f"latitude out of range: {self.lat}")
-        if not (-180.0 <= self.lon <= 180.0):
-            raise ValueError(f"longitude out of range: {self.lon}")
+def coordinate_error(lat: float, lon: float) -> str | None:
+    """Why (`lat`, `lon`) in degrees breaks the range rule, latitude in [-90, 90]
+    and longitude in [-180, 180] (NaN is in neither), or None if it does not."""
+    if not -MAX_LAT <= lat <= MAX_LAT:
+        return f"latitude out of range: {lat}"
+    if not -MAX_LON <= lon <= MAX_LON:
+        return f"longitude out of range: {lon}"
+    return None
 
 
-def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in km on a spherical Earth (R = 6371 km).
+def coordinates_ok(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """`coordinate_error(lat[k], lon[k]) is None` for every k, as one boolean array."""
+    return (-MAX_LAT <= lat) & (lat <= MAX_LAT) & (-MAX_LON <= lon) & (lon <= MAX_LON)
+
+
+def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Great-circle distance in km between two points in degrees, on a
+    spherical Earth (R = 6371 km); the reference for `distance_row_km`.
 
     Vincenty's atan2 form, accurate near antipodes where the haversine's asin
     is not. Ordering the points first makes it bitwise symmetric.
     """
-    if (b.lat, b.lon) < (a.lat, a.lon):
-        a, b = b, a
-    lat1, lat2, dlon = math.radians(a.lat), math.radians(b.lat), math.radians(b.lon - a.lon)
+    if (lat2, lon2) < (lat1, lon1):
+        lat1, lon1, lat2, lon2 = lat2, lon2, lat1, lon1
+    lat1, lat2, dlon = math.radians(lat1), math.radians(lat2), math.radians(lon2 - lon1)
     x = math.sin(lat1) * math.sin(lat2) + math.cos(lat1) * math.cos(lat2) * math.cos(dlon)
     y = math.hypot(math.cos(lat2) * math.sin(dlon), math.cos(lat1) * math.sin(lat2)
                    - math.sin(lat1) * math.cos(lat2) * math.cos(dlon))
@@ -65,39 +71,43 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
 
 
 class PoiTable:
-    """Dense-indexed POI registry; immutable after construction.
+    """Dense-indexed POI registry as columns; immutable after construction.
 
-    External ids map to indices 0..M-1 in insertion order. Coordinates are
-    also held as five read-only length-M arrays, so distance rows vectorize
-    without trigonometry: the sine and cosine of each half latitude and half
-    longitude, and the cosine of each latitude.
+    POI k has external id `ids[k]` and coordinates (`lat[k]`, `lon[k]`) in
+    degrees: `ids` is a tuple, and `lat` and `lon` are read-only float64
+    copies of the arrays given, which must pass the range rule (an error
+    names the first POI that does not) and carry no duplicate id. Five more
+    read-only length-M arrays, derived from those, let distance rows
+    vectorize without trigonometry: the sine and cosine of each half
+    latitude and half longitude, and the cosine of each latitude.
     """
 
-    def __init__(self, entries: list[tuple[str, GeoPoint]]):
-        if not entries:
+    def __init__(self, ids, lat, lon):
+        self.ids = tuple(ids)
+        self.lat, self.lon = np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64)
+        if not self.ids:
             raise ValueError("PoiTable needs at least one POI")
-        self.entries = list(entries)
-        self.index: dict[str, int] = {}
-        for i, (ext_id, _) in enumerate(self.entries):
-            if ext_id in self.index:
-                raise ValueError(f"duplicate POI id {ext_id!r}")
-            self.index[ext_id] = i
-        lat = np.array([math.radians(p.lat) for _, p in self.entries])
-        lon = np.array([math.radians(p.lon) for _, p in self.entries])
+        if not self.lat.shape == self.lon.shape == (len(self.ids),):
+            raise ValueError(f"{len(self.ids)} POI ids, {self.lat.shape} lat, {self.lon.shape} lon")
+        bad = np.flatnonzero(~coordinates_ok(self.lat, self.lon))
+        if len(bad):
+            k = bad[0]
+            raise ValueError(f"POI {k} ({self.ids[k]!r}): "
+                             f"{coordinate_error(self.lat[k], self.lon[k])}")
+        first: dict[str, int] = {}
+        for k, poi_id in enumerate(self.ids):
+            if first.setdefault(poi_id, k) != k:
+                raise ValueError(f"duplicate POI id {poi_id!r}")
+        lat, lon = np.radians(self.lat), np.radians(self.lon)
         self._sin_hlat, self._cos_hlat = np.sin(lat / 2.0), np.cos(lat / 2.0)
         self._sin_hlon, self._cos_hlon = np.sin(lon / 2.0), np.cos(lon / 2.0)
         self._cos_lat = np.cos(lat)
-        for a in (self._sin_hlat, self._cos_hlat, self._sin_hlon, self._cos_hlon, self._cos_lat):
+        for a in (self.lat, self.lon, self._sin_hlat, self._cos_hlat, self._sin_hlon,
+                  self._cos_hlon, self._cos_lat):
             a.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def point(self, i: int) -> GeoPoint:
-        return self.entries[i][1]
-
-    def external_id(self, i: int) -> str:
-        return self.entries[i][0]
+        return len(self.ids)
 
     def distance_row_km(self, i: int) -> np.ndarray:
         """Haversine distances in km from POI i to every POI, self included (0).

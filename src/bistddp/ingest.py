@@ -4,9 +4,11 @@ Parses raw Foursquare/Gowalla check-in dumps, applies activity filtering,
 splits each user's history chronologically 80/10/10, encodes the 7-bit
 temporal pattern of a timestamp, and builds the identification samples
 (one per check-in that has enough context on both sides). A corpus is its
-check-in columns, the split one segment code per check-in, and the samples
-one `SampleBatch` of columns: no step after parsing builds per-user or
-per-sample objects. `Sample` is a batch's row view, made only on request.
+POI table and check-in columns, the split one segment code per check-in,
+and the samples one `SampleBatch` of columns: the parsers collect each
+line's values straight into columns, and no later step builds per-POI,
+per-user or per-sample objects. `Sample` is a batch's row view, made only
+on request.
 
 A prepared corpus can be written to / read from a versioned TSV file
 (magic "STDDP2"); see `write_corpus` for the exact layout. The file holds
@@ -27,7 +29,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .geodata import GeoPoint, PoiTable
+from .geodata import PoiTable, coordinate_error, coordinates_ok
 
 log = logging.getLogger(__name__)
 
@@ -191,7 +193,9 @@ class SampleBatch:
 
 @dataclass
 class ParseResult:
-    table: PoiTable  # POIs in order of first appearance
+    """A parsed dump as columns: the POI table, the users and the check-ins."""
+
+    table: PoiTable  # POIs in order of first appearance, each with its first-seen coordinates
     user_ids: list[str]  # users in order of first appearance; `checkins.users` indexes it
     checkins: CheckIns  # in file order
     malformed: list[tuple[int, str]]  # (line number, reason)
@@ -251,41 +255,45 @@ def _gowalla_time(text: str) -> datetime:
     return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
 
 
-def _parse_foursquare_line(parts: list[str]) -> tuple[str, str, int, int, GeoPoint]:
+def _parse_foursquare_line(parts: list[str]) -> tuple[str, str, int, int, float, float]:
     if len(parts) != 8:
         raise MalformedLine(f"expected 8 tab-separated fields, got {len(parts)}")
     user_id, venue_id, _cat_id, _cat_name, lat_s, lon_s, tz_s, time_s = parts
     try:
-        point = GeoPoint(float(lat_s), float(lon_s))
+        lat, lon = float(lat_s), float(lon_s)
+        if error := coordinate_error(lat, lon):
+            raise ValueError(error)
         tz_offset = int(tz_s)
         dt = _foursquare_time(time_s.strip())
     except ValueError as exc:
         raise MalformedLine(str(exc)) from None
     utc_seconds = int(dt.timestamp())
     _check_ranges(utc_seconds, tz_offset)
-    return user_id, venue_id, utc_seconds, tz_offset, point
+    return user_id, venue_id, utc_seconds, tz_offset, lat, lon
 
 
-def _parse_gowalla_line(parts: list[str]) -> tuple[str, str, int, int, GeoPoint]:
+def _parse_gowalla_line(parts: list[str]) -> tuple[str, str, int, int, float, float]:
     if len(parts) != 5:
         raise MalformedLine(f"expected 5 tab-separated fields, got {len(parts)}")
     user_id, time_s, lat_s, lon_s, loc_id = parts
     try:
-        point = GeoPoint(float(lat_s), float(lon_s))
+        lat, lon = float(lat_s), float(lon_s)
+        if error := coordinate_error(lat, lon):
+            raise ValueError(error)
         dt = _gowalla_time(time_s.strip())
     except ValueError as exc:
         raise MalformedLine(str(exc)) from None
     utc_seconds = int(dt.replace(tzinfo=timezone.utc).timestamp())
     # the distribution carries no timezone; local time falls back to UTC
     _check_ranges(utc_seconds, 0)
-    return user_id, loc_id, utc_seconds, 0, point
+    return user_id, loc_id, utc_seconds, 0, lat, lon
 
 
 def _parse_file(path, line_parser) -> ParseResult:
     users: dict[str, int] = {}  # id -> index, in order of first appearance
     pois: dict[str, int] = {}
-    points: list[GeoPoint] = []  # duplicates keep their first-seen coordinates
     columns = {name: array("q") for name in ("users", "pois", "times", "tz")}
+    lats, lons = array("d"), array("d")  # per POI: duplicates keep their first-seen coordinates
     malformed: list[tuple[int, str]] = []
     with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -293,13 +301,14 @@ def _parse_file(path, line_parser) -> ParseResult:
             if not line:
                 continue
             try:
-                user_id, poi_id, utc_seconds, tz_offset, point = line_parser(line.split("\t"))
+                user_id, poi_id, utc_seconds, tz_offset, lat, lon = line_parser(line.split("\t"))
             except MalformedLine as exc:
                 malformed.append((lineno, str(exc)))
                 continue
             poi = pois.setdefault(poi_id, len(pois))
-            if poi == len(points):
-                points.append(point)
+            if poi == len(lats):
+                lats.append(lat)
+                lons.append(lon)
             columns["users"].append(users.setdefault(user_id, len(users)))
             columns["pois"].append(poi)
             columns["times"].append(utc_seconds)
@@ -310,7 +319,8 @@ def _parse_file(path, line_parser) -> ParseResult:
     if not users:
         raise EmptyCorpus(f"{path}: no valid check-ins")
     checkins = CheckIns(**{name: np.frombuffer(c, dtype=np.int64) for name, c in columns.items()})
-    return ParseResult(PoiTable(list(zip(pois, points))), list(users), checkins, malformed)
+    table = PoiTable(pois, np.frombuffer(lats), np.frombuffer(lons))
+    return ParseResult(table, list(users), checkins, malformed)
 
 
 def parse_foursquare(path) -> ParseResult:
@@ -376,7 +386,8 @@ def filter_min_activity(
     order = np.lexsort((ci.times[rows], users))  # stable: ties keep file order
     rows = rows[order]
     kept = CheckIns(users[order], poi_index[ci.pois[rows]], ci.times[rows], ci.tz[rows])
-    table = PoiTable([parsed.table.entries[p] for p in kept_pois.tolist()])
+    ids, lat, lon = parsed.table.ids, parsed.table.lat, parsed.table.lon
+    table = PoiTable([ids[p] for p in kept_pois.tolist()], lat[kept_pois], lon[kept_pois])
     return Corpus(table, [parsed.user_ids[u] for u in survivors.tolist()], kept)
 
 
@@ -505,12 +516,12 @@ def write_corpus(path, prepared: PreparedCorpus) -> None:
     round-trip reproduces every value bit-for-bit. The file is written
     through `atomic_open`.
     """
-    corpus, ci = prepared.corpus, prepared.corpus.checkins
+    corpus, ci, table = prepared.corpus, prepared.corpus.checkins, prepared.corpus.poi_table
     lengths = np.bincount(ci.users, minlength=corpus.n_users)
     with atomic_open(path) as fh:
         fh.write(f"{CORPUS_MAGIC}\t{corpus.n_users}\t{corpus.n_pois}\t{prepared.window}\n")
-        fh.writelines(f"P\t{ext_id}\t{pt.lat!r}\t{pt.lon!r}\n"
-                      for ext_id, pt in corpus.poi_table.entries)
+        fh.writelines(f"P\t{poi_id}\t{lat!r}\t{lon!r}\n" for poi_id, lat, lon in
+                      zip(table.ids, table.lat.tolist(), table.lon.tolist()))
         fh.writelines(f"U\t{uid}\t{n}\n" for uid, n in zip(corpus.user_ids, lengths.tolist()))
         for lo in range(0, len(ci), _BLOCK):
             fh.writelines(f"C\t{u}\t{p}\t{t}\t{z}\n" for u, p, t, z in zip(
@@ -582,12 +593,11 @@ def load_corpus(path) -> PreparedCorpus:
 
     ids, lat, lon = lines.records(1, n_pois, "P", 4)[1:]
     lat, lon = lines.column(1, lat, float, "latitude"), lines.column(1, lon, float, "longitude")
-    lines.expect((-90 <= lat) & (lat <= 90) & (-180 <= lon) & (lon <= 180), 1,
-                 lambda k: f"coordinates ({lat[k]}, {lon[k]}) out of range")
+    lines.expect(coordinates_ok(lat, lon), 1, lambda k: coordinate_error(lat[k], lon[k]))
     first_k: dict[str, int] = {}
     lines.expect(np.array([first_k.setdefault(pid, k) == k for k, pid in enumerate(ids)]), 1,
                  lambda k: f"duplicate POI id {ids[k]!r} (first on line {first_k[ids[k]] + 2})")
-    table = PoiTable([(p, GeoPoint(a, b)) for p, a, b in zip(ids, lat.tolist(), lon.tolist())])
+    table = PoiTable(ids, lat, lon)
 
     first = 1 + n_pois
     user_ids, lengths = lines.records(first, n_users, "U", 3)[1:]

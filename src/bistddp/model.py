@@ -387,10 +387,12 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 
 class BadCheckpoint(ValueError):
-    """Checkpoint file is corrupt or carries the wrong magic."""
+    """Checkpoint file is corrupt, carries the wrong magic or holds a non-finite value."""
 
 
 def load_checkpoint(path) -> ModelParams:
+    """The parameters saved at `path`; BadCheckpoint, naming the file, for a
+    bad header, a payload of the wrong size or a NaN or infinite value."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -411,6 +413,12 @@ def load_checkpoint(path) -> ModelParams:
                                 f"the file holds {payload}")
         params = zero_params(hp, n, m)
         params.data[:] = np.frombuffer(fh.read(nbytes), dtype="<f8")
+    for name, view in params.named_tensors():  # in arena order: the first bad value is named
+        bad = np.flatnonzero(~np.isfinite(view))
+        if len(bad):
+            at = ", ".join(map(str, np.unravel_index(bad[0], view.shape)))
+            raise BadCheckpoint(f"{path}: {name}[{at}] is {view.flat[bad[0]]}; "
+                                "every value must be finite")
     return params
 
 

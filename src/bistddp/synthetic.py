@@ -9,18 +9,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geodata import GeoPoint, PoiTable
+from .geodata import PoiTable
 from .ingest import CheckIns, Corpus, PreparedCorpus, Sample, encode_temporal_pattern
 from .model import HyperParams, ModelParams, init_params
 from .numerics import make_rng
 
 
+def _table(coords) -> PoiTable:
+    """POIs "p0", "p1", ... at `coords`, an (M, 2) array-like of (lat, lon) degrees."""
+    lat, lon = np.asarray(coords, dtype=np.float64).reshape(-1, 2).T
+    return PoiTable([f"p{i}" for i in range(len(lat))], lat, lon)
+
+
 def corpus_from_events(
-    coords: list[tuple[float, float]],
+    coords,
     user_events: list[list[tuple[int, int, int]]],
 ) -> Corpus:
-    """Build a Corpus from explicit (poi, utc_seconds, tz_minutes) events."""
-    table = PoiTable([(f"p{i}", GeoPoint(lat, lon)) for i, (lat, lon) in enumerate(coords)])
+    """Build a Corpus from explicit (poi, utc_seconds, tz_minutes) events at
+    POIs `coords`, an (M, 2) array-like of (lat, lon) degrees."""
+    table = _table(coords)
     rows = [(u, *event) for u, events in enumerate(user_events) for event in events]
     users, pois, times, tz = np.array(rows, dtype=np.int64).reshape(-1, 4).T
     order = np.lexsort((times, users))  # stable: ties keep event order
@@ -36,7 +43,7 @@ def overfit_corpus(
     Within a user, each context POI appears once, so (user, context) maps to
     a unique target and perfect training recall is attainable.
     """
-    coords = [(0.5 * i, 1.0 * i) for i in range(n_pois)]
+    coords = np.arange(n_pois)[:, None] * [0.5, 1.0]
     steps = [1, 3, 7, 9]  # coprime to 10: every walk covers all POIs
     base = 1_500_000_000
     events = []
@@ -72,12 +79,9 @@ def planted_corpus(
     this.
     """
     rng = make_rng(seed)
-    m = n_clusters * pois_per_cluster
-    lats = np.linspace(-75.0, 75.0, n_clusters)
-    coords = []
-    for c in range(n_clusters):
-        for j in range(pois_per_cluster):
-            coords.append((float(lats[c]) + 0.01 * j, 0.013 * j))
+    slot = np.tile(np.arange(pois_per_cluster), n_clusters)
+    coords = np.c_[np.repeat(np.linspace(-75.0, 75.0, n_clusters), pois_per_cluster)
+                   + 0.01 * slot, 0.013 * slot]
 
     base = 18519 * 86400  # a Monday, midnight UTC
     events = []
@@ -105,7 +109,6 @@ def planted_corpus(
             poi = cluster * pois_per_cluster + slot
             mine.append((poi, t, 0))
         events.append(mine)
-    assert len(coords) == m
     return PreparedCorpus.from_corpus(corpus_from_events(coords, events), 1)
 
 
@@ -114,10 +117,7 @@ def random_instance(
 ) -> tuple[PoiTable, ModelParams, Sample]:
     """Random table, Glorot parameters, and one sample for gradient checks."""
     rng = make_rng(seed)
-    coords = [
-        (float(rng.uniform(-60, 60)), float(rng.uniform(-170, 170))) for _ in range(m)
-    ]
-    table = PoiTable([(f"p{i}", GeoPoint(lat, lon)) for i, (lat, lon) in enumerate(coords)])
+    table = _table(rng.uniform([-60, -170], [60, 170], (m, 2)))  # lat, lon drawn in turn
     params = init_params(HyperParams(d=d, h=h, w=w), n, m, rng)
     bits = [0] * 7
     bits[int(rng.integers(2))] = 1

@@ -15,7 +15,7 @@ import pytest
 
 from bistddp.baselines import fit_counts, rank_backward, rank_forward, rank_top1, rank_top2
 from bistddp.evaluation import evaluate, f1_at_k, recall_at_k
-from bistddp.geodata import GeoPoint, PoiTable
+from bistddp.geodata import PoiTable
 from bistddp.ingest import Sample, encode_temporal_pattern, parse_foursquare, prepare, split_corpus
 from bistddp.model import (
     HyperParams,
@@ -67,10 +67,8 @@ def test_criterion_2_uniform_sanity():
     """Zero-initialized model: uniform output, loss exactly ln M."""
     m = 38333
     rng = make_rng(0)
-    table = PoiTable([
-        (f"p{i}", GeoPoint(float(la), float(lo)))
-        for i, (la, lo) in enumerate(zip(rng.uniform(-80, 80, m), rng.uniform(-179, 179, m)))
-    ])
+    table = PoiTable([f"p{i}" for i in range(m)], rng.uniform(-80, 80, m),
+                     rng.uniform(-179, 179, m))
     params = zero_params(HyperParams(d=3, h=4, w=1), n_users=5, n_pois=m)
     sample = Sample(user=2, target_poi=11, target_utc=1_600_000_000,
                     pattern=(1, 0, 0, 0, 1, 0, 0), fwd=(7,), bwd=(23,),

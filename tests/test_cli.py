@@ -174,18 +174,62 @@ class TestTrainEvaluate:
         assert "w=2" in resolved.read_text(encoding="utf-8").splitlines()
         assert run("train", "--config", resolved, "--out", tmp_path / "r3") == 0
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_evaluate_non_finite_checkpoint_exits_1(self, prepared_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_checkpoint_exits_2(self, prepared_dir, tmp_path, capsys, value):
+        # bad input, found when the checkpoint is read: evaluate and resume
+        # both exit 2, naming the file and the tensor, before writing anything
         out = tmp_path / "run"
         assert self.train(prepared_dir, out) == 0
         params = load_checkpoint(out / "checkpoint.bin")
-        params.out_weights[3, 0] = np.nan
+        params.out_weights[3, 0] = value
         save_checkpoint(out / "checkpoint.bin", params)
-        ev = tmp_path / "ev"
+        capsys.readouterr()
+        ev, resumed = tmp_path / "ev", tmp_path / "resumed"
         assert run("evaluate", "--data", prepared_dir / "corpus.tsv",
-                   "--checkpoint", out / "checkpoint.bin", "--out", ev) == 1
-        assert "non-finite" in capsys.readouterr().err
-        assert not (ev / "report_test.csv").exists()
+                   "--checkpoint", out / "checkpoint.bin", "--out", ev) == 2
+        assert self.train(prepared_dir, resumed,
+                          extra=("--resume-from", out / "checkpoint.bin")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {out / 'checkpoint.bin'}: out_weights[3, 0] is {value}; "
+                       "every value must be finite"] * 2
+        assert not ev.exists() and not resumed.exists()
+
+    def test_config_records_the_checkpoint_d_and_h(self, prepared_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert self.train(prepared_dir, out) == 0  # d=4, h=6
+        data, ck = prepared_dir / "corpus.tsv", out / "checkpoint.bin"
+
+        def resolved(directory):
+            lines = (directory / "config.txt").read_text(encoding="utf-8").splitlines()
+            return [line for line in lines if line[:2] in ("d=", "h=")]
+
+        # unset, d and h are the checkpoint's
+        assert run("train", "--data", data, "--out", tmp_path / "r", "--epochs", 1,
+                   "--batch", 64, "--resume-from", ck) == 0
+        assert run("evaluate", "--data", data, "--checkpoint", ck, "--out", tmp_path / "e") == 0
+        assert resolved(tmp_path / "r") == resolved(tmp_path / "e") == ["d=4", "h=6"]
+        # set to the checkpoint's values, by flag or config file, they are accepted
+        cfg = tmp_path / "same.cfg"
+        cfg.write_text("d=4\nh=6\n", encoding="utf-8")
+        assert run("evaluate", "--data", data, "--checkpoint", ck, "--config", cfg,
+                   "--out", tmp_path / "e2") == 0
+        assert run("evaluate", "--data", data, "--checkpoint", ck, "--d", 4,
+                   "--out", tmp_path / "e3") == 0
+        # set to another value, they exit 2 before anything is written
+        cfg.write_text("h=256\n", encoding="utf-8")
+        capsys.readouterr()
+        for k, (extra, wrong) in enumerate([(("--d", 32), "d=32"), (("--config", cfg), "h=256"),
+                                            (("--d", 4, "--h", 7), "h=7")]):
+            fresh = tmp_path / f"bad{k}"
+            assert run("train", "--data", data, "--out", fresh / "r", "--epochs", 1,
+                       "--resume-from", ck, *extra) == 2
+            assert run("evaluate", "--data", data, "--checkpoint", ck, "--out", fresh / "e",
+                       *extra) == 2
+            right = {"d": "d=4", "h": "h=6"}[wrong[0]]
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2
+            assert all(f"{wrong} was set" in line and f"{ck} has {right}" in line for line in err)
+            assert not fresh.exists()
 
     def test_checkpoint_header_past_the_file_exits_2(self, prepared_dir, tmp_path, capsys):
         # a header claiming M = 4e9 would need 119 GiB of tensors

@@ -10,9 +10,9 @@ from bistddp.geodata import (
     ROW_REL_MIN_KM,
     ROW_REL_TOL,
     DegenerateGeometry,
-    GeoPoint,
     PoiTable,
     SpatialRowCache,
+    coordinate_error,
     haversine_km,
     spatial_vector,
 )
@@ -26,60 +26,92 @@ EARTH_RADIUS_KM = 6371.0
 
 finite_lat = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 finite_lon = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
-points = st.builds(GeoPoint, finite_lat, finite_lon)
+points = st.tuples(finite_lat, finite_lon)  # (lat, lon)
 
 
-def test_geopoint_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        GeoPoint(90.0001, 0.0)
-    with pytest.raises(ValueError):
-        GeoPoint(0.0, -180.5)
+def test_table_rejects_out_of_range_coordinates():
+    for lat, lon, what in ((90.0001, 0.0, "latitude"), (0.0, -180.5, "longitude")):
+        assert coordinate_error(lat, lon).startswith(what)
+        with pytest.raises(ValueError, match=f"POI 1 \\('b'\\): {what} out of range"):
+            PoiTable(["a", "b"], [0.0, lat], [0.0, lon])
+    assert coordinate_error(90.0, -180.0) is None and coordinate_error(-90.0, 180.0) is None
 
 
 def test_haversine_identity():
-    assert haversine_km(GeoPoint(0, 0), GeoPoint(0, 0)) == 0.0
+    assert haversine_km(0, 0, 0, 0) == 0.0
 
 
 def test_haversine_quarter_circle():
     # pole to equator is a quarter great circle: pi/2 * R
     expected = math.pi / 2 * EARTH_RADIUS_KM
-    assert haversine_km(GeoPoint(0, 0), GeoPoint(90, 0)) == pytest.approx(expected, rel=1e-12)
+    assert haversine_km(0, 0, 90, 0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_haversine_antipodal():
     expected = math.pi * EARTH_RADIUS_KM
-    assert haversine_km(GeoPoint(0, 0), GeoPoint(0, 180)) == pytest.approx(expected, rel=1e-12)
+    assert haversine_km(0, 0, 0, 180) == pytest.approx(expected, rel=1e-12)
 
 
 @given(points, points)
 @settings(max_examples=200)
 def test_haversine_symmetric_bitwise(a, b):
-    assert haversine_km(a, b) == haversine_km(b, a)
+    assert haversine_km(*a, *b) == haversine_km(*b, *a)
 
 
 @given(points, points, points)
-@example(GeoPoint(0.0, 0.0), GeoPoint(1.0, 0.0), GeoPoint(1.19e-7, 180.0))  # near-antipodal a, c
+@example((0.0, 0.0), (1.0, 0.0), (1.19e-7, 180.0))  # near-antipodal a, c
 @settings(max_examples=200)
 def test_haversine_triangle_inequality(a, b, c):
-    assert haversine_km(a, c) <= haversine_km(a, b) + haversine_km(b, c) + 1e-6
+    assert haversine_km(*a, *c) <= haversine_km(*a, *b) + haversine_km(*b, *c) + 1e-6
 
 
 def _table(coords):
-    return PoiTable([(f"p{i}", GeoPoint(lat, lon)) for i, (lat, lon) in enumerate(coords)])
+    lat, lon = np.asarray(coords, dtype=np.float64).reshape(-1, 2).T
+    return PoiTable([f"p{i}" for i in range(len(lat))], lat, lon)
 
 
 def test_table_rejects_duplicates_and_empty():
     with pytest.raises(ValueError):
-        PoiTable([])
-    with pytest.raises(ValueError):
-        PoiTable([("a", GeoPoint(0, 0)), ("a", GeoPoint(1, 1))])
+        PoiTable([], [], [])
+    with pytest.raises(ValueError, match="duplicate POI id 'a'"):
+        PoiTable(["a", "b", "a"], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="2 POI ids"):
+        PoiTable(["a", "b"], [0.0, 1.0, 2.0], [0.0, 1.0])
+
+
+def test_table_columns_are_read_only_copies():
+    lat, lon = np.array([10.0, -20.0]), np.array([30.0, 40.0])
+    table = PoiTable(["a", "b"], lat, lon)
+    for column in (table.lat, table.lon):
+        assert column.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+    with pytest.raises(TypeError):
+        table.ids[0] = "c"
+    lat[0] = lon[0] = 0.0  # the caller's arrays stay the caller's
+    assert table.ids == ("a", "b") and table.lat.tolist() == [10.0, -20.0]
+    assert table.lon.tolist() == [30.0, 40.0]
+
+
+def test_half_angle_tables_are_those_of_per_entry_radians():
+    # np.radians of the columns gives math.radians' bits, so the rows keep theirs
+    rng = np.random.default_rng(3)
+    lat = np.r_[0.0, -0.0, 90.0, -90.0, 45.0, rng.uniform(-90, 90, 200)]
+    lon = np.r_[180.0, -180.0, 0.0, -0.0, 1e-300, rng.uniform(-180, 180, 200)]
+    table = _table(np.c_[lat, lon])
+    lat_r = np.array([math.radians(x) for x in lat.tolist()])
+    lon_r = np.array([math.radians(x) for x in lon.tolist()])
+    for got, want in ((table._sin_hlat, np.sin(lat_r / 2.0)), (table._cos_hlat, np.cos(lat_r / 2.0)),
+                      (table._sin_hlon, np.sin(lon_r / 2.0)), (table._cos_hlon, np.cos(lon_r / 2.0)),
+                      (table._cos_lat, np.cos(lat_r))):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_spatial_vector_collinear_hand_computed():
     # three equatorial POIs one degree apart; row of the middle one is
     # [d, 0, d] with d = haversine of one degree, sigma = d * sqrt(2) / 3
     table = _table([(0, 0), (0, 1), (0, 2)])
-    d = haversine_km(GeoPoint(0, 0), GeoPoint(0, 1))
+    d = haversine_km(0, 0, 0, 1)
     sigma = d * math.sqrt(2.0) / 3.0
     vec = spatial_vector(1, table)
     assert vec[1] == 0.0
@@ -101,10 +133,10 @@ def test_spatial_vector_unit_population_std():
 class SinDifferenceTable(PoiTable):
     """Oracle: the distance kernel before the half-angle tables, two np.sin per row."""
 
-    def __init__(self, entries):
-        super().__init__(entries)
-        self._lat_rad = np.array([math.radians(p.lat) for _, p in self.entries])
-        self._lon_rad = np.array([math.radians(p.lon) for _, p in self.entries])
+    def __init__(self, ids, lat, lon):
+        super().__init__(ids, lat, lon)
+        self._lat_rad = np.array([math.radians(x) for x in self.lat.tolist()])
+        self._lon_rad = np.array([math.radians(x) for x in self.lon.tolist()])
         self._cos_lat = np.cos(self._lat_rad)
 
     def distance_row_km(self, i: int) -> np.ndarray:
@@ -160,9 +192,8 @@ def test_distance_rows_match_sin_difference_oracle(name):
     # the stated bound of the old kernel on city, global, sub-metre and
     # near-antipodal coordinates, and keep an exact zero diagonal
     lat, lon = _coordinate_sets()[name]
-    entries = [(f"p{i}", GeoPoint(float(la), float(lo)))
-               for i, (la, lo) in enumerate(zip(lat, lon))]
-    rows, old = _rows(PoiTable(entries)), _rows(SinDifferenceTable(entries))
+    ids = [f"p{i}" for i in range(len(lat))]
+    rows, old = _rows(PoiTable(ids, lat, lon)), _rows(SinDifferenceTable(ids, lat, lon))
     np.testing.assert_array_equal(rows, rows.T)
     assert np.all(np.diag(rows) == 0.0)
     rtol, atol_km = _ORACLE_BOUNDS[name]
@@ -175,18 +206,18 @@ def poi_tables(draw):
     base = draw(st.lists(points, min_size=1, max_size=30))
     tiny = st.floats(min_value=-1e-6, max_value=1e-6, allow_nan=False)
     out = list(base)
-    for p in base:
+    for p_lat, p_lon in base:
         kind = draw(st.sampled_from(["none", "duplicate", "near", "antipode"]))
         if kind == "duplicate":
-            out.append(p)
+            out.append((p_lat, p_lon))
         elif kind in ("near", "antipode"):
-            lat = p.lat if kind == "near" else -p.lat
-            lon = p.lon if kind == "near" else p.lon - math.copysign(180.0, p.lon)
-            out.append(GeoPoint(min(90.0, max(-90.0, lat + draw(tiny))),
-                                min(180.0, max(-180.0, lon + draw(tiny)))))
+            lat = p_lat if kind == "near" else -p_lat
+            lon = p_lon if kind == "near" else p_lon - math.copysign(180.0, p_lon)
+            out.append((min(90.0, max(-90.0, lat + draw(tiny))),
+                        min(180.0, max(-180.0, lon + draw(tiny)))))
     if len(out) < 2:
         out.append(draw(points))
-    return PoiTable([(f"p{i}", p) for i, p in enumerate(out)])
+    return _table(out)
 
 
 @given(poi_tables())
@@ -195,8 +226,8 @@ def test_distance_rows_symmetric_zero_diagonal_and_within_bound(table):
     rows = _rows(table)
     np.testing.assert_array_equal(rows, rows.T)
     assert np.all(np.diag(rows) == 0.0)
-    exact = np.array([[haversine_km(table.point(i), table.point(j)) for j in range(len(table))]
-                      for i in range(len(table))])
+    points = list(zip(table.lat.tolist(), table.lon.tolist()))
+    exact = np.array([[haversine_km(*p, *q) for q in points] for p in points])
     _assert_within_row_bound(rows, exact)
 
 
@@ -254,7 +285,7 @@ _LOSS_RTOL = 1e-12
 @pytest.mark.parametrize("seed", range(10))
 def test_model_agrees_with_sin_difference_oracle(seed):
     table, params, sample = random_instance(seed, m=40, w=2)
-    old = SinDifferenceTable(table.entries)
+    old = SinDifferenceTable(table.ids, table.lat, table.lon)
     batch = SampleBatch.from_samples([sample])
     for name, variant in VARIANTS.items():
         np.testing.assert_allclose(forward_batch(batch, params, table, variant).logits,
@@ -263,7 +294,8 @@ def test_model_agrees_with_sin_difference_oracle(seed):
 
     prep = planted_corpus(seed)
     corpus = prep.corpus
-    table, old = corpus.poi_table, SinDifferenceTable(corpus.poi_table.entries)
+    table = corpus.poi_table
+    old = SinDifferenceTable(table.ids, table.lat, table.lon)
     params = init_params(HyperParams(d=5, h=8, w=1), corpus.n_users, corpus.n_pois,
                          make_rng(seed))
     train, val = prep.samples_for("train"), prep.samples_for("val")

@@ -1,14 +1,18 @@
+import re
+import tempfile
 from collections import Counter
 from dataclasses import fields
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bistddp.geodata import GeoPoint, PoiTable
+from bistddp.geodata import PoiTable
 from bistddp.ingest import (
+    BadCorpusFile,
     CheckIns,
     Corpus,
     EmptyCorpus,
@@ -55,10 +59,11 @@ class TestParsers:
         assert res.checkins.times.tolist() == [expected]
         assert res.checkins.tz.tolist() == [-240]
         assert res.checkins.users.tolist() == [0] and res.user_ids == ["u1"]
-        assert res.checkins.pois.tolist() == [0] and res.table.external_id(0) == "v1"
+        assert res.checkins.pois.tolist() == [0] and res.table.ids == ("v1",)
         assert {c.dtype for c in (res.checkins.users, res.checkins.pois,
                                   res.checkins.times, res.checkins.tz)} == {np.dtype(np.int64)}
-        assert res.table.point(0) == GeoPoint(40.7, -74.0)
+        assert res.table.lat.tolist() == [40.7] and res.table.lon.tolist() == [-74.0]
+        assert res.table.lat.dtype == res.table.lon.dtype == np.float64
 
     def test_foursquare_bad_latitude_skipped(self, tmp_path):
         res = parse_foursquare(write(tmp_path, "a.tsv", [fsq_line(), fsq_line(lat="oops")]))
@@ -76,10 +81,11 @@ class TestParsers:
         # oracle: manual dedup of the three-line fixture
         assert len(res.checkins) == 3
         assert len(res.table) == 2
-        assert res.table.point(res.table.index["v9"]) == GeoPoint(10.0, 20.0)
+        v9 = res.table.ids.index("v9")
+        assert (res.table.lat[v9], res.table.lon[v9]) == (10.0, 20.0)
         # POI indices follow first appearance; the rows point into the table
         assert res.checkins.pois.tolist() == [0, 0, 1]
-        assert [e for e, _ in res.table.entries] == ["v9", "v2"]
+        assert res.table.ids == ("v9", "v2")
 
     def test_foursquare_wrong_columns_and_time(self, tmp_path):
         res = parse_foursquare(write(tmp_path, "a.tsv", [
@@ -100,7 +106,7 @@ class TestParsers:
         expected = int(datetime(2010, 10, 19, 23, 55, 27, tzinfo=timezone.utc).timestamp())
         assert res.checkins.times.tolist() == [expected]
         assert res.checkins.tz.tolist() == [0]  # distribution carries no timezone
-        assert res.user_ids == ["7"] and res.table.external_id(0) == "420315"
+        assert res.user_ids == ["7"] and res.table.ids == ("420315",)
 
     def test_gowalla_bad_line_and_dedup(self, tmp_path):
         lines = [
@@ -111,8 +117,76 @@ class TestParsers:
         res = parse_gowalla(write(tmp_path, "g.tsv", lines))
         assert len(res.checkins) == 2
         assert len(res.malformed) == 1
-        assert res.table.point(res.table.index["L1"]) == GeoPoint(10.0, -97.7)
+        l1 = res.table.ids.index("L1")
+        assert (res.table.lat[l1], res.table.lon[l1]) == (10.0, -97.7)
         assert res.checkins.pois.tolist() == [0, 0] and res.checkins.users.tolist() == [0, 0]
+
+
+def old_geopoint_error(lat_s, lon_s):
+    """The per-line check of the former `GeoPoint`, kept as the oracle of the range rule."""
+    try:
+        lat, lon = float(lat_s), float(lon_s)
+        if not (-90.0 <= lat <= 90.0):
+            raise ValueError(f"latitude out of range: {lat}")
+        if not (-180.0 <= lon <= 180.0):
+            raise ValueError(f"longitude out of range: {lon}")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# the ends of both ranges, the doubles just past them, NaN, the infinities and an overflow
+_EDGE_COORDINATES = [
+    *(f"{sign}{end}" for sign in ("", "-") for end in ("90", "90.0", "180", "180.0")),
+    *(repr(sign * float(np.nextafter(end, 200.0))) for end in (90.0, 180.0) for sign in (1, -1)),
+    "90.0001", "-180.5", "0", "-0.0", "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999",
+    "-1e999",
+]
+coordinate_texts = st.one_of(st.sampled_from(_EDGE_COORDINATES),
+                             st.floats(-200.0, 200.0).map(repr))
+
+
+@given(st.lists(st.tuples(coordinate_texts, coordinate_texts), min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_one_range_rule_for_parser_table_and_corpus_file(pairs):
+    errors = [old_geopoint_error(lat, lon) for lat, lon in pairs]
+    lats, lons = [float(lat) for lat, _ in pairs], [float(lon) for _, lon in pairs]
+    kept = [k for k, error in enumerate(errors) if error is None]
+    with tempfile.TemporaryDirectory() as tmp:
+        # the parsers skip exactly the lines the old check refused, with its messages
+        for parse, line, poi in ((parse_foursquare, fsq_line, "venue"),
+                                 (parse_gowalla, gow_line, "loc")):
+            texts = [line(lat="1.5", lon="2.5")]  # one good line: the dump is never empty
+            texts += [line(**{poi: f"w{k}"}, lat=lat, lon=lon) for k, (lat, lon) in enumerate(pairs)]
+            res = parse(write(Path(tmp), "dump.tsv", texts))
+            assert res.malformed == [(k + 2, e) for k, e in enumerate(errors) if e is not None]
+            assert res.table.ids[1:] == tuple(f"w{k}" for k in kept)
+            assert res.table.lat.tobytes() == np.array([1.5, *(lats[k] for k in kept)]).tobytes()
+            assert res.table.lon.tobytes() == np.array([2.5, *(lons[k] for k in kept)]).tobytes()
+
+        # a table refuses them too, naming the first bad POI
+        ids = [f"p{k}" for k in range(len(pairs))]
+        bad = [k for k, error in enumerate(errors) if error is not None]
+        if bad:
+            k = bad[0]
+            with pytest.raises(ValueError, match=re.escape(f"POI {k} ('p{k}'): {errors[k]}")):
+                PoiTable(ids, lats, lons)
+        else:
+            assert PoiTable(ids, lats, lons).lat.tolist() == lats
+
+        # and so does a corpus file, naming the file and the line
+        path = write(Path(tmp), "corpus.tsv", [
+            f"STDDP2\t1\t{len(pairs)}\t1",
+            *(f"P\t{poi}\t{lat}\t{lon}" for poi, (lat, lon) in zip(ids, pairs)),
+            "U\tu0\t3", *(f"C\t0\t0\t{1_500_000_000 + 60 * i}\t0" for i in range(3))])
+        if bad:
+            with pytest.raises(BadCorpusFile) as err:
+                load_corpus(path)
+            assert str(err.value) == f"{path}:{bad[0] + 2}: {errors[bad[0]]}"
+        else:
+            table = load_corpus(path).corpus.poi_table
+            assert table.lat.tobytes() == np.array(lats).tobytes()
+            assert table.lon.tobytes() == np.array(lons).tobytes()
 
 
 def make_checkins(spec):
@@ -124,7 +198,8 @@ def make_checkins(spec):
     users, pois = {}, {}
     rows = [(users.setdefault(u, len(users)), pois.setdefault(p, len(pois)), 1_500_000_000 + t, 0)
             for u, p, t in spec]
-    table = PoiTable([(p, GeoPoint((i + 1) * 0.5, (i + 1) * 0.25)) for i, p in enumerate(pois)])
+    table = PoiTable(pois, [(i + 1) * 0.5 for i in range(len(pois))],
+                     [(i + 1) * 0.25 for i in range(len(pois))])
     columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
     return ParseResult(table, list(users), CheckIns(*columns), [])
 
@@ -132,7 +207,7 @@ def make_checkins(spec):
 def reference_filter(parsed, min_user, min_poi_users, fixpoint=False):
     """`filter_min_activity` written one check-in at a time, with dicts and sets."""
     ci = parsed.checkins
-    checkins = [(parsed.user_ids[u], parsed.table.external_id(p), t, z) for u, p, t, z in
+    checkins = [(parsed.user_ids[u], parsed.table.ids[p], t, z) for u, p, t, z in
                 zip(ci.users.tolist(), ci.pois.tolist(), ci.times.tolist(), ci.tz.tolist())]
 
     def one_pass(checkins):
@@ -157,17 +232,28 @@ def reference_filter(parsed, min_user, min_poi_users, fixpoint=False):
     for u, _, _, _ in kept:  # dense user ids in order of first appearance
         user_index.setdefault(u, len(user_index))
     surviving_pois = {p for _, p, _, _ in kept}
-    table = PoiTable([(p, pt) for p, pt in parsed.table.entries if p in surviving_pois])
+    pois = [(p, lat, lon) for p, lat, lon in zip(parsed.table.ids, parsed.table.lat.tolist(),
+                                                 parsed.table.lon.tolist()) if p in surviving_pois]
+    table = PoiTable(*zip(*pois))
+    poi_index = {p: i for i, (p, _, _) in enumerate(pois)}
     # grouped by user, each user's check-ins by time; sorted is stable, so
     # tied timestamps keep file order
-    rows = sorted(((user_index[u], table.index[p], t, z) for u, p, t, z in kept),
+    rows = sorted(((user_index[u], poi_index[p], t, z) for u, p, t, z in kept),
                   key=lambda row: (row[0], row[2]))
     return Corpus(table, list(user_index), CheckIns(*np.array(rows, dtype=np.int64).T))
 
 
+def assert_same_table(got, expected):
+    """Same ids in the same order, and the same coordinates bit for bit."""
+    assert got.ids == expected.ids
+    for name in ("lat", "lon"):
+        column, want = getattr(got, name), getattr(expected, name)
+        assert column.dtype == want.dtype == np.float64 and column.tobytes() == want.tobytes()
+
+
 def assert_same_corpus(got, expected):
     assert got.user_ids == expected.user_ids
-    assert got.poi_table.entries == expected.poi_table.entries
+    assert_same_table(got.poi_table, expected.poi_table)
     for name in ("users", "pois", "times", "tz"):
         np.testing.assert_array_equal(getattr(got.checkins, name), getattr(expected.checkins, name))
         assert getattr(got.checkins, name).dtype == np.int64
@@ -294,8 +380,7 @@ class TestFilter:
         with pytest.raises(EmptyCorpus):
             filter_min_activity(parsed, min_user=10, min_poi_users=10)
         corpus = filter_min_activity(parsed, min_user=10, min_poi_users=4)
-        kept_pois = {corpus.poi_table.external_id(i) for i in range(corpus.n_pois)}
-        assert kept_pois == {"popular"}
+        assert corpus.poi_table.ids == ("popular",)
         assert sorted(corpus.user_ids) == ["d", "e", "f", "g"]
         assert corpus.n_checkins == 40
 
@@ -316,7 +401,7 @@ class TestFilter:
 
         corpus = filter_min_activity(make_checkins(spec), 10, 10)
         assert corpus.n_checkins == len(expected)
-        assert {corpus.poi_table.external_id(i) for i in range(corpus.n_pois)} == kept_pois
+        assert set(corpus.poi_table.ids) == kept_pois and len(corpus.poi_table) == len(kept_pois)
         got_users = set(corpus.user_ids)
         assert got_users == {u for u, _ in expected}
 
@@ -347,8 +432,8 @@ class TestFilter:
             # the planted cases are really there
             assert "lonely" not in single.user_ids
             assert "x" in single.user_ids and "x" not in full.user_ids
-            assert "weak" in dict(single.poi_table.entries)
-            assert "weak" not in dict(full.poi_table.entries)
+            assert "weak" in single.poi_table.ids
+            assert "weak" not in full.poi_table.ids
             ci = single.checkins
             seen["ties"] += bool(np.any((np.diff(ci.times) == 0) & (np.diff(ci.users) == 0)))
             # the first surviving check-in, not the first line, orders the users
@@ -597,8 +682,7 @@ class TestRoundTrips:
             for name in ("users", "pois", "times", "tz"):
                 np.testing.assert_array_equal(getattr(back.corpus.checkins, name),
                                               getattr(prep.corpus.checkins, name))
-            for i in range(6):
-                assert back.corpus.poi_table.point(i) == prep.corpus.poi_table.point(i)
+            assert_same_table(back.corpus.poi_table, prep.corpus.poi_table)
 
     def test_hand_written_file_with_empty_and_short_histories(self, tmp_path):
         # T = 0 for the first and last users, and T <= 2w for some users at

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 import struct
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bistddp.evaluation import _rank_of, evaluate, report_from_ranks
-from bistddp.geodata import GeoPoint, PoiTable
+from bistddp.geodata import PoiTable
 from bistddp.ingest import PreparedCorpus, Sample, SampleBatch
 from bistddp import model
 from bistddp.model import (
@@ -118,7 +119,8 @@ def _sample(**kw):
 
 
 def _grid_table(m):
-    return PoiTable([(f"p{i}", GeoPoint(0.3 * i - 10.0, 0.7 * i - 20.0)) for i in range(m)])
+    return PoiTable([f"p{i}" for i in range(m)], [0.3 * i - 10.0 for i in range(m)],
+                    [0.7 * i - 20.0 for i in range(m)])
 
 
 def test_zero_params_uniform_output():
@@ -142,7 +144,7 @@ def test_forward_matches_straight_line_oracle():
     m, n, d, h = 5, 2, 3, 4
     rng = make_rng(42)
     coords = [(float(rng.uniform(-60, 60)), float(rng.uniform(-170, 170))) for _ in range(m)]
-    table = PoiTable([(f"p{i}", GeoPoint(la, lo)) for i, (la, lo) in enumerate(coords)])
+    table = PoiTable([f"p{i}" for i in range(m)], *zip(*coords))
     params = init_params(HyperParams(d=d, h=h, w=1), n, m, rng)
     sample = _sample(user=1, target_poi=4, fwd=(2,), bwd=(0,),
                      interval_before=1.25, interval_after=3.5,
@@ -416,6 +418,27 @@ class TestCheckpoint:
         v1 = [CHECKPOINT_MAGIC, struct.pack("<5I", 3, 9, 3, 4, w)]
         v1 += [np.asarray(t, dtype="<f8").tobytes() for t in tensors]
         assert path.read_bytes() == b"".join(v1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_non_finite_value_is_rejected_naming_the_tensor(self, tmp_path, where, value):
+        _, params, _ = random_instance(21, m=9, n=3, d=3, h=4, w=2)
+        tensor, at, text = {"first": (params.poi_emb, (0, 0), "poi_emb[0, 0]"),
+                            "middle": (params.fwd_hidden[1], (2, 1), "fwd_hidden[1][2, 1]"),
+                            "last": (params.out_weights, (8, 3), "out_weights[8, 3]")}[where]
+        tensor[at] = value
+        (k,) = np.flatnonzero(~np.isfinite(params.data))  # the arena's first, a middle or last
+        assert (k == 0, k == params.data.size - 1) == (where == "first", where == "last")
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, params)
+        with pytest.raises(BadCheckpoint) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {text} is {value}; every value must be finite"
+        if where != "last":  # with a later non-finite value too, the first is named
+            params.out_weights[8, 3] = np.nan
+            save_checkpoint(path, params)
+            with pytest.raises(BadCheckpoint, match=re.escape(f"{text} is {value};")):
+                load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"
