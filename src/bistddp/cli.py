@@ -1,9 +1,11 @@
 """Experiment runner.
 
 Subcommands: prepare, train, evaluate, baselines, ablate, sweep, selfcheck.
-Configuration is a flat key=value file plus command-line overrides; each
+Configuration is a flat key=value file plus command-line overrides, one
+flag per config key, each value parsed the same way from either; each
 command writes its resolved config next to its artifacts so every output is
-reproducible from config + seed alone.
+reproducible from config + seed alone. A command checks its inputs before it
+writes anything, so one that exits 2 leaves no output directory behind.
 
 Exit codes: 0 success, 1 internal error, 2 bad input.
 """
@@ -22,9 +24,10 @@ import numpy as np
 from . import baselines as bl
 from .evaluation import (
     MetricsReport,
-    _rank_of,
     evaluate,
+    f1_at_k,
     format_report_table,
+    recall_at_k,
     report_from_ranks,
 )
 from .geodata import (
@@ -51,18 +54,16 @@ from .model import (
     HyperParams,
     ModelParams,
     VARIANTS,
-    cross_entropy,
     expect_compatible,
-    forward,
+    forward_batch,
     init_params,
     load_checkpoint,
-    predict_topk,
     save_checkpoint,
     target_ranks,
     variant_from_name,
     zero_params,
 )
-from .numerics import make_rng, seeded_generators, stable_softmax
+from .numerics import make_rng, seeded_generators, softmax_cross_entropy
 from .synthetic import corpus_from_events, random_instance
 from .train import (
     FitResult,
@@ -101,7 +102,8 @@ class ExperimentConfig:
     cache_capacity: int = 1024
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_FORMATS = ("foursquare", "gowalla")
 
 
 def _parse_bool(s: str) -> bool:
@@ -109,17 +111,18 @@ def _parse_bool(s: str) -> bool:
         return True
     if s.lower() in ("0", "false", "no"):
         return False
-    raise MalformedConfig(f"expected a boolean, got {s!r}")
+    raise ValueError(s)
 
 
 def _parse_ks(s: str) -> tuple[int, ...]:
-    try:
-        ks = tuple(dict.fromkeys(int(x) for x in s.split(",")))  # first occurrences, in order
-    except ValueError:
-        raise MalformedConfig(f"bad k list {s!r}") from None
-    if not ks or any(k < 1 for k in ks):
-        raise MalformedConfig(f"k values must be >= 1: {s!r}")
+    ks = tuple(dict.fromkeys(int(x) for x in s.split(",")))  # first occurrences, in order
+    if any(k < 1 for k in ks):
+        raise ValueError(s)
     return ks
+
+
+# the parser of each config value, by the type of its default
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str, tuple: _parse_ks}
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -137,36 +140,24 @@ def load_config_file(path) -> dict[str, str]:
     return raw
 
 
-def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> ExperimentConfig:
-    """Merge config file and CLI overrides into a validated config."""
+def build_config(file_values: dict[str, str], flag_values: dict[str, str]) -> ExperimentConfig:
+    """A validated config from the file's values, then the flags' over them;
+    both are strings, parsed the same way."""
     cfg = ExperimentConfig()
-    for key, value in file_values.items():
+    for key, value in [*file_values.items(), *flag_values.items()]:
         if key not in _CONFIG_KEYS:
             raise MalformedConfig(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
         try:
-            if key == "k":
-                parsed: object = _parse_ks(value)
-            elif isinstance(current, bool):
-                parsed = _parse_bool(value)
-            elif isinstance(current, int):
-                parsed = int(value)
-            elif isinstance(current, float):
-                parsed = float(value)
-            else:
-                parsed = value
+            parsed = _PARSERS[type(getattr(cfg, key))](value)
         except ValueError:
             raise MalformedConfig(f"bad value for {key}: {value!r}") from None
         cfg = replace(cfg, **{key: parsed})
-    for key, value in overrides.items():
-        if value is not None:
-            cfg = replace(cfg, **{key: value})
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.format not in ("foursquare", "gowalla"):
+    if cfg.format not in _FORMATS:
         raise MalformedConfig(f"unknown format {cfg.format!r}")
     if cfg.variant not in VARIANTS:
         raise MalformedConfig(f"unknown variant {cfg.variant!r}; choose from {sorted(VARIANTS)}")
@@ -208,7 +199,8 @@ def _stats_rows(parsed: ParseResult, prepared_corpus: PreparedCorpus):
 
 
 def cmd_prepare(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg, "prepare")
+    if not cfg.data:
+        raise MalformedConfig("prepare needs --data (raw check-in file)")
     parser = parse_foursquare if cfg.format == "foursquare" else parse_gowalla
     parsed = parser(cfg.data)
     if parsed.malformed:
@@ -217,6 +209,7 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
     prepared_corpus = prepare(
         parsed, cfg.w, cfg.min_user, cfg.min_poi_users, cfg.filter_fixpoint
     )
+    out = _out_dir(cfg, "prepare")
     corpus_path = out / "corpus.tsv"
     write_corpus(corpus_path, prepared_corpus)
 
@@ -235,37 +228,57 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_prepared(cfg: ExperimentConfig,
-                   window: int | None = None) -> tuple[ExperimentConfig, PreparedCorpus]:
-    """The corpus file and `cfg` recording its window; a `window` set explicitly must match."""
+@dataclass
+class Setup:
+    """What a corpus command runs on, loaded and checked against each other
+    before the command writes anything."""
+
+    cfg: ExperimentConfig  # w is the corpus's; d and h are the checkpoint's, if there is one
+    args: argparse.Namespace  # the command's own flags
+    data: PreparedCorpus
+    params: ModelParams | None  # the checkpoint (--checkpoint or --resume-from), if any
+    cache: SpatialRowCache
+
+
+def _set_up(cfg: ExperimentConfig, set_keys, args: argparse.Namespace) -> Setup:
+    """Load the corpus and any checkpoint. Unset, w means the corpus's window
+    and d and h the checkpoint's; a key in `set_keys` (set explicitly) must match."""
     if not cfg.data:
         raise MalformedConfig("data= must point at a prepared corpus file")
-    prepared_corpus = load_corpus(cfg.data)
-    if window is not None and window != prepared_corpus.window:
+    data = load_corpus(cfg.data)
+    if "w" in set_keys and cfg.w != data.window:
         raise MalformedConfig(
-            f"w={window} was set, but {cfg.data} was prepared with w={prepared_corpus.window}; "
-            f"the window is fixed at prepare time (prepare --w {window})")
-    return replace(cfg, w=prepared_corpus.window), prepared_corpus
+            f"w={cfg.w} was set, but {cfg.data} was prepared with w={data.window}; "
+            f"the window is fixed at prepare time (prepare --w {cfg.w})")
+    cfg, params, path = replace(cfg, w=data.window), None, getattr(args, "checkpoint", None)
+    if path is not None:
+        params, corpus = load_checkpoint(path), data.corpus
+        expect_compatible(params, corpus.n_users, corpus.n_pois, data.window, path, cfg.data)
+        for key in ("d", "h"):
+            if key in set_keys and getattr(cfg, key) != getattr(params.hyper, key):
+                raise MalformedConfig(
+                    f"{key}={getattr(cfg, key)} was set, but checkpoint {path} has "
+                    f"{key}={getattr(params.hyper, key)}; a checkpoint fixes d and h")
+        cfg = replace(cfg, d=params.hyper.d, h=params.hyper.h)
+    cache = SpatialRowCache(data.corpus.poi_table, capacity=cfg.cache_capacity)
+    return Setup(cfg, args, data, params, cache)
 
 
-def _load_params(cfg: ExperimentConfig, path: str, prepared_corpus: PreparedCorpus,
-                 dims: tuple[str, ...] = ()) -> tuple[ExperimentConfig, ModelParams]:
-    """The checkpoint at `path`, checked against the corpus, and `cfg` recording
-    its d and h; a d or h named in `dims` (set explicitly) must match."""
-    params, corpus = load_checkpoint(path), prepared_corpus.corpus
-    expect_compatible(params, corpus.n_users, corpus.n_pois, prepared_corpus.window,
-                      path, cfg.data)
-    for key in dims:
-        if getattr(cfg, key) != getattr(params.hyper, key):
-            raise MalformedConfig(f"{key}={getattr(cfg, key)} was set, but checkpoint {path} has "
-                                  f"{key}={getattr(params.hyper, key)}; a checkpoint fixes d and h")
-    return replace(cfg, d=params.hyper.d, h=params.hyper.h), params
+def _split_samples(run: Setup, split: str) -> SampleBatch:
+    samples = run.data.samples_for(split)
+    if not samples:
+        raise EmptyCorpus(f"no samples in split {split!r}")
+    return samples
+
+
+def _check_fit_inputs(cfg: ExperimentConfig, data: PreparedCorpus) -> None:
+    check_fit_inputs(data.samples_for("train"), data.samples_for("val"), cfg.metric)
 
 
 def _model_report(cfg: ExperimentConfig, params: ModelParams, samples: SampleBatch,
-                  table: PoiTable, cache: SpatialRowCache) -> MetricsReport:
+                  cache: SpatialRowCache) -> MetricsReport:
     """`cfg.variant`'s metrics at `cfg.k` on `samples`, ranked through the batched path."""
-    ranks = target_ranks(samples, params, table, variant_from_name(cfg.variant), cache)
+    ranks = target_ranks(samples, params, cache.table, variant_from_name(cfg.variant), cache)
     return report_from_ranks(ranks, cfg.k)
 
 
@@ -298,17 +311,12 @@ def _fit(cfg: ExperimentConfig, prepared_corpus: PreparedCorpus, cache: SpatialR
     )
 
 
-def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None,
-              window: int | None = None, dims: tuple[str, ...] = ()) -> int:
-    cfg, prepared_corpus = _load_prepared(cfg, window)
-    params = None
-    if resume_from:
-        cfg, params = _load_params(cfg, resume_from, prepared_corpus, dims)
+def cmd_train(run: Setup) -> int:
+    cfg, data = run.cfg, run.data
+    _check_fit_inputs(cfg, data)
     out = _out_dir(cfg, "train")
-    corpus = prepared_corpus.corpus
-    print(f"corpus: N={corpus.n_users} M={corpus.n_pois} w={prepared_corpus.window}")
-    cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
-    result = _fit(cfg, prepared_corpus, cache, params)
+    print(f"corpus: N={data.corpus.n_users} M={data.corpus.n_pois} w={data.window}")
+    result = _fit(cfg, data, run.cache, run.params)
     save_checkpoint(out / "checkpoint.bin", result.params)
     write_train_log(out / "train_log.csv", result.log)
     print(format_train_table(result.log))
@@ -317,34 +325,24 @@ def cmd_train(cfg: ExperimentConfig, resume_from: str | None = None,
     return 0
 
 
-def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str, split: str,
-                 window: int | None = None, dims: tuple[str, ...] = ()) -> int:
-    cfg, prepared_corpus = _load_prepared(cfg, window)
-    cfg, params = _load_params(cfg, checkpoint, prepared_corpus, dims)
+def cmd_evaluate(run: Setup) -> int:
+    cfg, split = run.cfg, run.args.split
+    samples = _split_samples(run, split)
     out = _out_dir(cfg, "evaluate")
-    corpus = prepared_corpus.corpus
-    cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
-    samples = prepared_corpus.samples_for(split)
-    if not samples:
-        raise EmptyCorpus(f"no samples in split {split!r}")
-    report = _model_report(cfg, params, samples, corpus.poi_table, cache)
+    report = _model_report(cfg, run.params, samples, run.cache)
     _write_csv(out / f"report_{split}.csv", [["metric", "value"], *zip(
         _metric_head(cfg.k), _metric_cells(report, cfg.k)), ["instances", str(report.count)]])
     print(format_report_table(report, label=cfg.variant))
     return 0
 
 
-def cmd_baselines(cfg: ExperimentConfig, split: str, window: int | None = None) -> int:
-    cfg, prepared_corpus = _load_prepared(cfg, window)
-    out = _out_dir(cfg, "baselines")
-    rankers = bl.BaselineRankers(prepared_corpus.corpus, prepared_corpus.split)
-    samples = prepared_corpus.samples_for(split)
-    if not samples:
-        raise EmptyCorpus(f"no samples in split {split!r}")
-    reports: dict[str, MetricsReport] = {}
-    for name, ranker in rankers.named().items():
-        reports[name] = evaluate(ranker, samples, ks=cfg.k)
-    _write_report_grid(out / "baselines.csv", reports, cfg.k)
+def cmd_baselines(run: Setup) -> int:
+    samples = _split_samples(run, run.args.split)
+    out = _out_dir(run.cfg, "baselines")
+    rankers = bl.BaselineRankers(run.data.corpus, run.data.split)
+    reports = {name: evaluate(ranker, samples, ks=run.cfg.k)
+               for name, ranker in rankers.named().items()}
+    _write_report_grid(out / "baselines.csv", reports, run.cfg.k)
     if rankers.top2_fallbacks:
         print(f"top2 fell back to top1 for {rankers.top2_fallbacks} instances")
     return 0
@@ -375,20 +373,17 @@ def _write_report_grid(path, reports: dict[str, MetricsReport], ks) -> None:
         print(table if i == 0 else table.split("\n")[1])
 
 
-def cmd_ablate(cfg: ExperimentConfig, window: int | None = None) -> int:
-    cfg, prepared_corpus = _load_prepared(cfg, window)
+def cmd_ablate(run: Setup) -> int:
+    cfg = run.cfg
+    test_samples = _split_samples(run, "test")
+    _check_fit_inputs(cfg, run.data)
     out = _out_dir(cfg, "ablate")
-    corpus = prepared_corpus.corpus
-    cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
-    test_samples = prepared_corpus.samples_for("test")
-    if not test_samples:
-        raise EmptyCorpus("no test samples")
     reports: dict[str, MetricsReport] = {}
     for name in VARIANTS:  # VARIANTS lists the ablation table in order
         # shared seed and data: every variant starts from the same tensors
         point = replace(cfg, variant=name)
-        result = _fit(point, prepared_corpus, cache)
-        reports[name] = _model_report(point, result.params, test_samples, corpus.poi_table, cache)
+        result = _fit(point, run.data, run.cache)
+        reports[name] = _model_report(point, result.params, test_samples, run.cache)
         print(f"{name}: done ({result.epochs_run} epochs)")
     _write_report_grid(out / "ablation.csv", reports, cfg.k)
     return 0
@@ -410,24 +405,22 @@ def _parse_grid(grid: str) -> tuple[str, list[int]]:
     return param, vals
 
 
-def cmd_sweep(cfg: ExperimentConfig, grid: str, window: int | None = None) -> int:
-    param, values = _parse_grid(grid)
-    cfg, prepared_corpus = _load_prepared(cfg, window)
+def cmd_sweep(run: Setup) -> int:
+    param, values = _parse_grid(run.args.grid)
+    cfg = run.cfg
     out = _out_dir(cfg, "sweep")
-    corpus = prepared_corpus.corpus
-    cache = SpatialRowCache(corpus.poi_table, capacity=cfg.cache_capacity)
     rows = []
     for value in values:
         point = replace(cfg, **{param: value})
         try:
-            data = (PreparedCorpus.from_corpus(corpus, value) if param == "w"
-                    else prepared_corpus)
+            data = (PreparedCorpus.from_corpus(run.data.corpus, value) if param == "w"
+                    else run.data)
             test = data.samples_for("test")
             if not test:  # raise what training, then scoring, would raise, but train nothing
-                check_fit_inputs(data.samples_for("train"), data.samples_for("val"), point.metric)
+                _check_fit_inputs(point, data)
                 raise ValueError("no samples to evaluate")
-            result = _fit(point, data, cache)
-            rep = _model_report(point, result.params, test, corpus.poi_table, cache)
+            result = _fit(point, data, run.cache)
+            rep = _model_report(point, result.params, test, run.cache)
             rows.append((value, rep, "ok"))
             print(f"{param}={value}: map={rep.map:.4f}")
         except Exception as exc:  # record the failure, keep sweeping
@@ -477,37 +470,36 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
         ranking = rng.permutation(m)
         truth = int(rng.integers(m))
         for k in (1, 5, 10):
-            from .evaluation import f1_at_k, recall_at_k
-
             if f1_at_k(ranking, truth, k) != 2.0 * recall_at_k(ranking, truth, k) / (k + 1):
                 ident_ok = False
     check("f1/recall identity on random rankings", ident_ok)
 
+    # the loss and probabilities as training computes them, on a batch of one
     table, _, sample = random_instance(3, m=40, n=3, d=4, h=6, w=1)
-    params = zero_params(HyperParams(d=4, h=6, w=1), 3, 40)
-    trace = forward(sample, params, table, VARIANTS["bi-stddp"])
-    loss = cross_entropy(trace, sample.target_poi)
-    uniform_ok = (
-        abs(loss - math.log(40)) < 1e-9
-        and np.all(np.abs(trace.probs - 1.0 / 40) < 1e-12)
-    )
-    check("zero model is uniform with loss ln M", uniform_ok, f"loss {loss:.9f}")
+    one = SampleBatch.from_samples([sample])
+    probs = forward_batch(one, zero_params(HyperParams(d=4, h=6, w=1), 3, 40), table).logits
+    loss = float(softmax_cross_entropy(probs, one.targets)[0])  # leaves the softmax in probs
+    check("zero model is uniform with loss ln M",
+          abs(loss - math.log(40)) < 1e-9 and np.all(np.abs(probs - 1.0 / 40) < 1e-12),
+          f"loss {loss:.9f}")
 
     # one sample per target, more than one rank chunk; the zero model ties
     # every candidate, so target t must rank t + 1
     m = 150
     table, params, sample = random_instance(4, m=m, n=4, d=3, h=5, w=1)
-    samples = [replace(sample, target_poi=t, user=t % 4) for t in range(m)]
-    batch = SampleBatch.from_samples(samples)
+    batch = replace(SampleBatch.from_samples([sample]).take(np.zeros(m, dtype=np.int64)),
+                    targets=np.arange(m), users=np.arange(m) % 4)
     tied = zero_params(params.hyper, params.n_users, m)
     ranks_ok = True
     for variant in VARIANTS.values():
         for p in (params, tied):
-            expected = [_rank_of(predict_topk(forward(s, p, table, variant), m), s.target_poi)
-                        for s in samples]
-            ranks_ok &= target_ranks(batch, p, table, variant).tolist() == expected
+            probs = forward_batch(batch, p, table, variant).logits
+            softmax_cross_entropy(probs, batch.targets)
+            order = np.argsort(-probs, axis=1, kind="stable")
+            expected = 1 + np.argmax(order == batch.targets[:, None], axis=1)
+            ranks_ok &= np.array_equal(target_ranks(batch, p, table, variant), expected)
         ranks_ok &= target_ranks(batch, tied, table, variant).tolist() == list(range(1, m + 1))
-    check("batched ranks match per-sample ranking", ranks_ok)
+    check("batched ranks match a stable argsort of the probabilities", ranks_ok)
 
     # the corpus file stores check-ins only; loading rebuilds split and samples.
     # Offsets of -12 h .. +14 h move check-ins across local midnight.
@@ -519,53 +511,60 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         write_corpus(Path(tmp) / "corpus.tsv", source)
         back = load_corpus(Path(tmp) / "corpus.tsv")
-    check("corpus file round trip reproduces prepare's samples",
-          list(back.samples) == list(source.samples)
-          and np.array_equal(back.split.segments, source.split.segments))
+    columns = [(getattr(back.samples, f.name), getattr(source.samples, f.name))
+               for f in fields(SampleBatch)] + [(back.split.segments, source.split.segments)]
+    check("corpus file round trip reproduces prepare's sample columns",
+          all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in columns))
 
-    z = np.array([1000.0, 1000.0])
-    check("softmax overflow guard", np.allclose(stable_softmax(z), [0.5, 0.5]))
+    z = np.array([[1000.0, 1000.0]])
+    loss = softmax_cross_entropy(z, np.array([0]))
+    check("softmax_cross_entropy overflow guard",
+          np.allclose(z, 0.5) and abs(loss[0] - math.log(2)) < 1e-12)
     return 0 if failures == 0 else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--data", help="input path (raw dump for prepare, corpus file otherwise)")
-    p.add_argument("--format", choices=["foursquare", "gowalla"])
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--d", type=int, help="embedding dimension")
-    p.add_argument("--h", type=int, help="hidden units")
-    p.add_argument("--w", type=int, help="context window width")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--k", help="comma-separated cutoffs, e.g. 1,5,10")
-    p.add_argument("--variant", choices=sorted(VARIANTS))
-    p.add_argument("--metric", help="early-stop metric (default val_map)")
-    p.add_argument("--min-user", type=int, dest="min_user")
-    p.add_argument("--min-poi-users", type=int, dest="min_poi_users")
-    p.add_argument("--filter-fixpoint", action="store_const", const=True,
-                   default=None, dest="filter_fixpoint")
-    p.add_argument("--cache-capacity", type=int, dest="cache_capacity")
+_FLAG_HELP = {
+    "data": "input path (raw dump for prepare, corpus file otherwise)",
+    "out": "output directory",
+    "d": "embedding dimension",
+    "h": "hidden units",
+    "w": "context window width",
+    "k": "comma-separated cutoffs, e.g. 1,5,10",
+    "metric": "early-stop metric (default val_map)",
+}
+_CHOICES = {"format": _FORMATS, "variant": sorted(VARIANTS)}
+_SPLIT = ("--split", {"choices": ["train", "val", "test"], "default": "test"})
+
+# name -> (command, the flags it takes besides --config and one per config key);
+# every command but prepare and selfcheck runs on a corpus file, set up by main
+COMMANDS = {
+    "prepare": (cmd_prepare, []),
+    "train": (cmd_train, [("--resume-from", {"dest": "checkpoint"})]),
+    "evaluate": (cmd_evaluate, [("--checkpoint", {"required": True}), _SPLIT]),
+    "baselines": (cmd_baselines, [_SPLIT]),
+    "ablate": (cmd_ablate, []),
+    "sweep": (cmd_sweep, [("--grid", {"required": True,
+                                      "help": "param=v1,v2,... with param in d,h,w"})]),
+    "selfcheck": (cmd_selfcheck, []),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bistddp",
                                      description="missing check-in identification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("prepare", "train", "evaluate", "baselines", "ablate", "sweep", "selfcheck"):
+    for name, (_, own_flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        if name == "train":
-            p.add_argument("--resume-from", dest="resume_from")
-        if name == "evaluate":
-            p.add_argument("--checkpoint", required=True)
-        if name in ("evaluate", "baselines"):
-            p.add_argument("--split", choices=["train", "val", "test"], default="test")
-        if name == "sweep":
-            p.add_argument("--grid", required=True, help="param=v1,v2,... with param in d,h,w")
+        p.add_argument("--config", help="key=value config file")
+        for f in fields(ExperimentConfig):  # values stay strings, for build_config to parse
+            flag = "--" + f.name.replace("_", "-")
+            if isinstance(f.default, bool):
+                p.add_argument(flag, dest=f.name, action="store_const", const="true")
+            else:
+                p.add_argument(flag, dest=f.name, choices=_CHOICES.get(f.name),
+                               help=_FLAG_HELP.get(f.name))
+        for flag, options in own_flags:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -573,36 +572,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         file_values = load_config_file(args.config) if args.config else {}
-        overrides = {
-            key: getattr(args, key)
-            for key in _CONFIG_KEYS
-            if hasattr(args, key) and getattr(args, key) is not None
-        }
-        if "k" in overrides:
-            overrides["k"] = _parse_ks(overrides["k"])
-        cfg = build_config(file_values, overrides)
-        # unset, w means the corpus's window and d and h the checkpoint's;
-        # a set one must match
-        set_keys = file_values.keys() | overrides.keys()
-        window = cfg.w if "w" in set_keys else None
-        dims = tuple(key for key in ("d", "h") if key in set_keys)
-        if args.command == "prepare":
-            if not cfg.data:
-                raise MalformedConfig("prepare needs --data (raw check-in file)")
-            return cmd_prepare(cfg)
-        if args.command == "train":
-            return cmd_train(cfg, resume_from=args.resume_from, window=window, dims=dims)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.checkpoint, args.split, window, dims)
-        if args.command == "baselines":
-            return cmd_baselines(cfg, args.split, window)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, window)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.grid, window)
-        if args.command == "selfcheck":
-            return cmd_selfcheck(cfg)
-        raise MalformedConfig(f"unknown command {args.command!r}")
+        flag_values = {key: getattr(args, key) for key in _CONFIG_KEYS
+                       if getattr(args, key) is not None}
+        cfg = build_config(file_values, flag_values)
+        command = COMMANDS[args.command][0]
+        if args.command in ("prepare", "selfcheck"):
+            return command(cfg)
+        return command(_set_up(cfg, file_values.keys() | flag_values.keys(), args))
     except (ValueError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, PermissionError) as exc:
         # MalformedConfig, EmptyCorpus, BadCorpusFile, BadCheckpoint and

@@ -39,6 +39,14 @@ class DegenerateGeometry(ValueError):
     """All pairwise distances in a row are zero, so normalization fails."""
 
 
+class BadPoi(ValueError):
+    """POI `index` breaks the range rule, or repeats the id of POI `first`."""
+
+    def __init__(self, message: str, index: int, first: int | None = None):
+        super().__init__(message)
+        self.index, self.first = index, first
+
+
 def coordinate_error(lat: float, lon: float) -> str | None:
     """Why (`lat`, `lon`) in degrees breaks the range rule, latitude in [-90, 90]
     and longitude in [-180, 180] (NaN is in neither), or None if it does not."""
@@ -47,11 +55,6 @@ def coordinate_error(lat: float, lon: float) -> str | None:
     if not -MAX_LON <= lon <= MAX_LON:
         return f"longitude out of range: {lon}"
     return None
-
-
-def coordinates_ok(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """`coordinate_error(lat[k], lon[k]) is None` for every k, as one boolean array."""
-    return (-MAX_LAT <= lat) & (lat <= MAX_LAT) & (-MAX_LON <= lon) & (lon <= MAX_LON)
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -75,8 +78,8 @@ class PoiTable:
 
     POI k has external id `ids[k]` and coordinates (`lat[k]`, `lon[k]`) in
     degrees: `ids` is a tuple, and `lat` and `lon` are read-only float64
-    copies of the arrays given, which must pass the range rule (an error
-    names the first POI that does not) and carry no duplicate id. Five more
+    copies of the arrays given, which must pass the range rule and carry no
+    duplicate id (a `BadPoi` names the first POI that does not). Five more
     read-only length-M arrays, derived from those, let distance rows
     vectorize without trigonometry: the sine and cosine of each half
     latitude and half longitude, and the cosine of each latitude.
@@ -89,15 +92,17 @@ class PoiTable:
             raise ValueError("PoiTable needs at least one POI")
         if not self.lat.shape == self.lon.shape == (len(self.ids),):
             raise ValueError(f"{len(self.ids)} POI ids, {self.lat.shape} lat, {self.lon.shape} lon")
-        bad = np.flatnonzero(~coordinates_ok(self.lat, self.lon))
+        lat, lon = self.lat, self.lon  # the range rule of `coordinate_error`, vectorized
+        bad = np.flatnonzero(~((-MAX_LAT <= lat) & (lat <= MAX_LAT)
+                               & (-MAX_LON <= lon) & (lon <= MAX_LON)))
         if len(bad):
-            k = bad[0]
-            raise ValueError(f"POI {k} ({self.ids[k]!r}): "
-                             f"{coordinate_error(self.lat[k], self.lon[k])}")
+            k = int(bad[0])
+            raise BadPoi(f"POI {k} ({self.ids[k]!r}): {coordinate_error(lat[k], lon[k])}", k)
         first: dict[str, int] = {}
         for k, poi_id in enumerate(self.ids):
             if first.setdefault(poi_id, k) != k:
-                raise ValueError(f"duplicate POI id {poi_id!r}")
+                raise BadPoi(f"POI {k}: duplicate POI id {poi_id!r} (first is POI {first[poi_id]})",
+                             k, first[poi_id])
         lat, lon = np.radians(self.lat), np.radians(self.lon)
         self._sin_hlat, self._cos_hlat = np.sin(lat / 2.0), np.cos(lat / 2.0)
         self._sin_hlon, self._cos_hlon = np.sin(lon / 2.0), np.cos(lon / 2.0)

@@ -29,7 +29,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .geodata import PoiTable, coordinate_error, coordinates_ok
+from .geodata import BadPoi, PoiTable, coordinate_error
 
 log = logging.getLogger(__name__)
 
@@ -593,11 +593,12 @@ def load_corpus(path) -> PreparedCorpus:
 
     ids, lat, lon = lines.records(1, n_pois, "P", 4)[1:]
     lat, lon = lines.column(1, lat, float, "latitude"), lines.column(1, lon, float, "longitude")
-    lines.expect(coordinates_ok(lat, lon), 1, lambda k: coordinate_error(lat[k], lon[k]))
-    first_k: dict[str, int] = {}
-    lines.expect(np.array([first_k.setdefault(pid, k) == k for k, pid in enumerate(ids)]), 1,
-                 lambda k: f"duplicate POI id {ids[k]!r} (first on line {first_k[ids[k]] + 2})")
-    table = PoiTable(ids, lat, lon)
+    try:
+        table = PoiTable(ids, lat, lon)
+    except BadPoi as exc:  # POI k is on line k + 2
+        k, first = exc.index, exc.first
+        raise lines.error(1 + k, coordinate_error(lat[k], lon[k]) if first is None
+                          else f"duplicate POI id {ids[k]!r} (first on line {first + 2})") from None
 
     first = 1 + n_pois
     user_ids, lengths = lines.records(first, n_users, "U", 3)[1:]

@@ -1,11 +1,13 @@
 import csv
+import dataclasses
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from bistddp import cli
-from bistddp.cli import main
+from bistddp.cli import ExperimentConfig, main
 from bistddp.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from conftest import foursquare_lines
 
@@ -57,6 +59,7 @@ class TestPrepare:
         empty.write_text("", encoding="utf-8")
         assert run("prepare", "--data", empty, "--format", "foursquare",
                    "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
 
     def test_everything_filtered_is_bad_input(self, tmp_path):
         lines = foursquare_lines(n_users=2, n_pois=4, checkins_per_user=10)
@@ -64,6 +67,7 @@ class TestPrepare:
         raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert run("prepare", "--data", raw, "--format", "foursquare",
                    "--out", tmp_path / "o") == 2  # default 10/10 kills it
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfig:
@@ -90,6 +94,26 @@ class TestConfig:
         with pytest.raises(SystemExit) as e:
             run("train", "--data", "x", "--variant", "nope")
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("key, value", [("epochs", "often"), ("k", "0"), ("lr", "fast")])
+    def test_flag_and_file_values_parse_the_same(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+        by_file = run("train", "--data", "x", "--config", cfg), capsys.readouterr().err
+        by_flag = run("train", "--data", "x", f"--{key}", value), capsys.readouterr().err
+        assert by_flag == by_file == (2, f"error: bad value for {key}: {value!r}\n")
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_lists_one_flag_per_config_key(self, command, capsys):
+        with pytest.raises(SystemExit) as e:
+            run(command, "--help")
+        assert e.value.code == 0
+        options = capsys.readouterr().out.split("options:")[1]
+        flags = re.findall(r"^  (--[a-z-]+)", options, flags=re.MULTILINE)
+        own = {"--config", "--checkpoint", "--resume-from", "--split", "--grid"}
+        keys = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert [flag for flag in flags if flag not in own] == [
+            "--" + key.replace("_", "-") for key in keys]
 
 
 class TestTrainEvaluate:
@@ -433,6 +457,39 @@ class TestAblateAndSweep:
     def test_bad_grid_is_bad_input(self, prepared_dir, tmp_path):
         assert run("sweep", "--data", prepared_dir / "corpus.tsv",
                    "--out", tmp_path / "x", "--grid", "lr=0.1") == 2
+
+
+def test_a_command_that_exits_2_writes_nothing(raw_foursquare, tmp_path, capsys):
+    # on the fixture, w=2 leaves no test samples and w=3 no val samples either
+    data = {}
+    for w in (1, 2, 3):
+        assert run("prepare", "--data", raw_foursquare, "--out", tmp_path / f"w{w}", "--w", w) == 0
+        data[w] = tmp_path / f"w{w}" / "corpus.tsv"
+    small = ("--d", 3, "--h", 4, "--epochs", 1, "--batch", 64)
+    for w in (1, 2):
+        assert run("train", "--data", data[w], "--out", tmp_path / f"ck{w}", *small) == 0
+    capsys.readouterr()
+    cases = {
+        "evaluate, empty split": (("evaluate", "--data", data[2], "--split", "test",
+                                   "--checkpoint", tmp_path / "ck2" / "checkpoint.bin"),
+                                  "no samples in split 'test'"),
+        "baselines, empty split": (("baselines", "--data", data[2], "--split", "test"),
+                                   "no samples in split 'test'"),
+        "ablate, empty test split": (("ablate", "--data", data[2], *small),
+                                     "no samples in split 'test'"),
+        "train, no val samples": (("train", "--data", data[3], *small),
+                                  "metric 'val_map' needs a non-empty validation split"),
+        "evaluate, checkpoint of another corpus": (
+            ("evaluate", "--data", data[2], "--split", "val",
+             "--checkpoint", tmp_path / "ck1" / "checkpoint.bin"), "does not match"),
+        "sweep, bad grid": (("sweep", "--data", data[1], "--grid", "lr=0.1", *small),
+                            "sweep parameter must be d, h or w"),
+    }
+    for k, (case, (command, message)) in enumerate(cases.items()):
+        out = tmp_path / f"out{k}"
+        assert run(*command, "--out", out) == 2, case
+        assert message in capsys.readouterr().err, case
+        assert not out.exists(), case
 
 
 

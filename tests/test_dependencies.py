@@ -1,4 +1,5 @@
-"""The package imports nothing but the standard library and numpy."""
+"""The package imports nothing but the standard library and numpy, and the CLI
+nothing from the per-sample model API."""
 
 import ast
 import sys
@@ -22,3 +23,15 @@ def test_imports_are_stdlib_numpy_or_the_package(path):
             continue
         outside += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] not in ALLOWED]
     assert not outside, f"{path.name} imports outside stdlib and numpy: {outside}"
+
+
+# kept for perfbench and the tests; the CLI runs on the batched path only
+PER_SAMPLE = {"forward", "cross_entropy", "predict_topk", "stable_softmax", "_rank_of"}
+
+
+def test_cli_uses_no_per_sample_model_code():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & PER_SAMPLE, f"cli.py uses {sorted(names & PER_SAMPLE)}"
