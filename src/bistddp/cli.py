@@ -5,9 +5,10 @@ Configuration is a flat key=value file plus command-line overrides, one
 flag per config key, each value parsed the same way from either; each
 command writes its resolved config next to its artifacts so every output is
 reproducible from config + seed alone. A command checks its inputs before it
-writes anything, so one that exits 2 leaves no output directory behind.
+writes anything, so one that exits 2 leaves no output directory behind; `train`
+and `ablate` also write nothing when training diverges.
 
-Exit codes: 0 success, 1 internal error, 2 bad input.
+Exit codes: 0 success, 1 diverged training or internal error, 2 bad input.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from .model import (
 from .numerics import make_rng, seeded_generators, softmax_cross_entropy
 from .synthetic import corpus_from_events, random_instance
 from .train import (
+    Diverged,
     FitResult,
     TrainConfig,
     check_fit_inputs,
@@ -314,9 +316,9 @@ def _fit(cfg: ExperimentConfig, prepared_corpus: PreparedCorpus, cache: SpatialR
 def cmd_train(run: Setup) -> int:
     cfg, data = run.cfg, run.data
     _check_fit_inputs(cfg, data)
-    out = _out_dir(cfg, "train")
     print(f"corpus: N={data.corpus.n_users} M={data.corpus.n_pois} w={data.window}")
     result = _fit(cfg, data, run.cache, run.params)
+    out = _out_dir(cfg, "train")
     save_checkpoint(out / "checkpoint.bin", result.params)
     write_train_log(out / "train_log.csv", result.log)
     print(format_train_table(result.log))
@@ -377,7 +379,6 @@ def cmd_ablate(run: Setup) -> int:
     cfg = run.cfg
     test_samples = _split_samples(run, "test")
     _check_fit_inputs(cfg, run.data)
-    out = _out_dir(cfg, "ablate")
     reports: dict[str, MetricsReport] = {}
     for name in VARIANTS:  # VARIANTS lists the ablation table in order
         # shared seed and data: every variant starts from the same tensors
@@ -385,7 +386,7 @@ def cmd_ablate(run: Setup) -> int:
         result = _fit(point, run.data, run.cache)
         reports[name] = _model_report(point, result.params, test_samples, run.cache)
         print(f"{name}: done ({result.epochs_run} epochs)")
-    _write_report_grid(out / "ablation.csv", reports, cfg.k)
+    _write_report_grid(_out_dir(cfg, "ablate") / "ablation.csv", reports, cfg.k)
     return 0
 
 
@@ -585,6 +586,9 @@ def main(argv: list[str] | None = None) -> int:
         # ShapeMismatch are all ValueErrors: bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Diverged as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # internal error
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -50,6 +50,21 @@ _SESSION_BOUNDS = [
 ]
 
 
+def _pattern_table() -> np.ndarray:
+    """Row 48 * weekday + half hour: the temporal pattern of a local weekday
+    (Monday = 0) and half hour of the day, which fix it because every session
+    bound is on a half hour."""
+    table = np.zeros((7, 48, 7))
+    table[:5, :, 0] = table[5:, :, 1] = 1  # weekday, weekend
+    table[:, :, 6] = 1  # rest, where no session covers the half hour
+    for k, (lo, hi) in enumerate(_SESSION_BOUNDS):
+        table[:, lo // 1800:hi // 1800, [2 + k, 6]] = [1, 0]
+    return table.reshape(7 * 48, 7)
+
+
+_PATTERNS = _pattern_table()
+
+
 class MalformedLine(ValueError):
     """A raw line that cannot be parsed into a check-in."""
 
@@ -408,25 +423,20 @@ def split_corpus(corpus: Corpus) -> CorpusSplit:
 
 
 def temporal_patterns(utc: np.ndarray, tz: np.ndarray) -> np.ndarray:
-    """(n, 7) int64 patterns of n timestamps (UTC seconds, tz minutes) in local time.
+    """(n, 7) float64 0/1 patterns of n timestamps (UTC seconds, tz minutes) in local time.
 
     Bits 0-1: weekday (Mon-Fri) / weekend. Bits 2-6: morning, noon,
     afternoon, night, rest, by the half-open sessions above. Exactly one bit
     of each group is set.
     """
-    local = np.asarray(utc, dtype=np.int64) + 60 * np.asarray(tz, dtype=np.int64)
-    weekday = (local // 86400 + 3) % 7  # Monday = 0; 1970-01-01 was a Thursday
-    second_of_day = local % 86400
-    session = np.full(len(local), 4)  # rest
-    for k, (lo, hi) in enumerate(_SESSION_BOUNDS):
-        session[(lo <= second_of_day) & (second_of_day < hi)] = k
-    return np.hstack([np.eye(2, dtype=np.int64)[(weekday >= 5).astype(np.int64)],
-                      np.eye(5, dtype=np.int64)[session]])
+    day, second = np.divmod(np.asarray(utc, dtype=np.int64) + 60 * np.asarray(tz, dtype=np.int64),
+                            86400)
+    return _PATTERNS[(day + 3) % 7 * 48 + second // 1800]  # 1970-01-01 was a Thursday
 
 
 def encode_temporal_pattern(utc_seconds: int, tz_offset_minutes: int) -> tuple[int, ...]:
     """The 7-bit pattern of one timestamp: one row of `temporal_patterns`."""
-    return tuple(temporal_patterns([utc_seconds], [tz_offset_minutes])[0].tolist())
+    return tuple(temporal_patterns([utc_seconds], [tz_offset_minutes])[0].astype(np.int64).tolist())
 
 
 def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> SampleBatch:
@@ -452,7 +462,7 @@ def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> SampleBatch:
         bwd=ci.pois[targets[:, None] + offsets],
         interval_before=hours[targets - 1],
         interval_after=hours[targets],
-        pattern=temporal_patterns(ci.times[targets], ci.tz[targets]).astype(np.float64),
+        pattern=temporal_patterns(ci.times[targets], ci.tz[targets]),
         split=split.segments[targets],
     )
 
@@ -528,45 +538,117 @@ def write_corpus(path, prepared: PreparedCorpus) -> None:
                 *(c[lo:lo + _BLOCK].tolist() for c in (ci.users, ci.pois, ci.times, ci.tz))))
 
 
+# The one rule for every integer field of a corpus file, the only form `write_corpus` writes
+_INTEGER = re.compile(r"-?[0-9]{1,18}")
+_TAB, _LF, _C, _MINUS, _ZERO, _NINE = b"\t\nC-09"
+
+
+def _integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
 class _Lines:
-    """The lines of a corpus file; errors name the file and the 1-based line."""
+    """The lines of a corpus file, kept as its bytes and decoded only where
+    asked; errors name the file and the 1-based line. CRLF and CR line ends
+    read as LF, as text mode reads them."""
 
     def __init__(self, path):
         self.path = path
-        with open(path, encoding="utf-8") as fh:
-            self.lines = fh.read().split("\n")
-        if self.lines[-1]:
-            raise self.error(len(self.lines) - 1, "no newline at the end of the file (truncated?)")
-        del self.lines[-1]
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        self.data, self.bytes = data, np.frombuffer(data, dtype=np.uint8)
+        self.ends = np.flatnonzero(self.bytes == _LF)  # the LF of each line
+        self.count = len(self.ends)
+        if not data.isascii():
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start)
+                raise self.error(line, f"not UTF-8: byte 0x{data[exc.start]:02x} at column "
+                                       f"{exc.start - self.start(line) + 1}") from None
+        if len(data) > self.start(self.count):
+            raise self.error(self.count, "no newline at the end of the file (truncated?)")
 
     def error(self, i: int, message: str) -> BadCorpusFile:
         return BadCorpusFile(f"{self.path}:{i + 1}: {message}")
 
+    def start(self, i: int) -> int:
+        """The offset of line index `i` (of the end of the file, for `i = count`)."""
+        return int(self.ends[i - 1]) + 1 if i else 0
+
+    def text(self, first: int, n: int) -> list[str]:
+        """Lines `first` .. `first + n - 1`, as far as the file goes."""
+        n = max(min(n, self.count - first), 0)
+        return self.data[self.start(first):self.start(first + n)].decode("utf-8").split("\n")[:n]
+
     def records(self, first: int, n: int, tag: str, n_fields: int) -> list[list[str]]:
         """The fields of the `n` `tag` records from line index `first`, column by column."""
-        block = self.lines[first:first + n]
-        fields = "\t".join(block).split("\t") if n else []
+        lines = self.text(first, n)
+        fields = "\t".join(lines).split("\t") if n else []
         if len(fields) != n * n_fields or fields[::n_fields].count(tag) != n:
-            for i in range(first, first + n):  # find the line at fault
-                if i == len(self.lines):
-                    raise self.error(i, f"the file ends where a {tag} record should be")
-                if self.lines[i].split("\t")[0] != tag or self.lines[i].count("\t") != n_fields - 1:
-                    raise self.error(i, f"expected a {tag} record of {n_fields} fields, "
-                                        f"got {self.lines[i][:60]!r}")
+            for k in range(n):  # find the line at fault
+                if k == len(lines):
+                    raise self.error(first + k, f"the file ends where a {tag} record should be")
+                if lines[k].split("\t")[0] != tag or lines[k].count("\t") != n_fields - 1:
+                    raise self.error(first + k, f"expected a {tag} record of {n_fields} fields, "
+                                                f"got {lines[k][:60]!r}")
         return [fields[j::n_fields] for j in range(n_fields)]
 
     def column(self, first: int, texts: list[str], parse, what: str) -> np.ndarray:
-        """`parse` (int or float) of `texts[k]`, from line `first + k`, as one array."""
-        dtype = np.int64 if parse is int else np.float64
+        """`parse` (int, by the one integer rule, or float) of `texts[k]`, from
+        line `first + k`, as one array."""
+        dtype, parse = (np.int64, _integer) if parse is int else (np.float64, parse)
         try:
             return np.fromiter(map(parse, texts), dtype=dtype, count=len(texts))
-        except (ValueError, OverflowError):
+        except ValueError:
             for k, text in enumerate(texts):
                 try:
-                    np.fromiter([parse(text)], dtype=dtype)
-                except (ValueError, OverflowError):
+                    parse(text)
+                except ValueError:
                     raise self.error(first + k, f"bad {what} {text!r}") from None
             raise
+
+    def checkins(self, first: int, n: int) -> np.ndarray:
+        """The user, POI, timestamp and tz columns, (4, n) int64, of the `n` C
+        records from line index `first`. The block is checked and parsed as a
+        whole; only a bad block is read line by line, to name its first bad line."""
+        columns = self._checkin_block(first, n)
+        if columns is None:
+            for texts, what in zip(self.records(first, n, "C", 5)[1:],
+                                   ("user", "POI", "timestamp", "tz")):
+                self.column(first, texts, int, what)
+            raise AssertionError(f"{self.path}: the C block fails its check, but no line does")
+        return columns
+
+    def _checkin_block(self, first: int, n: int) -> np.ndarray | None:
+        """The columns if every line is C, TAB, then four TAB-separated integers, LF; else None."""
+        if first + n > self.count:
+            return None
+        if n == 0:
+            return np.zeros((4, 0), dtype=np.int64)
+        lo, hi = self.start(first), self.start(first + n)
+        codes, ends = self.bytes[lo:hi], self.ends[first:first + n] - lo
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        tabs = np.flatnonzero(codes == _TAB)
+        if len(tabs) != 4 * n:
+            return None
+        tabs = tabs.reshape(n, 4)  # row i is line i's tabs if the first and last lie in line i
+        if not (np.array_equal(tabs[:, 0], starts + 1) and np.all(tabs[:, 3] < ends)
+                and np.all(codes[starts] == _C)):
+            return None
+        minus = codes[tabs + 1] == _MINUS
+        digits = np.column_stack((tabs[:, 1:], ends)) - tabs - 1 - minus
+        # above the digits only the n Cs, below them only the TABs, the LFs and those minus signs
+        if not (np.all((1 <= digits) & (digits <= 18))
+                and np.count_nonzero(codes > _NINE) == n
+                and np.count_nonzero(codes < _ZERO) == 5 * n + np.count_nonzero(minus)):
+            return None
+        values = np.fromstring(self.data[lo:hi].replace(b"C", b" "), dtype=np.int64, sep=" ")
+        return values.reshape(n, 4).T.copy()
 
     def expect(self, ok: np.ndarray, first: int, describe) -> None:
         """Raise at line `first + k` for the first k where `ok[k]` is False."""
@@ -578,12 +660,14 @@ class _Lines:
 def load_corpus(path) -> PreparedCorpus:
     """Read a file written by `write_corpus`; rebuild its split and samples.
 
+    The file is UTF-8, its lines end in LF, CRLF or CR, and every integer
+    field is ASCII digits with an optional leading "-", at most 18 of them.
     Raises `BadCorpusFile`, naming the file and line, for a record that
     `write_corpus` could not have written. Values are checked column by
     column, not line by line.
     """
     lines = _Lines(path)
-    if lines.lines[:1] and lines.lines[0].split("\t")[0] == "STDDP1":
+    if [line.split("\t")[0] for line in lines.text(0, 1)] == ["STDDP1"]:
         raise lines.error(0, "a STDDP1 corpus file, which this version no longer reads; "
                              "re-run `bistddp prepare` to write it as STDDP2")
     n_users, n_pois, window = (int(lines.column(0, c, int, "count")[0])
@@ -603,16 +687,13 @@ def load_corpus(path) -> PreparedCorpus:
     first = 1 + n_pois
     user_ids, lengths = lines.records(first, n_users, "U", 3)[1:]
     lengths = lines.column(first, lengths, int, "check-in count")
-    lines.expect((0 <= lengths) & (lengths <= len(lines.lines)), first,
+    lines.expect((0 <= lengths) & (lengths <= lines.count), first,
                  lambda k: f"check-in count {lengths[k]} out of range")
 
     first += n_users
     end = first + int(lengths.sum())
-    users, pois, times, tz = (
-        lines.column(first, texts, int, what) for texts, what in
-        zip(lines.records(first, end - first, "C", 5)[1:], ("user", "POI", "timestamp", "tz"))
-    )
-    if len(lines.lines) > end:
+    users, pois, times, tz = lines.checkins(first, end - first)
+    if lines.count > end:
         raise lines.error(end, "extra line after the last C record")
     owner = np.repeat(np.arange(n_users), lengths)
     lines.expect(users == owner, first,

@@ -8,6 +8,7 @@ import pytest
 
 from bistddp import cli
 from bistddp.cli import ExperimentConfig, main
+from bistddp.ingest import load_corpus
 from bistddp.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from conftest import foursquare_lines
 
@@ -136,9 +137,9 @@ class TestTrainEvaluate:
     def test_diverged_run_exits_1_without_artifacts(self, prepared_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert self.train(prepared_dir, out, extra=("--lr", 1e308, "--epochs", 3)) == 1
-        assert "non-finite" in capsys.readouterr().err
-        assert not (out / "checkpoint.bin").exists()
-        assert not (out / "train_log.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: epoch 1: non-finite") and err.count("\n") == 1
+        assert not out.exists()  # not even config.txt
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -148,9 +149,8 @@ class TestTrainEvaluate:
         out = tmp_path / "run"
         assert self.train(prepared_dir, out,
                           extra=("--lr", 1e308, "--epochs", 1, "--batch", 100000)) == 1
-        assert "non-finite" in capsys.readouterr().err
-        assert not (out / "checkpoint.bin").exists()
-        assert not (out / "train_log.csv").exists()
+        assert capsys.readouterr().err.startswith("training diverged: epoch 1: non-finite")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [("--lr", "nan"), ("--lr", "inf"), ("--lr", 0),
                                       ("--metric", "val_recall@7"), ("--metric", "val_mrr"),
@@ -405,6 +405,15 @@ class TestAblateAndSweep:
         rows = read_csv(out / "ablation.csv")
         assert [r["model"] for r in rows] == ["bi-stddp", "f-stddp", "b-stddp", "bi-b", "bi-a"]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverged_ablate_writes_nothing(self, prepared_dir, tmp_path, capsys):
+        out = tmp_path / "ab"
+        assert run("ablate", "--data", prepared_dir / "corpus.tsv", "--out", out, "--d", 4,
+                   "--h", 6, "--batch", 64, "--lr", 1e308, "--epochs", 3) == 1
+        assert capsys.readouterr().err.startswith("training diverged: epoch 1: non-finite")
+        assert not out.exists()  # not even config.txt
+
     def test_sweep_records_points_and_survives_failures(self, prepared_dir, tmp_path):
         out = tmp_path / "sw"
         assert run("sweep", "--data", prepared_dir / "corpus.tsv", "--out", out,
@@ -526,8 +535,9 @@ def _earlier_than_previous(lines):
 
 # The fixture's corpus file: header on line 1, P records on lines 2-13,
 # U records on 14-33, C records on 34-273 (user 0 on 34-45, user 1 from 46).
-# Each edit returns the corrupted text; it is paired with the line at fault
-# and a piece of the message.
+# Each edit returns the corrupted text (a lone surrogate stands for the raw
+# byte it escapes); it is paired with the line at fault and a piece of the
+# message.
 CORRUPTIONS = {
     "header field count": (lambda L: _set_field(L, 1, 3, "1\t9"), 1, "4 fields"),
     "header count not an integer": (lambda L: _set_field(L, 1, 2, "12x"), 1, "bad count"),
@@ -548,6 +558,21 @@ CORRUPTIONS = {
     "missing last line": (lambda L: "\n".join(L[:-1]) + "\n", 273, "file ends"),
     "extra line": (lambda L: "\n".join(L + [L[-1]]) + "\n", 274, "extra line"),
     "last line cut short": (lambda L: "\n".join(L)[:-3], 273, "no newline"),
+    # one integer rule for every integer field: ASCII digits, an optional
+    # leading "-", at most 18 digits
+    "check-in count with a plus sign": (lambda L: _set_field(L, 15, 2, "+12"), 15,
+                                        "bad check-in count '+12'"),
+    "plus sign": (lambda L: _set_field(L, 42, 2, "+5"), 42, "bad POI '+5'"),
+    "leading space": (lambda L: _set_field(L, 43, 1, " 0"), 43, "bad user ' 0'"),
+    "digit separator": (lambda L: _set_field(L, 44, 2, "1_0"), 44, "bad POI '1_0'"),
+    "lone minus": (lambda L: _set_field(L, 47, 4, "-"), 47, "bad tz '-'"),
+    "19-digit timestamp": (lambda L: _set_field(L, 48, 3, "1" + "0" * 18), 48,
+                           "bad timestamp '1000000000000000000'"),
+    "empty field": (lambda L: _set_field(L, 49, 2, ""), 49, "bad POI ''"),
+    "blank line in the C block": (lambda L: "\n".join(L[:50] + [""] + L[50:]) + "\n", 51,
+                                  "expected a C record of 5 fields, got ''"),
+    "non-UTF-8 byte": (lambda L: _set_field(L, 16, 1, "us\udce9r2"), 16,
+                       "not UTF-8: byte 0xe9 at column 5"),
 }
 
 
@@ -556,11 +581,29 @@ class TestCorpusFile:
     def test_corrupt_file_exits_2_naming_the_line(self, prepared_dir, tmp_path, capsys,
                                                   edit, line, message):
         path = prepared_dir / "corpus.tsv"
-        path.write_text(edit(path.read_text(encoding="utf-8").split("\n")[:-1]),
-                        encoding="utf-8")
+        text = edit(path.read_text(encoding="utf-8").split("\n")[:-1])
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert run("baselines", "--data", path, "--out", tmp_path / "bl") == 2
         err = capsys.readouterr().err
         assert f"{path}:{line}: " in err and message in err
+
+    def test_crlf_and_cr_line_ends_load_to_the_same_columns(self, prepared_dir, tmp_path):
+        path = prepared_dir / "corpus.tsv"
+        lf = load_corpus(path)
+        for end in (b"\r\n", b"\r"):
+            other = tmp_path / "corpus.tsv"
+            other.write_bytes(path.read_bytes().replace(b"\n", end))
+            got = load_corpus(other)
+            assert (got.window, got.corpus.user_ids) == (lf.window, lf.corpus.user_ids)
+            assert got.corpus.poi_table.ids == lf.corpus.poi_table.ids
+            pairs = [(got.split.segments, lf.split.segments),
+                     (got.corpus.poi_table.lat, lf.corpus.poi_table.lat),
+                     (got.corpus.poi_table.lon, lf.corpus.poi_table.lon)] + [
+                (getattr(a, f.name), getattr(b, f.name))
+                for a, b in ((got.corpus.checkins, lf.corpus.checkins), (got.samples, lf.samples))
+                for f in dataclasses.fields(a)]
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in pairs)
+            assert run("baselines", "--data", other, "--out", tmp_path / "bl") == 0
 
     def test_range_ends_are_accepted(self, prepared_dir, tmp_path):
         path = prepared_dir / "corpus.tsv"

@@ -259,6 +259,16 @@ def assert_same_corpus(got, expected):
         assert getattr(got.checkins, name).dtype == np.int64
 
 
+def assert_same_columns(got, expected):
+    """Equal split codes and sample columns, each of the same dtype."""
+    pairs = [(got.split.segments, expected.split.segments)] + [
+        (getattr(got.samples, f.name), getattr(expected.samples, f.name))
+        for f in fields(SampleBatch)]
+    for column, want in pairs:
+        assert column.dtype == want.dtype
+        np.testing.assert_array_equal(column, want)
+
+
 def random_checkins(seed, min_user, min_poi_users):
     """Seeded check-ins in shuffled file order with the filter's hard cases planted.
 
@@ -308,12 +318,12 @@ def gowalla_times(draw):
 
 
 @st.composite
-def mutated(draw, texts):
-    """A text of `texts` after up to two one-character edits."""
+def mutated(draw, texts, chars=EDIT_CHARS):
+    """A text of `texts` after up to two one-character edits, inserting or writing `chars`."""
     text = draw(texts)
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(text)))
-        c = draw(st.sampled_from(EDIT_CHARS))
+        c = draw(st.sampled_from(chars))
         text = draw(st.sampled_from([text[:i] + c + text[i:], text[:i] + text[i + 1:],
                                      text[:i] + c + text[i + 1:]]))
     return text
@@ -683,6 +693,62 @@ class TestRoundTrips:
                 np.testing.assert_array_equal(getattr(back.corpus.checkins, name),
                                               getattr(prep.corpus.checkins, name))
             assert_same_table(back.corpus.poi_table, prep.corpus.poi_table)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_corpus_round_trips_through_the_file(self, data):
+        # ids drawn from any text a record can hold (no TAB, LF or CR), non-ASCII included;
+        # histories with T = 0, and times and tz offsets at both ends of their ranges
+        ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                      max_size=6)
+        n_pois = data.draw(st.integers(1, 5))
+        poi_ids = data.draw(st.lists(ids, min_size=n_pois, max_size=n_pois, unique=True))
+        user_ids = data.draw(st.lists(ids, min_size=1, max_size=5))
+        times = st.one_of(st.sampled_from([0, 1, 4102444799, 4102444798]),
+                          st.integers(0, 4102444799))
+        rows = []
+        for u in range(len(user_ids)):
+            history = data.draw(st.lists(st.tuples(st.integers(0, n_pois - 1), times,
+                                                   st.sampled_from([-720, 840, 0, -240, 330])),
+                                         max_size=7))
+            rows += [(u, p, t, z) for p, t, z in sorted(history, key=lambda row: row[1])]
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        table = PoiTable(poi_ids, np.linspace(-90, 90, n_pois), np.linspace(180, -180, n_pois))
+        expected = PreparedCorpus.from_corpus(
+            Corpus(table, user_ids, CheckIns(*columns)), data.draw(st.integers(1, 3)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.tsv"
+            write_corpus(path, expected)
+            back = load_corpus(path)
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            crlf = load_corpus(path)
+        for got in (back, crlf):
+            assert got.window == expected.window
+            assert_same_corpus(got.corpus, expected.corpus)
+            assert_same_columns(got, expected)
+
+    @given(mutated(st.sampled_from(["C\t0\t1\t1500003600\t-240", "C\t0\t2\t1500007200\t840"]),
+                   "0123456789-+ _\tCx\u00e9\u0663\n\r"))
+    @settings(max_examples=300, deadline=None)
+    @example("C\t0\t1\t-0\t0")  # by the rule, refused by the time-order check
+    @example("C\t00\t0001\t001500003600\t-0240")  # leading zeros: still the one rule
+    def test_the_block_check_accepts_exactly_the_per_line_rule(self, line):
+        # one C line, edited; the file loads only if each of its C lines is C and
+        # four integers by the rule, and a refusal names a line
+        head = ["STDDP2\t1\t3\t1", "P\ta\t1.0\t2.0", "P\tb\t1.5\t2.5", "P\tc\t2.0\t3.0",
+                "U\tu\t3", "C\t0\t0\t1500000000\t0"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), "corpus.tsv", head + [line, "C\t0\t2\t1500090000\t0"])
+            try:
+                prep = load_corpus(path)
+            except BadCorpusFile as exc:
+                assert re.match(re.escape(str(path)) + r":[1-9][0-9]*: ", str(exc))
+                return
+        line = line.removesuffix("\r")  # then the file's LF: a CRLF line end
+        parts = line.split("\t")
+        assert parts[0] == "C" and all(re.fullmatch(r"-?[0-9]{1,18}", f) for f in parts[1:])
+        assert [int(f) for f in parts[1:]] == [
+            getattr(prep.corpus.checkins, name)[1] for name in ("users", "pois", "times", "tz")]
 
     def test_hand_written_file_with_empty_and_short_histories(self, tmp_path):
         # T = 0 for the first and last users, and T <= 2w for some users at
