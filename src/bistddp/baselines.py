@@ -44,8 +44,23 @@ class PopularityTable:
 
 
 def _count_table(keys, pois, counts, tie, n_keys: int, top1_pos: np.ndarray) -> CountTable:
-    """Group (key, poi, count) entries by key, each head sorted once."""
-    order = np.lexsort((tie, -counts, keys))  # last key is primary
+    """Group (key, poi, count) entries by key, each head sorted once.
+
+    One argsort over the int64 code `(key * D + rank) * M + tie` gives the
+    order of sorting by (key, count descending, tie): `rank` is the dense
+    rank of `-count` among the D distinct counts and `tie` is below M. No
+    two entries of a key share a tie, so the codes are distinct and any sort
+    kind gives that one order.
+    """
+    distinct, rank = np.unique(-counts, return_inverse=True)
+    n_counts, m = len(distinct), len(top1_pos)
+    # D distinct counts >= 1 sum to at least D(D+1)/2 and at most the P
+    # counted pairs, so D <= sqrt(2 * P) + 1: every corpus with at most a
+    # million users and POIs and fewer than 4e13 train check-ins fits
+    if n_keys * n_counts * m >= 2**63:
+        raise ValueError(f"count table too large to sort by one int64 code: {n_keys} keys, "
+                         f"{n_counts} distinct counts, {m} POIs")
+    order = np.argsort((keys * n_counts + rank) * m + tie)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_keys))))
     pois = pois[order]
     table = CountTable(offsets, pois, counts[order], top1_pos[pois])

@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -433,8 +434,36 @@ def cmd_sweep(run: Setup) -> int:
     return 1 if all(status != "ok" for _, _, status in rows) else 0
 
 
+def _count_tables_match_recount(data: PreparedCorpus) -> bool:
+    """`fit_counts`' tables against a check-in-by-check-in recount of the train
+    segments, with every head in ranking order (count descending, then tie)."""
+    pairs, visits, previous = Counter(), Counter(), None
+    for u, p, segment in zip(data.corpus.checkins.users.tolist(),
+                             data.corpus.checkins.pois.tolist(), data.split.segments.tolist()):
+        if segment == 0:
+            visits[u, p] += 1
+            if previous is not None and previous[0] == u:
+                pairs[previous[1], p] += 1
+        previous = (u, p) if segment == 0 else None
+    trans, pop = bl.fit_counts(data.corpus, data.split)
+    # the transition tables by field, (p, q) keyed by p then by q; ties break
+    # by TOP1 position there and by POI index in the per-user table
+    by_field = (pairs, {(q, p): c for (p, q), c in pairs.items()})
+    checks = [(getattr(trans, f.name), counts, "top1_pos")
+              for f, counts in zip(fields(trans), by_field)] + [(pop.users, visits, "pois")]
+    ok = True
+    for table, expected, tie in checks:
+        keys = np.repeat(np.arange(len(table.offsets) - 1), np.diff(table.offsets)).tolist()
+        rows = list(zip(keys, (-table.counts).tolist(), getattr(table, tie).tolist()))
+        ok &= (dict(zip(zip(keys, table.pois.tolist()), table.counts.tolist())) == expected
+               and np.array_equal(table.top1_pos, pop.top1_pos[table.pois])
+               and all(a < b for a, b in zip(rows, rows[1:])))
+    return ok
+
+
 def cmd_selfcheck(cfg: ExperimentConfig) -> int:
-    """Gradient oracle, distance rows, metric identities, ranks, corpus file; the CI gate."""
+    """Gradient oracle, distance rows, metric identities, ranks, corpus file, baseline
+    tables; the CI gate."""
     failures = 0
 
     def check(label: str, ok: bool, detail: str = "") -> None:
@@ -516,6 +545,8 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
                for f in fields(SampleBatch)] + [(back.split.segments, source.split.segments)]
     check("corpus file round trip reproduces prepare's sample columns",
           all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in columns))
+    check("baseline count tables match a recount, heads in ranking order",
+          _count_tables_match_recount(source))
 
     z = np.array([[1000.0, 1000.0]])
     loss = softmax_cross_entropy(z, np.array([0]))

@@ -23,11 +23,10 @@ class TruthMissing(ValueError):
 
 def _rank_of(ranked, truth: int) -> int:
     """1-based position of `truth` in the ranking."""
-    arr = np.asarray(ranked)
-    pos = np.nonzero(arr == truth)[0]
-    if pos.size == 0:
-        raise TruthMissing(f"POI {truth} absent from a ranking of length {arr.size}")
-    return int(pos[0]) + 1
+    hits = np.asarray(ranked) == truth
+    if not hits.size or not hits[first := int(hits.argmax())]:  # argmax stops at the first hit
+        raise TruthMissing(f"POI {truth} absent from a ranking of length {hits.size}")
+    return first + 1
 
 
 def recall_at_k(ranked, truth: int, k: int) -> int:

@@ -247,7 +247,11 @@ class TrainConfig:
 
 @dataclass
 class EarlyStopState:
-    """Tracks the best metric value seen and the checkpoint that scored it."""
+    """Tracks the best metric value seen and the checkpoint that scored it.
+
+    The checkpoint's arena is allocated at the first improvement; later
+    improvements copy into it, so `fit` holds one snapshot, never two.
+    """
 
     best_value: float = -math.inf
     best_params: ModelParams | None = None
@@ -257,7 +261,10 @@ class EarlyStopState:
     def update(self, value: float, params: ModelParams, epoch: int) -> bool:
         if value > self.best_value:
             self.best_value = value
-            self.best_params = params.copy()
+            if self.best_params is None:
+                self.best_params = params.copy()
+            else:
+                np.copyto(self.best_params.data, params.data)
             self.best_epoch = epoch
             self.epochs_since_improvement = 0
             return True

@@ -3,9 +3,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bistddp.baselines import (
     BaselineRankers,
+    _count_table,
     fit_counts,
     rank_backward,
     rank_forward,
@@ -276,3 +279,54 @@ def test_baseline_rankers_adapter_counts_fallbacks():
     # user 1 has no train check-ins: top2 falls back
     rankers.top2(sample_with(user=1))
     assert rankers.top2_fallbacks == 1
+
+
+# --- the one-code sort against a lexsort oracle ---------------------------
+
+@st.composite
+def count_entries(draw):
+    """(keys, pois, counts, tie, n_keys, top1_pos) as `fit_counts` hands them to
+    `_count_table`: distinct (key, POI) pairs in any order, counts >= 1 with
+    many ties and some of 2**40 and more, tie the TOP1 position or the POI."""
+    m = draw(st.integers(1, 8))
+    n_keys = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_keys - 1), st.integers(0, m - 1)),
+                          unique=True, max_size=n_keys * m))
+    counts = draw(st.lists(st.one_of(st.integers(1, 3), st.sampled_from([2**40, 2**40 + 1]),
+                                     st.integers(2**40, 2**62)),
+                           min_size=len(pairs), max_size=len(pairs)))
+    top1_pos = np.array(draw(st.permutations(range(m))), dtype=np.int64)
+    keys = np.array([k for k, _ in pairs], dtype=np.int64)
+    pois = np.array([p for _, p in pairs], dtype=np.int64)
+    tie = top1_pos[pois] if draw(st.booleans()) else pois
+    return keys, pois, np.array(counts, dtype=np.int64), tie, n_keys, top1_pos
+
+
+EMPTY = tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_entries())
+@example((*EMPTY, 3, np.arange(4)))
+def test_count_table_matches_a_lexsort_oracle(entries):
+    keys, pois, counts, tie, n_keys, top1_pos = entries
+    table = _count_table(keys, pois, counts, tie, n_keys, top1_pos)
+    order = np.lexsort((tie, -counts, keys))  # last key is primary
+    expected = {
+        "offsets": np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_keys)))),
+        "pois": pois[order],
+        "counts": counts[order],
+        "top1_pos": top1_pos[pois[order]],
+    }
+    for name, want in expected.items():
+        got = getattr(table, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not got.flags.writeable, name
+
+
+def test_count_table_too_large_for_one_code_raises():
+    keys = pois = tie = np.array([0, 1], dtype=np.int64)
+    counts = np.array([1, 2], dtype=np.int64)
+    n_keys = 2**62  # x 2 distinct counts x 2 POIs = 2**64
+    with pytest.raises(ValueError, match=f"{n_keys} keys, 2 distinct counts, 2 POIs"):
+        _count_table(keys, pois, counts, tie, n_keys, np.arange(2))

@@ -623,4 +623,6 @@ class TestCorpusFile:
 
 def test_selfcheck_passes(capsys):
     assert run("selfcheck") == 0
-    assert "PASS  distance rows match haversine_km  max rel err " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "PASS  distance rows match haversine_km  max rel err " in out
+    assert "PASS  baseline count tables match a recount, heads in ranking order" in out

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bistddp.evaluation import (
     TruthMissing,
+    _rank_of,
     evaluate,
     f1_at_k,
     mean_average_precision,
@@ -90,6 +91,13 @@ class TestMAP:
     def test_truth_missing(self):
         with pytest.raises(TruthMissing):
             mean_average_precision([[1, 2]], [3])
+
+    def test_rank_is_the_first_hit(self):
+        assert _rank_of(np.array([4, 2, 7, 2]), 2) == 2  # a truth listed twice
+        assert _rank_of([5, 1, 3], 3) == 3
+        for ranking in (np.array([4, 2, 7]), np.array([], dtype=np.int64)):
+            with pytest.raises(TruthMissing, match=f"absent from a ranking of length {ranking.size}"):
+                _rank_of(ranking, 9)
 
 
 class TestEvaluate:

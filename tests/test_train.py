@@ -363,6 +363,22 @@ class TestEarlyStop:
         assert early.should_stop(patience=1)
         assert early.best_epoch == 1
 
+    def test_snapshot_is_one_arena_that_ignores_later_updates(self):
+        _, params, _ = random_instance(9, m=8, n=2, d=3, h=4, w=1)
+        early = EarlyStopState()
+        early.update(0.5, params, 1)
+        snapshot, arena = early.best_params, early.best_params.data
+        first = params.data.copy()
+        params.data += 1.0  # a worse epoch: the snapshot keeps epoch 1
+        assert early.update(0.4, params, 2) is False
+        np.testing.assert_array_equal(snapshot.data, first)
+        assert early.update(0.6, params, 3) is True  # copied into the same arena
+        assert early.best_params is snapshot and snapshot.data is arena
+        np.testing.assert_array_equal(snapshot.data, params.data)
+        params.data += 1.0
+        np.testing.assert_array_equal(snapshot.data, first + 1.0)
+        assert snapshot.data is not params.data and early.best_epoch == 3
+
     def test_fit_stops_after_patience_and_returns_best(self):
         prep = overfit_corpus()
         corpus = prep.corpus
