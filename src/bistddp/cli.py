@@ -129,27 +129,34 @@ _PARSERS = {bool: _parse_bool, int: int, float: float, str: str, tuple: _parse_k
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments allowed."""
+    """Flat UTF-8 key=value lines, each key a config key at most once; blank
+    lines and # comments allowed. MalformedConfig names the file and line."""
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise MalformedConfig(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
+    for lineno, data in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            line = data.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise MalformedConfig(f"{path}:{lineno}: not UTF-8: byte 0x{data[exc.start]:02x} "
+                                  f"at column {exc.start + 1}") from None
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise MalformedConfig(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise MalformedConfig(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in raw:
+            raise MalformedConfig(f"{path}:{lineno}: config key {key!r} is set again")
+        raw[key] = value
     return raw
 
 
 def build_config(file_values: dict[str, str], flag_values: dict[str, str]) -> ExperimentConfig:
     """A validated config from the file's values, then the flags' over them;
-    both are strings, parsed the same way."""
+    both are strings of config keys (`load_config_file` checked the file's),
+    parsed the same way."""
     cfg = ExperimentConfig()
     for key, value in [*file_values.items(), *flag_values.items()]:
-        if key not in _CONFIG_KEYS:
-            raise MalformedConfig(f"unknown config key {key!r}")
         try:
             parsed = _PARSERS[type(getattr(cfg, key))](value)
         except ValueError:
@@ -446,11 +453,11 @@ def _count_tables_match_recount(data: PreparedCorpus) -> bool:
                 pairs[previous[1], p] += 1
         previous = (u, p) if segment == 0 else None
     trans, pop = bl.fit_counts(data.corpus, data.split)
-    # the transition tables by field, (p, q) keyed by p then by q; ties break
-    # by TOP1 position there and by POI index in the per-user table
-    by_field = (pairs, {(q, p): c for (p, q), c in pairs.items()})
-    checks = [(getattr(trans, f.name), counts, "top1_pos")
-              for f, counts in zip(fields(trans), by_field)] + [(pop.users, visits, "pois")]
+    # (p, q) keyed by p then by q; ties break by TOP1 position there and by
+    # POI index in the per-user table
+    checks = [(trans.forward, pairs, "top1_pos"),
+              (trans.backward, {(q, p): c for (p, q), c in pairs.items()}, "top1_pos"),
+              (pop.users, visits, "pois")]
     ok = True
     for table, expected, tie in checks:
         keys = np.repeat(np.arange(len(table.offsets) - 1), np.diff(table.offsets)).tolist()
@@ -474,7 +481,7 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
     for name, variant in VARIANTS.items():
         for seed in (0, 1):
             table, params, sample = random_instance(seed, m=12, n=4, d=3, h=5, w=1)
-            report = finite_difference_check(params, sample, table, variant)
+            report = finite_difference_check(params, [sample], table, variant)
             check(f"gradient oracle {name} seed {seed}", report.ok,
                   f"max rel err {report.max_error:.2e}")
 

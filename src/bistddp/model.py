@@ -12,6 +12,9 @@ A sample's score over all M candidate POIs combines two parts:
 Softmax of the summed scores gives the candidate distribution. Ablation
 variants gate individual parts (forward/backward branch, dependence terms,
 time pattern).
+
+`forward`, `cross_entropy` and `predict_topk`, with `train.backward`, are a
+one-row shim over the batched path, kept for perfbench and the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .geodata import PoiTable, SpatialRowCache, spatial_vector
 from .ingest import Sample, SampleBatch, atomic_open
-from .numerics import ShapeMismatch, glorot_uniform, log_softmax_at, stable_softmax
+from .numerics import ShapeMismatch, glorot_uniform, softmax_cross_entropy, stable_softmax
 
 CHECKPOINT_MAGIC = b"STDDPCKPT"
 
@@ -169,24 +172,13 @@ class BatchTrace:
 
 @dataclass
 class ForwardTrace:
-    """One sample's forward evaluation: a one-row BatchTrace plus probabilities.
-
-    Any other BatchTrace field reads as its single row.
-    """
+    """One sample's forward evaluation: a one-row BatchTrace plus probabilities."""
 
     sample: Sample
     variant: VariantConfig
     batch: BatchTrace
     logits: np.ndarray  # (M,)
     probs: np.ndarray  # (M,)
-    dep_before: np.ndarray | None  # (M,) spatial row * interval gate
-    dep_after: np.ndarray | None
-
-    def __getattr__(self, name: str):
-        if name.startswith("_") or name == "batch":  # not yet set (copy, unpickle)
-            raise AttributeError(name)
-        value = getattr(self.batch, name)
-        return None if value is None else value[0]
 
 
 def _check_batch(batch: SampleBatch, params: ModelParams, w: int) -> None:
@@ -204,12 +196,6 @@ def _check_batch(batch: SampleBatch, params: ModelParams, w: int) -> None:
         outside = values[(values < 0) | (values >= bound)]
         if outside.size:
             raise ShapeMismatch(f"{what} {outside[0]} outside [0, {bound})")
-
-
-def interval_gate(weights: np.ndarray, interval: np.ndarray) -> np.ndarray:
-    """(B, M) tanh(interval_w * interval), one row per sample's interval."""
-    gate = np.multiply.outer(interval, weights)
-    return np.tanh(gate, out=gate)
 
 
 def _context_branch(
@@ -260,8 +246,8 @@ def forward_batch(
         distinct = {p: cache.row(p) if cache is not None else spatial_vector(p, table)
                     for p in dict.fromkeys(pois.tolist())}
         rows = [distinct[p] for p in pois.tolist()]
-        # each sample's gate row in one length-M buffer, element for element
-        # as interval_gate computes it: no (B x M) gate array is built
+        # each sample's gate row tanh(interval * weights) in one length-M
+        # buffer: no (B x M) gate array is built
         gate = np.empty_like(weights)
         for row, iv, out in zip(rows, interval, logits):
             np.tanh(np.multiply(iv, weights, out=gate), out=gate)
@@ -304,23 +290,12 @@ def forward(
 ) -> ForwardTrace:
     """Evaluate the model on one sample: `forward_batch` on a batch of one."""
     batch = forward_batch(SampleBatch.from_samples([sample]), params, table, variant, cache)
-    logits = batch.logits[0]
-
-    def dependence(rows, weights, interval):
-        return None if rows is None else rows[0] * interval_gate(weights, interval)[0]
-
-    return ForwardTrace(
-        sample, variant, batch, logits, stable_softmax(logits),
-        dep_before=dependence(batch.spat_before, params.interval_w_before,
-                              batch.samples.interval_before),
-        dep_after=dependence(batch.spat_after, params.interval_w_after,
-                             batch.samples.interval_after),
-    )
+    return ForwardTrace(sample, variant, batch, batch.logits[0], stable_softmax(batch.logits[0]))
 
 
 def cross_entropy(trace: ForwardTrace, target: int) -> float:
-    """-log p(target), fused log-sum-exp over the logits."""
-    return -log_softmax_at(trace.logits, target)
+    """-log p(target): `softmax_cross_entropy` on a copy of the logits as one row."""
+    return float(softmax_cross_entropy(np.array(trace.logits, ndmin=2), np.array([target]))[0])
 
 
 def predict_topk(trace: ForwardTrace, k: int) -> np.ndarray:

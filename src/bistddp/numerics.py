@@ -26,16 +26,9 @@ def seeded_generators(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(s)) for s in root.spawn(n)]
 
 
-def as_vector(x, name: str = "x") -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeMismatch(f"{name} must be 1-D, got shape {v.shape}")
-    return v
-
-
 def stable_softmax(z) -> np.ndarray:
     """Softmax with max-subtraction; safe for arbitrarily large inputs."""
-    z = as_vector(z, "z")
+    z = np.asarray(z, dtype=np.float64)
     shifted = z - z.max()
     e = np.exp(shifted)
     return e / e.sum()
@@ -54,12 +47,6 @@ def softmax_cross_entropy(z: np.ndarray, index: np.ndarray) -> np.ndarray:
     total = z.sum(axis=1)
     z /= total[:, None]
     return np.log(total) - picked
-
-
-def log_softmax_at(z: np.ndarray, index: int) -> float:
-    """log(softmax(z)[index]) of one 1-D logit vector; see softmax_cross_entropy."""
-    rows = np.array(as_vector(z, "z"), ndmin=2)
-    return float(-softmax_cross_entropy(rows, np.array([index]))[0])
 
 
 def glorot_uniform(

@@ -7,6 +7,8 @@ embedding rows the sample used), and the interval-gate path
 dJ/d(interval weight) = (o - y) * spatial_row * (1 - gate^2) * interval.
 Spatial rows are data, not parameters, so no gradient reaches coordinates.
 Gradients and Adam's moments are flat arenas in the parameters' layout.
+`backward`, with `model.forward`, `cross_entropy` and `predict_topk`, is a
+one-row shim over the batched path, kept for perfbench and the tests.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# `evaluate` stays a module attribute: perfbench's tracer patches train.evaluate
-from .evaluation import MetricsReport, evaluate, report_from_ranks  # noqa: F401
+from .evaluation import MetricsReport, report_from_ranks
 from .geodata import PoiTable, SpatialRowCache
 from .ingest import Sample, SampleBatch, atomic_open
 from .model import (
@@ -28,13 +29,16 @@ from .model import (
     ModelParams,
     NonFiniteScores,
     VariantConfig,
-    cross_entropy,
-    forward,
     forward_batch,
     target_ranks,
     zero_params,
 )
 from .numerics import ShapeMismatch, make_rng, softmax_cross_entropy
+
+# module attributes only: perfbench's tracer patches train.forward,
+# train.cross_entropy and train.evaluate, and nothing here calls them
+from .evaluation import evaluate  # noqa: F401
+from .model import cross_entropy, forward  # noqa: F401
 
 # dJ/dtheta as a ModelParams arena: each gradient is the view of the
 # parameter it belongs to, in the same layout.
@@ -69,8 +73,8 @@ def _gate_grad(
     row T[i] = tanh(interval[i] * weights) recomputed as forward_batch had it.
 
     One sample at a time in a single length-M buffer, with the operations
-    per element of `interval_gate` and the expression above in that order,
-    so the sum is bit-identical to a pass over the (B x M) gate array."""
+    per element of T[i] and the expression above in that order, so the sum
+    is bit-identical to a pass over the (B x M) gate array."""
     coef = np.empty_like(weights)
     for row, iv, g_row in zip(rows, interval, g):
         np.tanh(np.multiply(iv, weights, out=coef), out=coef)
@@ -335,10 +339,10 @@ def fit(
     Adam on per-batch mean gradients (the last short batch is kept), then
     scores the early-stop metric; training ends after `patience` epochs
     without improvement or at `max_epochs`, returning the best checkpoint.
-    Raises Diverged on a non-finite batch loss (before its update is
-    applied), on non-finite scores while ranking, or when no epoch scored a
-    finite metric. `metric_fn(params, epoch) -> float` overrides the
-    configured metric.
+    Raises Diverged on an overflow or invalid value in a training step or a
+    non-finite batch loss (before its update is applied), on non-finite
+    scores while ranking, or when no epoch scored a finite metric.
+    `metric_fn(params, epoch) -> float` overrides the configured metric.
     """
     check_fit_inputs(train_samples, val_samples, None if metric_fn is not None else config.metric)
     if cache is None:
@@ -359,7 +363,12 @@ def fit(
         total_loss = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = data.take(order[lo : lo + config.batch_size])
-            _, batch_loss = batch_gradients(batch, params, table, variant, grads, cache)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    _, batch_loss = batch_gradients(batch, params, table, variant, grads, cache)
+            except FloatingPointError as exc:
+                raise Diverged(f"epoch {epoch}: non-finite value in a training step ({exc})"
+                               ) from exc
             if not math.isfinite(batch_loss):
                 raise Diverged(f"epoch {epoch}: non-finite batch loss {batch_loss}")
             adam_step(params, grads, adam)
@@ -423,32 +432,35 @@ class FdReport:
 
 def finite_difference_check(
     params: ModelParams,
-    sample: Sample,
+    samples: SampleBatch | list[Sample],
     table: PoiTable,
     variant: VariantConfig,
     delta: float = 1e-5,
     tolerance: float = 1e-4,
-    grads: dict[str, np.ndarray] | None = None,
+    grads: Gradients | None = None,
 ) -> FdReport:
-    """Compare analytic gradients against central differences, coordinate by
-    coordinate. Relative error is |a - n| / max(|a|, |n|, 1e-8). Cost is two
-    forward passes per parameter, so keep the instance small.
+    """Compare `batch_gradients`' arena against central differences of the
+    same mean loss (`forward_batch`, then `softmax_cross_entropy`),
+    coordinate by coordinate. Relative error is |a - n| / max(|a|, |n|,
+    1e-8). Cost is two forward passes per parameter, so keep the instance
+    small; rows that share a user or context POI check how their gradients
+    accumulate.
 
-    Passing `grads` checks those instead of a fresh backward (handy for
-    verifying that a corrupted gradient is actually detected).
+    Passing `grads` checks that arena instead of a fresh `batch_gradients`
+    (handy for verifying that a corrupted gradient is actually detected).
     """
+    samples = SampleBatch.from_samples(samples)
     cache = SpatialRowCache(table, capacity=len(table))
-    trace = forward(sample, params, table, variant, cache)
     if grads is None:
-        grads = backward(trace, sample, params, variant)
+        grads, _ = batch_gradients(samples, params, table, variant,
+                                   zero_params(params.hyper, params.n_users, params.n_pois), cache)
 
     def loss() -> float:
-        t = forward(sample, params, table, variant, cache)
-        return cross_entropy(t, sample.target_poi)
+        logits = forward_batch(samples, params, table, variant, cache).logits
+        return float(softmax_cross_entropy(logits, samples.targets).mean())
 
     per_tensor: dict[str, float] = {}
-    for name, tensor in params.named_tensors():
-        analytic = grads[name]
+    for (name, tensor), (_, analytic) in zip(params.named_tensors(), grads.named_tensors()):
         worst = 0.0
         for idx in np.ndindex(tensor.shape):
             orig = tensor[idx]

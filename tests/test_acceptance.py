@@ -47,14 +47,14 @@ def report(criterion, ok, detail=""):
 
 
 def test_criterion_1_gradient_oracle():
-    """Analytic backward vs central differences, all variants, 10 seeds."""
+    """batch_gradients vs central differences, all variants, 10 seeds."""
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(10):
         w = 1 + seed % 2
         for name, variant in VARIANTS.items():
             table, params, sample = random_instance(seed, m=30, n=6, d=5, h=7, w=w)
-            rep = finite_difference_check(params, sample, table, variant,
+            rep = finite_difference_check(params, [sample], table, variant,
                                           delta=1e-5, tolerance=1e-4)
             worst = max(worst, rep.max_error)
             assert rep.ok, f"{name} seed {seed} w {w}: {rep.max_error:.2e}"

@@ -77,6 +77,21 @@ class TestConfig:
         cfg.write_text("seed=3\nbogus_key=1\n", encoding="utf-8")
         assert run("selfcheck", "--config", cfg) == 2
 
+    @pytest.mark.parametrize("text, line, message", [
+        (b"seed=3\nd=8\nlr=0.\xff01\n", 3, "not UTF-8: byte 0xff at column 6"),
+        (b"# seeds\nseed=3\n\nseed = 4\n", 4, "config key 'seed' is set again"),
+        (b"seed=3\nseed=3\n", 2, "config key 'seed' is set again"),
+        (b"seed=3\r\nbogus_key=1\r\n", 2, "unknown config key 'bogus_key'"),
+    ], ids=["non-UTF-8", "repeated", "repeated with the same value", "unknown"])
+    def test_file_error_names_the_file_and_line(self, raw_foursquare, tmp_path, capsys,
+                                                text, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(text)
+        out = tmp_path / "o"
+        assert run("prepare", "--config", cfg, "--data", raw_foursquare, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
+        assert not out.exists()
+
     def test_bad_value_rejected(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("epochs=often\n", encoding="utf-8")
@@ -150,6 +165,17 @@ class TestTrainEvaluate:
         assert self.train(prepared_dir, out,
                           extra=("--lr", 1e308, "--epochs", 1, "--batch", 100000)) == 1
         assert capsys.readouterr().err.startswith("training diverged: epoch 1: non-finite")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_in_a_training_step_exits_1_without_artifacts(self, prepared_dir,
+                                                                   tmp_path, capsys):
+        # every batch loss is finite; the parameters the updates leave behind
+        # overflow a later step
+        out = tmp_path / "run"
+        assert self.train(prepared_dir, out, extra=("--lr", 1e300, "--epochs", 3)) == 1
+        assert re.fullmatch(r"training diverged: epoch \d: non-finite value in a training "
+                            r"step \(overflow [^\n]*\)\n", capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [("--lr", "nan"), ("--lr", "inf"), ("--lr", 0),

@@ -132,11 +132,15 @@ def test_zero_params_uniform_output():
 
 
 def test_zero_intervals_zero_dependence():
+    # both dependence terms are on, but tanh(w * 0) gates every row off: the
+    # logits are exactly the projected preference
     table = _grid_table(6)
     params = init_params(HyperParams(d=3, h=4, w=1), 2, 6, make_rng(1))
-    trace = forward(_sample(interval_before=0.0, interval_after=0.0), params, table)
-    np.testing.assert_array_equal(trace.dep_before, np.zeros(6))
-    np.testing.assert_array_equal(trace.dep_after, np.zeros(6))
+    for intervals, zero in (((0.0, 0.0), True), ((1.5, 0.0), False), ((0.0, 2.5), False)):
+        sample = _sample(interval_before=intervals[0], interval_after=intervals[1])
+        trace = forward_batch(SampleBatch.from_samples([sample]), params, table)
+        projected = trace.pref @ params.out_weights.T
+        assert np.array_equal(trace.logits, projected) == zero, intervals
 
 
 def test_forward_matches_straight_line_oracle():
@@ -189,11 +193,11 @@ def test_variant_identities():
     table, params, sample = random_instance(5, m=9, n=3, d=3, h=4, w=1)
     bi_b = forward(sample, params, table, VARIANTS["bi-b"])
     # no dependence: logits are exactly the projected preference
-    np.testing.assert_array_equal(bi_b.logits, params.out_weights @ bi_b.pref)
-    assert bi_b.dep_before is None and bi_b.spat_after is None
+    np.testing.assert_array_equal(bi_b.logits, params.out_weights @ bi_b.batch.pref[0])
+    assert bi_b.batch.spat_before is None and bi_b.batch.spat_after is None
 
     bi_a = forward(sample, params, table, VARIANTS["bi-a"])
-    assert bi_a.h_time is None
+    assert bi_a.batch.h_time is None
     manual = (np.tanh(params.fwd_hidden[0] @ params.poi_emb[sample.fwd[0]])
               + np.tanh(params.bwd_hidden[0] @ params.poi_emb[sample.bwd[0]])
               + np.tanh(params.user_hidden @ params.user_emb[sample.user]))

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from bistddp.numerics import (
     glorot_uniform,
-    log_softmax_at,
     make_rng,
     seeded_generators,
+    softmax_cross_entropy,
     stable_softmax,
 )
 
@@ -61,11 +61,11 @@ def test_softmax_sums_to_one_and_is_monotone(values):
 
 
 def test_log_softmax_fused_matches_direct():
-    z = np.array([0.0, math.log(3.0)])
-    assert log_softmax_at(z, 0) == pytest.approx(math.log(0.25), rel=1e-12)
+    z = np.array([[0.0, math.log(3.0)]])
+    assert -softmax_cross_entropy(z, np.array([0]))[0] == pytest.approx(math.log(0.25), rel=1e-12)
     # saturated logits stay finite in fused form
-    z = np.array([0.0, 800.0])
-    assert math.isfinite(log_softmax_at(z, 0))
+    z = np.array([[0.0, 800.0]])
+    assert math.isfinite(softmax_cross_entropy(z, np.array([0]))[0])
 
 
 def test_glorot_limit_value():

@@ -16,7 +16,6 @@ from bistddp.model import (
     forward,
     forward_batch,
     init_params,
-    interval_gate,
     predict_topk,
     zero_params,
 )
@@ -44,6 +43,24 @@ from bistddp.evaluation import evaluate
 def zeros_like(params):
     """A zero arena in `params`' layout: a fresh gradient buffer."""
     return zero_params(params.hyper, params.n_users, params.n_pois)
+
+
+def interval_gate(weights, interval):
+    """(B, M) tanh(interval_w * interval), one row per sample's interval: the
+    whole-batch gate array that the per-row gate loops must reproduce."""
+    gate = np.multiply.outer(interval, weights)
+    return np.tanh(gate, out=gate)
+
+
+def shared_context_rows(seed, w):
+    """Three rows of one user with the same context POIs and distinct targets
+    and intervals, so every context row of `poi_emb` and the user's row of
+    `user_emb` take a gradient from each of them."""
+    table, params, sample = random_instance(seed, m=12, n=4, d=3, h=5, w=w)
+    rows = [replace(sample, target_poi=(sample.target_poi + 4 * k) % 12,
+                    interval_before=0.5 + 1.2 * k, interval_after=3.1 - 1.1 * k)
+            for k in range(3)]
+    return table, params, rows
 
 
 def random_arena(params, seed):
@@ -91,22 +108,44 @@ class TestFiniteDifferenceOracle:
         for name, variant in VARIANTS.items():
             for seed in (0, 1):
                 table, params, sample = random_instance(seed, m=12, n=4, d=3, h=5, w=1)
-                report = finite_difference_check(params, sample, table, variant)
+                report = finite_difference_check(params, [sample], table, variant)
                 assert report.ok, f"{name} seed {seed}: {report.max_error:.2e}"
+
+    def test_matches_on_rows_that_share_the_user_and_context(self):
+        for w in (1, 2):
+            for seed in (0, 1):
+                table, params, rows = shared_context_rows(seed, w)
+                for name, variant in VARIANTS.items():
+                    report = finite_difference_check(params, rows, table, variant)
+                    assert report.max_error < 1e-4, f"{name}, w={w}, seed {seed}: {report}"
 
     def test_detects_corrupted_gradient(self):
         table, params, sample = random_instance(3, m=12, n=4, d=3, h=5, w=1)
         variant = VARIANTS["bi-stddp"]
-        trace = forward(sample, params, table, variant)
-        grads = backward(trace, sample, params, variant)
-        grads["user_hidden"] *= 2.0
-        report = finite_difference_check(params, sample, table, variant, grads=grads)
+        grads, _ = batch_gradients([sample], params, table, variant, zeros_like(params))
+        grads.user_hidden[...] *= 2.0
+        report = finite_difference_check(params, [sample], table, variant, grads=grads)
         assert report.per_tensor["user_hidden"] > 0.3
+
+    def test_detects_a_corrupted_row_that_two_contexts_share(self):
+        table, params, rows = shared_context_rows(3, 1)
+        rows[2] = replace(rows[2], fwd=((rows[0].fwd[0] + 1) % 12,),
+                          bwd=((rows[0].bwd[0] + 1) % 12,))
+        shared = rows[0].fwd[0]  # in the contexts of rows 0 and 1 only
+        assert rows[1].fwd[0] == shared and shared not in rows[2].fwd + rows[2].bwd
+        variant = VARIANTS["bi-stddp"]
+        grads, _ = batch_gradients(rows, params, table, variant, zeros_like(params))
+        clean = finite_difference_check(params, rows, table, variant, grads=grads)
+        grads.poi_emb[shared] *= 2.0
+        report = finite_difference_check(params, rows, table, variant, grads=grads)
+        assert clean.ok and report.per_tensor["poi_emb"] > 0.3
+        assert all(report.per_tensor[name] == e for name, e in clean.per_tensor.items()
+                   if name != "poi_emb")
 
     def test_zero_point_is_smooth(self):
         table, _, sample = random_instance(4, m=10, n=3, d=3, h=4, w=1)
         params = zero_params(HyperParams(d=3, h=4, w=1), 3, 10)
-        report = finite_difference_check(params, sample, table, VARIANTS["bi-stddp"])
+        report = finite_difference_check(params, [sample], table, VARIANTS["bi-stddp"])
         assert report.max_error < 1e-6
 
 
@@ -396,6 +435,22 @@ class TestEarlyStop:
         assert res.best_epoch == 1
         for (name, a), (_, b) in zip(res.params.named_tensors(), snapshots[1].named_tensors()):
             np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflow_in_a_training_step_raises_diverged(self):
+        # the batch losses stay finite (4.6, 4.9e300, 5.6e300 if training goes
+        # on): epoch 1's update takes the parameters to about 1e300, and epoch
+        # 2's step overflows in a GEMM
+        prep = overfit_corpus()
+        corpus = prep.corpus
+        params = init_params(HyperParams(d=4, h=6, w=1), corpus.n_users, corpus.n_pois,
+                             make_rng(0))
+        with pytest.raises(Diverged, match=r"^epoch 2: non-finite value in a training step "
+                                           r"\(overflow"):
+            fit(prep.samples_for("train"), prep.samples_for("val"), params,
+                corpus.poi_table, TrainConfig(max_epochs=3, patience=3, lr=1e300),
+                VARIANTS["bi-stddp"])
 
     def test_no_finite_metric_raises_diverged(self):
         prep = planted_corpus(3)
