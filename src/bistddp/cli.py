@@ -338,8 +338,9 @@ def cmd_train(run: Setup) -> int:
 def cmd_evaluate(run: Setup) -> int:
     cfg, split = run.cfg, run.args.split
     samples = _split_samples(run, split)
-    out = _out_dir(cfg, "evaluate")
+    # scored before anything is written: a checkpoint that fails to score leaves no --out
     report = _model_report(cfg, run.params, samples, run.cache)
+    out = _out_dir(cfg, "evaluate")
     _write_csv(out / f"report_{split}.csv", [["metric", "value"], *zip(
         _metric_head(cfg.k), _metric_cells(report, cfg.k)), ["instances", str(report.count)]])
     print(format_report_table(report, label=cfg.variant))

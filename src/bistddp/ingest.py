@@ -37,7 +37,7 @@ CORPUS_MAGIC = "STDDP2"
 
 _UTC_MIN = 0  # 1970-01-01
 _UTC_MAX = 4102444800  # 2100-01-01
-_TZ_MIN, _TZ_MAX = -720, 840
+_TZ_MIN, _TZ_MAX = -720, 840  # see `time_error`
 
 # Day sessions as half-open intervals in seconds of local day:
 # morning [8:00,11:30), noon [11:30,14:00), afternoon [14:00,17:30),
@@ -216,11 +216,14 @@ class ParseResult:
     malformed: list[tuple[int, str]]  # (line number, reason)
 
 
-def _check_ranges(utc_seconds: int, tz_offset: int) -> None:
-    if not (_UTC_MIN <= utc_seconds < _UTC_MAX):
-        raise MalformedLine(f"timestamp {utc_seconds} outside [1970, 2100)")
-    if not (_TZ_MIN <= tz_offset <= _TZ_MAX):
-        raise MalformedLine(f"tz offset {tz_offset} outside [{_TZ_MIN}, {_TZ_MAX}]")
+def time_error(utc_seconds: int, tz_offset: int) -> str | None:
+    """Why a check-in's UTC seconds and tz offset in minutes break the range
+    rule, seconds in [1970, 2100) and offset in [-720, 840], or None if they do not."""
+    if not _UTC_MIN <= utc_seconds < _UTC_MAX:
+        return f"timestamp {utc_seconds} outside [1970, 2100)"
+    if not _TZ_MIN <= tz_offset <= _TZ_MAX:
+        return f"tz offset {tz_offset} outside [{_TZ_MIN}, {_TZ_MAX}]"
+    return None
 
 
 # The dumps' time layouts, exactly: C-locale names, two-digit fields, and
@@ -283,7 +286,8 @@ def _parse_foursquare_line(parts: list[str]) -> tuple[str, str, int, int, float,
     except ValueError as exc:
         raise MalformedLine(str(exc)) from None
     utc_seconds = int(dt.timestamp())
-    _check_ranges(utc_seconds, tz_offset)
+    if error := time_error(utc_seconds, tz_offset):
+        raise MalformedLine(error)
     return user_id, venue_id, utc_seconds, tz_offset, lat, lon
 
 
@@ -300,7 +304,8 @@ def _parse_gowalla_line(parts: list[str]) -> tuple[str, str, int, int, float, fl
         raise MalformedLine(str(exc)) from None
     utc_seconds = int(dt.replace(tzinfo=timezone.utc).timestamp())
     # the distribution carries no timezone; local time falls back to UTC
-    _check_ranges(utc_seconds, 0)
+    if error := time_error(utc_seconds, 0):
+        raise MalformedLine(error)
     return user_id, loc_id, utc_seconds, 0, lat, lon
 
 
@@ -700,10 +705,9 @@ def load_corpus(path) -> PreparedCorpus:
                  lambda k: f"check-in of user {users[k]} out of user order (user {owner[k]} expected)")
     lines.expect((0 <= pois) & (pois < n_pois), first,
                  lambda k: f"POI {pois[k]} outside [0, {n_pois})")
-    lines.expect((_UTC_MIN <= times) & (times < _UTC_MAX), first,
-                 lambda k: f"timestamp {times[k]} outside [1970, 2100)")
-    lines.expect((_TZ_MIN <= tz) & (tz <= _TZ_MAX), first,
-                 lambda k: f"tz offset {tz[k]} outside [{_TZ_MIN}, {_TZ_MAX}]")
+    # the range rule of `time_error`, vectorized: every timestamp, then every offset
+    for ok in ((_UTC_MIN <= times) & (times < _UTC_MAX), (_TZ_MIN <= tz) & (tz <= _TZ_MAX)):
+        lines.expect(ok, first, lambda k: time_error(times[k], tz[k]))
     in_order = np.ones(len(times), dtype=bool)
     in_order[1:] = (times[1:] >= times[:-1]) | (owner[1:] != owner[:-1])
     lines.expect(in_order, first,

@@ -312,7 +312,7 @@ RANK_CHUNK = 128
 
 
 class NonFiniteScores(RuntimeError):
-    """The model gave a non-finite probability; its parameters are unusable."""
+    """Ranking overflowed or gave a non-finite probability; the parameters are unusable."""
 
 
 def target_ranks(
@@ -327,13 +327,19 @@ def target_ranks(
     The rank is the target's position in `predict_topk`'s order, counted
     instead of sorted: 1 + #(p > p_target) + #(p == p_target at a lower
     index). Probabilities come from the same operations as `stable_softmax`,
-    so ties (and underflows to 0.0) fall exactly as they do there.
+    so ties (and underflows to 0.0) fall exactly as they do there. An
+    overflow or invalid value in the forward pass, like a non-finite
+    probability, raises NonFiniteScores.
     """
     ranks = np.empty(len(batch), dtype=np.int64)
     cols = np.arange(params.n_pois)
     for lo in range(0, len(batch), RANK_CHUNK):
         chunk = batch.take(slice(lo, lo + RANK_CHUNK))
-        p = forward_batch(chunk, params, table, variant, cache).logits
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                p = forward_batch(chunk, params, table, variant, cache).logits
+        except FloatingPointError as exc:
+            raise NonFiniteScores(f"non-finite value while ranking ({exc})") from exc
         p -= p.max(axis=1, keepdims=True)
         np.exp(p, out=p)
         total = p.sum(axis=1, keepdims=True)

@@ -54,8 +54,8 @@ class EmptyTrainSet(ValueError):
 
 
 class Diverged(RuntimeError):
-    """Training produced non-finite losses or scores, or never a finite
-    early-stop metric; the parameters are no longer usable."""
+    """Training produced non-finite losses or scores; the parameters are no
+    longer usable."""
 
 
 def loss_grad_wrt_logits(trace: ForwardTrace, target: int) -> np.ndarray:
@@ -222,7 +222,7 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState):
     return params, state
 
 
-_VAL_KS = (1, 5, 10)  # the validation recalls `fit` records every epoch
+_VAL_KS = (1, 5, 10)  # the validation recalls `fit` records, logs and tabulates every epoch
 _METRICS = re.compile(r"val_map|train_loss|val_recall@(%s)|train_recall@[1-9]\d*"
                       % "|".join(map(str, _VAL_KS)))
 
@@ -236,8 +236,6 @@ class TrainConfig:
     lr: float = 0.001
     # "val_map" (default), "val_recall@K" for K in _VAL_KS, "train_loss" or "train_recall@K"
     metric: str = "val_map"
-    # optional early exit once the metric reaches this value
-    stop_threshold: float | None = None
 
     def __post_init__(self):
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
@@ -249,12 +247,18 @@ class TrainConfig:
                              f"train_loss, val_recall@K for K in {_VAL_KS} or train_recall@K")
 
 
+# No early-stop metric scores above this: recall and MAP are at most 1, -loss at most 0.
+METRIC_CEILING = 1.0
+
+
 @dataclass
 class EarlyStopState:
     """Tracks the best metric value seen and the checkpoint that scored it.
 
     The checkpoint's arena is allocated at the first improvement; later
     improvements copy into it, so `fit` holds one snapshot, never two.
+    Only a strictly greater value improves, so once the best value is
+    METRIC_CEILING no later epoch can change the checkpoint.
     """
 
     best_value: float = -math.inf
@@ -276,14 +280,15 @@ class EarlyStopState:
         return False
 
     def should_stop(self, patience: int) -> bool:
-        return self.epochs_since_improvement >= patience
+        return (self.best_value >= METRIC_CEILING
+                or self.epochs_since_improvement >= patience)
 
 
 @dataclass
 class EpochRecord:
     epoch: int
     train_loss: float
-    val_recall: dict[int, float]
+    val_recall: dict[int, float]  # keyed by _VAL_KS; NaN without a validation split
     val_map: float
     seconds: float
 
@@ -297,28 +302,13 @@ class FitResult:
     epochs_run: int = 0
 
 
-def _metric_value(
-    metric: str,
-    train_loss: float,
-    val_report: MetricsReport | None,
-    train_eval,
-) -> float:
-    """Higher-is-better value of the early-stop metric; `fit` checked it can be scored."""
-    if metric == "train_loss":
-        return -train_loss
-    if metric == "val_map":
-        return val_report.map
-    k = int(metric.split("@")[1])
-    return val_report.recall[k] if metric.startswith("val_") else train_eval(k)
-
-
-def check_fit_inputs(train_samples, val_samples, metric: str | None) -> None:
+def check_fit_inputs(train_samples, val_samples, metric: str) -> None:
     """Raise what `fit` raises before it trains: no training samples, or the
-    early-stop `metric` (None when a `metric_fn` scores instead) is a
-    validation metric and there are no validation samples."""
+    early-stop `metric` is a validation metric and there are no validation
+    samples."""
     if not train_samples:
         raise EmptyTrainSet("no training samples")
-    if metric is not None and metric.startswith("val_") and not val_samples:
+    if metric.startswith("val_") and not val_samples:
         raise ValueError(f"metric {metric!r} needs a non-empty validation split")
 
 
@@ -330,7 +320,6 @@ def fit(
     config: TrainConfig,
     variant: VariantConfig,
     cache: SpatialRowCache | None = None,
-    metric_fn=None,
     rng: np.random.Generator | None = None,
 ) -> FitResult:
     """Mini-batch training with early stopping.
@@ -338,13 +327,15 @@ def fit(
     Every epoch shuffles the training samples with the seeded RNG, applies
     Adam on per-batch mean gradients (the last short batch is kept), then
     scores the early-stop metric; training ends after `patience` epochs
-    without improvement or at `max_epochs`, returning the best checkpoint.
-    Raises Diverged on an overflow or invalid value in a training step or a
-    non-finite batch loss (before its update is applied), on non-finite
-    scores while ranking, or when no epoch scored a finite metric.
-    `metric_fn(params, epoch) -> float` overrides the configured metric.
+    without improvement, at an epoch that scores METRIC_CEILING, or at
+    `max_epochs`, returning the best checkpoint. Raises Diverged on an
+    overflow or invalid value in a training step or a non-finite batch loss
+    (before its update is applied), and on an overflow, invalid value or
+    non-finite score while ranking.
     """
-    check_fit_inputs(train_samples, val_samples, None if metric_fn is not None else config.metric)
+    check_fit_inputs(train_samples, val_samples, config.metric)
+    metric = config.metric
+    cutoff = int(metric.split("@")[1]) if "@" in metric else None  # of a recall metric
     if cache is None:
         cache = SpatialRowCache(table, capacity=min(1024, len(table)))
     if rng is None:
@@ -355,7 +346,6 @@ def fit(
     grads = zero_params(params.hyper, params.n_users, params.n_pois)
     early = EarlyStopState()
     log: list[EpochRecord] = []
-    epochs_run = 0
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -383,12 +373,10 @@ def fit(
             return report_from_ranks(ranks, ks)
 
         val_report = report(val, _VAL_KS) if val is not None else None
-
-        if metric_fn is not None:
-            value = float(metric_fn(params, epoch))
-        else:
-            value = _metric_value(config.metric, train_loss, val_report,
-                                  lambda k: report(data, (k,)).recall[k])
+        value = (-train_loss if metric == "train_loss"
+                 else val_report.map if metric == "val_map"
+                 else val_report.recall[cutoff] if metric.startswith("val_")
+                 else report(data, (cutoff,)).recall[cutoff])
 
         log.append(
             EpochRecord(
@@ -399,21 +387,16 @@ def fit(
                 seconds=time.perf_counter() - t0,
             )
         )
-        epochs_run = epoch
         early.update(value, params, epoch)
-        if config.stop_threshold is not None and early.best_value >= config.stop_threshold:
-            break
         if early.should_stop(config.patience):
             break
 
-    if early.best_params is None:
-        raise Diverged(f"no finite early-stop metric in {epochs_run} epochs")
     return FitResult(
         params=early.best_params,
         log=log,
         best_epoch=early.best_epoch,
         best_value=early.best_value,
-        epochs_run=epochs_run,
+        epochs_run=len(log),
     )
 
 
@@ -479,21 +462,21 @@ def finite_difference_check(
 
 
 def write_train_log(path, log: list[EpochRecord]) -> None:
+    """One CSV row per epoch, in the columns of `format_train_table`."""
     with atomic_open(path) as fh:
-        fh.write("epoch,train_loss,val_recall@1,val_recall@5,val_recall@10,val_map,seconds\n")
+        fh.write(",".join(["epoch", "train_loss", *(f"val_recall@{k}" for k in _VAL_KS),
+                           "val_map", "seconds"]) + "\n")
         for r in log:
-            fh.write(
-                f"{r.epoch},{r.train_loss:.6f},{r.val_recall[1]:.6f},{r.val_recall[5]:.6f},"
-                f"{r.val_recall[10]:.6f},{r.val_map:.6f},{r.seconds:.3f}\n"
-            )
+            scores = (r.train_loss, *(r.val_recall[k] for k in _VAL_KS), r.val_map)
+            fh.write(",".join([str(r.epoch), *(f"{v:.6f}" for v in scores),
+                               f"{r.seconds:.3f}"]) + "\n")
 
 
 def format_train_table(log: list[EpochRecord]) -> str:
-    lines = [f"{'epoch':>5} {'loss':>10} {'r@1':>7} {'r@5':>7} {'r@10':>7} {'map':>7} {'sec':>7}"]
+    heads = (*(f"r@{k}" for k in _VAL_KS), "map", "sec")
+    lines = [f"{'epoch':>5} {'loss':>10} " + " ".join(f"{h:>7}" for h in heads)]
     for r in log:
-        lines.append(
-            f"{r.epoch:>5} {r.train_loss:>10.4f} {r.val_recall[1]:>7.4f} "
-            f"{r.val_recall[5]:>7.4f} {r.val_recall[10]:>7.4f} {r.val_map:>7.4f} "
-            f"{r.seconds:>7.2f}"
-        )
+        scores = (*(r.val_recall[k] for k in _VAL_KS), r.val_map)
+        lines.append(f"{r.epoch:>5} {r.train_loss:>10.4f} "
+                     + " ".join(f"{v:>7.4f}" for v in scores) + f" {r.seconds:>7.2f}")
     return "\n".join(lines)

@@ -90,7 +90,7 @@ def test_criterion_3_overfit():
     init_rng, shuffle_rng = seeded_generators(0, 2)
     params = init_params(HyperParams(d=8, h=16, w=1), corpus.n_users, corpus.n_pois, init_rng)
     cfg = TrainConfig(max_epochs=1000, patience=1000, seed=0, lr=0.001,
-                      metric="train_recall@1", stop_threshold=1.0)
+                      metric="train_recall@1")
     res = fit(prep.samples_for("train"), prep.samples_for("val"), params,
               corpus.poi_table, cfg, VARIANTS["bi-stddp"], rng=shuffle_rng)
     def ranker(s):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -167,7 +168,6 @@ class TestTrainEvaluate:
         assert capsys.readouterr().err.startswith("training diverged: epoch 1: non-finite")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_in_a_training_step_exits_1_without_artifacts(self, prepared_dir,
                                                                    tmp_path, capsys):
         # every batch loss is finite; the parameters the updates leave behind
@@ -243,6 +243,26 @@ class TestTrainEvaluate:
         assert err == [f"error: {out / 'checkpoint.bin'}: out_weights[3, 0] is {value}; "
                        "every value must be finite"] * 2
         assert not ev.exists() and not resumed.exists()
+
+    def test_checkpoint_that_overflows_while_ranking_exits_1_without_artifacts(
+            self, prepared_dir, tmp_path, capsys):
+        # every value is finite, so the checkpoint loads, but the forward pass
+        # overflows: evaluate scores before it writes, so --out never appears
+        out = tmp_path / "run"
+        assert self.train(prepared_dir, out) == 0
+        params = load_checkpoint(out / "checkpoint.bin")
+        params.data *= 1e300
+        save_checkpoint(out / "checkpoint.bin", params)
+        capsys.readouterr()
+        ev = tmp_path / "ev"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("evaluate", "--data", prepared_dir / "corpus.tsv",
+                       "--checkpoint", out / "checkpoint.bin", "--out", ev) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert re.fullmatch(r"internal error: non-finite value while ranking "
+                            r"\(overflow [^\n]*\)\n", capsys.readouterr().err)
+        assert not ev.exists()
 
     def test_config_records_the_checkpoint_d_and_h(self, prepared_dir, tmp_path, capsys):
         out = tmp_path / "run"
