@@ -50,19 +50,20 @@ _SESSION_BOUNDS = [
 ]
 
 
-def _pattern_table() -> np.ndarray:
-    """Row 48 * weekday + half hour: the temporal pattern of a local weekday
-    (Monday = 0) and half hour of the day, which fix it because every session
-    bound is on a half hour."""
-    table = np.zeros((7, 48, 7))
-    table[:5, :, 0] = table[5:, :, 1] = 1  # weekday, weekend
-    table[:, :, 6] = 1  # rest, where no session covers the half hour
+def _pattern_codes() -> np.ndarray:
+    """Entry 48 * weekday + half hour: the temporal pattern code (bit b is
+    pattern bit b) of a local weekday (Monday = 0) and half hour of the day,
+    which fix it because every session bound is on a half hour."""
+    day = np.where(np.arange(7) < 5, 1 << 0, 1 << 1)  # weekday, weekend
+    session = np.full(48, 1 << 6)  # rest, where no session covers the half hour
     for k, (lo, hi) in enumerate(_SESSION_BOUNDS):
-        table[:, lo // 1800:hi // 1800, [2 + k, 6]] = [1, 0]
-    return table.reshape(7 * 48, 7)
+        session[lo // 1800:hi // 1800] = 1 << (2 + k)
+    return (day[:, None] | session).astype(np.uint8).ravel()
 
 
-_PATTERNS = _pattern_table()
+_PATTERN_CODES = _pattern_codes()
+_BIT_TUPLES = [tuple(c >> b & 1 for b in range(7)) for c in range(128)]  # bits of each 7-bit code
+_BITS = np.array(_BIT_TUPLES, dtype=np.float64)  # row c: the 0/1 pattern of code c
 
 
 class MalformedLine(ValueError):
@@ -136,7 +137,6 @@ class Sample:
 
 _SEGMENTS = ("train", "val", "test")
 _BLOCK = 1 << 12  # rows per block: bounds the lists that iterating a batch and write_corpus make
-_BIT_TUPLES = [tuple(c >> b & 1 for b in range(7)) for c in range(128)]  # bits of each 7-bit code
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,13 @@ class SampleBatch:
     bwd: np.ndarray  # (B, w) int64, POIs at t+1 .. t+w
     interval_before: np.ndarray  # (B,) hours
     interval_after: np.ndarray  # (B,) hours
-    pattern: np.ndarray  # (B, 7) float64 temporal pattern bits
+    pattern_code: np.ndarray  # (B,) uint8 temporal pattern code: bit b is pattern bit b
     split: np.ndarray  # (B,) int8 segment of the target: 0 train, 1 val, 2 test
+
+    @property
+    def pattern(self) -> np.ndarray:
+        """(B, 7) float64 0/1 temporal pattern bits, built from the codes on each read."""
+        return _BITS[self.pattern_code]
 
     @classmethod
     def from_samples(cls, samples: "SampleBatch | list[Sample]") -> "SampleBatch":
@@ -162,6 +167,10 @@ class SampleBatch:
         def column(name: str, dtype) -> np.ndarray:
             return np.array([getattr(s, name) for s in samples], dtype=dtype)
 
+        bits = column("pattern", np.int64).reshape(len(samples), 7)
+        if not np.all((bits == 0) | (bits == 1)):
+            raise ValueError("a sample's pattern bits must each be 0 or 1")
+
         return cls(
             users=column("user", np.int64),
             targets=column("target_poi", np.int64),
@@ -170,7 +179,7 @@ class SampleBatch:
             bwd=column("bwd", np.int64),
             interval_before=column("interval_before", np.float64),
             interval_after=column("interval_after", np.float64),
-            pattern=column("pattern", np.float64),
+            pattern_code=(bits @ (1 << np.arange(7))).astype(np.uint8),
             split=np.array([_SEGMENTS.index(s.split) for s in samples], dtype=np.int8),
         )
 
@@ -195,10 +204,9 @@ class SampleBatch:
 
     def _rows(self, rows: slice, shared: dict):
         keep = shared.setdefault
-        codes = (self.pattern[rows] @ (1 << np.arange(7))).astype(np.int64)  # exact: 0/1 bits
         for u, target, utc, code, fwd, bwd, before, after, seg in zip(
                 self.users[rows].tolist(), self.targets[rows].tolist(),
-                self.target_utc[rows].tolist(), codes.tolist(),
+                self.target_utc[rows].tolist(), self.pattern_code[rows].tolist(),
                 zip(*self.fwd[rows].T.tolist()), zip(*self.bwd[rows].T.tolist()),
                 self.interval_before[rows].tolist(), self.interval_after[rows].tolist(),
                 self.split[rows].tolist()):
@@ -427,6 +435,13 @@ def split_corpus(corpus: Corpus) -> CorpusSplit:
                        + (position >= val_end[users]))
 
 
+def _pattern_index(utc: np.ndarray, tz: np.ndarray) -> np.ndarray:
+    """The `_PATTERN_CODES` entry of n timestamps (UTC seconds, tz minutes) in local time."""
+    day, second = np.divmod(np.asarray(utc, dtype=np.int64) + 60 * np.asarray(tz, dtype=np.int64),
+                            86400)
+    return (day + 3) % 7 * 48 + second // 1800  # 1970-01-01 was a Thursday
+
+
 def temporal_patterns(utc: np.ndarray, tz: np.ndarray) -> np.ndarray:
     """(n, 7) float64 0/1 patterns of n timestamps (UTC seconds, tz minutes) in local time.
 
@@ -434,14 +449,12 @@ def temporal_patterns(utc: np.ndarray, tz: np.ndarray) -> np.ndarray:
     afternoon, night, rest, by the half-open sessions above. Exactly one bit
     of each group is set.
     """
-    day, second = np.divmod(np.asarray(utc, dtype=np.int64) + 60 * np.asarray(tz, dtype=np.int64),
-                            86400)
-    return _PATTERNS[(day + 3) % 7 * 48 + second // 1800]  # 1970-01-01 was a Thursday
+    return _BITS[_PATTERN_CODES[_pattern_index(utc, tz)]]
 
 
 def encode_temporal_pattern(utc_seconds: int, tz_offset_minutes: int) -> tuple[int, ...]:
     """The 7-bit pattern of one timestamp: one row of `temporal_patterns`."""
-    return tuple(temporal_patterns([utc_seconds], [tz_offset_minutes])[0].astype(np.int64).tolist())
+    return _BIT_TUPLES[_PATTERN_CODES[_pattern_index(utc_seconds, tz_offset_minutes)]]
 
 
 def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> SampleBatch:
@@ -467,7 +480,7 @@ def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> SampleBatch:
         bwd=ci.pois[targets[:, None] + offsets],
         interval_before=hours[targets - 1],
         interval_after=hours[targets],
-        pattern=temporal_patterns(ci.times[targets], ci.tz[targets]),
+        pattern_code=_PATTERN_CODES[_pattern_index(ci.times[targets], ci.tz[targets])],
         split=split.segments[targets],
     )
 

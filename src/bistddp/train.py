@@ -253,31 +253,46 @@ METRIC_CEILING = 1.0
 
 @dataclass
 class EarlyStopState:
-    """Tracks the best metric value seen and the checkpoint that scored it.
+    """Tracks the best metric value seen, the epoch that scored it, and a
+    copy of that epoch's parameters once training has gone on past it.
 
-    The checkpoint's arena is allocated at the first improvement; later
-    improvements copy into it, so `fit` holds one snapshot, never two.
-    Only a strictly greater value improves, so once the best value is
-    METRIC_CEILING no later epoch can change the checkpoint.
+    `fit` calls `keep` before an epoch changes the parameters, so the best
+    epoch's arena is copied only when a later epoch would overwrite it;
+    when the best epoch is the last one run, `best_params` is the live
+    arena and no copy is made. The copy goes into one arena, allocated at
+    the first copy and reused after that. Only a strictly greater value
+    improves, so once the best value is METRIC_CEILING no later epoch can
+    change the checkpoint.
     """
 
     best_value: float = -math.inf
-    best_params: ModelParams | None = None
     best_epoch: int = 0
     epochs_since_improvement: int = 0
+    snapshot: ModelParams | None = None
 
-    def update(self, value: float, params: ModelParams, epoch: int) -> bool:
+    def update(self, value: float, epoch: int) -> bool:
         if value > self.best_value:
             self.best_value = value
-            if self.best_params is None:
-                self.best_params = params.copy()
-            else:
-                np.copyto(self.best_params.data, params.data)
             self.best_epoch = epoch
             self.epochs_since_improvement = 0
             return True
         self.epochs_since_improvement += 1
         return False
+
+    def _last_is_best(self) -> bool:
+        return self.best_epoch > 0 and self.epochs_since_improvement == 0
+
+    def keep(self, params: ModelParams) -> None:
+        """Copy `params`, those of the last epoch scored, if that epoch is the best."""
+        if self._last_is_best():
+            if self.snapshot is None:
+                self.snapshot = params.copy()
+            else:
+                np.copyto(self.snapshot.data, params.data)
+
+    def best_params(self, params: ModelParams) -> ModelParams | None:
+        """The best epoch's parameters, where `params` are those of the last epoch scored."""
+        return params if self._last_is_best() else self.snapshot
 
     def should_stop(self, patience: int) -> bool:
         return (self.best_value >= METRIC_CEILING
@@ -328,10 +343,11 @@ def fit(
     Adam on per-batch mean gradients (the last short batch is kept), then
     scores the early-stop metric; training ends after `patience` epochs
     without improvement, at an epoch that scores METRIC_CEILING, or at
-    `max_epochs`, returning the best checkpoint. Raises Diverged on an
-    overflow or invalid value in a training step or a non-finite batch loss
-    (before its update is applied), and on an overflow, invalid value or
-    non-finite score while ranking.
+    `max_epochs`, returning the best checkpoint: `params` itself, updated
+    in place, when the best epoch is the last one run. Raises Diverged on
+    an overflow or invalid value in a training step (gradients or update)
+    or a non-finite batch loss (before its update is applied), and on an
+    overflow, invalid value or non-finite score while ranking.
     """
     check_fit_inputs(train_samples, val_samples, config.metric)
     metric = config.metric
@@ -348,6 +364,7 @@ def fit(
     log: list[EpochRecord] = []
 
     for epoch in range(1, config.max_epochs + 1):
+        early.keep(params)
         t0 = time.perf_counter()
         order = rng.permutation(len(train_samples))
         total_loss = 0.0
@@ -356,12 +373,12 @@ def fit(
             try:
                 with np.errstate(over="raise", invalid="raise"):
                     _, batch_loss = batch_gradients(batch, params, table, variant, grads, cache)
+                    if not math.isfinite(batch_loss):
+                        raise Diverged(f"epoch {epoch}: non-finite batch loss {batch_loss}")
+                    adam_step(params, grads, adam)
             except FloatingPointError as exc:
                 raise Diverged(f"epoch {epoch}: non-finite value in a training step ({exc})"
                                ) from exc
-            if not math.isfinite(batch_loss):
-                raise Diverged(f"epoch {epoch}: non-finite batch loss {batch_loss}")
-            adam_step(params, grads, adam)
             total_loss += batch_loss * len(batch)
         train_loss = total_loss / len(train_samples)
 
@@ -387,12 +404,12 @@ def fit(
                 seconds=time.perf_counter() - t0,
             )
         )
-        early.update(value, params, epoch)
+        early.update(value, epoch)
         if early.should_stop(config.patience):
             break
 
     return FitResult(
-        params=early.best_params,
+        params=early.best_params(params),
         log=log,
         best_epoch=early.best_epoch,
         best_value=early.best_value,

@@ -148,8 +148,6 @@ class TestTrainEvaluate:
         assert set(log[0]) == {"epoch", "train_loss", "val_recall@1", "val_recall@5",
                                "val_recall@10", "val_map", "seconds"}
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_diverged_run_exits_1_without_artifacts(self, prepared_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert self.train(prepared_dir, out, extra=("--lr", 1e308, "--epochs", 3)) == 1
@@ -157,15 +155,15 @@ class TestTrainEvaluate:
         assert err.startswith("training diverged: epoch 1: non-finite") and err.count("\n") == 1
         assert not out.exists()  # not even config.txt
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_diverged_last_update_exits_1_without_artifacts(self, prepared_dir, tmp_path,
                                                             capsys):
-        # one batch, one epoch: the loss is finite, only the update diverges
+        # one batch, one epoch: the loss is finite, and the update itself
+        # overflows, before any ranking
         out = tmp_path / "run"
         assert self.train(prepared_dir, out,
                           extra=("--lr", 1e308, "--epochs", 1, "--batch", 100000)) == 1
-        assert capsys.readouterr().err.startswith("training diverged: epoch 1: non-finite")
+        assert capsys.readouterr().err.startswith(
+            "training diverged: epoch 1: non-finite value in a training step (overflow")
         assert not out.exists()
 
     def test_overflow_in_a_training_step_exits_1_without_artifacts(self, prepared_dir,
@@ -451,8 +449,6 @@ class TestAblateAndSweep:
         rows = read_csv(out / "ablation.csv")
         assert [r["model"] for r in rows] == ["bi-stddp", "f-stddp", "b-stddp", "bi-b", "bi-a"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_diverged_ablate_writes_nothing(self, prepared_dir, tmp_path, capsys):
         out = tmp_path / "ab"
         assert run("ablate", "--data", prepared_dir / "corpus.tsv", "--out", out, "--d", 4,

@@ -1,7 +1,7 @@
 import re
 import tempfile
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,9 +31,10 @@ from bistddp.ingest import (
     parse_gowalla,
     prepare,
     split_corpus,
+    temporal_patterns,
     write_corpus,
 )
-from bistddp.synthetic import corpus_from_events
+from bistddp.synthetic import corpus_from_events, overfit_corpus, random_instance
 
 
 def fsq_line(user="u1", venue="v1", lat=40.7, lon=-74.0, tz=-240,
@@ -507,14 +508,34 @@ class TestTemporalPattern:
         bits = encode_temporal_pattern(utc, tz)
         assert sum(bits[:2]) == 1
         assert sum(bits[2:]) == 1
-        local = datetime.fromtimestamp(utc + 60 * tz, tz=timezone.utc)
-        assert bits[1] == (local.weekday() >= 5)
-        minute = 60 * local.hour + local.minute
-        session = 4  # rest
-        for k, (lo, hi) in enumerate([(480, 690), (690, 840), (840, 1050), (1050, 1320)]):
-            if lo <= minute < hi:
-                session = k
-        assert bits[2 + session] == 1
+        assert bits == reference_pattern(utc, tz)
+
+    def test_every_weekday_and_half_hour_in_a_batch(self):
+        # two users step through all 336 (weekday, half hour) cells of a local
+        # week, one at UTC and one at -9:30, from a Monday midnight
+        base = 18519 * 86400
+        events = [[(k % 4, base - 60 * tz + 1800 * (k - 1), tz) for k in range(338)]
+                  for tz in (0, -570)]
+        batch = PreparedCorpus.from_corpus(corpus_from_events([(0, 0)] * 4, events), 1).samples
+        utc, tz = batch.target_utc, np.repeat([0, -570], 336)
+        assert len(batch) == 2 * 336
+        assert batch.pattern.dtype == np.float64
+        np.testing.assert_array_equal(batch.pattern, temporal_patterns(utc, tz))
+        assert [s.pattern for s in batch] == [
+            reference_pattern(t, z) for t, z in zip(utc.tolist(), tz.tolist())]
+
+
+def reference_pattern(utc, tz):
+    """The 7 bits of a timestamp, from `datetime`'s weekday and the local minute of the day."""
+    local = datetime.fromtimestamp(utc + 60 * tz, tz=timezone.utc)
+    minute = 60 * local.hour + local.minute
+    session = 4  # rest
+    for k, (lo, hi) in enumerate([(480, 690), (690, 840), (840, 1050), (1050, 1320)]):
+        if lo <= minute < hi:
+            session = k
+    bits = [0] * 7
+    bits[local.weekday() >= 5] = bits[2 + session] = 1
+    return tuple(bits)
 
 
 def random_corpus(seed, n_users=3, n_pois=6, t=12):
@@ -655,6 +676,33 @@ class TestBuildSamples:
         for s in build_samples(corpus, split_corpus(corpus), w=1):
             assert s.interval_before == pytest.approx(2.0)
             assert s.interval_after == pytest.approx(2.0)
+
+
+class TestPatternCode:
+    def test_every_code_round_trips_through_rows(self):
+        _, _, sample = random_instance(0)
+        rows = [replace(sample, pattern=tuple(c >> b & 1 for b in range(7))) for c in range(128)]
+        batch = SampleBatch.from_samples(rows)
+        assert batch.pattern_code.dtype == np.uint8
+        np.testing.assert_array_equal(batch.pattern_code, np.arange(128))
+        np.testing.assert_array_equal(batch.pattern, np.array([r.pattern for r in rows], float))
+        assert list(batch) == rows
+        assert [batch[i].pattern for i in range(128)] == [r.pattern for r in rows]
+
+    @pytest.mark.parametrize("pattern", [(2, 0, 1, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0, -1),
+                                         (1, 0, 1, 0, 0, 0)])
+    def test_a_pattern_that_is_not_seven_bits_is_refused(self, pattern):
+        _, _, sample = random_instance(0)
+        with pytest.raises(ValueError):
+            SampleBatch.from_samples([sample, replace(sample, pattern=pattern)])
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_a_sample_takes_42_plus_16_w_bytes(self, w):
+        # eight bytes a column and a context POI, one for the pattern code and
+        # one for the split: a float pattern would add 55
+        batch = PreparedCorpus.from_corpus(overfit_corpus().corpus, w).samples
+        size = sum(getattr(batch, f.name).nbytes for f in fields(batch))
+        assert size == (42 + 16 * w) * len(batch) > 0
 
 
 class TestRoundTrips:

@@ -1,4 +1,5 @@
 import math
+import traceback
 import tracemalloc
 from dataclasses import replace
 
@@ -392,31 +393,55 @@ class TestMemory:
             lambda: batch_gradients(batch, params, table, VARIANTS["bi-stddp"], grads, cache))
         assert peak < 2 * self.B * self.M * 8
 
+    def test_one_epoch_fit_holds_no_snapshot_arena(self, step):
+        # Adam's m and v, the gradient arena and the (B x M) logits, with room
+        # for a second (B x M) array, stay under this line; a copy of the
+        # parameter arena (13.3 MB here) on top of them would not
+        table, params, batch, cache, _ = step
+        params = params.copy()
+        config = TrainConfig(batch_size=self.B, max_epochs=1, patience=1)
+        peak, res = self.peak_bytes(
+            lambda: fit(batch, batch, params, table, config, VARIANTS["bi-stddp"], cache,
+                        make_rng(24)))
+        assert peak < 3 * params.data.nbytes + 2 * self.B * self.M * 8
+        assert res.params is params
+
 
 class TestEarlyStop:
     def test_state_machine(self):
-        _, params, _ = random_instance(9, m=8, n=2, d=3, h=4, w=1)
         early = EarlyStopState()
-        assert early.update(0.5, params, 1) is True
-        assert early.update(0.4, params, 2) is False
+        assert early.update(0.5, 1) is True
+        assert early.update(0.4, 2) is False
         assert early.should_stop(patience=1)
         assert early.best_epoch == 1
 
-    def test_snapshot_is_one_arena_that_ignores_later_updates(self):
+    def test_best_arena_is_copied_only_when_training_goes_on(self):
         _, params, _ = random_instance(9, m=8, n=2, d=3, h=4, w=1)
         early = EarlyStopState()
-        early.update(0.5, params, 1)
-        snapshot, arena = early.best_params, early.best_params.data
+        early.keep(params)  # before epoch 1: nothing scored yet
+        assert early.update(0.5, 1) is True
+        assert early.snapshot is None and early.best_params(params) is params
+        early.keep(params)  # epoch 2 is about to overwrite the best epoch's arena
+        snapshot, arena = early.snapshot, early.snapshot.data
         first = params.data.copy()
-        params.data += 1.0  # a worse epoch: the snapshot keeps epoch 1
-        assert early.update(0.4, params, 2) is False
+        np.testing.assert_array_equal(arena, first)
+        params.data += 1.0  # a worse epoch 2: the snapshot keeps epoch 1
+        assert early.update(0.4, 2) is False
+        assert early.best_params(params) is snapshot
+        early.keep(params)  # epoch 2 is not the best: nothing is copied
         np.testing.assert_array_equal(snapshot.data, first)
-        assert early.update(0.6, params, 3) is True  # copied into the same arena
-        assert early.best_params is snapshot and snapshot.data is arena
-        np.testing.assert_array_equal(snapshot.data, params.data)
         params.data += 1.0
-        np.testing.assert_array_equal(snapshot.data, first + 1.0)
-        assert snapshot.data is not params.data and early.best_epoch == 3
+        assert early.update(0.6, 3) is True
+        assert early.best_params(params) is params  # not copied while it is the last epoch
+        np.testing.assert_array_equal(snapshot.data, first)
+        early.keep(params)  # copied into the same arena
+        assert early.snapshot is snapshot and snapshot.data is arena
+        np.testing.assert_array_equal(snapshot.data, params.data)
+        params.data += 1.0  # later updates do not reach the snapshot
+        assert early.update(0.1, 4) is False
+        assert early.best_params(params) is snapshot and snapshot.data is not params.data
+        np.testing.assert_array_equal(snapshot.data, first + 2.0)
+        assert early.best_epoch == 3
 
     def test_fit_stops_after_patience_and_returns_best(self):
         # from this start the validation MAP drops from epoch 1 to epoch 2
@@ -450,8 +475,9 @@ class TestEarlyStop:
                   VARIANTS["bi-stddp"])
         assert res.best_value == 1.0
         assert res.epochs_run == res.best_epoch == 1
+        assert res.params is params  # the best epoch is the last: no copy
 
-    def test_overflow_in_a_training_step_raises_diverged(self):
+    def test_overflow_while_ranking_raises_diverged(self):
         # epoch 1's batch losses stay finite, but its update takes the
         # parameters to about 1e300, and epoch 1's validation ranking
         # overflows in a GEMM
@@ -464,6 +490,22 @@ class TestEarlyStop:
             fit(prep.samples_for("train"), prep.samples_for("val"), params,
                 corpus.poi_table, TrainConfig(max_epochs=3, patience=3, lr=1e300),
                 VARIANTS["bi-stddp"])
+
+    def test_overflow_in_an_update_raises_diverged(self):
+        # tanh units saturated by a tenfold start give some mean gradient
+        # above 1.8, so lr * m overflows in epoch 1's first update
+        prep = overfit_corpus()
+        corpus = prep.corpus
+        params = init_params(HyperParams(d=4, h=6, w=1), corpus.n_users, corpus.n_pois,
+                             make_rng(0))
+        params.data *= 10.0
+        with pytest.raises(Diverged, match=r"^epoch 1: non-finite value in a training step "
+                                           r"\(overflow") as info:
+            fit(prep.samples_for("train"), prep.samples_for("val"), params,
+                corpus.poi_table, TrainConfig(max_epochs=3, patience=3, lr=1e308),
+                VARIANTS["bi-stddp"])
+        frames = traceback.extract_tb(info.value.__cause__.__traceback__)
+        assert frames[-1].name == "adam_step"
 
     def test_val_metric_with_no_val_samples_is_rejected_before_training(self):
         prep = overfit_corpus()
