@@ -29,27 +29,16 @@ from .model import (
     ModelParams,
     VARIANTS,
     VariantConfig,
-    cross_entropy,
-    forward,
     init_params,
     load_checkpoint,
-    predict_topk,
     save_checkpoint,
     target_ranks,
 )
-from .evaluation import (
-    MetricsReport,
-    evaluate,
-    f1_at_k,
-    mean_average_precision,
-    recall_at_k,
-    report_from_ranks,
-)
+from .evaluation import MetricsReport, evaluate, report_from_ranks
 from .train import (
     AdamState,
     TrainConfig,
     adam_step,
-    backward,
     batch_gradients,
     finite_difference_check,
     fit,

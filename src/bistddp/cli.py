@@ -24,14 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines as bl
-from .evaluation import (
-    MetricsReport,
-    evaluate,
-    f1_at_k,
-    format_report_table,
-    recall_at_k,
-    report_from_ranks,
-)
+from .evaluation import MetricsReport, evaluate, format_report_table, report_from_ranks
 from .geodata import (
     ROW_ABS_TOL_KM,
     ROW_REL_MIN_KM,
@@ -330,7 +323,9 @@ def cmd_train(run: Setup) -> int:
     save_checkpoint(out / "checkpoint.bin", result.params)
     write_train_log(out / "train_log.csv", result.log)
     print(format_train_table(result.log))
-    print(f"best epoch {result.best_epoch} ({cfg.metric}={result.best_value:.6f}); "
+    # fit scores -loss, so the loss is the best value negated
+    best = -result.best_value if cfg.metric == "train_loss" else result.best_value
+    print(f"best epoch {result.best_epoch} ({cfg.metric}={best:.6f}); "
           f"checkpoint -> {out / 'checkpoint.bin'}")
     return 0
 
@@ -470,7 +465,7 @@ def _count_tables_match_recount(data: PreparedCorpus) -> bool:
 
 
 def cmd_selfcheck(cfg: ExperimentConfig) -> int:
-    """Gradient oracle, distance rows, metric identities, ranks, corpus file, baseline
+    """Gradient oracle, distance rows, metric report, ranks, corpus file, baseline
     tables; the CI gate."""
     failures = 0
 
@@ -501,16 +496,16 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
     check("distance rows match haversine_km", rel <= ROW_REL_TOL and near <= ROW_ABS_TOL_KM,
           f"max rel err {rel:.2e}, max abs err {near:.1e} km under 1 m")
 
+    # the report against a direct count: recall@k the share of truths at position <= k,
+    # F1 exactly 2R/(K+1), MAP the in-order sum of 1/position (cumsum adds in order) over n
     rng = make_rng(7)
-    ident_ok = True
-    for _ in range(50):
-        m = int(rng.integers(3, 30))
-        ranking = rng.permutation(m)
-        truth = int(rng.integers(m))
-        for k in (1, 5, 10):
-            if f1_at_k(ranking, truth, k) != 2.0 * recall_at_k(ranking, truth, k) / (k + 1):
-                ident_ok = False
-    check("f1/recall identity on random rankings", ident_ok)
+    ranks = [rng.permutation(m).tolist().index(rng.integers(m)) + 1
+             for m in rng.integers(3, 30, 50).tolist()]
+    rep, n = report_from_ranks(ranks), len(ranks)
+    check("f1/recall identity on random rankings",
+          rep.map == np.cumsum([1.0 / r for r in ranks])[-1] / n
+          and all(rep.recall[k] == sum(r <= k for r in ranks) / n
+                  and rep.f1[k] == 2.0 * rep.recall[k] / (k + 1) for k in (1, 5, 10)))
 
     # the loss and probabilities as training computes them, on a batch of one
     table, _, sample = random_instance(3, m=40, n=3, d=4, h=6, w=1)

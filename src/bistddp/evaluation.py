@@ -2,7 +2,8 @@
 
 Every instance has exactly one relevant POI, which collapses the usual
 definitions: Recall@K is a hit indicator, precision@K is hit/K, F1@K is
-2/(K+1) on a hit, and average precision is 1/rank of the truth.
+2/(K+1) on a hit, and average precision is 1/rank of the truth. Each
+metric is defined once, by `report_from_ranks` over those ranks.
 """
 
 from __future__ import annotations
@@ -27,32 +28,6 @@ def _rank_of(ranked, truth: int) -> int:
     if not hits.size or not hits[first := int(hits.argmax())]:  # argmax stops at the first hit
         raise TruthMissing(f"POI {truth} absent from a ranking of length {hits.size}")
     return first + 1
-
-
-def recall_at_k(ranked, truth: int, k: int) -> int:
-    """1 if the true POI is within the first k entries, else 0."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    arr = np.asarray(ranked)[:k]
-    return int((arr == truth).any())
-
-
-def f1_at_k(ranked, truth: int, k: int) -> float:
-    """Harmonic mean of precision@K (hit/K) and recall@K (hit): 2/(K+1) on a
-    hit, 0 otherwise."""
-    return recall_at_k(ranked, truth, k) * 2.0 / (k + 1)
-
-
-def mean_average_precision(lists, truths) -> float:
-    """Mean of 1/rank(truth) over instances; rankings must contain the truth."""
-    if len(lists) != len(truths):
-        raise ValueError("one ranking per truth required")
-    if not lists:
-        raise ValueError("no instances")
-    total = 0.0
-    for ranked, truth in zip(lists, truths):
-        total += 1.0 / _rank_of(ranked, truth)
-    return total / len(lists)
 
 
 @dataclass

@@ -442,18 +442,11 @@ def _pattern_index(utc: np.ndarray, tz: np.ndarray) -> np.ndarray:
     return (day + 3) % 7 * 48 + second // 1800  # 1970-01-01 was a Thursday
 
 
-def temporal_patterns(utc: np.ndarray, tz: np.ndarray) -> np.ndarray:
-    """(n, 7) float64 0/1 patterns of n timestamps (UTC seconds, tz minutes) in local time.
-
-    Bits 0-1: weekday (Mon-Fri) / weekend. Bits 2-6: morning, noon,
-    afternoon, night, rest, by the half-open sessions above. Exactly one bit
-    of each group is set.
-    """
-    return _BITS[_PATTERN_CODES[_pattern_index(utc, tz)]]
-
-
 def encode_temporal_pattern(utc_seconds: int, tz_offset_minutes: int) -> tuple[int, ...]:
-    """The 7-bit pattern of one timestamp: one row of `temporal_patterns`."""
+    """The 7-bit pattern of one timestamp (UTC seconds, tz minutes) in local time, the
+    bits of its `SampleBatch.pattern` row. Bits 0-1: weekday (Mon-Fri) / weekend.
+    Bits 2-6: morning, noon, afternoon, night, rest, by the half-open sessions above.
+    """
     return _BIT_TUPLES[_PATTERN_CODES[_pattern_index(utc_seconds, tz_offset_minutes)]]
 
 

@@ -326,10 +326,11 @@ def target_ranks(
 
     The rank is the target's position in `predict_topk`'s order, counted
     instead of sorted: 1 + #(p > p_target) + #(p == p_target at a lower
-    index). Probabilities come from the same operations as `stable_softmax`,
-    so ties (and underflows to 0.0) fall exactly as they do there. An
-    overflow or invalid value in the forward pass, like a non-finite
-    probability, raises NonFiniteScores.
+    index). Probabilities are the ones training computes, from
+    `softmax_cross_entropy`, whose operations are `stable_softmax`'s, so ties
+    (and underflows to 0.0) fall exactly as they do there. An overflow or
+    invalid value in the forward pass, like a non-finite probability, raises
+    NonFiniteScores.
     """
     ranks = np.empty(len(batch), dtype=np.int64)
     cols = np.arange(params.n_pois)
@@ -340,17 +341,15 @@ def target_ranks(
                 p = forward_batch(chunk, params, table, variant, cache).logits
         except FloatingPointError as exc:
             raise NonFiniteScores(f"non-finite value while ranking ({exc})") from exc
-        p -= p.max(axis=1, keepdims=True)
-        np.exp(p, out=p)
-        total = p.sum(axis=1, keepdims=True)
-        # shifted exps lie in [0, 1] unless NaN, so a row's probabilities
-        # are all finite exactly when its sum is
-        if not np.isfinite(total).all():
-            row = lo + int(np.argmin(np.isfinite(total[:, 0])))
-            raise NonFiniteScores(f"non-finite probabilities for sample {row}")
-        p /= total
+        softmax_cross_entropy(p, chunk.targets)  # leaves each row's softmax in p
         targets = chunk.targets[:, None]
         p_target = np.take_along_axis(p, targets, axis=1)
+        # shifted exps lie in [0, 1] unless NaN, so a row's sum is NaN or at
+        # least 1, and its probabilities are all finite exactly when one is
+        finite = np.isfinite(p_target[:, 0])
+        if not finite.all():
+            row = lo + int(np.argmin(finite))
+            raise NonFiniteScores(f"non-finite probabilities for sample {row}")
         ahead = np.where(cols < targets, p >= p_target, p > p_target)
         ranks[lo : lo + len(chunk)] = 1 + np.count_nonzero(ahead, axis=1)
     return ranks

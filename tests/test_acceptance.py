@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bistddp.baselines import fit_counts, rank_backward, rank_forward, rank_top1, rank_top2
-from bistddp.evaluation import evaluate, f1_at_k, recall_at_k
+from bistddp.evaluation import evaluate, report_from_ranks
 from bistddp.geodata import PoiTable
 from bistddp.ingest import Sample, encode_temporal_pattern, parse_foursquare, prepare, split_corpus
 from bistddp.model import (
@@ -103,16 +103,24 @@ def test_criterion_3_overfit():
 
 
 def test_criterion_4_metric_identities():
-    """F1@K = 2 Recall@K/(K+1) exactly; consistent with published pairs."""
+    """The report equals a direct count and F1@K = 2 Recall@K/(K+1) exactly, on each
+    ranking and over all of them; consistent with published pairs."""
     rng = make_rng(4)
-    exact = True
-    for trial in range(200):
+    positions = []
+    for _ in range(200):
         m = int(rng.integers(2, 40))
         ranked = rng.permutation(m).tolist()
-        truth = int(rng.integers(m))
-        for k in (1, 5, 10):
-            if f1_at_k(ranked, truth, k) != 2.0 * recall_at_k(ranked, truth, k) / (k + 1):
-                exact = False
+        positions.append(ranked.index(int(rng.integers(m))) + 1)
+
+    def counted(ranks):
+        rep, n, ap = report_from_ranks(ranks), len(ranks), 0.0
+        for r in ranks:  # in order, as MAP is defined
+            ap += 1.0 / r
+        return rep.map == ap / n and all(
+            rep.recall[k] == sum(r <= k for r in ranks) / n
+            and rep.f1[k] == 2.0 * rep.recall[k] / (k + 1) for k in (1, 5, 10))
+
+    exact = all(counted([r]) for r in positions) and counted(positions)
     pair5 = abs(2 * 0.3476 / (5 + 1) - 0.1159) < 5e-5
     pair10 = abs(2 * 0.4176 / (10 + 1) - 0.0759) < 5e-5
     report(4, exact and pair5 and pair10,

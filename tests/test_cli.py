@@ -330,6 +330,25 @@ class TestTrainEvaluate:
             ra.pop("seconds"), rb.pop("seconds")  # wall time may differ
             assert ra == rb
 
+    @pytest.mark.parametrize("metric", ["train_loss", "val_map"])
+    def test_best_value_printed_is_the_logged_one(self, prepared_dir, tmp_path, capsys, metric):
+        out = tmp_path / "run"
+        assert self.train(prepared_dir, out, extra=("--epochs", 3, "--metric", metric)) == 0
+        epoch, value = re.search(rf"best epoch (\d+) \({metric}=(\S+)\)",
+                                 capsys.readouterr().out).groups()
+        assert value == read_csv(out / "train_log.csv")[int(epoch) - 1][metric]
+
+    def test_row_cache_capacity_leaves_the_artifacts_unchanged(self, prepared_dir, tmp_path):
+        # a cache hit is bit-identical to a miss, so one row of cache gives the same bytes
+        for name, capacity in (("default", ()), ("one", ("--cache-capacity", 1))):
+            assert self.train(prepared_dir, tmp_path / name, extra=capacity) == 0
+            assert run("evaluate", "--data", prepared_dir / "corpus.tsv", "--checkpoint",
+                       tmp_path / name / "checkpoint.bin", "--out", tmp_path / name / "ev",
+                       *capacity) == 0
+        for artifact in ("checkpoint.bin", "ev/report_test.csv"):
+            assert ((tmp_path / "default" / artifact).read_bytes()
+                    == (tmp_path / "one" / artifact).read_bytes())
+
     def test_resume_refuses_mismatched_shapes(self, prepared_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert self.train(prepared_dir, out) == 0

@@ -1,5 +1,6 @@
-"""The package imports nothing but the standard library and numpy, and neither
-the CLI nor the gradient oracle uses the per-sample model API."""
+"""The package imports nothing but the standard library and numpy, neither the
+CLI nor the gradient oracle uses the per-sample model API, and the package
+namespace exports none of it."""
 
 import ast
 import sys
@@ -25,10 +26,16 @@ def test_imports_are_stdlib_numpy_or_the_package(path):
     assert not outside, f"{path.name} imports outside stdlib and numpy: {outside}"
 
 
-# kept for perfbench and the tests; the CLI and the gradient oracle run on the
-# batched path only
+# The per-sample layer, kept only as module attributes: perfbench's gradient check
+# calls `train.backward(model.forward(...))` and `model.cross_entropy`, its
+# TRACE_POINTS patch those and `model.predict_topk` and `model.stable_softmax`, and
+# its pipeline-nyc ranks the baselines through `evaluation.evaluate`, which uses
+# `_rank_of`. The package exports none of them, and the CLI and the gradient oracle
+# run on the batched path only.
 PER_SAMPLE = {"forward", "backward", "cross_entropy", "predict_topk", "stable_softmax",
               "_rank_of"}
+# per-instance helpers that `report_from_ranks` and `SampleBatch.pattern` replaced
+DELETED = {"recall_at_k", "f1_at_k", "mean_average_precision", "temporal_patterns"}
 
 
 def per_sample_uses(source: str, function: str | None = None) -> set[str]:
@@ -94,6 +101,13 @@ def test_per_sample_uses_in_one_function():
 ])
 def test_per_sample_uses_match_what_a_name_refers_to(source, expected):
     assert per_sample_uses(source) == expected
+
+
+def test_the_package_exports_no_per_sample_or_deleted_name():
+    import bistddp
+
+    exported = set(dir(bistddp)) & (PER_SAMPLE | DELETED)
+    assert not exported, f"bistddp exports {sorted(exported)}"
 
 
 def test_cli_uses_no_per_sample_model_code():

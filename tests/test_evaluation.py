@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bistddp.evaluation import (
-    TruthMissing,
-    _rank_of,
-    evaluate,
-    f1_at_k,
-    mean_average_precision,
-    recall_at_k,
-    report_from_ranks,
-)
+from bistddp.evaluation import TruthMissing, _rank_of, evaluate, report_from_ranks
 from bistddp.ingest import Sample
 
 
@@ -20,33 +12,38 @@ def sample(target, idx=0):
                   fwd=(0,), bwd=(0,), interval_before=1.0, interval_after=1.0, split="test")
 
 
+def scored(lists, truths, ks=(1, 5, 10)):
+    """`evaluate`'s report on ranking `lists[i]` of instance i, whose truth is `truths[i]`."""
+    samples = [sample(truth, idx=i) for i, truth in enumerate(truths)]
+    return evaluate(lambda s: lists[s.target_utc], samples, ks=ks)
+
+
 class TestRecall:
     def test_hit_at_rank_one(self):
-        assert recall_at_k([3, 1, 2], 3, 1) == 1
+        assert scored([[3, 1, 2]], [3], ks=(1,)).recall == {1: 1.0}
 
     def test_rank_three(self):
-        ranked = [5, 6, 3, 1]
-        assert recall_at_k(ranked, 3, 1) == 0
-        assert recall_at_k(ranked, 3, 5) == 1
+        assert scored([[5, 6, 3, 1]], [3], ks=(1, 5)).recall == {1: 0.0, 5: 1.0}
 
     def test_non_decreasing_in_k(self):
-        ranked = list(range(10))
-        vals = [recall_at_k(ranked, 6, k) for k in range(1, 11)]
-        assert vals == sorted(vals)
+        rep = report_from_ranks([7, 1, 3, 10, 3], ks=tuple(range(1, 11)))
+        vals = list(rep.recall.values())
+        assert vals == sorted(vals) and vals[-1] == 1.0
 
 
 class TestF1:
     def test_miss_is_zero(self):
-        assert f1_at_k([1, 2, 3], 9, 2) == 0.0
+        assert scored([[1, 2, 3, 9]], [9], ks=(2,)).f1 == {2: 0.0}
 
     def test_hit_is_two_over_k_plus_one(self):
-        assert f1_at_k([9, 2, 3], 9, 3) == pytest.approx(0.5)
+        assert scored([[9, 2, 3]], [9], ks=(3,)).f1[3] == pytest.approx(0.5)
 
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=29))
     @settings(max_examples=200)
     def test_identity_with_recall(self, k, truth_pos):
-        ranked = list(range(30))
-        assert f1_at_k(ranked, truth_pos, k) == 2.0 * recall_at_k(ranked, truth_pos, k) / (k + 1)
+        rep = scored([list(range(30))], [truth_pos], ks=(k,))
+        assert rep.recall[k] == (truth_pos < k)
+        assert rep.f1[k] == 2.0 * rep.recall[k] / (k + 1)
 
     def test_reported_table_consistency(self):
         # published recall/F1 pairs at K=5 and K=10 agree with the identity
@@ -57,11 +54,10 @@ class TestF1:
 
 class TestMAP:
     def test_always_first(self):
-        assert mean_average_precision([[4, 1], [4, 2]], [4, 4]) == 1.0
+        assert scored([[4, 1], [4, 2]], [4, 4]).map == 1.0
 
     def test_ranks_one_and_four(self):
-        lists = [[7, 1, 2, 3], [0, 1, 2, 7]]
-        assert mean_average_precision(lists, [7, 7]) == pytest.approx(0.625)
+        assert scored([[7, 1, 2, 3], [0, 1, 2, 7]], [7, 7]).map == pytest.approx(0.625)
 
     def test_matches_generic_average_precision(self):
         # generic multi-relevant AP, degenerating to 1/rank for one truth
@@ -78,19 +74,19 @@ class TestMAP:
             m = int(rng.integers(2, 40))
             ranked = rng.permutation(m).tolist()
             truth = int(rng.integers(m))
-            assert mean_average_precision([ranked], [truth]) == pytest.approx(
+            assert scored([ranked], [truth]).map == pytest.approx(
                 generic_ap(ranked, {truth}), rel=1e-12)
 
     def test_permutation_invariant(self):
         lists = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
         truths = [0, 0, 0]
-        a = mean_average_precision(lists, truths)
-        b = mean_average_precision(lists[::-1], truths[::-1])
+        a = scored(lists, truths).map
+        b = scored(lists[::-1], truths[::-1]).map
         assert a == pytest.approx(b, rel=1e-15)
 
     def test_truth_missing(self):
         with pytest.raises(TruthMissing):
-            mean_average_precision([[1, 2]], [3])
+            scored([[1, 2]], [3])
 
     def test_rank_is_the_first_hit(self):
         assert _rank_of(np.array([4, 2, 7, 2]), 2) == 2  # a truth listed twice

@@ -31,7 +31,6 @@ from bistddp.ingest import (
     parse_gowalla,
     prepare,
     split_corpus,
-    temporal_patterns,
     write_corpus,
 )
 from bistddp.synthetic import corpus_from_events, overfit_corpus, random_instance
@@ -519,10 +518,10 @@ class TestTemporalPattern:
         batch = PreparedCorpus.from_corpus(corpus_from_events([(0, 0)] * 4, events), 1).samples
         utc, tz = batch.target_utc, np.repeat([0, -570], 336)
         assert len(batch) == 2 * 336
+        expected = [reference_pattern(t, z) for t, z in zip(utc.tolist(), tz.tolist())]
         assert batch.pattern.dtype == np.float64
-        np.testing.assert_array_equal(batch.pattern, temporal_patterns(utc, tz))
-        assert [s.pattern for s in batch] == [
-            reference_pattern(t, z) for t, z in zip(utc.tolist(), tz.tolist())]
+        np.testing.assert_array_equal(batch.pattern, np.array(expected, dtype=np.float64))
+        assert [s.pattern for s in batch] == expected
 
 
 def reference_pattern(utc, tz):
