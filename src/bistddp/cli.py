@@ -168,6 +168,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                  "min_user", "min_poi_users"):
         if getattr(cfg, name) < 1:
             raise MalformedConfig(f"{name} must be >= 1")
+    if cfg.seed < 0:
+        raise MalformedConfig(f"seed must be >= 0, got {cfg.seed}")
     TrainConfig(lr=cfg.lr, metric=cfg.metric)  # raises on a bad lr or metric
 
 
@@ -497,13 +499,15 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
           f"max rel err {rel:.2e}, max abs err {near:.1e} km under 1 m")
 
     # the report against a direct count: recall@k the share of truths at position <= k,
-    # F1 exactly 2R/(K+1), MAP the in-order sum of 1/position (cumsum adds in order) over n
+    # F1 exactly 2R/(K+1), MAP the in-order sum of 1/position over n
     rng = make_rng(7)
     ranks = [rng.permutation(m).tolist().index(rng.integers(m)) + 1
              for m in rng.integers(3, 30, 50).tolist()]
-    rep, n = report_from_ranks(ranks), len(ranks)
+    rep, n, ap_total = report_from_ranks(ranks), len(ranks), 0.0
+    for r in ranks:
+        ap_total += 1.0 / r
     check("f1/recall identity on random rankings",
-          rep.map == np.cumsum([1.0 / r for r in ranks])[-1] / n
+          rep.map == ap_total / n
           and all(rep.recall[k] == sum(r <= k for r in ranks) / n
                   and rep.f1[k] == 2.0 * rep.recall[k] / (k + 1) for k in (1, 5, 10)))
 

@@ -52,10 +52,7 @@ def report_from_ranks(ranks: Sequence[int], ks: tuple[int, ...] = (1, 5, 10)) ->
     n = ranks.size
     recall = {k: np.count_nonzero(ranks <= k) / n for k in ks}
     f1 = {k: 2.0 * recall[k] / (k + 1) for k in ks}
-    ap_total = 0.0
-    for rank in ranks.tolist():
-        ap_total += 1.0 / rank
-    return MetricsReport(recall=recall, f1=f1, map=ap_total / n, count=n)
+    return MetricsReport(recall=recall, f1=f1, map=float(np.cumsum(1.0 / ranks)[-1] / n), count=n)
 
 
 def evaluate(ranker: Ranker, samples: Iterable[Sample], ks: tuple[int, ...] = (1, 5, 10)) -> MetricsReport:

@@ -9,9 +9,10 @@ A sample's score over all M candidate POIs combines two parts:
   embeddings, the user embedding, and the 7-bit target-time pattern, summed
   and projected to candidate space.
 
-Softmax of the summed scores gives the candidate distribution. Ablation
-variants gate individual parts (forward/backward branch, dependence terms,
-time pattern).
+Softmax of the summed scores gives the candidate distribution. The ablation
+variants drop parts: `_branch_table` lists the preference branches and
+dependence directions a variant runs, in summation order, and
+`forward_batch` and `train.backward_batch` both walk that list.
 
 `forward`, `cross_entropy` and `predict_topk`, with `train.backward`, are a
 one-row shim over the batched path, kept for perfbench and the tests.
@@ -145,28 +146,64 @@ def init_params(
 
 
 @dataclass
+class _Branch:
+    """A preference layer tanh(sum_k X_k W_k^T), X_k = inputs[:, k] the rows
+    index[:, k] of the embedding `table` (None: the time patterns)."""
+
+    weights: list[str]  # layout names of W_0, W_1, ...
+    table: str | None
+    index: np.ndarray | None  # (B, k)
+    inputs: np.ndarray  # (B, k, d), or (B, 1, 7) patterns
+    act: np.ndarray | None = None  # (B, h), set by forward_batch
+
+
+@dataclass
+class _Direction:
+    """A dependence term: each adjacent POI's distance row gated by tanh(interval * w)."""
+
+    weights: str  # layout name of the interval weights w
+    pois: np.ndarray  # (B,) p_{t-1} or p_{t+1}
+    interval: np.ndarray  # (B,)
+    rows: list[np.ndarray] | None = None  # B distance rows, set by forward_batch
+
+
+def _branch_table(batch: SampleBatch, params: ModelParams,
+                  variant: VariantConfig) -> tuple[list[_Branch], list[_Direction]]:
+    """The preference branches and dependence directions `variant` runs, in
+    summation order: forward, backward, user, time; before, after. The one
+    place that reads the variant's flags."""
+    branches, directions = [], []
+    for use, name, context, weights, interval in (
+            (variant.use_forward_branch, "fwd_hidden", batch.fwd, "interval_w_before",
+             batch.interval_before),
+            (variant.use_backward_branch, "bwd_hidden", batch.bwd, "interval_w_after",
+             batch.interval_after)):
+        if use:
+            branches.append(_Branch([f"{name}[{k}]" for k in range(context.shape[1])],
+                                   "poi_emb", context, params.poi_emb[context]))
+            if variant.use_dependence:
+                directions.append(_Direction(weights, context[:, 0], interval))
+    users = batch.users[:, None]
+    branches.append(_Branch(["user_hidden"], "user_emb", users, params.user_emb[users]))
+    if variant.use_time_pattern:
+        branches.append(_Branch(["time_hidden"], None, None, batch.pattern[:, None]))
+    return branches, directions
+
+
+@dataclass
 class BatchTrace:
     """Every intermediate of one batched forward evaluation, kept for backprop.
 
-    Row i belongs to sample i of `samples`. Branch fields are None when the
-    variant gates them off. Spatial rows are the read-only arrays the cache
-    (or `spatial_vector`) returned, one reference per sample, never stacked.
-    The interval gates are not kept: forward and backward each compute them
-    one sample's length-M row at a time, so no (B x M) gate array exists.
+    Row i belongs to sample i of the batch. `branches` and `directions` are
+    `_branch_table`'s, with each branch's activation and each direction's
+    distance rows: the read-only arrays the cache (or `spatial_vector`)
+    returned, one per sample, never stacked. The gates are not kept: forward
+    and backward each compute one sample's length-M gate row at a time.
     """
 
-    samples: SampleBatch
-    variant: VariantConfig
-    fwd_emb: np.ndarray | None  # (B, w, d)
-    bwd_emb: np.ndarray | None
-    user_vec: np.ndarray  # (B, d)
-    h_fwd: np.ndarray | None  # (B, h)
-    h_bwd: np.ndarray | None
-    h_user: np.ndarray
-    h_time: np.ndarray | None
+    branches: list[_Branch]
+    directions: list[_Direction]
     pref: np.ndarray  # (B, h) summed dynamic preference
-    spat_before: list[np.ndarray] | None  # B normalized distance rows of p_{t-1}
-    spat_after: list[np.ndarray] | None
     logits: np.ndarray  # (B, M)
 
 
@@ -198,17 +235,6 @@ def _check_batch(batch: SampleBatch, params: ModelParams, w: int) -> None:
             raise ShapeMismatch(f"{what} {outside[0]} outside [0, {bound})")
 
 
-def _context_branch(
-    poi_emb: np.ndarray, hidden: list[np.ndarray], context: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings (B, w, d) of the context POIs and tanh(sum_k E_k W_k^T)."""
-    emb = poi_emb[context]
-    acc = emb[:, 0] @ hidden[0].T
-    for k in range(1, len(hidden)):
-        acc += emb[:, k] @ hidden[k].T
-    return emb, np.tanh(acc)
-
-
 def forward_batch(
     batch: SampleBatch,
     params: ModelParams,
@@ -222,63 +248,34 @@ def forward_batch(
     w > 1; wider context enters through the hidden branches.
     """
     _check_batch(batch, params, len(params.fwd_hidden))
+    tensors = dict(params.named_tensors())
+    branches, directions = _branch_table(batch, params, variant)
 
-    fwd_emb = bwd_emb = h_fwd = h_bwd = None
-    user_vec = params.user_emb[batch.users]
     pref = np.zeros((len(batch), params.user_hidden.shape[0]))
-    if variant.use_forward_branch:
-        fwd_emb, h_fwd = _context_branch(params.poi_emb, params.fwd_hidden, batch.fwd)
-        pref += h_fwd
-    if variant.use_backward_branch:
-        bwd_emb, h_bwd = _context_branch(params.poi_emb, params.bwd_hidden, batch.bwd)
-        pref += h_bwd
-    h_user = np.tanh(user_vec @ params.user_hidden.T)
-    pref += h_user
-    h_time = None
-    if variant.use_time_pattern:
-        h_time = np.tanh(batch.pattern @ params.time_hidden.T)
-        pref += h_time
+    for b in branches:
+        acc = b.inputs[:, 0] @ tensors[b.weights[0]].T
+        for k in range(1, len(b.weights)):
+            acc += b.inputs[:, k] @ tensors[b.weights[k]].T
+        b.act = np.tanh(acc)
+        pref += b.act
 
     logits = pref @ params.out_weights.T
 
-    def dependence(pois: np.ndarray, interval: np.ndarray, weights: np.ndarray):
+    for d in directions:
         # one row lookup per distinct POI, in order of first appearance
         distinct = {p: cache.row(p) if cache is not None else spatial_vector(p, table)
-                    for p in dict.fromkeys(pois.tolist())}
-        rows = [distinct[p] for p in pois.tolist()]
+                    for p in dict.fromkeys(d.pois.tolist())}
+        d.rows = [distinct[p] for p in d.pois.tolist()]
         # each sample's gate row tanh(interval * weights) in one length-M
         # buffer: no (B x M) gate array is built
+        weights = tensors[d.weights]
         gate = np.empty_like(weights)
-        for row, iv, out in zip(rows, interval, logits):
+        for row, iv, out in zip(d.rows, d.interval, logits):
             np.tanh(np.multiply(iv, weights, out=gate), out=gate)
             gate *= row
             out += gate
-        return rows
 
-    spat_before = spat_after = None
-    if variant.use_dependence:
-        if variant.use_forward_branch:
-            spat_before = dependence(
-                batch.fwd[:, 0], batch.interval_before, params.interval_w_before)
-        if variant.use_backward_branch:
-            spat_after = dependence(
-                batch.bwd[:, 0], batch.interval_after, params.interval_w_after)
-
-    return BatchTrace(
-        samples=batch,
-        variant=variant,
-        fwd_emb=fwd_emb,
-        bwd_emb=bwd_emb,
-        user_vec=user_vec,
-        h_fwd=h_fwd,
-        h_bwd=h_bwd,
-        h_user=h_user,
-        h_time=h_time,
-        pref=pref,
-        spat_before=spat_before,
-        spat_after=spat_after,
-        logits=logits,
-    )
+    return BatchTrace(branches, directions, pref, logits)
 
 
 def forward(

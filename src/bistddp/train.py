@@ -90,42 +90,25 @@ def backward_batch(trace: BatchTrace, g: np.ndarray, params: ModelParams,
                    out: Gradients) -> Gradients:
     """Gradients of sum_i J_i w.r.t. every parameter tensor, written into
     and returned as `out`, where row g[i] is dJ_i/dlogits[i] and `params`
-    are those the trace was made with. Tensors the trace's variant gates
-    off receive zero. Nothing `out` held survives: `out_weights`, last in
-    the layout, is one GEMM's output, and all before it is zeroed first."""
-    batch, variant = trace.samples, trace.variant
+    are those the trace was made with. It walks the trace's directions and
+    branches in forward_batch's order, so tensors the variant gates off
+    receive zero. Nothing `out` held survives: `out_weights`, last in the
+    layout, is one GEMM's output, and all before it is zeroed first."""
     out.data[: out.data.size - out.out_weights.size] = 0.0
+    tensors, grads = dict(params.named_tensors()), dict(out.named_tensors())
 
-    if variant.use_dependence:
-        if variant.use_forward_branch:
-            _gate_grad(out.interval_w_before, g, trace.spat_before,
-                       params.interval_w_before, batch.interval_before)
-        if variant.use_backward_branch:
-            _gate_grad(out.interval_w_after, g, trace.spat_after,
-                       params.interval_w_after, batch.interval_after)
+    for d in trace.directions:
+        _gate_grad(grads[d.weights], g, d.rows, tensors[d.weights], d.interval)
 
     np.matmul(g.T, trace.pref, out=out.out_weights)
     pref_grad = g @ params.out_weights
 
-    for use, hidden, hidden_grads, emb, context, act in (
-            (variant.use_forward_branch, params.fwd_hidden, out.fwd_hidden, trace.fwd_emb,
-             batch.fwd, trace.h_fwd),
-            (variant.use_backward_branch, params.bwd_hidden, out.bwd_hidden, trace.bwd_emb,
-             batch.bwd, trace.h_bwd)):
-        if use:
-            a = pref_grad * (1.0 - act**2)
-            for k, weights in enumerate(hidden):
-                np.matmul(a.T, emb[:, k], out=hidden_grads[k])
-                np.add.at(out.poi_emb, context[:, k], a @ weights)
-
-    a = pref_grad * (1.0 - trace.h_user**2)
-    np.matmul(a.T, trace.user_vec, out=out.user_hidden)
-    np.add.at(out.user_emb, batch.users, a @ params.user_hidden)
-
-    if variant.use_time_pattern:
-        a = pref_grad * (1.0 - trace.h_time**2)
-        np.matmul(a.T, batch.pattern, out=out.time_hidden)
-
+    for b in trace.branches:
+        a = pref_grad * (1.0 - b.act**2)
+        for k, name in enumerate(b.weights):
+            np.matmul(a.T, b.inputs[:, k], out=grads[name])
+            if b.table is not None:
+                np.add.at(grads[b.table], b.index[:, k], a @ tensors[name])
     return out
 
 
@@ -170,9 +153,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr: float = 0.001
 
     @classmethod
@@ -180,6 +160,7 @@ class AdamState:
         return cls(m=np.zeros_like(params.data), v=np.zeros_like(params.data), lr=lr)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the moments' decay rates, the epsilon
 # Elements per piece of adam_step's update: its six 256 KB working arrays
 # (theta, m, v, g and two scratch) stay in a core's L2 cache between operations.
 ADAM_BLOCK = 1 << 15
@@ -200,8 +181,8 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState):
         raise ShapeMismatch(f"parameters {theta.shape}, gradients {g.shape} and moments "
                             f"{m.shape}, {v.shape} differ")
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     a_buf, b_buf = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for lo in range(0, theta.size, ADAM_BLOCK):
         piece = slice(lo, lo + ADAM_BLOCK)
@@ -210,14 +191,14 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState):
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
         # theta -= lr (m / c1) / (sqrt(v / c2) + eps), operation for
         # operation in that order, through the two scratch arrays
-        mp *= state.beta1
-        mp += np.multiply(1.0 - state.beta1, gp, out=a)
-        vp *= state.beta2
-        np.multiply(1.0 - state.beta2, gp, out=a)
+        mp *= ADAM_BETA1
+        mp += np.multiply(1.0 - ADAM_BETA1, gp, out=a)
+        vp *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, gp, out=a)
         vp += np.multiply(a, gp, out=a)
         np.multiply(state.lr, np.divide(mp, c1, out=a), out=a)
         np.sqrt(np.divide(vp, c2, out=b), out=b)
-        b += state.eps
+        b += ADAM_EPS
         th -= np.divide(a, b, out=a)
     return params, state
 

@@ -112,6 +112,15 @@ class TestConfig:
             run("train", "--data", "x", "--variant", "nope")
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("command", [("train",), ("sweep", "--grid", "d=2,4")])
+    def test_negative_seed_is_bad_config_and_writes_nothing(self, prepared_dir, tmp_path,
+                                                            capsys, command):
+        out = tmp_path / "o"
+        assert run(*command, "--data", prepared_dir / "corpus.tsv", "--out", out,
+                   "--d", 3, "--h", 4, "--epochs", 1, "--seed", -1) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [("epochs", "often"), ("k", "0"), ("lr", "fast")])
     def test_flag_and_file_values_parse_the_same(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "c.cfg"

@@ -1,12 +1,15 @@
 """The package imports nothing but the standard library and numpy, neither the
-CLI nor the gradient oracle uses the per-sample model API, and the package
-namespace exports none of it."""
+CLI nor the gradient oracle uses the per-sample model API, the package
+namespace exports none of it, and one model function reads the variant's flags."""
 
 import ast
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from bistddp.model import VariantConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bistddp"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "bistddp"}
@@ -120,3 +123,35 @@ def test_the_gradient_oracle_uses_no_per_sample_model_code():
     assert per_sample_uses(source) >= {"forward", "cross_entropy"}  # perfbench patches them
     used = per_sample_uses(source, "finite_difference_check")
     assert not used, f"finite_difference_check uses {sorted(used)}"
+
+
+def variant_flag_reads(path: Path) -> dict[str, set[str]]:
+    """The VariantConfig flags each function in `path` reads as an attribute,
+    keyed by "Class.method" or "function"; "<module>" for reads outside any."""
+    flags = {f.name for f in fields(VariantConfig)}
+    reads: dict[str, set[str]] = {}
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, ast.Attribute) and node.attr in flags:
+            reads.setdefault(scope, set()).add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return reads
+
+
+def test_only_the_model_reads_the_variant_flags():
+    outside = {path.name: reads for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "model.py" and (reads := variant_flag_reads(path))}
+    assert not outside, f"modules other than model.py read variant flags: {outside}"
+
+
+def test_one_model_function_decides_what_the_variant_runs():
+    # forward_batch and backward_batch walk the table `_branch_table` builds
+    readers = {name for name in variant_flag_reads(PACKAGE / "model.py")
+               if not name.startswith("VariantConfig.")}  # its own validation
+    assert readers == {"_branch_table"}

@@ -194,10 +194,12 @@ def test_variant_identities():
     bi_b = forward(sample, params, table, VARIANTS["bi-b"])
     # no dependence: logits are exactly the projected preference
     np.testing.assert_array_equal(bi_b.logits, params.out_weights @ bi_b.batch.pref[0])
-    assert bi_b.batch.spat_before is None and bi_b.batch.spat_after is None
+    assert bi_b.batch.directions == []
 
     bi_a = forward(sample, params, table, VARIANTS["bi-a"])
-    assert bi_a.batch.h_time is None
+    # no time pattern: the forward, backward and user branches, in that order
+    assert [b.weights for b in bi_a.batch.branches] == [
+        ["fwd_hidden[0]"], ["bwd_hidden[0]"], ["user_hidden"]]
     manual = (np.tanh(params.fwd_hidden[0] @ params.poi_emb[sample.fwd[0]])
               + np.tanh(params.bwd_hidden[0] @ params.poi_emb[sample.bwd[0]])
               + np.tanh(params.user_hidden @ params.user_emb[sample.user]))
