@@ -37,6 +37,7 @@ from .model import (
 from .evaluation import MetricsReport, evaluate, report_from_ranks
 from .train import (
     AdamState,
+    Gradients,
     TrainConfig,
     adam_step,
     batch_gradients,

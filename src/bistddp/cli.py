@@ -168,9 +168,7 @@ def _validate(cfg: ExperimentConfig) -> None:
                  "min_user", "min_poi_users"):
         if getattr(cfg, name) < 1:
             raise MalformedConfig(f"{name} must be >= 1")
-    if cfg.seed < 0:
-        raise MalformedConfig(f"seed must be >= 0, got {cfg.seed}")
-    TrainConfig(lr=cfg.lr, metric=cfg.metric)  # raises on a bad lr or metric
+    TrainConfig(seed=cfg.seed, lr=cfg.lr, metric=cfg.metric)  # raises on a bad seed, lr or metric
 
 
 def _config_text(cfg: ExperimentConfig, command: str) -> str:

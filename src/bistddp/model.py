@@ -96,12 +96,23 @@ def arena_size(hp: HyperParams, n_users: int, n_pois: int) -> int:
     return sum(math.prod(shape) for _, shape, _, _ in param_layout(hp, n_users, n_pois))
 
 
+def layout_views(data: np.ndarray, layout) -> list[tuple[str, np.ndarray]]:
+    """(name, view) of each tensor of `layout`, reshaped from the flat array
+    `data`, where the tensors lie end to end in layout order."""
+    views, lo = [], 0
+    for name, shape, _, _ in layout:
+        views.append((name, data[lo : lo + math.prod(shape)].reshape(shape)))
+        lo += math.prod(shape)
+    return views
+
+
 class ModelParams:
     """All learnable tensors as reshaped views of one float64 arena `data`, laid
     out by `param_layout` (the checkpoint order): `poi_emb`, `user_emb`, the
     lists `fwd_hidden` and `bwd_hidden`, `user_hidden`, `time_hidden`, the two
-    interval weights and `out_weights`. Adam's moments and the gradients share
-    the layout, so each is copied, zeroed, updated or saved as one array."""
+    interval weights and `out_weights`. Adam's moments share the layout, and
+    the gradients all of it before `out_weights`, so each is copied, zeroed,
+    updated or saved as one array."""
 
     def __init__(self, hyper: HyperParams, n_users: int, n_pois: int, data: np.ndarray):
         size = arena_size(hyper, n_users, n_pois)
@@ -110,12 +121,8 @@ class ModelParams:
                                 f"(N={n_users}, M={n_pois}, {hyper}) needs float64 ({size},)")
         self.hyper, self.n_users, self.n_pois, self.data = hyper, n_users, n_pois, data
         self.fwd_hidden, self.bwd_hidden = [], []  # w views each
-        self._named: list[tuple[str, np.ndarray]] = []
-        lo = 0
-        for name, shape, _, _ in param_layout(hyper, n_users, n_pois):
-            view = data[lo : lo + math.prod(shape)].reshape(shape)
-            lo += view.size
-            self._named.append((name, view))
+        self._named = layout_views(data, param_layout(hyper, n_users, n_pois))
+        for name, view in self._named:
             if name.endswith("]"):
                 getattr(self, name[: name.index("[")]).append(view)
             else:
@@ -129,7 +136,7 @@ class ModelParams:
 
 
 def zero_params(hp: HyperParams, n_users: int, n_pois: int) -> ModelParams:
-    """An all-zero arena: the model with uniform scores, or a gradient buffer."""
+    """An all-zero arena: the model with uniform scores."""
     return ModelParams(hp, n_users, n_pois, np.zeros(arena_size(hp, n_users, n_pois)))
 
 

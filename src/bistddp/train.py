@@ -6,7 +6,11 @@ output projection, the four tanh hidden branches (touching only the
 embedding rows the sample used), and the interval-gate path
 dJ/d(interval weight) = (o - y) * spatial_row * (1 - gate^2) * interval.
 Spatial rows are data, not parameters, so no gradient reaches coordinates.
-Gradients and Adam's moments are flat arenas in the parameters' layout.
+Adam's moments are flat arenas in the parameters' layout. The gradient
+arena stops before the (M x h) output projection, last in the layout, whose
+gradient g.T @ pref `adam_step` forms a block of rows at a time from the
+batch's two factors: at N = 1000, M = 5000, d = 64, h = 256 the arena is
+3.56 MB, not 13.80 MB, and Adam's three scratch pieces take 0.75 MB.
 `backward`, with `model.forward`, `cross_entropy` and `predict_topk`, is a
 one-row shim over the batched path, kept for perfbench and the tests.
 """
@@ -30,8 +34,9 @@ from .model import (
     NonFiniteScores,
     VariantConfig,
     forward_batch,
+    layout_views,
+    param_layout,
     target_ranks,
-    zero_params,
 )
 from .numerics import ShapeMismatch, make_rng, softmax_cross_entropy
 
@@ -40,9 +45,41 @@ from .numerics import ShapeMismatch, make_rng, softmax_cross_entropy
 from .evaluation import evaluate  # noqa: F401
 from .model import cross_entropy, forward  # noqa: F401
 
-# dJ/dtheta as a ModelParams arena: each gradient is the view of the
-# parameter it belongs to, in the same layout.
-Gradients = ModelParams
+
+class Gradients:
+    """dJ/dtheta of one batch. Each tensor before `out_weights`, last in the
+    parameters' layout, has its gradient in `tensors`, a view of the arena
+    `data` in that layout. The (M x h) gradient of `out_weights`, g.T @ pref,
+    is not stored: it is kept as its two factors, the logit gradients `g`
+    (B x M) and the summed preference `pref` (B x h), the batch's own
+    buffers, and `out_weights_rows` forms it a block of rows at a time, in
+    the blocks of `row_blocks`. A new object is the zero gradient: a zero
+    arena and factors of no rows."""
+
+    def __init__(self, params: ModelParams):
+        *layout, (_, (m, h), _, _) = param_layout(params.hyper, params.n_users, params.n_pois)
+        self.data = np.zeros(params.data.size - m * h)
+        self.tensors = dict(layout_views(self.data, layout))
+        self.g, self.pref = np.zeros((0, m)), np.zeros((0, h))
+
+    def release(self) -> None:
+        """Let go of the batch's buffers for factors of no rows: `out_weights`'
+        gradient reads zero until the next `backward_batch`."""
+        self.g, self.pref = np.zeros((0, self.g.shape[1])), np.zeros((0, self.pref.shape[1]))
+
+    def out_weights_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Rows `rows` of out_weights' gradient g.T @ pref, written into `out`."""
+        return np.matmul(self.g[:, rows].T, self.pref, out=out)
+
+    def dense(self) -> dict[str, np.ndarray]:
+        """Every tensor's gradient by layout name, out_weights' formed whole
+        block by block, so its bits are the ones `adam_step` applies: the
+        form the gradient check reads. Training never builds it."""
+        m, h = self.g.shape[1], self.pref.shape[1]
+        out = np.empty((m, h))
+        for rows in row_blocks(m, h):
+            self.out_weights_rows(rows, out[rows])
+        return {**self.tensors, "out_weights": out}
 
 
 class TraceMismatch(ValueError):
@@ -92,15 +129,15 @@ def backward_batch(trace: BatchTrace, g: np.ndarray, params: ModelParams,
     and returned as `out`, where row g[i] is dJ_i/dlogits[i] and `params`
     are those the trace was made with. It walks the trace's directions and
     branches in forward_batch's order, so tensors the variant gates off
-    receive zero. Nothing `out` held survives: `out_weights`, last in the
-    layout, is one GEMM's output, and all before it is zeroed first."""
-    out.data[: out.data.size - out.out_weights.size] = 0.0
-    tensors, grads = dict(params.named_tensors()), dict(out.named_tensors())
+    receive zero. Nothing `out` held survives: its arena is zeroed first,
+    and its factors become `g` and the trace's `pref`, not copies."""
+    out.data[:] = 0.0
+    out.g, out.pref = g, trace.pref
+    tensors, grads = dict(params.named_tensors()), out.tensors
 
     for d in trace.directions:
         _gate_grad(grads[d.weights], g, d.rows, tensors[d.weights], d.interval)
 
-    np.matmul(g.T, trace.pref, out=out.out_weights)
     pref_grad = g @ params.out_weights
 
     for b in trace.branches:
@@ -123,8 +160,7 @@ def backward(
     if trace.sample != sample or trace.variant != variant:
         raise TraceMismatch("trace does not belong to this sample/variant")
     g = loss_grad_wrt_logits(trace, sample.target_poi)
-    out = zero_params(params.hyper, params.n_users, params.n_pois)
-    return dict(backward_batch(trace.batch, g[None], params, out).named_tensors())
+    return backward_batch(trace.batch, g[None], params, Gradients(params)).dense()
 
 
 def batch_gradients(
@@ -135,7 +171,8 @@ def batch_gradients(
     out: Gradients,
     cache: SpatialRowCache | None = None,
 ) -> tuple[Gradients, float]:
-    """Mean gradients, written into `out`, and mean loss over a batch, in one pass."""
+    """Mean gradients, written into `out`, and mean loss over a batch, in one
+    pass; `out`'s factors are the batch's logit buffer and preference."""
     samples = SampleBatch.from_samples(samples)
     trace = forward_batch(samples, params, table, variant, cache)
     g = trace.logits  # overwritten with the probabilities, then with dJ/dlogits
@@ -161,33 +198,55 @@ class AdamState:
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the moments' decay rates, the epsilon
-# Elements per piece of adam_step's update: its six 256 KB working arrays
-# (theta, m, v, g and two scratch) stay in a core's L2 cache between operations.
+# Elements per piece of adam_step's update: its 256 KB working arrays (theta,
+# m, v, the gradient and the scratch) stay in a core's L2 cache between operations.
 ADAM_BLOCK = 1 << 15
+
+
+def row_blocks(m: int, h: int) -> list[slice]:
+    """The (M x h) out_weights' rows in blocks of ADAM_BLOCK // h (one row if
+    h is larger): the pieces in which its gradient is formed and applied.
+    At h = 256 that is 128 rows, and at train-5k's shapes the blocks'
+    products have the bits of one g.T @ pref; at other shapes BLAS may sum
+    some entries in another order, a few ulps of the largest entry apart."""
+    step = max(1, ADAM_BLOCK // h)
+    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState):
     """One in-place Adam update of the arena; returns (params, state) for chaining.
 
-    The arena is updated in pieces of ADAM_BLOCK elements, every piece
-    through the whole operation sequence before the next, so the arrays it
-    touches stay in cache. The operations per element are the textbook
-    update's, in its order, so the result is bit-identical to whole-array
-    passes. Gradients and moments of another length than the parameters
-    raise before anything is updated.
+    The arena is updated in pieces, every piece through the whole operation
+    sequence before the next, so the arrays it touches stay in cache: pieces
+    of ADAM_BLOCK elements up to `out_weights`, then its `row_blocks`, whose
+    gradient `out_weights_rows` first forms in a third scratch piece. The
+    operations per element are the textbook update's, in its order, so the
+    result is bit-identical to whole-array passes over `grads.dense()`. An
+    arena, factors or moments whose shapes do not fit the parameters raise
+    before anything is updated.
     """
-    theta, g, m, v = params.data, grads.data, state.m, state.v
-    if not theta.shape == g.shape == m.shape == v.shape:
-        raise ShapeMismatch(f"parameters {theta.shape}, gradients {g.shape} and moments "
-                            f"{m.shape}, {v.shape} differ")
+    theta, dense, m, v = params.data, grads.data, state.m, state.v
+    rows, h = params.out_weights.shape
+    n = theta.size - rows * h  # elements before out_weights
+    if not (theta.shape == m.shape == v.shape and dense.shape == (n,)
+            and grads.g.shape[1:] == (rows,) and grads.pref.shape == (len(grads.g), h)):
+        raise ShapeMismatch(f"parameters {theta.shape} (out_weights {rows} x {h}), gradients "
+                            f"{dense.shape}, factors {grads.g.shape} and {grads.pref.shape}, "
+                            f"moments {m.shape}, {v.shape} do not fit")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
-    a_buf, b_buf = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
-    for lo in range(0, theta.size, ADAM_BLOCK):
-        piece = slice(lo, lo + ADAM_BLOCK)
-        th, mp, vp, gp = theta[piece], m[piece], v[piece], g[piece]
+    a_buf, b_buf, g_buf = (np.empty(max(ADAM_BLOCK, h)) for _ in range(3))
+    pieces = [*((slice(lo, min(lo + ADAM_BLOCK, n)), None) for lo in range(0, n, ADAM_BLOCK)),
+              *((slice(n + r.start * h, n + r.stop * h), r) for r in row_blocks(rows, h))]
+    for piece, out_rows in pieces:
+        th, mp, vp = theta[piece], m[piece], v[piece]
         a, b = a_buf[: th.size], b_buf[: th.size]
+        if out_rows is None:
+            gp = dense[piece]
+        else:
+            gp = g_buf[: th.size]
+            grads.out_weights_rows(out_rows, gp.reshape(-1, h))
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
         # theta -= lr (m / c1) / (sqrt(v / c2) + eps), operation for
         # operation in that order, through the two scratch arrays
@@ -221,6 +280,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
             raise ValueError(f"bad training config: {self}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not _METRICS.fullmatch(self.metric):
@@ -340,7 +401,7 @@ def fit(
     data = SampleBatch.from_samples(train_samples)
     val = SampleBatch.from_samples(val_samples) if val_samples else None
     adam = AdamState.init(params, lr=config.lr)
-    grads = zero_params(params.hyper, params.n_users, params.n_pois)
+    grads = Gradients(params)
     early = EarlyStopState()
     log: list[EpochRecord] = []
 
@@ -357,6 +418,7 @@ def fit(
                     if not math.isfinite(batch_loss):
                         raise Diverged(f"epoch {epoch}: non-finite batch loss {batch_loss}")
                     adam_step(params, grads, adam)
+                    grads.release()  # before the next forward pass makes its (B x M) buffer
             except FloatingPointError as exc:
                 raise Diverged(f"epoch {epoch}: non-finite value in a training step ({exc})"
                                ) from exc
@@ -418,30 +480,33 @@ def finite_difference_check(
     variant: VariantConfig,
     delta: float = 1e-5,
     tolerance: float = 1e-4,
-    grads: Gradients | None = None,
+    grads: dict[str, np.ndarray] | None = None,
 ) -> FdReport:
-    """Compare `batch_gradients`' arena against central differences of the
+    """Compare `batch_gradients`' gradients, `out_weights`' formed whole by
+    `Gradients.dense`, against central differences of the
     same mean loss (`forward_batch`, then `softmax_cross_entropy`),
     coordinate by coordinate. Relative error is |a - n| / max(|a|, |n|,
     1e-8). Cost is two forward passes per parameter, so keep the instance
     small; rows that share a user or context POI check how their gradients
     accumulate.
 
-    Passing `grads` checks that arena instead of a fresh `batch_gradients`
-    (handy for verifying that a corrupted gradient is actually detected).
+    Passing `grads`, in `dense`'s form, checks those instead of a fresh
+    `batch_gradients` (handy for verifying that a corrupted gradient is
+    actually detected).
     """
     samples = SampleBatch.from_samples(samples)
     cache = SpatialRowCache(table, capacity=len(table))
     if grads is None:
-        grads, _ = batch_gradients(samples, params, table, variant,
-                                   zero_params(params.hyper, params.n_users, params.n_pois), cache)
+        grads = batch_gradients(samples, params, table, variant, Gradients(params),
+                                cache)[0].dense()
 
     def loss() -> float:
         logits = forward_batch(samples, params, table, variant, cache).logits
         return float(softmax_cross_entropy(logits, samples.targets).mean())
 
     per_tensor: dict[str, float] = {}
-    for (name, tensor), (_, analytic) in zip(params.named_tensors(), grads.named_tensors()):
+    for name, tensor in params.named_tensors():
+        analytic = grads[name]
         worst = 0.0
         for idx in np.ndindex(tensor.shape):
             orig = tensor[idx]

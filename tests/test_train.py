@@ -1,3 +1,4 @@
+import json
 import math
 import traceback
 import tracemalloc
@@ -10,7 +11,6 @@ from bistddp.geodata import SpatialRowCache, spatial_vector
 from bistddp.ingest import PreparedCorpus, SampleBatch
 from bistddp.model import (
     HyperParams,
-    ModelParams,
     VARIANTS,
     arena_size,
     cross_entropy,
@@ -28,6 +28,7 @@ from bistddp.train import (
     Diverged,
     EarlyStopState,
     EmptyTrainSet,
+    Gradients,
     TraceMismatch,
     TrainConfig,
     adam_step,
@@ -37,13 +38,10 @@ from bistddp.train import (
     finite_difference_check,
     fit,
     loss_grad_wrt_logits,
+    row_blocks,
 )
 from bistddp.evaluation import evaluate
-
-
-def zeros_like(params):
-    """A zero arena in `params`' layout: a fresh gradient buffer."""
-    return zero_params(params.hyper, params.n_users, params.n_pois)
+from golden.regenerate import MANIFEST, build
 
 
 def interval_gate(weights, interval):
@@ -64,10 +62,14 @@ def shared_context_rows(seed, w):
     return table, params, rows
 
 
-def random_arena(params, seed):
-    """Standard-normal values in `params`' layout, as gradients."""
-    return ModelParams(params.hyper, params.n_users, params.n_pois,
-                       make_rng(seed).normal(size=params.data.size))
+def random_gradients(params, seed, b=3):
+    """Gradients for `params` with a standard-normal arena and factors of `b` rows."""
+    rng = make_rng(seed)
+    grads = Gradients(params)
+    grads.data[:] = rng.normal(size=grads.data.size)
+    grads.g = rng.normal(size=(b, params.n_pois))
+    grads.pref = rng.normal(size=(b, params.hyper.h))
+    return grads
 
 
 class TestBackward:
@@ -123,10 +125,22 @@ class TestFiniteDifferenceOracle:
     def test_detects_corrupted_gradient(self):
         table, params, sample = random_instance(3, m=12, n=4, d=3, h=5, w=1)
         variant = VARIANTS["bi-stddp"]
-        grads, _ = batch_gradients([sample], params, table, variant, zeros_like(params))
-        grads.user_hidden[...] *= 2.0
-        report = finite_difference_check(params, [sample], table, variant, grads=grads)
-        assert report.per_tensor["user_hidden"] > 0.3
+        grads, _ = batch_gradients([sample], params, table, variant, Gradients(params))
+
+        def double_user_hidden(dense):
+            dense["user_hidden"][...] *= 2.0
+
+        def double_one_output_weight(dense):  # its largest coordinate
+            out = dense["out_weights"]
+            out.flat[np.argmax(np.abs(out))] *= 2.0
+
+        # out_weights' limit is ten times the oracle's default tolerance
+        for name, corrupt, limit in (("user_hidden", double_user_hidden, 0.3),
+                                     ("out_weights", double_one_output_weight, 1e-3)):
+            dense = {k: v.copy() for k, v in grads.dense().items()}
+            corrupt(dense)
+            report = finite_difference_check(params, [sample], table, variant, grads=dense)
+            assert report.per_tensor[name] > limit, name
 
     def test_detects_a_corrupted_row_that_two_contexts_share(self):
         table, params, rows = shared_context_rows(3, 1)
@@ -135,9 +149,9 @@ class TestFiniteDifferenceOracle:
         shared = rows[0].fwd[0]  # in the contexts of rows 0 and 1 only
         assert rows[1].fwd[0] == shared and shared not in rows[2].fwd + rows[2].bwd
         variant = VARIANTS["bi-stddp"]
-        grads, _ = batch_gradients(rows, params, table, variant, zeros_like(params))
+        grads = batch_gradients(rows, params, table, variant, Gradients(params))[0].dense()
         clean = finite_difference_check(params, rows, table, variant, grads=grads)
-        grads.poi_emb[shared] *= 2.0
+        grads["poi_emb"][shared] *= 2.0
         report = finite_difference_check(params, rows, table, variant, grads=grads)
         assert clean.ok and report.per_tensor["poi_emb"] > 0.3
         assert all(report.per_tensor[name] == e for name, e in clean.per_tensor.items()
@@ -150,12 +164,31 @@ class TestFiniteDifferenceOracle:
         assert report.max_error < 1e-6
 
 
+@pytest.mark.parametrize("b, m, h", [(128, 5000, 256), (127, 4999, 256)])
+def test_blocked_output_gradient_has_the_bits_of_one_product(b, m, h):
+    # the gradient check and adam_step form out_weights' gradient in row
+    # blocks; at train-5k's shapes the blocks have the bits of one g.T @ pref
+    params = zero_params(HyperParams(d=1, h=h, w=1), 1, m)
+    grads = Gradients(params)
+    rng = make_rng(b)
+    grads.g, grads.pref = rng.normal(size=(b, m)) / b, np.tanh(rng.normal(size=(b, h)))
+    blocked, whole = grads.dense()["out_weights"], grads.g.T @ grads.pref
+    recorded = json.loads(MANIFEST.read_text(encoding="utf-8"))["build"]
+    if build() == recorded:
+        np.testing.assert_array_equal(blocked, whole)
+    else:
+        np.testing.assert_allclose(
+            blocked, whole, rtol=1e-12, atol=1e-12 * np.abs(whole).max(),
+            err_msg=f"numpy/BLAS build {build()} is not the manifest's {recorded}, so the "
+                    "bits of a matrix product may differ: compared to 1e-12 relative")
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         _, params, _ = random_instance(5, m=8, n=2, d=3, h=4, w=1)
         before = params.copy()
         state = AdamState.init(params)
-        adam_step(params, zeros_like(params), state)
+        adam_step(params, Gradients(params), state)  # a zero arena and factors of no rows
         for (name, a), (_, b) in zip(params.named_tensors(), before.named_tensors()):
             np.testing.assert_array_equal(a, b, err_msg=name)
 
@@ -165,8 +198,8 @@ class TestAdam:
         _, params, _ = random_instance(6, m=8, n=2, d=3, h=4, w=1)
         g = 0.5
         theta0 = params.user_hidden[0, 0]
-        grads = zeros_like(params)
-        grads.user_hidden[0, 0] = g
+        grads = Gradients(params)
+        grads.tensors["user_hidden"][0, 0] = g
         adam_step(params, grads, AdamState.init(params))
         expected = theta0 - 0.001 * g / (math.sqrt(g * g) + 1e-8)
         assert params.user_hidden[0, 0] == pytest.approx(expected, abs=1e-15)
@@ -185,49 +218,72 @@ class TestAdam:
         params.user_hidden[0, 0] = 0.25
         state = AdamState.init(params)
         for g in (g1, g2):
-            grads = zeros_like(params)
-            grads.user_hidden[0, 0] = g
+            grads = Gradients(params)
+            grads.tensors["user_hidden"][0, 0] = g
             adam_step(params, grads, state)
         assert params.user_hidden[0, 0] == pytest.approx(theta, abs=1e-12)
 
     def test_shape_mismatch(self):
-        # a gradient arena or a moment of another length raises before any update
+        # a gradient arena, a factor or a moment of another shape raises
+        # before any update
         _, params, _ = random_instance(8, m=8, n=2, d=3, h=4, w=1)
         before = params.copy()
         state = AdamState.init(params)
         with pytest.raises(ShapeMismatch):
-            adam_step(params, zero_params(params.hyper, params.n_users, 9), state)
+            adam_step(params, Gradients(zero_params(params.hyper, params.n_users, 9)), state)
         assert state.t == 0
         for moment in ("m", "v"):
             state = AdamState.init(params)
             setattr(state, moment, np.zeros(params.data.size - 1))
             with pytest.raises(ShapeMismatch):
-                adam_step(params, random_arena(params, 12), state)
+                adam_step(params, random_gradients(params, 12), state)
             assert state.t == 0
+        m, h = params.out_weights.shape
+        for factor, shape in (("g", (3, m + 1)), ("g", (3, m - 1)), ("g", (m,)),
+                              ("g", (3, m, 1)), ("g", (2, m)), ("pref", (3, h + 1)),
+                              ("pref", (4, h)), ("pref", (h,))):
+            grads = random_gradients(params, 13)
+            setattr(grads, factor, np.ones(shape))
+            state = AdamState.init(params)
+            with pytest.raises(ShapeMismatch):
+                adam_step(params, grads, state)
+            assert state.t == 0, (factor, shape)
         np.testing.assert_array_equal(params.data, before.data)
 
     def test_bit_identical_to_textbook_update(self):
-        # at n=2, d=3, h=4, w=1 the arena holds 9 M + 70 elements; the last
-        # three sizes end one short of a block boundary, on one and one past
+        # at n=2, d=3, h=4, w=1 the arena holds 9 M + 70 elements, 5 M + 70
+        # of them before out_weights; at M = 13093, 32754 and 19647 those end
+        # one short of a block boundary, on one and one past. out_weights is
+        # updated in blocks of ADAM_BLOCK // h rows: at h = 4 M = 8193 ends
+        # in a block of one row; h = 5 and h = 300 do not divide ADAM_BLOCK
         hp = HyperParams(d=3, h=4, w=1)
-        assert [arena_size(hp, 2, m) % ADAM_BLOCK for m in (3633, 7274, 10915)] == [
-            ADAM_BLOCK - 1, 0, 1]
-        for n_pois in (8, 1, 3633, 7274, 10915):
-            _, params, _ = random_instance(9, m=n_pois, n=2, d=3, h=4, w=1)
+        assert [(arena_size(hp, 2, m) - 4 * m) % ADAM_BLOCK for m in (13093, 32754, 19647)
+                ] == [ADAM_BLOCK - 1, 0, 1]
+        assert row_blocks(8193, 4) == [slice(0, 8192), slice(8192, 8193)]
+        assert ADAM_BLOCK % 5 and ADAM_BLOCK % 300
+        for h, n_pois in ((4, 8), (4, 1), (4, 13093), (4, 32754), (4, 19647), (4, 8193),
+                          (5, 6554), (5, 13110), (300, 110), (300, 333)):
+            _, params, _ = random_instance(9, m=n_pois, n=2, d=3, h=h, w=1)
             state = AdamState.init(params, lr=0.003)
             theta = params.data.copy()
             m = np.zeros_like(theta)
             v = np.zeros_like(theta)
             b1, b2, lr, eps = 0.9, 0.999, 0.003, 1e-8
             for t in range(1, 6):
-                grads = random_arena(params, 10 + t)
+                grads = random_gradients(params, 10 + t)
                 adam_step(params, grads, state)
-                g = grads.data
+                # the whole gradient: the arena, then out_weights' formed whole
+                # as the gradient check reads it, within rounding of g.T @ pref
+                dense = grads.dense()["out_weights"]
+                product = grads.g.T @ grads.pref
+                np.testing.assert_allclose(dense, product, rtol=0,
+                                           atol=1e-12 * np.abs(product).max())
+                g = np.concatenate([grads.data, dense.ravel()])
                 m = b1 * m + (1.0 - b1) * g
                 v = b2 * v + (1.0 - b2) * g * g
                 theta = theta - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
                 np.testing.assert_array_equal(params.data, theta,
-                                              err_msg=f"M={n_pois}, step {t}")
+                                              err_msg=f"h={h}, M={n_pois}, step {t}")
 
 
 def test_batch_mean_equals_mean_of_per_sample_gradients():
@@ -238,12 +294,12 @@ def test_batch_mean_equals_mean_of_per_sample_gradients():
                              prep.corpus.n_pois, make_rng(0))
         batch = prep.samples_for("train").take(slice(0, 7))
         for name, variant in VARIANTS.items():
-            grads, _ = batch_gradients(batch, params, table, variant, zeros_like(params))
+            grads, _ = batch_gradients(batch, params, table, variant, Gradients(params))
             per_sample = []
             for s in batch:
                 trace = forward(s, params, table, variant)
                 per_sample.append(backward(trace, s, params, variant))
-            for tname, grad in grads.named_tensors():
+            for tname, grad in grads.dense().items():
                 mean = sum(g[tname] for g in per_sample) / len(batch)
                 np.testing.assert_allclose(grad, mean, rtol=1e-12, atol=1e-15,
                                            err_msg=f"{name}, w={w}: {tname}")
@@ -259,7 +315,7 @@ def test_batched_logits_and_loss_equal_one_sample_calls():
         for name, variant in VARIANTS.items():
             logits = forward_batch(batch, params, table, variant).logits
             losses = softmax_cross_entropy(logits.copy(), batch.targets)
-            _, mean_loss = batch_gradients(batch, params, table, variant, zeros_like(params))
+            _, mean_loss = batch_gradients(batch, params, table, variant, Gradients(params))
             for row, loss, s in zip(logits, losses, batch):
                 trace = forward(s, params, table, variant)
                 np.testing.assert_allclose(row, trace.logits, rtol=1e-12, atol=1e-15,
@@ -275,8 +331,8 @@ def _whole_batch_gate_reference(batch, params, table, variant, g):
     from the same model without dependence terms."""
     plain = replace(variant, use_dependence=False)
     logits = forward_batch(batch, params, table, plain).logits
-    grads = dict(backward_batch(forward_batch(batch, params, table, plain), g, params,
-                                zeros_like(params)).named_tensors())
+    grads = backward_batch(forward_batch(batch, params, table, plain), g, params,
+                           Gradients(params)).dense()
     if variant.use_dependence:
         for use, pois, interval, name in (
                 (variant.use_forward_branch, batch.fwd[:, 0], batch.interval_before,
@@ -314,17 +370,18 @@ def test_per_row_gates_equal_whole_batch_gate_arrays():
             for cache in (None, SpatialRowCache(table, capacity=1)):
                 trace = forward_batch(batch, params, table, variant, cache)
                 np.testing.assert_array_equal(trace.logits, logits, err_msg=f"{name}, w={w}")
-                grads = backward_batch(trace, g, params, zeros_like(params))
-                for tname, grad in grads.named_tensors():
+                grads = backward_batch(trace, g, params, Gradients(params))
+                for tname, grad in grads.dense().items():
                     np.testing.assert_array_equal(grad, expected[tname],
                                                   err_msg=f"{name}, w={w}: {tname}")
             if variant.use_dependence:
-                assert grads.interval_w_before.any() or grads.interval_w_after.any()
+                assert (grads.tensors["interval_w_before"].any()
+                        or grads.tensors["interval_w_after"].any())
 
 
 def test_backward_batch_leaves_nothing_of_what_the_arena_held():
-    # backward_batch zeroes only part of its output arena; a stale arena full
-    # of NaN must come out bit for bit as a fresh zero one does
+    # a stale arena and stale factors full of NaN must come out bit for bit
+    # as a fresh zero gradient does
     corpus = planted_corpus(2).corpus
     for w in (1, 2):
         prep = PreparedCorpus.from_corpus(corpus, w)
@@ -334,11 +391,13 @@ def test_backward_batch_leaves_nothing_of_what_the_arena_held():
         g = make_rng(4).normal(size=(len(batch), corpus.n_pois)) / len(batch)
         for name, variant in VARIANTS.items():
             trace = forward_batch(batch, params, corpus.poi_table, variant)
-            fresh = backward_batch(trace, g, params, zeros_like(params))
-            stale = zeros_like(params)
+            fresh = backward_batch(trace, g, params, Gradients(params)).dense()
+            stale = Gradients(params)
             stale.data[:] = np.nan
+            stale.g, stale.pref = np.full_like(g, np.nan), np.full_like(trace.pref, np.nan)
             assert backward_batch(trace, g, params, stale) is stale
-            assert stale.data.tobytes() == fresh.data.tobytes(), f"{name}, w={w}"
+            for tname, grad in stale.dense().items():
+                assert grad.tobytes() == fresh[tname].tobytes(), f"{name}, w={w}: {tname}"
 
 
 class TestMemory:
@@ -354,7 +413,7 @@ class TestMemory:
             replace(sample, user=int(u), target_poi=int(t), fwd=(int(f),), bwd=(int(b),))
             for u, t, f, b in rng.integers(0, [self.N, self.M, self.M, self.M], (self.B, 4))])
         cache = SpatialRowCache(table, capacity=self.M)
-        grads = zeros_like(params)
+        grads = Gradients(params)
         batch_gradients(batch, params, table, VARIANTS["bi-stddp"], grads, cache)  # rows cached
         return table, params, batch, cache, grads
 
@@ -367,10 +426,12 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def test_adam_step_peak_is_two_blocks_of_scratch(self, step):
+    def test_adam_step_peak_is_three_blocks_of_scratch(self, step):
+        # two pieces of scratch for the update and one that out_weights'
+        # gradient rows are formed in, 256 KiB each
         _, params, _, _, _ = step
         params = params.copy()
-        grads = random_arena(params, 23)
+        grads = random_gradients(params, 23, b=self.B)
         state = AdamState.init(params)
         peak, _ = self.peak_bytes(lambda: adam_step(params, grads, state))
         assert peak < 1_000_000  # whole-tensor scratch arrays took 19.6 MB
@@ -405,6 +466,21 @@ class TestMemory:
                         make_rng(24)))
         assert peak < 3 * params.data.nbytes + 2 * self.B * self.M * 8
         assert res.params is params
+
+    def test_one_epoch_fit_stores_no_output_projection_gradient(self, step):
+        # Adam's m and v, the gradient arena without out_weights and the
+        # (B x M) logits, with room for a second (B x M) array, stay under
+        # this line (39.9 MB here); an (M x h) out_weights gradient (10.2 MB)
+        # on top of them would not, and nor would the factors of the last
+        # batch kept through the validation pass
+        table, params, batch, cache, _ = step
+        params = params.copy()
+        config = TrainConfig(batch_size=self.B, max_epochs=1, patience=1)
+        peak, _ = self.peak_bytes(
+            lambda: fit(batch, batch, params, table, config, VARIANTS["bi-stddp"], cache,
+                        make_rng(24)))
+        assert peak < (3 * params.data.nbytes - params.out_weights.nbytes
+                       + 2 * self.B * self.M * 8)
 
 
 class TestEarlyStop:
@@ -552,7 +628,7 @@ def test_loss_non_increasing_over_first_steps():
         params = init_params(HyperParams(d=4, h=6, w=1), corpus.n_users,
                              corpus.n_pois, make_rng(seed))
         state = AdamState.init(params, lr=0.001)
-        grads = zeros_like(params)
+        grads = Gradients(params)
         losses = []
         for _ in range(6):
             _, loss = batch_gradients(batch, params, corpus.poi_table, variant, grads)
@@ -591,6 +667,11 @@ class TestTrainConfig:
     def test_rejects_a_metric_fit_cannot_score(self, metric):
         with pytest.raises(ValueError, match="unknown early-stop metric"):
             TrainConfig(metric=metric)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
 
     def test_accepts_every_metric_fit_can_score(self):
         for metric in ("val_map", "train_loss", "val_recall@1", "val_recall@5",
