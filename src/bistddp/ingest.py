@@ -5,7 +5,8 @@ splits each user's history chronologically 80/10/10, encodes the 7-bit
 temporal pattern of a timestamp, and builds the identification samples
 (one per check-in that has enough context on both sides). A corpus is its
 POI table and check-in columns, the split one segment code per check-in,
-and the samples one `SampleBatch` of columns: the parsers collect each
+and the samples one read-only `SampleBatch` of columns, grouped by split so
+that each split is a view of its rows: the parsers collect each
 line's values straight into columns, and no later step builds per-POI,
 per-user or per-sample objects. `Sample` is a batch's row view, made only
 on request.
@@ -187,7 +188,8 @@ class SampleBatch:
         return len(self.users)
 
     def take(self, rows: np.ndarray | slice) -> "SampleBatch":
-        """The samples at `rows` (indices, a boolean mask or a slice), in that order."""
+        """The samples at `rows` (indices, a boolean mask or a slice), in that
+        order: a slice gives views of the columns, the others copies."""
         return SampleBatch(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
     def __getitem__(self, i) -> Sample:
@@ -451,7 +453,10 @@ def encode_temporal_pattern(utc_seconds: int, tz_offset_minutes: int) -> tuple[i
 
 
 def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> SampleBatch:
-    """One sample per check-in with >= w check-ins of its user on each side, in row order.
+    """One sample per check-in with >= w check-ins of its user on each side,
+    grouped by split: the train samples, then val, then test, each group in
+    row order. Every column is read-only, so a view of a split cannot write
+    into the batch.
 
     Each sample's split code is its target's segment; context windows may
     cross segment boundaries. Intervals are fractional hours and
@@ -463,9 +468,10 @@ def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> SampleBatch:
     # users are contiguous: rows i - w and i + w of one user enclose only its rows
     span = max(len(ci) - 2 * w, 0)
     targets = w + np.flatnonzero(ci.users[:span] == ci.users[2 * w:])
+    targets = targets[np.argsort(split.segments[targets], kind="stable")]  # train, val, test
     offsets = np.arange(1, w + 1)
     hours = np.diff(ci.times) / 3600.0  # hours[i]: t_{i+1} - t_i
-    return SampleBatch(
+    batch = SampleBatch(
         users=ci.users[targets],
         targets=ci.pois[targets],
         target_utc=ci.times[targets],
@@ -476,14 +482,22 @@ def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> SampleBatch:
         pattern_code=_PATTERN_CODES[_pattern_index(ci.times[targets], ci.tz[targets])],
         split=split.segments[targets],
     )
+    for f in fields(batch):
+        getattr(batch, f.name).setflags(write=False)
+    return batch
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparedCorpus:
     corpus: Corpus
     split: CorpusSplit
-    samples: SampleBatch
+    samples: SampleBatch  # grouped by split, as `build_samples` makes them
     window: int
+
+    def __post_init__(self):
+        codes = self.samples.split
+        if np.any(codes[1:] < codes[:-1]):
+            raise ValueError("the samples must be grouped by split: train, then val, then test")
 
     @classmethod
     def from_corpus(cls, corpus: Corpus, w: int) -> "PreparedCorpus":
@@ -492,8 +506,11 @@ class PreparedCorpus:
         return cls(corpus, split, build_samples(corpus, split, w), w)
 
     def samples_for(self, split: str) -> SampleBatch:
-        """The samples whose target is in `split` (train, val or test), in row order."""
-        return self.samples.take(self.samples.split == _SEGMENTS.index(split))
+        """The samples whose target is in `split` (train, val or test), in row
+        order: a read-only view of their rows of `samples`, not a copy."""
+        code = _SEGMENTS.index(split)
+        lo, hi = np.searchsorted(self.samples.split, np.array([code, code + 1], dtype=np.int8))
+        return self.samples.take(slice(lo, hi))
 
 
 def prepare(

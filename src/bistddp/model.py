@@ -146,9 +146,9 @@ def init_params(
     """Glorot-uniform initialization of every tensor, drawn in layout order,
     so one seed fixes the whole model."""
     params = zero_params(hp, n_users, n_pois)
-    for (_, view), (_, shape, fan_in, fan_out) in zip(
+    for (_, view), (_, _, fan_in, fan_out) in zip(
             params.named_tensors(), param_layout(hp, n_users, n_pois)):
-        view[...] = glorot_uniform(rng, fan_in, fan_out, shape)
+        glorot_uniform(rng, fan_in, fan_out, view)
     return params
 
 

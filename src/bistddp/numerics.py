@@ -50,10 +50,16 @@ def softmax_cross_entropy(z: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def glorot_uniform(
-    rng: np.random.Generator, fan_in: int, fan_out: int, shape
+    rng: np.random.Generator, fan_in: int, fan_out: int, out: np.ndarray
 ) -> np.ndarray:
-    """Uniform on [-L, L] with L = sqrt(6 / (fan_in + fan_out))."""
+    """Fill the C-contiguous float64 array `out` in place, uniform on [-L, L]
+    with L = sqrt(6 / (fan_in + fan_out)), and return it. The draws have
+    the bits of `rng.uniform(-L, L, out.shape)`, which computes -L + 2L * U
+    from the same stream of U, without its temporary."""
     if fan_in < 1 or fan_out < 1:
         raise ValueError(f"fans must be positive, got {fan_in}, {fan_out}")
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    rng.random(out=out)
+    out *= 2 * limit
+    out -= limit
+    return out

@@ -1,7 +1,8 @@
 import re
 import tempfile
+import tracemalloc
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -516,8 +517,8 @@ class TestTemporalPattern:
         events = [[(k % 4, base - 60 * tz + 1800 * (k - 1), tz) for k in range(338)]
                   for tz in (0, -570)]
         batch = PreparedCorpus.from_corpus(corpus_from_events([(0, 0)] * 4, events), 1).samples
-        utc, tz = batch.target_utc, np.repeat([0, -570], 336)
-        assert len(batch) == 2 * 336
+        utc, tz = batch.target_utc, np.array([0, -570])[batch.users]
+        assert len(batch) == 2 * 336 and np.bincount(batch.users).tolist() == [336, 336]
         expected = [reference_pattern(t, z) for t, z in zip(utc.tolist(), tz.tolist())]
         assert batch.pattern.dtype == np.float64
         np.testing.assert_array_equal(batch.pattern, np.array(expected, dtype=np.float64))
@@ -567,7 +568,8 @@ def reference_segments(corpus):
 
 
 def reference_samples(corpus, w):
-    """`build_samples` written one sample at a time, as its definition reads."""
+    """`build_samples` written one sample at a time, as its definition reads:
+    the samples in row order, then grouped by split, stably."""
     ci = corpus.checkins
     users, pois, times, tz = (c.tolist() for c in (ci.users, ci.pois, ci.times, ci.tz))
     segments = reference_segments(corpus)
@@ -586,7 +588,7 @@ def reference_samples(corpus, w):
             interval_after=(times[i + 1] - times[i]) / 3600.0,
             split=("train", "val", "test")[segments[i]],
         ))
-    return samples
+    return sorted(samples, key=lambda s: ("train", "val", "test").index(s.split))
 
 
 def assert_plain(s):
@@ -634,6 +636,51 @@ class TestBuildSamples:
                     assert column.dtype == want.dtype, f.name
                     np.testing.assert_array_equal(column, want, err_msg=f.name)
                 assert SampleBatch.from_samples(batch) is batch
+
+    def test_samples_for_is_a_view_of_its_rows(self):
+        prep = PreparedCorpus.from_corpus(random_corpus(5, n_users=6, t=900), 1)
+        batch = prep.samples
+        assert len(batch) > 5000
+        for code, tag in enumerate(("train", "val", "test")):
+            tracemalloc.start()
+            try:
+                view = prep.samples_for(tag)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4096  # a copy of the train rows would take 240 KB
+            copy = batch.take(batch.split == code)
+            assert 0 < len(view) == len(copy)
+            for f in fields(SampleBatch):
+                column = getattr(view, f.name)
+                assert np.shares_memory(column, getattr(batch, f.name)), f.name
+                np.testing.assert_array_equal(column, getattr(copy, f.name), err_msg=f.name)
+
+    def test_a_split_view_cannot_write_into_the_corpus(self):
+        prep = PreparedCorpus.from_corpus(random_corpus(1, n_users=6, t=17), 1)
+        for batch in (prep.samples, prep.samples_for("val")):
+            for f in fields(SampleBatch):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(batch, f.name)[0] = 1
+        before = prep.samples.users.copy()
+        copy = prep.samples_for("val").take(np.arange(2))  # indices: a writable copy
+        copy.users[:] = -1
+        np.testing.assert_array_equal(prep.samples.users, before)
+
+    def test_ungrouped_samples_are_refused(self):
+        prep = PreparedCorpus.from_corpus(random_corpus(3, n_users=6, t=17), 1)
+        assert set(prep.samples.split.tolist()) == {0, 1, 2}
+        backwards = prep.samples.take(np.arange(len(prep.samples))[::-1])
+        with pytest.raises(ValueError, match="grouped by split"):
+            PreparedCorpus(prep.corpus, prep.split, backwards, 1)
+        with pytest.raises(FrozenInstanceError):
+            prep.samples = backwards
+        rows = list(prep.samples)
+        ungrouped = SampleBatch.from_samples(rows[-1:] + rows[:-1])  # a test row first
+        with pytest.raises(ValueError, match="grouped by split"):
+            PreparedCorpus(prep.corpus, prep.split, ungrouped, 1)
+        again = PreparedCorpus(prep.corpus, prep.split, SampleBatch.from_samples(rows), 1)
+        assert list(again.samples_for("test")) == list(prep.samples_for("test"))
 
     def corpus(self, t=5):
         coords = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]

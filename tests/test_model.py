@@ -2,6 +2,7 @@ import contextlib
 import math
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -72,6 +73,29 @@ def test_init_shapes_and_determinism():
         np.testing.assert_array_equal(t, dict(b.named_tensors())[name])
     # interval weights follow the M x 1 fan convention
     assert np.abs(a.interval_w_before).max() <= math.sqrt(6.0 / 10.0)
+
+
+@pytest.mark.parametrize("n, m, d, h, w", [(7, 300, 5, 12, 2), (1000, 5000, 64, 256, 1)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_init_draws_in_place_the_bits_of_rng_uniform(n, m, d, h, w, seed):
+    # each tensor is drawn into its arena view, with the bits that
+    # rng.uniform(-L, L, shape) gives from the same stream; a temporary of
+    # the largest tensor's size (out_weights, 10.2 MB at M = 5000, h = 256)
+    # would cross the 8 KB of room the arena is given
+    hp, rng = HyperParams(d=d, h=h, w=w), make_rng(seed)
+    tracemalloc.start()
+    try:
+        params = init_params(hp, n, m, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.data.nbytes + 8192
+    rng = make_rng(seed)
+    for (name, got), (_, shape, fan_in, fan_out) in zip(
+            params.named_tensors(), model.param_layout(hp, n, m)):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        want = rng.uniform(-limit, limit, shape)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=name)
 
 
 @settings(max_examples=60, deadline=None)
