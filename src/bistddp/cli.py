@@ -27,6 +27,7 @@ from . import baselines as bl
 from .evaluation import MetricsReport, evaluate, format_report_table, report_from_ranks
 from .geodata import (
     ROW_ABS_TOL_KM,
+    ROW_CACHE_CAPACITY,
     ROW_REL_MIN_KM,
     ROW_REL_TOL,
     PoiTable,
@@ -55,7 +56,6 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
     target_ranks,
-    variant_from_name,
     zero_params,
 )
 from .numerics import make_rng, seeded_generators, softmax_cross_entropy
@@ -95,7 +95,7 @@ class ExperimentConfig:
     min_user: int = 10
     min_poi_users: int = 10
     filter_fixpoint: bool = False
-    cache_capacity: int = 1024
+    cache_capacity: int = ROW_CACHE_CAPACITY
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
@@ -281,7 +281,7 @@ def _check_fit_inputs(cfg: ExperimentConfig, data: PreparedCorpus) -> None:
 def _model_report(cfg: ExperimentConfig, params: ModelParams, samples: SampleBatch,
                   cache: SpatialRowCache) -> MetricsReport:
     """`cfg.variant`'s metrics at `cfg.k` on `samples`, ranked through the batched path."""
-    ranks = target_ranks(samples, params, cache.table, variant_from_name(cfg.variant), cache)
+    ranks = target_ranks(samples, params, cache, VARIANTS[cfg.variant])
     return report_from_ranks(ranks, cfg.k)
 
 
@@ -308,7 +308,7 @@ def _fit(cfg: ExperimentConfig, prepared_corpus: PreparedCorpus, cache: SpatialR
         params,
         corpus.poi_table,
         tc,
-        variant_from_name(cfg.variant),
+        VARIANTS[cfg.variant],
         cache=cache,
         rng=shuffle_rng,
     )
@@ -477,7 +477,8 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
     for name, variant in VARIANTS.items():
         for seed in (0, 1):
             table, params, sample = random_instance(seed, m=12, n=4, d=3, h=5, w=1)
-            report = finite_difference_check(params, [sample], table, variant)
+            report = finite_difference_check(SampleBatch.from_samples([sample]), params,
+                                             SpatialRowCache(table), variant)
             check(f"gradient oracle {name} seed {seed}", report.ok,
                   f"max rel err {report.max_error:.2e}")
 
@@ -511,8 +512,8 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
 
     # the loss and probabilities as training computes them, on a batch of one
     table, _, sample = random_instance(3, m=40, n=3, d=4, h=6, w=1)
-    one = SampleBatch.from_samples([sample])
-    probs = forward_batch(one, zero_params(HyperParams(d=4, h=6, w=1), 3, 40), table).logits
+    one, zero = SampleBatch.from_samples([sample]), zero_params(HyperParams(d=4, h=6, w=1), 3, 40)
+    probs = forward_batch(one, zero, SpatialRowCache(table)).logits
     loss = float(softmax_cross_entropy(probs, one.targets)[0])  # leaves the softmax in probs
     check("zero model is uniform with loss ln M",
           abs(loss - math.log(40)) < 1e-9 and np.all(np.abs(probs - 1.0 / 40) < 1e-12),
@@ -524,16 +525,16 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
     table, params, sample = random_instance(4, m=m, n=4, d=3, h=5, w=1)
     batch = replace(SampleBatch.from_samples([sample]).take(np.zeros(m, dtype=np.int64)),
                     targets=np.arange(m), users=np.arange(m) % 4)
-    tied = zero_params(params.hyper, params.n_users, m)
+    tied, rows = zero_params(params.hyper, params.n_users, m), SpatialRowCache(table)
     ranks_ok = True
     for variant in VARIANTS.values():
         for p in (params, tied):
-            probs = forward_batch(batch, p, table, variant).logits
+            probs = forward_batch(batch, p, rows, variant).logits
             softmax_cross_entropy(probs, batch.targets)
             order = np.argsort(-probs, axis=1, kind="stable")
             expected = 1 + np.argmax(order == batch.targets[:, None], axis=1)
-            ranks_ok &= np.array_equal(target_ranks(batch, p, table, variant), expected)
-        ranks_ok &= target_ranks(batch, tied, table, variant).tolist() == list(range(1, m + 1))
+            ranks_ok &= np.array_equal(target_ranks(batch, p, rows, variant), expected)
+        ranks_ok &= target_ranks(batch, tied, rows, variant).tolist() == list(range(1, m + 1))
     check("batched ranks match a stable argsort of the probabilities", ranks_ok)
 
     # the corpus file stores check-ins only; loading rebuilds split and samples.
@@ -616,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("prepare", "selfcheck"):
             return command(cfg)
         return command(_set_up(cfg, file_values.keys() | flag_values.keys(), args))
-    except (ValueError, FileNotFoundError, IsADirectoryError,
+    except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError,
             NotADirectoryError, PermissionError) as exc:
         # MalformedConfig, EmptyCorpus, BadCorpusFile, BadCheckpoint and
         # ShapeMismatch are all ValueErrors: bad input

@@ -7,7 +7,8 @@ table's arrays) passes one range rule, `coordinate_error`.
 A POI's spatial vector is its distance row to every candidate POI divided by
 the population standard deviation of that row. The full M x M distance
 matrix is never built (M can reach tens of thousands); rows are computed on
-demand and kept in a bounded LRU cache.
+demand and kept in a bounded LRU cache, `SpatialRowCache`, the one place
+the model reads them from.
 
 A row is the haversine over half-angle tables built once per `PoiTable`
 (see `PoiTable.distance_row_km`): multiplies, one `sqrt` and one `arcsin`
@@ -33,6 +34,7 @@ ROW_REL_TOL = 5e-8
 ROW_REL_MIN_KM = 1e-3
 ROW_ABS_TOL_KM = 1e-11
 MAX_LAT, MAX_LON = 90.0, 180.0  # degrees; see `coordinate_error`
+ROW_CACHE_CAPACITY = 1024  # rows a `SpatialRowCache` keeps unless told otherwise
 
 
 class DegenerateGeometry(ValueError):
@@ -173,7 +175,7 @@ class SpatialRowCache:
     after its eviction recomputes its distances but not their deviation.
     """
 
-    def __init__(self, table: PoiTable, capacity: int = 1024):
+    def __init__(self, table: PoiTable, capacity: int = ROW_CACHE_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.table = table
@@ -196,3 +198,11 @@ class SpatialRowCache:
         if len(self._rows) > self.capacity:
             self._rows.popitem(last=False)
         return fresh
+
+
+def row_source(table: PoiTable, cache: SpatialRowCache | None) -> SpatialRowCache:
+    """`cache`, or a new cache on `table` if it is None; ValueError if `cache`
+    holds another table, whose rows would silently replace `table`'s."""
+    if cache is not None and cache.table is not table:
+        raise ValueError("the row cache was built on another POI table")
+    return SpatialRowCache(table) if cache is None else cache

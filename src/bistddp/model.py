@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodata import PoiTable, SpatialRowCache, spatial_vector
+# spatial_vector is a module attribute only, for perfbench's tracer to patch
+from .geodata import PoiTable, SpatialRowCache, row_source, spatial_vector  # noqa: F401
 from .ingest import Sample, SampleBatch, atomic_open
 from .numerics import ShapeMismatch, glorot_uniform, softmax_cross_entropy, stable_softmax
 
@@ -65,13 +66,6 @@ VARIANTS: dict[str, VariantConfig] = {
     "bi-b": VariantConfig(use_dependence=False),
     "bi-a": VariantConfig(use_dependence=False, use_time_pattern=False),
 }
-
-
-def variant_from_name(name: str) -> VariantConfig:
-    try:
-        return VARIANTS[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}") from None
 
 
 def param_layout(hp: HyperParams, n_users: int, n_pois: int) -> list[tuple[str, tuple, int, int]]:
@@ -203,8 +197,8 @@ class BatchTrace:
 
     Row i belongs to sample i of the batch. `branches` and `directions` are
     `_branch_table`'s, with each branch's activation and each direction's
-    distance rows: the read-only arrays the cache (or `spatial_vector`)
-    returned, one per sample, never stacked. The gates are not kept: forward
+    distance rows: the read-only arrays the row cache returned, one per
+    sample, never stacked. The gates are not kept: forward
     and backward each compute one sample's length-M gate row at a time.
     """
 
@@ -225,8 +219,10 @@ class ForwardTrace:
     probs: np.ndarray  # (M,)
 
 
-def _check_batch(batch: SampleBatch, params: ModelParams, w: int) -> None:
-    m, n = params.n_pois, params.n_users
+def _check_batch(batch: SampleBatch, params: ModelParams, rows: SpatialRowCache) -> None:
+    m, n, w = params.n_pois, params.n_users, params.hyper.w
+    if len(rows.table) != m:
+        raise ShapeMismatch(f"row cache's table has {len(rows.table)} POIs, the parameters M={m}")
     if batch.fwd.shape[1] != w or batch.bwd.shape[1] != w:
         raise ShapeMismatch(
             f"context width {batch.fwd.shape[1]}/{batch.bwd.shape[1]} does not match w={w}"
@@ -245,16 +241,15 @@ def _check_batch(batch: SampleBatch, params: ModelParams, w: int) -> None:
 def forward_batch(
     batch: SampleBatch,
     params: ModelParams,
-    table: PoiTable,
+    rows: SpatialRowCache,
     variant: VariantConfig = VARIANTS["bi-stddp"],
-    cache: SpatialRowCache | None = None,
 ) -> BatchTrace:
     """Evaluate the model on a batch: logits are one (B x h) @ (h x M) GEMM.
 
     Dependence terms use only the immediate neighbors (t-1 / t+1) even for
     w > 1; wider context enters through the hidden branches.
     """
-    _check_batch(batch, params, len(params.fwd_hidden))
+    _check_batch(batch, params, rows)
     tensors = dict(params.named_tensors())
     branches, directions = _branch_table(batch, params, variant)
 
@@ -270,8 +265,7 @@ def forward_batch(
 
     for d in directions:
         # one row lookup per distinct POI, in order of first appearance
-        distinct = {p: cache.row(p) if cache is not None else spatial_vector(p, table)
-                    for p in dict.fromkeys(d.pois.tolist())}
+        distinct = {p: rows.row(p) for p in dict.fromkeys(d.pois.tolist())}
         d.rows = [distinct[p] for p in d.pois.tolist()]
         # each sample's gate row tanh(interval * weights) in one length-M
         # buffer: no (B x M) gate array is built
@@ -292,8 +286,10 @@ def forward(
     variant: VariantConfig = VARIANTS["bi-stddp"],
     cache: SpatialRowCache | None = None,
 ) -> ForwardTrace:
-    """Evaluate the model on one sample: `forward_batch` on a batch of one."""
-    batch = forward_batch(SampleBatch.from_samples([sample]), params, table, variant, cache)
+    """Evaluate the model on one sample: `forward_batch` on a batch of one,
+    with the rows of `row_source(table, cache)`."""
+    batch = forward_batch(SampleBatch.from_samples([sample]), params, row_source(table, cache),
+                          variant)
     return ForwardTrace(sample, variant, batch, batch.logits[0], stable_softmax(batch.logits[0]))
 
 
@@ -322,9 +318,8 @@ class NonFiniteScores(RuntimeError):
 def target_ranks(
     batch: SampleBatch,
     params: ModelParams,
-    table: PoiTable,
+    rows: SpatialRowCache,
     variant: VariantConfig = VARIANTS["bi-stddp"],
-    cache: SpatialRowCache | None = None,
 ) -> np.ndarray:
     """1-based rank of each sample's target among all M candidates.
 
@@ -342,7 +337,7 @@ def target_ranks(
         chunk = batch.take(slice(lo, lo + RANK_CHUNK))
         try:
             with np.errstate(over="raise", invalid="raise"):
-                p = forward_batch(chunk, params, table, variant, cache).logits
+                p = forward_batch(chunk, params, rows, variant).logits
         except FloatingPointError as exc:
             raise NonFiniteScores(f"non-finite value while ranking ({exc})") from exc
         softmax_cross_entropy(p, chunk.targets)  # leaves each row's softmax in p

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluation import MetricsReport, report_from_ranks
-from .geodata import PoiTable, SpatialRowCache
+from .geodata import PoiTable, SpatialRowCache, row_source
 from .ingest import Sample, SampleBatch, atomic_open
 from .model import (
     BatchTrace,
@@ -164,21 +164,19 @@ def backward(
 
 
 def batch_gradients(
-    samples: SampleBatch | list[Sample],
+    batch: SampleBatch,
     params: ModelParams,
-    table: PoiTable,
+    rows: SpatialRowCache,
     variant: VariantConfig,
     out: Gradients,
-    cache: SpatialRowCache | None = None,
 ) -> tuple[Gradients, float]:
     """Mean gradients, written into `out`, and mean loss over a batch, in one
     pass; `out`'s factors are the batch's logit buffer and preference."""
-    samples = SampleBatch.from_samples(samples)
-    trace = forward_batch(samples, params, table, variant, cache)
+    trace = forward_batch(batch, params, rows, variant)
     g = trace.logits  # overwritten with the probabilities, then with dJ/dlogits
-    loss = float(softmax_cross_entropy(g, samples.targets).mean())
-    g[np.arange(len(samples)), samples.targets] -= 1.0
-    g /= len(samples)
+    loss = float(softmax_cross_entropy(g, batch.targets).mean())
+    g[np.arange(len(batch)), batch.targets] -= 1.0
+    g /= len(batch)
     return backward_batch(trace, g, params, out), loss
 
 
@@ -379,7 +377,7 @@ def fit(
     cache: SpatialRowCache | None = None,
     rng: np.random.Generator | None = None,
 ) -> FitResult:
-    """Mini-batch training with early stopping.
+    """Mini-batch training with early stopping, on the rows of `row_source(table, cache)`.
 
     Every epoch shuffles the training samples with the seeded RNG, applies
     Adam on per-batch mean gradients (the last short batch is kept), then
@@ -394,8 +392,7 @@ def fit(
     check_fit_inputs(train_samples, val_samples, config.metric)
     metric = config.metric
     cutoff = int(metric.split("@")[1]) if "@" in metric else None  # of a recall metric
-    if cache is None:
-        cache = SpatialRowCache(table, capacity=min(1024, len(table)))
+    rows = row_source(table, cache)
     if rng is None:
         rng = make_rng(config.seed)
     data = SampleBatch.from_samples(train_samples)
@@ -414,7 +411,7 @@ def fit(
             batch = data.take(order[lo : lo + config.batch_size])
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    _, batch_loss = batch_gradients(batch, params, table, variant, grads, cache)
+                    _, batch_loss = batch_gradients(batch, params, rows, variant, grads)
                     if not math.isfinite(batch_loss):
                         raise Diverged(f"epoch {epoch}: non-finite batch loss {batch_loss}")
                     adam_step(params, grads, adam)
@@ -427,7 +424,7 @@ def fit(
 
         def report(samples: SampleBatch, ks: tuple[int, ...]) -> MetricsReport:
             try:
-                ranks = target_ranks(samples, params, table, variant, cache)
+                ranks = target_ranks(samples, params, rows, variant)
             except NonFiniteScores as exc:
                 raise Diverged(f"epoch {epoch}: {exc}") from exc
             return report_from_ranks(ranks, ks)
@@ -474,9 +471,9 @@ class FdReport:
 
 
 def finite_difference_check(
+    batch: SampleBatch,
     params: ModelParams,
-    samples: SampleBatch | list[Sample],
-    table: PoiTable,
+    rows: SpatialRowCache,
     variant: VariantConfig,
     delta: float = 1e-5,
     tolerance: float = 1e-4,
@@ -494,15 +491,12 @@ def finite_difference_check(
     `batch_gradients` (handy for verifying that a corrupted gradient is
     actually detected).
     """
-    samples = SampleBatch.from_samples(samples)
-    cache = SpatialRowCache(table, capacity=len(table))
     if grads is None:
-        grads = batch_gradients(samples, params, table, variant, Gradients(params),
-                                cache)[0].dense()
+        grads = batch_gradients(batch, params, rows, variant, Gradients(params))[0].dense()
 
     def loss() -> float:
-        logits = forward_batch(samples, params, table, variant, cache).logits
-        return float(softmax_cross_entropy(logits, samples.targets).mean())
+        logits = forward_batch(batch, params, rows, variant).logits
+        return float(softmax_cross_entropy(logits, batch.targets).mean())
 
     per_tensor: dict[str, float] = {}
     for name, tensor in params.named_tensors():

@@ -15,8 +15,9 @@ import pytest
 
 from bistddp.baselines import fit_counts, rank_backward, rank_forward, rank_top1, rank_top2
 from bistddp.evaluation import evaluate, report_from_ranks
-from bistddp.geodata import PoiTable
-from bistddp.ingest import Sample, encode_temporal_pattern, parse_foursquare, prepare, split_corpus
+from bistddp.geodata import PoiTable, SpatialRowCache
+from bistddp.ingest import (Sample, SampleBatch, encode_temporal_pattern, parse_foursquare, prepare,
+                            split_corpus)
 from bistddp.model import (
     HyperParams,
     VARIANTS,
@@ -54,7 +55,8 @@ def test_criterion_1_gradient_oracle():
         w = 1 + seed % 2
         for name, variant in VARIANTS.items():
             table, params, sample = random_instance(seed, m=30, n=6, d=5, h=7, w=w)
-            rep = finite_difference_check(params, [sample], table, variant,
+            rep = finite_difference_check(SampleBatch.from_samples([sample]), params,
+                                          SpatialRowCache(table), variant,
                                           delta=1e-5, tolerance=1e-4)
             worst = max(worst, rep.max_error)
             assert rep.ok, f"{name} seed {seed} w {w}: {rep.max_error:.2e}"

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import errno
+import os
 import re
 import struct
 import warnings
@@ -156,6 +158,30 @@ class TestTrainEvaluate:
         assert len(log) == 2
         assert set(log[0]) == {"epoch", "train_loss", "val_recall@1", "val_recall@5",
                                "val_recall@10", "val_map", "seconds"}
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+    def test_out_that_is_or_is_under_a_file_exits_2(self, raw_foursquare, prepared_dir, tmp_path,
+                                                    capsys, under):
+        # creating --out fails with FileExistsError or NotADirectoryError:
+        # bad input, like any other path --out cannot be made at
+        assert self.train(prepared_dir, tmp_path / "run") == 0
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"a file\n")
+        out = blocker / "out" if under else blocker
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("prepare", "--data", raw_foursquare, "--out", out) == 2
+            assert run("evaluate", "--data", prepared_dir / "corpus.tsv", "--checkpoint",
+                       tmp_path / "run" / "checkpoint.bin", "--out", out) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        code = errno.ENOTDIR if under else errno.EEXIST
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: [Errno {code}] {os.strerror(code)}: "
+                                             f"'{out}'"] * 2
+        assert blocker.read_bytes() == b"a file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "prep", "raw.tsv", "run"]
 
     def test_diverged_run_exits_1_without_artifacts(self, prepared_dir, tmp_path, capsys):
         out = tmp_path / "run"

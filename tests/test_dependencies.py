@@ -1,15 +1,21 @@
 """The package imports nothing but the standard library and numpy, neither the
 CLI nor the gradient oracle uses the per-sample model API, the package
-namespace exports none of it, and one model function reads the variant's flags."""
+namespace exports none of it, one model function reads the variant's flags,
+and the model reads distance rows only through the row cache it is handed."""
 
 import ast
+import inspect
 import sys
+import typing
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from bistddp.model import VariantConfig
+from bistddp.geodata import SpatialRowCache
+from bistddp.ingest import SampleBatch
+from bistddp.model import VariantConfig, forward_batch, target_ranks
+from bistddp.train import batch_gradients, finite_difference_check
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bistddp"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "bistddp"}
@@ -125,22 +131,30 @@ def test_the_gradient_oracle_uses_no_per_sample_model_code():
     assert not used, f"finite_difference_check uses {sorted(used)}"
 
 
+def scoped_nodes(path: Path):
+    """(scope, node) for every AST node of `path`, where scope is the
+    enclosing "Class.method" or "function", or "<module>" outside any."""
+
+    def visit(node: ast.AST, scope: str):
+        yield scope, node
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, child.name if scope == "<module>"
+                                 else f"{scope}.{child.name}")
+            else:
+                yield from visit(child, scope)
+
+    return visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+
+
 def variant_flag_reads(path: Path) -> dict[str, set[str]]:
     """The VariantConfig flags each function in `path` reads as an attribute,
     keyed by "Class.method" or "function"; "<module>" for reads outside any."""
     flags = {f.name for f in fields(VariantConfig)}
     reads: dict[str, set[str]] = {}
-
-    def visit(node: ast.AST, scope: str) -> None:
+    for scope, node in scoped_nodes(path):
         if isinstance(node, ast.Attribute) and node.attr in flags:
             reads.setdefault(scope, set()).add(node.attr)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
-            else:
-                visit(child, scope)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
     return reads
 
 
@@ -155,3 +169,24 @@ def test_one_model_function_decides_what_the_variant_runs():
     readers = {name for name in variant_flag_reads(PACKAGE / "model.py")
                if not name.startswith("VariantConfig.")}  # its own validation
     assert readers == {"_branch_table"}
+
+
+def test_only_the_row_cache_computes_distance_rows():
+    # so the cache's hit and miss counters see every row the model reads; the
+    # model and the package keep `spatial_vector` as an attribute, uncalled
+    readers = {(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
+               for scope, node in scoped_nodes(path)
+               if isinstance(node, ast.Name) and node.id == "spatial_vector"
+               or isinstance(node, ast.Attribute) and node.attr == "spatial_vector"}
+    assert readers == {("geodata.py", "SpatialRowCache.row")}
+
+
+@pytest.mark.parametrize("function", [forward_batch, target_ranks, batch_gradients,
+                                      finite_difference_check], ids=lambda f: f.__name__)
+def test_the_batched_core_takes_a_batch_and_one_required_row_cache(function):
+    parameters = inspect.signature(function).parameters
+    hints = typing.get_type_hints(function)
+    assert not {"table", "cache"} & parameters.keys()
+    assert list(parameters)[:3] == ["batch", "params", "rows"]
+    assert hints["batch"] is SampleBatch and hints["rows"] is SpatialRowCache
+    assert parameters["rows"].default is inspect.Parameter.empty

@@ -286,10 +286,11 @@ _LOSS_RTOL = 1e-12
 def test_model_agrees_with_sin_difference_oracle(seed):
     table, params, sample = random_instance(seed, m=40, w=2)
     old = SinDifferenceTable(table.ids, table.lat, table.lon)
-    batch = SampleBatch.from_samples([sample])
+    batch, new_rows, old_rows = (SampleBatch.from_samples([sample]), SpatialRowCache(table),
+                                 SpatialRowCache(old))
     for name, variant in VARIANTS.items():
-        np.testing.assert_allclose(forward_batch(batch, params, table, variant).logits,
-                                   forward_batch(batch, params, old, variant).logits,
+        np.testing.assert_allclose(forward_batch(batch, params, new_rows, variant).logits,
+                                   forward_batch(batch, params, old_rows, variant).logits,
                                    rtol=0, atol=_LOGIT_ATOL, err_msg=name)
 
     prep = planted_corpus(seed)
@@ -299,8 +300,8 @@ def test_model_agrees_with_sin_difference_oracle(seed):
     params = init_params(HyperParams(d=5, h=8, w=1), corpus.n_users, corpus.n_pois,
                          make_rng(seed))
     train, val = prep.samples_for("train"), prep.samples_for("val")
-    np.testing.assert_allclose(forward_batch(train, params, table).logits,
-                               forward_batch(train, params, old).logits,
+    np.testing.assert_allclose(forward_batch(train, params, SpatialRowCache(table)).logits,
+                               forward_batch(train, params, SpatialRowCache(old)).logits,
                                rtol=0, atol=_LOGIT_ATOL)
     config = TrainConfig(max_epochs=1, batch_size=64, seed=seed)
     losses = [fit(train, val, params.copy(), t, config, VARIANTS["bi-stddp"]).log[0].train_loss

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bistddp.evaluation import _rank_of, evaluate, report_from_ranks
-from bistddp.geodata import PoiTable
+from bistddp.geodata import PoiTable, SpatialRowCache
 from bistddp.ingest import PreparedCorpus, Sample, SampleBatch
 from bistddp import model
 from bistddp.model import (
@@ -33,12 +33,11 @@ from bistddp.model import (
     predict_topk,
     save_checkpoint,
     target_ranks,
-    variant_from_name,
     zero_params,
 )
 from bistddp.numerics import ShapeMismatch, make_rng
 from bistddp.synthetic import planted_corpus, random_instance
-from bistddp.train import TrainConfig, fit
+from bistddp.train import Gradients, TrainConfig, batch_gradients, finite_difference_check, fit
 
 
 def test_hyperparams_defaults_and_validation():
@@ -51,9 +50,6 @@ def test_hyperparams_defaults_and_validation():
 def test_variant_requires_a_direction():
     with pytest.raises(ValueError):
         VariantConfig(use_forward_branch=False, use_backward_branch=False)
-    with pytest.raises(ValueError):
-        variant_from_name("nope")
-    assert variant_from_name("F-STDDP").use_backward_branch is False
 
 
 def test_init_shapes_and_determinism():
@@ -162,7 +158,7 @@ def test_zero_intervals_zero_dependence():
     params = init_params(HyperParams(d=3, h=4, w=1), 2, 6, make_rng(1))
     for intervals, zero in (((0.0, 0.0), True), ((1.5, 0.0), False), ((0.0, 2.5), False)):
         sample = _sample(interval_before=intervals[0], interval_after=intervals[1])
-        trace = forward_batch(SampleBatch.from_samples([sample]), params, table)
+        trace = forward_batch(SampleBatch.from_samples([sample]), params, SpatialRowCache(table))
         projected = trace.pref @ params.out_weights.T
         assert np.array_equal(trace.logits, projected) == zero, intervals
 
@@ -268,7 +264,43 @@ def test_forward_validates_indices():
     # in a batch, the first offending sample is named
     batch = [sample, replace(sample, target_poi=9), replace(sample, target_poi=-1)]
     with pytest.raises(ShapeMismatch, match=r"target POI 9 outside \[0, 8\)"):
-        forward_batch(SampleBatch.from_samples(batch), params, table)
+        forward_batch(SampleBatch.from_samples(batch), params, SpatialRowCache(table))
+
+
+def test_a_row_cache_of_another_size_is_refused():
+    # parameters for M = 9 and rows of length 10: every batched entry point
+    # names both counts before it computes anything
+    _, params, sample = random_instance(15, m=9, n=3, d=3, h=4, w=1)
+    rows = SpatialRowCache(_grid_table(10))
+    batch, variant = SampleBatch.from_samples([sample]), VARIANTS["bi-stddp"]
+    for name, call in (
+            ("forward_batch", lambda: forward_batch(batch, params, rows, variant)),
+            ("target_ranks", lambda: target_ranks(batch, params, rows, variant)),
+            ("batch_gradients",
+             lambda: batch_gradients(batch, params, rows, variant, Gradients(params))),
+            ("finite_difference_check",
+             lambda: finite_difference_check(batch, params, rows, variant))):
+        with pytest.raises(ShapeMismatch, match=r"table has 10 POIs, the parameters M=9"):
+            call()
+        assert rows.hits == rows.misses == 0, name
+
+
+def test_a_row_cache_on_another_table_is_refused():
+    # a table of the same size at other places: its rows would silently
+    # replace the given table's, and change the logits
+    table, params, sample = random_instance(16, m=9, n=3, d=3, h=4, w=1)
+    other = PoiTable(table.ids, table.lat[::-1], table.lon[::-1])
+    assert not np.array_equal(forward(sample, params, table).logits,
+                              forward(sample, params, other).logits)
+    cache, variant = SpatialRowCache(other), VARIANTS["bi-stddp"]
+    before = params.data.copy()
+    with pytest.raises(ValueError, match="row cache was built on another POI table"):
+        forward(sample, params, table, variant, cache)
+    with pytest.raises(ValueError, match="row cache was built on another POI table"):
+        fit(SampleBatch.from_samples([sample]), [], params, table,
+            TrainConfig(max_epochs=1, metric="train_loss"), variant, cache)
+    assert cache.hits == cache.misses == 0
+    np.testing.assert_array_equal(params.data, before)
 
 
 class TestCrossEntropy:
@@ -350,13 +382,13 @@ def test_target_ranks_match_per_sample_ranking():
         params = fit(prep.samples_for("train"), [], params, table,
                      TrainConfig(batch_size=64, max_epochs=3, metric="train_loss"),
                      VARIANTS["bi-stddp"]).params
-        batch = SampleBatch.from_samples(samples)
+        batch, cache = SampleBatch.from_samples(samples), SpatialRowCache(table)
         for name, variant in VARIANTS.items():
             def ranker(s):
                 return predict_topk(forward(s, params, table, variant), corpus.n_pois)
 
             expected = [_rank_of(ranker(s), s.target_poi) for s in samples]
-            ranks = target_ranks(batch, params, table, variant)
+            ranks = target_ranks(batch, params, cache, variant)
             assert ranks.tolist() == expected, f"{name}, w={w}"
             assert report_from_ranks(ranks, ks) == evaluate(ranker, samples, ks)
 
@@ -373,11 +405,12 @@ def test_target_ranks_put_ties_and_underflows_in_index_order():
     params.user_hidden[0] = 0.5
     params.out_weights[:, 0] = v
     samples = [_sample(target_poi=t) for t in range(m)]
+    cache = SpatialRowCache(table)
     for name, variant in VARIANTS.items():
         probs = forward(samples[0], params, table, variant).probs
         assert probs[3] == probs[5] == probs[7] == 0.0
         assert probs[1] == probs[4] and probs[0] == probs[2] == probs[6]
-        ranks = target_ranks(SampleBatch.from_samples(samples), params, table, variant)
+        ranks = target_ranks(SampleBatch.from_samples(samples), params, cache, variant)
         # predict_topk's order is 1, 4, 0, 2, 6, 3, 5, 7
         assert ranks.tolist() == [3, 1, 4, 6, 2, 7, 5, 8], name
         assert ranks.tolist() == [_rank_of(predict_topk(forward(s, params, table, variant), m),
@@ -389,7 +422,7 @@ def test_target_ranks_reject_non_finite_scores():
     params.user_emb[2] = np.nan
     samples = [replace(sample, user=0)] * (RANK_CHUNK + 1) + [replace(sample, user=2)]
     with pytest.raises(NonFiniteScores, match=f"sample {RANK_CHUNK + 1}"):
-        target_ranks(SampleBatch.from_samples(samples), params, table)
+        target_ranks(SampleBatch.from_samples(samples), params, SpatialRowCache(table))
 
 
 class TestCheckpoint:

@@ -51,6 +51,10 @@ def interval_gate(weights, interval):
     return np.tanh(gate, out=gate)
 
 
+def one_row(sample):
+    return SampleBatch.from_samples([sample])
+
+
 def shared_context_rows(seed, w):
     """Three rows of one user with the same context POIs and distinct targets
     and intervals, so every context row of `poi_emb` and the user's row of
@@ -111,21 +115,23 @@ class TestFiniteDifferenceOracle:
         for name, variant in VARIANTS.items():
             for seed in (0, 1):
                 table, params, sample = random_instance(seed, m=12, n=4, d=3, h=5, w=1)
-                report = finite_difference_check(params, [sample], table, variant)
+                report = finite_difference_check(one_row(sample), params,
+                                                 SpatialRowCache(table), variant)
                 assert report.ok, f"{name} seed {seed}: {report.max_error:.2e}"
 
     def test_matches_on_rows_that_share_the_user_and_context(self):
         for w in (1, 2):
             for seed in (0, 1):
                 table, params, rows = shared_context_rows(seed, w)
+                batch, cache = SampleBatch.from_samples(rows), SpatialRowCache(table)
                 for name, variant in VARIANTS.items():
-                    report = finite_difference_check(params, rows, table, variant)
+                    report = finite_difference_check(batch, params, cache, variant)
                     assert report.max_error < 1e-4, f"{name}, w={w}, seed {seed}: {report}"
 
     def test_detects_corrupted_gradient(self):
         table, params, sample = random_instance(3, m=12, n=4, d=3, h=5, w=1)
-        variant = VARIANTS["bi-stddp"]
-        grads, _ = batch_gradients([sample], params, table, variant, Gradients(params))
+        variant, cache = VARIANTS["bi-stddp"], SpatialRowCache(table)
+        grads, _ = batch_gradients(one_row(sample), params, cache, variant, Gradients(params))
 
         def double_user_hidden(dense):
             dense["user_hidden"][...] *= 2.0
@@ -139,7 +145,8 @@ class TestFiniteDifferenceOracle:
                                      ("out_weights", double_one_output_weight, 1e-3)):
             dense = {k: v.copy() for k, v in grads.dense().items()}
             corrupt(dense)
-            report = finite_difference_check(params, [sample], table, variant, grads=dense)
+            report = finite_difference_check(one_row(sample), params, cache, variant,
+                                             grads=dense)
             assert report.per_tensor[name] > limit, name
 
     def test_detects_a_corrupted_row_that_two_contexts_share(self):
@@ -148,11 +155,12 @@ class TestFiniteDifferenceOracle:
                           bwd=((rows[0].bwd[0] + 1) % 12,))
         shared = rows[0].fwd[0]  # in the contexts of rows 0 and 1 only
         assert rows[1].fwd[0] == shared and shared not in rows[2].fwd + rows[2].bwd
-        variant = VARIANTS["bi-stddp"]
-        grads = batch_gradients(rows, params, table, variant, Gradients(params))[0].dense()
-        clean = finite_difference_check(params, rows, table, variant, grads=grads)
+        variant, cache = VARIANTS["bi-stddp"], SpatialRowCache(table)
+        batch = SampleBatch.from_samples(rows)
+        grads = batch_gradients(batch, params, cache, variant, Gradients(params))[0].dense()
+        clean = finite_difference_check(batch, params, cache, variant, grads=grads)
         grads["poi_emb"][shared] *= 2.0
-        report = finite_difference_check(params, rows, table, variant, grads=grads)
+        report = finite_difference_check(batch, params, cache, variant, grads=grads)
         assert clean.ok and report.per_tensor["poi_emb"] > 0.3
         assert all(report.per_tensor[name] == e for name, e in clean.per_tensor.items()
                    if name != "poi_emb")
@@ -160,7 +168,8 @@ class TestFiniteDifferenceOracle:
     def test_zero_point_is_smooth(self):
         table, _, sample = random_instance(4, m=10, n=3, d=3, h=4, w=1)
         params = zero_params(HyperParams(d=3, h=4, w=1), 3, 10)
-        report = finite_difference_check(params, [sample], table, VARIANTS["bi-stddp"])
+        report = finite_difference_check(one_row(sample), params, SpatialRowCache(table),
+                                         VARIANTS["bi-stddp"])
         assert report.max_error < 1e-6
 
 
@@ -294,7 +303,8 @@ def test_batch_mean_equals_mean_of_per_sample_gradients():
                              prep.corpus.n_pois, make_rng(0))
         batch = prep.samples_for("train").take(slice(0, 7))
         for name, variant in VARIANTS.items():
-            grads, _ = batch_gradients(batch, params, table, variant, Gradients(params))
+            grads, _ = batch_gradients(batch, params, SpatialRowCache(table), variant,
+                                       Gradients(params))
             per_sample = []
             for s in batch:
                 trace = forward(s, params, table, variant)
@@ -311,11 +321,11 @@ def test_batched_logits_and_loss_equal_one_sample_calls():
         table = prep.corpus.poi_table
         params = init_params(HyperParams(d=5, h=8, w=w), prep.corpus.n_users,
                              prep.corpus.n_pois, make_rng(1))
-        batch = prep.samples_for("train").take(slice(0, 40))
+        batch, cache = prep.samples_for("train").take(slice(0, 40)), SpatialRowCache(table)
         for name, variant in VARIANTS.items():
-            logits = forward_batch(batch, params, table, variant).logits
+            logits = forward_batch(batch, params, cache, variant).logits
             losses = softmax_cross_entropy(logits.copy(), batch.targets)
-            _, mean_loss = batch_gradients(batch, params, table, variant, Gradients(params))
+            _, mean_loss = batch_gradients(batch, params, cache, variant, Gradients(params))
             for row, loss, s in zip(logits, losses, batch):
                 trace = forward(s, params, table, variant)
                 np.testing.assert_allclose(row, trace.logits, rtol=1e-12, atol=1e-15,
@@ -329,9 +339,9 @@ def _whole_batch_gate_reference(batch, params, table, variant, g):
     interval gates as one (B x M) `interval_gate` array: the dependence
     terms and the interval-weight gradients come from that array, the rest
     from the same model without dependence terms."""
-    plain = replace(variant, use_dependence=False)
-    logits = forward_batch(batch, params, table, plain).logits
-    grads = backward_batch(forward_batch(batch, params, table, plain), g, params,
+    plain, cache = replace(variant, use_dependence=False), SpatialRowCache(table)
+    logits = forward_batch(batch, params, cache, plain).logits
+    grads = backward_batch(forward_batch(batch, params, cache, plain), g, params,
                            Gradients(params)).dense()
     if variant.use_dependence:
         for use, pois, interval, name in (
@@ -367,8 +377,10 @@ def test_per_row_gates_equal_whole_batch_gate_arrays():
         g = make_rng(3).normal(size=(len(batch), corpus.n_pois)) / len(batch)
         for name, variant in VARIANTS.items():
             logits, expected = _whole_batch_gate_reference(batch, params, table, variant, g)
-            for cache in (None, SpatialRowCache(table, capacity=1)):
-                trace = forward_batch(batch, params, table, variant, cache)
+            # a cache that holds every row, and one that evicts at each new POI
+            for cache in (SpatialRowCache(table, capacity=len(table)),
+                          SpatialRowCache(table, capacity=1)):
+                trace = forward_batch(batch, params, cache, variant)
                 np.testing.assert_array_equal(trace.logits, logits, err_msg=f"{name}, w={w}")
                 grads = backward_batch(trace, g, params, Gradients(params))
                 for tname, grad in grads.dense().items():
@@ -390,7 +402,7 @@ def test_backward_batch_leaves_nothing_of_what_the_arena_held():
         batch = prep.samples_for("train").take(slice(0, 40))
         g = make_rng(4).normal(size=(len(batch), corpus.n_pois)) / len(batch)
         for name, variant in VARIANTS.items():
-            trace = forward_batch(batch, params, corpus.poi_table, variant)
+            trace = forward_batch(batch, params, SpatialRowCache(corpus.poi_table), variant)
             fresh = backward_batch(trace, g, params, Gradients(params)).dense()
             stale = Gradients(params)
             stale.data[:] = np.nan
@@ -414,7 +426,7 @@ class TestMemory:
             for u, t, f, b in rng.integers(0, [self.N, self.M, self.M, self.M], (self.B, 4))])
         cache = SpatialRowCache(table, capacity=self.M)
         grads = Gradients(params)
-        batch_gradients(batch, params, table, VARIANTS["bi-stddp"], grads, cache)  # rows cached
+        batch_gradients(batch, params, cache, VARIANTS["bi-stddp"], grads)  # rows cached
         return table, params, batch, cache, grads
 
     @staticmethod
@@ -444,7 +456,7 @@ class TestMemory:
         # 10.2 MB, lies between the two
         table, params, batch, cache, grads = step
         peak, _ = self.peak_bytes(
-            lambda: batch_gradients(batch, params, table, VARIANTS["bi-stddp"], grads, cache))
+            lambda: batch_gradients(batch, params, cache, VARIANTS["bi-stddp"], grads))
         assert peak < 2 * self.B * self.M * 8
 
     def test_batch_gradients_allocates_no_gradient_arena(self, step):
@@ -453,7 +465,7 @@ class TestMemory:
         # take the 7.7 MB peak to 10.8 MB, over this line
         table, params, batch, cache, grads = step
         peak, _ = self.peak_bytes(
-            lambda: batch_gradients(batch, params, table, VARIANTS["bi-stddp"], grads, cache))
+            lambda: batch_gradients(batch, params, cache, VARIANTS["bi-stddp"], grads))
         assert peak < 2 * self.B * self.M * 8
 
     def test_one_epoch_fit_holds_no_snapshot_arena(self, step):
@@ -630,10 +642,10 @@ def test_loss_non_increasing_over_first_steps():
         params = init_params(HyperParams(d=4, h=6, w=1), corpus.n_users,
                              corpus.n_pois, make_rng(seed))
         state = AdamState.init(params, lr=0.001)
-        grads = Gradients(params)
+        grads, cache = Gradients(params), SpatialRowCache(corpus.poi_table)
         losses = []
         for _ in range(6):
-            _, loss = batch_gradients(batch, params, corpus.poi_table, variant, grads)
+            _, loss = batch_gradients(batch, params, cache, variant, grads)
             losses.append(loss)
             adam_step(params, grads, state)
         for a, b in zip(losses, losses[1:]):
