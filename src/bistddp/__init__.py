@@ -9,9 +9,7 @@ counting baselines, and ranking metrics.
 from .geodata import PoiTable, SpatialRowCache, haversine_km, spatial_vector
 from .ingest import (
     Corpus,
-    CorpusSplit,
     PreparedCorpus,
-    Sample,
     SampleBatch,
     build_samples,
     chronological_split,
@@ -34,7 +32,7 @@ from .model import (
     save_checkpoint,
     target_ranks,
 )
-from .evaluation import MetricsReport, evaluate, report_from_ranks
+from .evaluation import MetricsReport, report_from_ranks
 from .train import (
     AdamState,
     Gradients,
@@ -44,6 +42,6 @@ from .train import (
     finite_difference_check,
     fit,
 )
-from .baselines import BaselineRankers, fit_counts, rank_backward, rank_forward, rank_top1, rank_top2
+from .baselines import fit_counts
 
 __version__ = "0.1.0"

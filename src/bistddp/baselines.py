@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ingest import Corpus, CorpusSplit, Sample
+from .ingest import Corpus, Sample
 
 
 @dataclass
@@ -69,12 +69,13 @@ def _count_table(keys, pois, counts, tie, n_keys: int, top1_pos: np.ndarray) -> 
     return table
 
 
-def fit_counts(corpus: Corpus, split: CorpusSplit) -> tuple[TransitionTable, PopularityTable]:
+def fit_counts(corpus: Corpus, split: np.ndarray) -> tuple[TransitionTable, PopularityTable]:
     """Count transitions and popularity from the train check-ins only, so
     val and test targets stay unseen: a transition is a pair of consecutive
-    train check-ins of one user."""
+    train check-ins of one user. `split` is `split_corpus(corpus)`, one
+    segment code per check-in (0 is train)."""
     m, n = corpus.n_pois, corpus.n_users
-    train = split.segments == 0
+    train = split == 0
     pois, users = corpus.checkins.pois[train], corpus.checkins.users[train]
     same_user = users[1:] == users[:-1]
 
@@ -143,7 +144,7 @@ def rank_top2(user: int, popularity: PopularityTable) -> tuple[np.ndarray, bool]
 class BaselineRankers:
     """Sample -> ranking adapters over fitted tables, for the eval harness."""
 
-    def __init__(self, corpus: Corpus, split: CorpusSplit):
+    def __init__(self, corpus: Corpus, split: np.ndarray):
         self.transitions, self.popularity = fit_counts(corpus, split)
         self.top2_fallbacks = 0
 

@@ -38,6 +38,7 @@ from .ingest import (
     EmptyCorpus,
     ParseResult,
     PreparedCorpus,
+    SPLITS,
     SampleBatch,
     atomic_open,
     load_corpus,
@@ -223,10 +224,8 @@ def cmd_prepare(cfg: ExperimentConfig) -> int:
     print(f"{'stage':<10}{'#user':>8}{'#POI':>8}{'#check_in':>11}{'sparsity':>10}")
     for stage, n, m, c in rows:
         print(f"{stage:<10}{n:>8}{m:>8}{c:>11}{100 * _sparsity(n, m, c):>9.3f}%")
-    n_samples = len(prepared_corpus.samples)
-    per_split = {t: len(prepared_corpus.samples_for(t)) for t in ("train", "val", "test")}
-    print(f"samples: {n_samples} (train {per_split['train']}, "
-          f"val {per_split['val']}, test {per_split['test']})")
+    sizes = ", ".join(f"{t} {len(prepared_corpus.samples_for(t))}" for t in SPLITS)
+    print(f"samples: {len(prepared_corpus.samples)} ({sizes})")
     print(f"wrote {corpus_path}")
     return 0
 
@@ -338,7 +337,7 @@ def cmd_evaluate(run: Setup) -> int:
     out = _out_dir(cfg, "evaluate")
     _write_csv(out / f"report_{split}.csv", [["metric", "value"], *zip(
         _metric_head(cfg.k), _metric_cells(report, cfg.k)), ["instances", str(report.count)]])
-    print(format_report_table(report, label=cfg.variant))
+    print(format_report_table({cfg.variant: report}))
     return 0
 
 
@@ -374,9 +373,7 @@ def _write_report_grid(path, reports: dict[str, MetricsReport], ks) -> None:
     """One CSV row per named report; the same rows are printed as one table."""
     _write_csv(path, [["model", *_metric_head(ks), "instances"]]
                + [[name, *_metric_cells(rep, ks), str(rep.count)] for name, rep in reports.items()])
-    for i, (name, rep) in enumerate(reports.items()):
-        table = format_report_table(rep, label=name)
-        print(table if i == 0 else table.split("\n")[1])
+    print(format_report_table(reports))
 
 
 def cmd_ablate(run: Setup) -> int:
@@ -418,8 +415,7 @@ def cmd_sweep(run: Setup) -> int:
     for value in values:
         point = replace(cfg, **{param: value})
         try:
-            data = (PreparedCorpus.from_corpus(run.data.corpus, value) if param == "w"
-                    else run.data)
+            data = PreparedCorpus(run.data.corpus, value) if param == "w" else run.data
             test = data.samples_for("test")
             if not test:  # raise what training, then scoring, would raise, but train nothing
                 _check_fit_inputs(point, data)
@@ -442,7 +438,7 @@ def _count_tables_match_recount(data: PreparedCorpus) -> bool:
     segments, with every head in ranking order (count descending, then tie)."""
     pairs, visits, previous = Counter(), Counter(), None
     for u, p, segment in zip(data.corpus.checkins.users.tolist(),
-                             data.corpus.checkins.pois.tolist(), data.split.segments.tolist()):
+                             data.corpus.checkins.pois.tolist(), data.split.tolist()):
         if segment == 0:
             visits[u, p] += 1
             if previous is not None and previous[0] == u:
@@ -543,12 +539,12 @@ def cmd_selfcheck(cfg: ExperimentConfig) -> int:
     coords = rng.uniform([-60, -170], [60, 170], (30, 2))  # lat, lon drawn in turn
     events = [[(int(rng.integers(30)), 1_500_000_000 + 5_000 * i + int(rng.integers(5_000)),
                 60 * int(rng.integers(-12, 15))) for i in range(40)] for _ in range(6)]
-    source = PreparedCorpus.from_corpus(corpus_from_events(coords, events), 2)
+    source = PreparedCorpus(corpus_from_events(coords, events), 2)
     with tempfile.TemporaryDirectory() as tmp:
         write_corpus(Path(tmp) / "corpus.tsv", source)
         back = load_corpus(Path(tmp) / "corpus.tsv")
     columns = [(getattr(back.samples, f.name), getattr(source.samples, f.name))
-               for f in fields(SampleBatch)] + [(back.split.segments, source.split.segments)]
+               for f in fields(SampleBatch)] + [(back.split, source.split)]
     check("corpus file round trip reproduces prepare's sample columns",
           all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in columns))
     check("baseline count tables match a recount, heads in ranking order",
@@ -571,7 +567,7 @@ _FLAG_HELP = {
     "metric": "early-stop metric (default val_map)",
 }
 _CHOICES = {"format": _FORMATS, "variant": sorted(VARIANTS)}
-_SPLIT = ("--split", {"choices": ["train", "val", "test"], "default": "test"})
+_SPLIT = ("--split", {"choices": SPLITS, "default": "test"})
 
 # name -> (command, the flags it takes besides --config and one per config key);
 # every command but prepare and selfcheck runs on a corpus file, set up by main

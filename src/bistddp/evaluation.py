@@ -33,9 +33,13 @@ def _rank_of(ranked, truth: int) -> int:
 @dataclass
 class MetricsReport:
     recall: dict[int, float]
-    f1: dict[int, float]
     map: float
     count: int
+
+    @property
+    def f1(self) -> dict[int, float]:
+        """F1@K of each cutoff, 2R/(K+1) of its Recall@K."""
+        return {k: 2.0 * r / (k + 1) for k, r in self.recall.items()}
 
 
 def report_from_ranks(ranks: Sequence[int], ks: tuple[int, ...] = (1, 5, 10)) -> MetricsReport:
@@ -51,8 +55,7 @@ def report_from_ranks(ranks: Sequence[int], ks: tuple[int, ...] = (1, 5, 10)) ->
         raise ValueError("no samples to evaluate")
     n = ranks.size
     recall = {k: np.count_nonzero(ranks <= k) / n for k in ks}
-    f1 = {k: 2.0 * recall[k] / (k + 1) for k in ks}
-    return MetricsReport(recall=recall, f1=f1, map=float(np.cumsum(1.0 / ranks)[-1] / n), count=n)
+    return MetricsReport(recall=recall, map=float(np.cumsum(1.0 / ranks)[-1] / n), count=n)
 
 
 def evaluate(ranker: Ranker, samples: Iterable[Sample], ks: tuple[int, ...] = (1, 5, 10)) -> MetricsReport:
@@ -61,10 +64,12 @@ def evaluate(ranker: Ranker, samples: Iterable[Sample], ks: tuple[int, ...] = (1
     return report_from_ranks([_rank_of(ranker(s), s.target_poi) for s in samples], ks)
 
 
-def format_report_table(report: MetricsReport, label: str = "") -> str:
-    ks = list(report.recall)
-    head = f"{'model':<12}" + "".join(f"{f'r@{k}':>9}" for k in ks)
-    head += "".join(f"{f'f1@{k}':>9}" for k in ks) + f"{'map':>9}{'n':>8}"
-    row = f"{label:<12}" + "".join(f"{report.recall[k]:>9.4f}" for k in ks)
-    row += "".join(f"{report.f1[k]:>9.4f}" for k in ks) + f"{report.map:>9.4f}{report.count:>8}"
-    return head + "\n" + row
+def format_report_table(reports: dict[str, MetricsReport]) -> str:
+    """A header, from the first report's cutoffs, then a row per labelled report."""
+    ks = list(next(iter(reports.values())).recall)
+    heads = [*(f"r@{k}" for k in ks), *(f"f1@{k}" for k in ks), "map"]
+    lines = [f"{'model':<12}" + "".join(f"{h:>9}" for h in heads) + f"{'n':>8}"]
+    for label, rep in reports.items():
+        cells = [*(rep.recall[k] for k in ks), *(rep.f1[k] for k in ks), rep.map]
+        lines.append(f"{label:<12}" + "".join(f"{v:>9.4f}" for v in cells) + f"{rep.count:>8}")
+    return "\n".join(lines)

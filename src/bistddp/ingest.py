@@ -4,12 +4,12 @@ Parses raw Foursquare/Gowalla check-in dumps, applies activity filtering,
 splits each user's history chronologically 80/10/10, encodes the 7-bit
 temporal pattern of a timestamp, and builds the identification samples
 (one per check-in that has enough context on both sides). A corpus is its
-POI table and check-in columns, the split one segment code per check-in,
-and the samples one read-only `SampleBatch` of columns, grouped by split so
-that each split is a view of its rows: the parsers collect each
-line's values straight into columns, and no later step builds per-POI,
-per-user or per-sample objects. `Sample` is a batch's row view, made only
-on request.
+POI table and check-in columns. `PreparedCorpus(corpus, w)` derives the rest
+from it: the split, one int8 segment code per check-in, and the samples, one
+read-only `SampleBatch` of columns grouped by split so that each split is a
+view of its rows. The parsers collect each line's values straight into
+columns, and no later step builds per-POI, per-user or per-sample objects.
+`Sample` is a batch's row view, made only on request.
 
 A prepared corpus can be written to / read from a versioned TSV file
 (magic "STDDP2"); see `write_corpus` for the exact layout. The file holds
@@ -25,7 +25,7 @@ import operator
 import os
 import re
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -113,13 +113,6 @@ class Corpus:
         return len(self.checkins)
 
 
-@dataclass
-class CorpusSplit:
-    """Segment of each check-in: 0 train, 1 val, 2 test."""
-
-    segments: np.ndarray  # (n_checkins,) int8
-
-
 @dataclass(frozen=True)
 class Sample:
     """One identification instance: rank all POIs for the missing check-in.
@@ -136,7 +129,7 @@ class Sample:
     split: str  # train | val | test
 
 
-_SEGMENTS = ("train", "val", "test")
+SPLITS = ("train", "val", "test")  # the split names, indexed by segment code
 _BLOCK = 1 << 12  # rows per block: bounds the lists that iterating a batch and write_corpus make
 
 
@@ -181,7 +174,7 @@ class SampleBatch:
             interval_before=column("interval_before", np.float64),
             interval_after=column("interval_after", np.float64),
             pattern_code=(bits @ (1 << np.arange(7))).astype(np.uint8),
-            split=np.array([_SEGMENTS.index(s.split) for s in samples], dtype=np.int8),
+            split=np.array([SPLITS.index(s.split) for s in samples], dtype=np.int8),
         )
 
     def __len__(self) -> int:
@@ -213,7 +206,7 @@ class SampleBatch:
                 self.interval_before[rows].tolist(), self.interval_after[rows].tolist(),
                 self.split[rows].tolist()):
             yield Sample(keep(u, u), target, utc, _BIT_TUPLES[code], keep(fwd, fwd),
-                         keep(bwd, bwd), before, after, _SEGMENTS[seg])
+                         keep(bwd, bwd), before, after, SPLITS[seg])
 
 
 @dataclass
@@ -427,14 +420,14 @@ def chronological_split(t):
     return (8 * t) // 10, (9 * t) // 10
 
 
-def split_corpus(corpus: Corpus) -> CorpusSplit:
-    """Each check-in's segment, from its position in its user's history."""
+def split_corpus(corpus: Corpus) -> np.ndarray:
+    """Each check-in's segment, from its position in its user's history: a
+    (n_checkins,) int8 array of 0 train, 1 val, 2 test (indexes `SPLITS`)."""
     users = corpus.checkins.users
     lengths = np.bincount(users, minlength=corpus.n_users)
     position = np.arange(len(users)) - (np.cumsum(lengths) - lengths)[users]
     train_end, val_end = chronological_split(lengths)
-    return CorpusSplit((position >= train_end[users]).astype(np.int8)
-                       + (position >= val_end[users]))
+    return (position >= train_end[users]).astype(np.int8) + (position >= val_end[users])
 
 
 def _pattern_index(utc: np.ndarray, tz: np.ndarray) -> np.ndarray:
@@ -452,13 +445,14 @@ def encode_temporal_pattern(utc_seconds: int, tz_offset_minutes: int) -> tuple[i
     return _BIT_TUPLES[_PATTERN_CODES[_pattern_index(utc_seconds, tz_offset_minutes)]]
 
 
-def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> SampleBatch:
+def build_samples(corpus: Corpus, split: np.ndarray, w: int) -> SampleBatch:
     """One sample per check-in with >= w check-ins of its user on each side,
     grouped by split: the train samples, then val, then test, each group in
     row order. Every column is read-only, so a view of a split cannot write
     into the batch.
 
-    Each sample's split code is its target's segment; context windows may
+    `split` is `split_corpus(corpus)`, one segment code per check-in. Each
+    sample's split code is its target's segment; context windows may
     cross segment boundaries. Intervals are fractional hours and
     non-negative because histories are time-sorted.
     """
@@ -468,7 +462,7 @@ def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> SampleBatch:
     # users are contiguous: rows i - w and i + w of one user enclose only its rows
     span = max(len(ci) - 2 * w, 0)
     targets = w + np.flatnonzero(ci.users[:span] == ci.users[2 * w:])
-    targets = targets[np.argsort(split.segments[targets], kind="stable")]  # train, val, test
+    targets = targets[np.argsort(split[targets], kind="stable")]  # train, val, test
     offsets = np.arange(1, w + 1)
     hours = np.diff(ci.times) / 3600.0  # hours[i]: t_{i+1} - t_i
     batch = SampleBatch(
@@ -480,7 +474,7 @@ def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> SampleBatch:
         interval_before=hours[targets - 1],
         interval_after=hours[targets],
         pattern_code=_PATTERN_CODES[_pattern_index(ci.times[targets], ci.tz[targets])],
-        split=split.segments[targets],
+        split=split[targets],
     )
     for f in fields(batch):
         getattr(batch, f.name).setflags(write=False)
@@ -489,26 +483,24 @@ def build_samples(corpus: Corpus, split: CorpusSplit, w: int) -> SampleBatch:
 
 @dataclass(frozen=True)
 class PreparedCorpus:
+    """`corpus` with what its check-ins and `window` determine: its per-user
+    80/10/10 `split` and its width-`window` `samples`, grouped by split."""
+
     corpus: Corpus
-    split: CorpusSplit
-    samples: SampleBatch  # grouped by split, as `build_samples` makes them
     window: int
+    split: np.ndarray = field(init=False)  # (n_checkins,) int8 segment codes
+    samples: SampleBatch = field(init=False)
 
     def __post_init__(self):
-        codes = self.samples.split
-        if np.any(codes[1:] < codes[:-1]):
-            raise ValueError("the samples must be grouped by split: train, then val, then test")
-
-    @classmethod
-    def from_corpus(cls, corpus: Corpus, w: int) -> "PreparedCorpus":
-        """`corpus` with its per-user 80/10/10 split and its width-`w` samples."""
-        split = split_corpus(corpus)
-        return cls(corpus, split, build_samples(corpus, split, w), w)
+        split = split_corpus(self.corpus)
+        split.setflags(write=False)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "samples", build_samples(self.corpus, split, self.window))
 
     def samples_for(self, split: str) -> SampleBatch:
         """The samples whose target is in `split` (train, val or test), in row
         order: a read-only view of their rows of `samples`, not a copy."""
-        code = _SEGMENTS.index(split)
+        code = SPLITS.index(split)
         lo, hi = np.searchsorted(self.samples.split, np.array([code, code + 1], dtype=np.int8))
         return self.samples.take(slice(lo, hi))
 
@@ -522,7 +514,7 @@ def prepare(
 ) -> PreparedCorpus:
     """Filter, split, and materialize samples from a parsed corpus."""
     corpus = filter_min_activity(parse_result, min_user, min_poi_users, fixpoint)
-    return PreparedCorpus.from_corpus(corpus, w)
+    return PreparedCorpus(corpus, w)
 
 
 @contextlib.contextmanager
@@ -737,4 +729,4 @@ def load_corpus(path) -> PreparedCorpus:
                  lambda k: f"timestamp {times[k]} is earlier than the user's previous one")
 
     corpus = Corpus(table, user_ids, CheckIns(users, pois, times, tz))
-    return PreparedCorpus.from_corpus(corpus, window)
+    return PreparedCorpus(corpus, window)

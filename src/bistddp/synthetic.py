@@ -52,7 +52,7 @@ def overfit_corpus(
         events.append(
             [((a * i + u) % n_pois, base + u * 977 + i * 6 * 3600, 0) for i in range(t_per_user)]
         )
-    return PreparedCorpus.from_corpus(corpus_from_events(coords, events), 1)
+    return PreparedCorpus(corpus_from_events(coords, events), 1)
 
 
 def planted_corpus(
@@ -109,7 +109,7 @@ def planted_corpus(
             poi = cluster * pois_per_cluster + slot
             mine.append((poi, t, 0))
         events.append(mine)
-    return PreparedCorpus.from_corpus(corpus_from_events(coords, events), 1)
+    return PreparedCorpus(corpus_from_events(coords, events), 1)
 
 
 def random_instance(

@@ -354,7 +354,10 @@ class FitResult:
     log: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
     best_value: float = -math.inf
-    epochs_run: int = 0
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.log)
 
 
 def check_fit_inputs(train_samples, val_samples, metric: str) -> None:
@@ -453,7 +456,6 @@ def fit(
         log=log,
         best_epoch=early.best_epoch,
         best_value=early.best_value,
-        epochs_run=len(log),
     )
 
 
@@ -462,8 +464,11 @@ class FdReport:
     """Per-tensor max relative error of analytic vs central-difference grads."""
 
     per_tensor: dict[str, float]
-    max_error: float
     tolerance: float
+
+    @property
+    def max_error(self) -> float:
+        return max(self.per_tensor.values())
 
     @property
     def ok(self) -> bool:
@@ -515,7 +520,7 @@ def finite_difference_check(
             if rel > worst:
                 worst = rel
         per_tensor[name] = worst
-    return FdReport(per_tensor, max(per_tensor.values()), tolerance)
+    return FdReport(per_tensor, tolerance)
 
 
 def write_train_log(path, log: list[EpochRecord]) -> None:

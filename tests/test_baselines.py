@@ -52,7 +52,7 @@ class TestFitCounts:
         # A,B,A,C plus a val/test tail the counts must not see
         corpus = corpus_of([[0, 1, 0, 2, 2]], n_pois=3)
         split = split_corpus(corpus)
-        assert split.segments.tolist() == [0, 0, 0, 0, 2]  # T=5: train is first 4
+        assert split.tolist() == [0, 0, 0, 0, 2]  # T=5: train is first 4
         trans, pop = fit_counts(corpus, split)
         assert transitions_of(trans) == {(0, 1): 1, (1, 0): 1, (0, 2): 1}
         np.testing.assert_array_equal(pop.global_counts, [2, 1, 1])
@@ -60,7 +60,7 @@ class TestFitCounts:
     def test_single_checkin_train_segment(self):
         corpus = corpus_of([[1]], n_pois=2)
         split = split_corpus(corpus)
-        assert split.segments.tolist() == [2]
+        assert split.tolist() == [2]
         trans, pop = fit_counts(corpus, split)
         assert transitions_of(trans) == {}
         assert entries(pop.users) == {}
@@ -80,7 +80,7 @@ class TestFitCounts:
         # there joins two users, and each user's 3 -> 5 / 2 -> 5 crosses into val
         corpus = corpus_of([[0, 1, 2, 3, 5], [4, 0, 1, 2, 5]], n_pois=6)
         split = split_corpus(corpus)
-        assert split.segments.tolist() == [0, 0, 0, 0, 2] * 2
+        assert split.tolist() == [0, 0, 0, 0, 2] * 2
         trans, pop = fit_counts(corpus, split)
         assert transitions_of(trans) == {(0, 1): 2, (1, 2): 2, (2, 3): 1, (4, 0): 1}
         # no head at all: the shared TOP1 order comes back
@@ -151,7 +151,7 @@ def oracle_tables(corpus, split):
     per_user = defaultdict(Counter)
     previous = None  # (user, POI) of the previous check-in if it is train
     for u, p, segment in zip(corpus.checkins.users.tolist(), corpus.checkins.pois.tolist(),
-                             split.segments.tolist()):
+                             split.tolist()):
         if segment != 0:
             previous = None
             continue
@@ -274,7 +274,7 @@ def test_fit_counts_deterministic():
 
 def test_baseline_rankers_adapter_counts_fallbacks():
     corpus = corpus_of([[0, 1, 0, 2, 0], [1]], n_pois=3)
-    prep = PreparedCorpus.from_corpus(corpus, 1)
+    prep = PreparedCorpus(corpus, 1)
     rankers = BaselineRankers(prep.corpus, prep.split)
     # user 1 has no train check-ins: top2 falls back
     rankers.top2(sample_with(user=1))

@@ -692,7 +692,7 @@ class TestCorpusFile:
             got = load_corpus(other)
             assert (got.window, got.corpus.user_ids) == (lf.window, lf.corpus.user_ids)
             assert got.corpus.poi_table.ids == lf.corpus.poi_table.ids
-            pairs = [(got.split.segments, lf.split.segments),
+            pairs = [(got.split, lf.split),
                      (got.corpus.poi_table.lat, lf.corpus.poi_table.lat),
                      (got.corpus.poi_table.lon, lf.corpus.poi_table.lon)] + [
                 (getattr(a, f.name), getattr(b, f.name))

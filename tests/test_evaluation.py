@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bistddp.evaluation import TruthMissing, _rank_of, evaluate, report_from_ranks
+from bistddp.evaluation import (
+    MetricsReport,
+    TruthMissing,
+    _rank_of,
+    evaluate,
+    format_report_table,
+    report_from_ranks,
+)
 from bistddp.ingest import Sample
 
 
@@ -44,6 +51,12 @@ class TestF1:
         rep = scored([list(range(30))], [truth_pos], ks=(k,))
         assert rep.recall[k] == (truth_pos < k)
         assert rep.f1[k] == 2.0 * rep.recall[k] / (k + 1)
+
+    def test_f1_is_computed_from_recall_not_stored(self):
+        with pytest.raises(TypeError, match="f1"):
+            MetricsReport(recall={1: 0.5}, f1={1: 0.5}, map=0.5, count=2)
+        rep = MetricsReport(recall={1: 0.5, 5: 1.0}, map=0.75, count=2)
+        assert rep.f1 == {1: 2.0 * 0.5 / 2, 5: 2.0 * 1.0 / 6}
 
     def test_reported_table_consistency(self):
         # published recall/F1 pairs at K=5 and K=10 agree with the identity
@@ -157,3 +170,13 @@ class TestEvaluate:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             evaluate(lambda s: [0], [])
+
+
+def test_one_table_has_one_header_and_a_row_per_report():
+    reports = {"forward": report_from_ranks([1, 3], ks=(1, 5)),
+               "top1": report_from_ranks([2, 7, 1], ks=(1, 5))}
+    lines = format_report_table(reports).split("\n")
+    assert lines[0].split() == ["model", "r@1", "r@5", "f1@1", "f1@5", "map", "n"]
+    assert [line.split()[0] for line in lines[1:]] == ["forward", "top1"]
+    assert lines[1].split()[1:] == ["0.5000", "1.0000", "0.5000", "0.3333", "0.6667", "2"]
+    assert len({len(line) for line in lines}) == 1  # columns line up

@@ -1,3 +1,4 @@
+import inspect
 import re
 import tempfile
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bistddp import ingest
 from bistddp.geodata import PoiTable
 from bistddp.ingest import (
     BadCorpusFile,
@@ -34,7 +36,7 @@ from bistddp.ingest import (
     split_corpus,
     write_corpus,
 )
-from bistddp.synthetic import corpus_from_events, overfit_corpus, random_instance
+from bistddp.synthetic import corpus_from_events, overfit_corpus, planted_corpus, random_instance
 
 
 def fsq_line(user="u1", venue="v1", lat=40.7, lon=-74.0, tz=-240,
@@ -262,7 +264,7 @@ def assert_same_corpus(got, expected):
 
 def assert_same_columns(got, expected):
     """Equal split codes and sample columns, each of the same dtype."""
-    pairs = [(got.split.segments, expected.split.segments)] + [
+    pairs = [(got.split, expected.split)] + [
         (getattr(got.samples, f.name), getattr(expected.samples, f.name))
         for f in fields(SampleBatch)]
     for column, want in pairs:
@@ -476,7 +478,7 @@ class TestSplit:
     def test_segments_match_per_checkin_reference(self):
         for seed in range(10):  # users of 1 to 14 check-ins, all kept
             corpus = filter_min_activity(random_checkins(seed, 5, 4), 1, 1)
-            assert split_corpus(corpus).segments.tolist() == reference_segments(corpus)
+            assert split_corpus(corpus).tolist() == reference_segments(corpus)
 
 
 class TestTemporalPattern:
@@ -516,7 +518,7 @@ class TestTemporalPattern:
         base = 18519 * 86400
         events = [[(k % 4, base - 60 * tz + 1800 * (k - 1), tz) for k in range(338)]
                   for tz in (0, -570)]
-        batch = PreparedCorpus.from_corpus(corpus_from_events([(0, 0)] * 4, events), 1).samples
+        batch = PreparedCorpus(corpus_from_events([(0, 0)] * 4, events), 1).samples
         utc, tz = batch.target_utc, np.array([0, -570])[batch.users]
         assert len(batch) == 2 * 336 and np.bincount(batch.users).tolist() == [336, 336]
         expected = [reference_pattern(t, z) for t, z in zip(utc.tolist(), tz.tolist())]
@@ -614,7 +616,7 @@ class TestBuildSamples:
         for seed, t in ((1, 9), (3, 17), (5, 900)):
             corpus = random_corpus(seed, n_users=6, t=t)
             for w in (1, 2, 3):
-                prep = PreparedCorpus.from_corpus(corpus, w)
+                prep = PreparedCorpus(corpus, w)
                 batch, expected = prep.samples, reference_samples(corpus, w)
                 assert len(batch) == len(expected) > 0
                 rows = list(batch)
@@ -638,7 +640,7 @@ class TestBuildSamples:
                 assert SampleBatch.from_samples(batch) is batch
 
     def test_samples_for_is_a_view_of_its_rows(self):
-        prep = PreparedCorpus.from_corpus(random_corpus(5, n_users=6, t=900), 1)
+        prep = PreparedCorpus(random_corpus(5, n_users=6, t=900), 1)
         batch = prep.samples
         assert len(batch) > 5000
         for code, tag in enumerate(("train", "val", "test")):
@@ -657,7 +659,7 @@ class TestBuildSamples:
                 np.testing.assert_array_equal(column, getattr(copy, f.name), err_msg=f.name)
 
     def test_a_split_view_cannot_write_into_the_corpus(self):
-        prep = PreparedCorpus.from_corpus(random_corpus(1, n_users=6, t=17), 1)
+        prep = PreparedCorpus(random_corpus(1, n_users=6, t=17), 1)
         for batch in (prep.samples, prep.samples_for("val")):
             for f in fields(SampleBatch):
                 with pytest.raises(ValueError, match="read-only"):
@@ -668,19 +670,12 @@ class TestBuildSamples:
         np.testing.assert_array_equal(prep.samples.users, before)
 
     def test_ungrouped_samples_are_refused(self):
-        prep = PreparedCorpus.from_corpus(random_corpus(3, n_users=6, t=17), 1)
+        # the samples cannot be handed in, so only an assignment could ungroup them
+        prep = PreparedCorpus(random_corpus(3, n_users=6, t=17), 1)
         assert set(prep.samples.split.tolist()) == {0, 1, 2}
         backwards = prep.samples.take(np.arange(len(prep.samples))[::-1])
-        with pytest.raises(ValueError, match="grouped by split"):
-            PreparedCorpus(prep.corpus, prep.split, backwards, 1)
         with pytest.raises(FrozenInstanceError):
             prep.samples = backwards
-        rows = list(prep.samples)
-        ungrouped = SampleBatch.from_samples(rows[-1:] + rows[:-1])  # a test row first
-        with pytest.raises(ValueError, match="grouped by split"):
-            PreparedCorpus(prep.corpus, prep.split, ungrouped, 1)
-        again = PreparedCorpus(prep.corpus, prep.split, SampleBatch.from_samples(rows), 1)
-        assert list(again.samples_for("test")) == list(prep.samples_for("test"))
 
     def corpus(self, t=5):
         coords = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
@@ -746,9 +741,34 @@ class TestPatternCode:
     def test_a_sample_takes_42_plus_16_w_bytes(self, w):
         # eight bytes a column and a context POI, one for the pattern code and
         # one for the split: a float pattern would add 55
-        batch = PreparedCorpus.from_corpus(overfit_corpus().corpus, w).samples
+        batch = PreparedCorpus(overfit_corpus().corpus, w).samples
         size = sum(getattr(batch, f.name).nbytes for f in fields(batch))
         assert size == (42 + 16 * w) * len(batch) > 0
+
+
+class TestPreparedCorpus:
+    def test_is_built_from_the_corpus_and_the_window_only(self):
+        assert list(inspect.signature(PreparedCorpus).parameters) == ["corpus", "window"]
+        assert not hasattr(PreparedCorpus, "from_corpus") and not hasattr(ingest, "CorpusSplit")
+        prep = PreparedCorpus(random_corpus(3, n_users=6, t=17), 2)
+        assert prep.split.dtype == np.int8 and not prep.split.flags.writeable
+        np.testing.assert_array_equal(prep.split, split_corpus(prep.corpus))
+        assert prep.samples.fwd.shape[1] == 2
+        for name in ("corpus", "window", "split", "samples"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(prep, name, getattr(prep, name))
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_the_file_gives_back_the_split_and_samples(self, tmp_path, w):
+        # Split and samples handed in beside the window could disagree with it:
+        # planted_corpus(0)'s 876 width-1 samples, passed with window 2, came
+        # back from the file as 852 width-2 samples.
+        prep = PreparedCorpus(planted_corpus(0).corpus, w)
+        assert prep.samples.fwd.shape == (len(prep.samples), w)
+        write_corpus(tmp_path / "corpus.tsv", prep)
+        back = load_corpus(tmp_path / "corpus.tsv")
+        assert back.window == w
+        assert_same_columns(back, prep)
 
 
 class TestRoundTrips:
@@ -768,12 +788,12 @@ class TestRoundTrips:
 
         a, b = run(), run()
         assert list(a.samples) == list(b.samples)
-        np.testing.assert_array_equal(a.split.segments, b.split.segments)
+        np.testing.assert_array_equal(a.split, b.split)
 
     def test_corpus_file_round_trip(self, tmp_path):
         corpus = random_corpus(4)
         for w in (1, 2, 3):
-            prep = PreparedCorpus.from_corpus(corpus, w)
+            prep = PreparedCorpus(corpus, w)
             path = tmp_path / f"corpus{w}.tsv"
             write_corpus(path, prep)
             back = load_corpus(path)
@@ -781,7 +801,7 @@ class TestRoundTrips:
             assert back.window == w
             assert list(back.samples) == list(prep.samples)  # bitwise: dataclass equality on floats
             assert hash(tuple(back.samples)) == hash(tuple(prep.samples))
-            np.testing.assert_array_equal(back.split.segments, prep.split.segments)
+            np.testing.assert_array_equal(back.split, prep.split)
             assert back.corpus.user_ids == prep.corpus.user_ids
             for name in ("users", "pois", "times", "tz"):
                 np.testing.assert_array_equal(getattr(back.corpus.checkins, name),
@@ -808,7 +828,7 @@ class TestRoundTrips:
             rows += [(u, p, t, z) for p, t, z in sorted(history, key=lambda row: row[1])]
         columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
         table = PoiTable(poi_ids, np.linspace(-90, 90, n_pois), np.linspace(180, -180, n_pois))
-        expected = PreparedCorpus.from_corpus(
+        expected = PreparedCorpus(
             Corpus(table, user_ids, CheckIns(*columns)), data.draw(st.integers(1, 3)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.tsv"
@@ -861,7 +881,7 @@ class TestRoundTrips:
             corpus = prep.corpus
             assert (corpus.n_users, corpus.n_pois, corpus.n_checkins) == (7, 4, 19)
             assert corpus.user_ids == list(lengths)
-            assert prep.split.segments.tolist() == reference_segments(corpus) == [
+            assert prep.split.tolist() == reference_segments(corpus) == [
                 0, 0, 0, 0, 0, 1, 2,  # a: T = 7, train_end 5, val_end 6
                 0, 2,  # b: T = 2, train_end 1, val_end 1
                 0, 0, 0, 2,  # c
@@ -872,9 +892,9 @@ class TestRoundTrips:
 
     def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "corpus.tsv"
-        write_corpus(path, PreparedCorpus.from_corpus(random_corpus(1), 1))
+        write_corpus(path, PreparedCorpus(random_corpus(1), 1))
         old = path.read_bytes()
-        prep = PreparedCorpus.from_corpus(random_corpus(2, n_pois=2000), 1)
+        prep = PreparedCorpus(random_corpus(2, n_pois=2000), 1)
         written = []
 
         class FailingId(str):

@@ -374,7 +374,7 @@ def test_target_ranks_match_per_sample_ranking():
     table = corpus.poi_table
     ks = (1, 5, 10)
     for w in (1, 2):
-        prep = PreparedCorpus.from_corpus(corpus, w)
+        prep = PreparedCorpus(corpus, w)
         samples = prep.samples
         assert len(samples) > RANK_CHUNK and len(samples) % RANK_CHUNK
         params = init_params(HyperParams(d=8, h=16, w=w), corpus.n_users, corpus.n_pois,

@@ -28,6 +28,9 @@ from bistddp.train import (
     Diverged,
     EarlyStopState,
     EmptyTrainSet,
+    EpochRecord,
+    FdReport,
+    FitResult,
     Gradients,
     TraceMismatch,
     TrainConfig,
@@ -172,6 +175,12 @@ class TestFiniteDifferenceOracle:
                                          VARIANTS["bi-stddp"])
         assert report.max_error < 1e-6
 
+    def test_the_max_error_is_computed_from_the_per_tensor_errors(self):
+        with pytest.raises(TypeError, match="max_error"):
+            FdReport({"a": 1e-3}, max_error=1e-3, tolerance=1e-4)
+        report = FdReport({"a": 1e-5, "b": 3e-4, "c": 0.0}, tolerance=1e-4)
+        assert report.max_error == 3e-4 and not report.ok
+
 
 @pytest.mark.parametrize("b, m, h", [(128, 5000, 256), (127, 4999, 256)])
 def test_blocked_output_gradient_has_the_bits_of_one_product(b, m, h):
@@ -297,7 +306,7 @@ class TestAdam:
 
 def test_batch_mean_equals_mean_of_per_sample_gradients():
     for w in (1, 2):
-        prep = PreparedCorpus.from_corpus(overfit_corpus().corpus, w)
+        prep = PreparedCorpus(overfit_corpus().corpus, w)
         table = prep.corpus.poi_table
         params = init_params(HyperParams(d=4, h=6, w=w), prep.corpus.n_users,
                              prep.corpus.n_pois, make_rng(0))
@@ -317,7 +326,7 @@ def test_batch_mean_equals_mean_of_per_sample_gradients():
 
 def test_batched_logits_and_loss_equal_one_sample_calls():
     for w in (1, 2):
-        prep = PreparedCorpus.from_corpus(planted_corpus(2).corpus, w)
+        prep = PreparedCorpus(planted_corpus(2).corpus, w)
         table = prep.corpus.poi_table
         params = init_params(HyperParams(d=5, h=8, w=w), prep.corpus.n_users,
                              prep.corpus.n_pois, make_rng(1))
@@ -369,7 +378,7 @@ def test_per_row_gates_equal_whole_batch_gate_arrays():
     corpus = planted_corpus(2).corpus
     table = corpus.poi_table
     for w in (1, 2):
-        prep = PreparedCorpus.from_corpus(corpus, w)
+        prep = PreparedCorpus(corpus, w)
         params = init_params(HyperParams(d=5, h=8, w=w), corpus.n_users, corpus.n_pois,
                              make_rng(w))
         # every sample twice or more, so context POIs repeat within the batch
@@ -396,7 +405,7 @@ def test_backward_batch_leaves_nothing_of_what_the_arena_held():
     # as a fresh zero gradient does
     corpus = planted_corpus(2).corpus
     for w in (1, 2):
-        prep = PreparedCorpus.from_corpus(corpus, w)
+        prep = PreparedCorpus(corpus, w)
         params = init_params(HyperParams(d=5, h=8, w=w), corpus.n_users, corpus.n_pois,
                              make_rng(w))
         batch = prep.samples_for("train").take(slice(0, 40))
@@ -566,6 +575,12 @@ class TestEarlyStop:
         assert res.best_value == 1.0
         assert res.epochs_run == res.best_epoch == 1
         assert res.params is params  # the best epoch is the last: no copy
+
+    def test_the_epoch_count_is_the_length_of_the_log(self):
+        with pytest.raises(TypeError, match="epochs_run"):
+            FitResult(params=None, epochs_run=2)
+        record = EpochRecord(1, 0.5, {}, math.nan, 0.0)
+        assert FitResult(params=None, log=[record, replace(record, epoch=2)]).epochs_run == 2
 
     def test_overflow_while_ranking_raises_diverged(self):
         # epoch 1's batch losses stay finite, but its update takes the
