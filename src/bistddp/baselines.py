@@ -5,23 +5,25 @@ adjacent context POI in the training segments; TOP1 is global popularity,
 TOP2 per-user popularity. Each ranking is the POIs with a nonzero count,
 sorted, followed by all other POIs in TOP1 order (global popularity, then
 ascending index). Count ties break by TOP1 order for Forward/Backward and
-by ascending index for TOP2, so rankings are reproducible.
+by ascending index for TOP2, so rankings are reproducible. The fitted tables
+are frozen when built, every array read-only, so a ranking may be one of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ingest import Corpus, Sample
+from .numerics import Frozen
 
 
-@dataclass
-class CountTable:
-    """Counted POIs per key in CSR form, every array read-only: key k's head,
-    entries `offsets[k]:offsets[k + 1]`, is in ranking order (count descending,
-    then the table's tie key)."""
+@dataclass(frozen=True)
+class CountTable(Frozen):
+    """Counted POIs per key in CSR form: key k's head, entries
+    `offsets[k]:offsets[k + 1]`, is in ranking order (count descending, then
+    the table's tie key)."""
 
     offsets: np.ndarray  # (n_keys + 1,)
     pois: np.ndarray  # counted POI of each entry
@@ -29,17 +31,17 @@ class CountTable:
     top1_pos: np.ndarray  # its position within top1_order
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionTable:
     forward: CountTable  # consecutive train-segment pairs (p, q), keyed by p
     backward: CountTable  # the same pairs keyed by q
 
 
-@dataclass
-class PopularityTable:
-    global_counts: np.ndarray  # (M,) check-in counts over all train segments, read-only
-    top1_order: np.ndarray  # cached global ranking, read-only
-    top1_pos: np.ndarray  # position of each POI within top1_order, read-only
+@dataclass(frozen=True)
+class PopularityTable(Frozen):
+    global_counts: np.ndarray  # (M,) check-in counts over all train segments
+    top1_order: np.ndarray  # cached global ranking
+    top1_pos: np.ndarray  # position of each POI within top1_order
     users: CountTable  # keyed by dense user, train segment only
 
 
@@ -63,10 +65,7 @@ def _count_table(keys, pois, counts, tie, n_keys: int, top1_pos: np.ndarray) -> 
     order = np.argsort((keys * n_counts + rank) * m + tie)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_keys))))
     pois = pois[order]
-    table = CountTable(offsets, pois, counts[order], top1_pos[pois])
-    for f in fields(table):
-        getattr(table, f.name).setflags(write=False)
-    return table
+    return CountTable(offsets, pois, counts[order], top1_pos[pois])
 
 
 def fit_counts(corpus: Corpus, split: np.ndarray) -> tuple[TransitionTable, PopularityTable]:
@@ -83,9 +82,6 @@ def fit_counts(corpus: Corpus, split: np.ndarray) -> tuple[TransitionTable, Popu
     top1_order = np.argsort(-global_counts, kind="stable")
     top1_pos = np.empty(m, dtype=np.int64)
     top1_pos[top1_order] = np.arange(m)
-    # rankers hand top1_order itself to every caller; no table array is writable
-    for a in (global_counts, top1_order, top1_pos):
-        a.setflags(write=False)
 
     codes, counts = np.unique(pois[:-1][same_user] * m + pois[1:][same_user], return_counts=True)
     p, q = np.divmod(codes, m)

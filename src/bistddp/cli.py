@@ -50,6 +50,7 @@ from .ingest import (
 from .model import (
     HyperParams,
     ModelParams,
+    NonFiniteScores,
     VARIANTS,
     expect_compatible,
     forward_batch,
@@ -424,7 +425,7 @@ def cmd_sweep(run: Setup) -> int:
             rep = _model_report(point, result.params, test, run.cache)
             rows.append((value, rep, "ok"))
             print(f"{param}={value}: map={rep.map:.4f}")
-        except Exception as exc:  # record the failure, keep sweeping
+        except (ValueError, Diverged, NonFiniteScores) as exc:  # bad input or divergence: go on
             rows.append((value, None, f"error: {exc}"))
             print(f"{param}={value}: FAILED ({exc})", file=sys.stderr)
     _write_csv(out / "sweep.csv", [["param", "value", *_metric_head(cfg.k), "status"]]

@@ -27,6 +27,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from .numerics import freeze
+
 EARTH_RADIUS_KM = 6371.0
 # Stated error bound of a distance row entry against the exact distance d:
 # ROW_REL_TOL * d for pairs at least ROW_REL_MIN_KM (1 m) apart, ROW_ABS_TOL_KM below.
@@ -76,15 +78,15 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 
 class PoiTable:
-    """Dense-indexed POI registry as columns; immutable after construction.
+    """Dense-indexed POI registry as columns, frozen (`freeze`) when built.
 
     POI k has external id `ids[k]` and coordinates (`lat[k]`, `lon[k]`) in
-    degrees: `ids` is a tuple, and `lat` and `lon` are read-only float64
-    copies of the arrays given, which must pass the range rule and carry no
-    duplicate id (a `BadPoi` names the first POI that does not). Five more
-    read-only length-M arrays, derived from those, let distance rows
-    vectorize without trigonometry: the sine and cosine of each half
-    latitude and half longitude, and the cosine of each latitude.
+    degrees: `ids` is a tuple, and `lat` and `lon` are float64 copies of the
+    arrays given, which must pass the range rule and carry no duplicate id
+    (a `BadPoi` names the first POI that does not). Five more length-M
+    arrays, derived from those, let distance rows vectorize without
+    trigonometry: the sine and cosine of each half latitude and half
+    longitude, and the cosine of each latitude.
     """
 
     def __init__(self, ids, lat, lon):
@@ -109,9 +111,7 @@ class PoiTable:
         self._sin_hlat, self._cos_hlat = np.sin(lat / 2.0), np.cos(lat / 2.0)
         self._sin_hlon, self._cos_hlon = np.sin(lon / 2.0), np.cos(lon / 2.0)
         self._cos_lat = np.cos(lat)
-        for a in (self.lat, self.lon, self._sin_hlat, self._cos_hlat, self._sin_hlon,
-                  self._cos_hlon, self._cos_lat):
-            a.setflags(write=False)
+        freeze(self)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -191,8 +191,7 @@ class SpatialRowCache:
             self._rows.move_to_end(poi)
             self.hits += 1
             return cached
-        fresh = spatial_vector(poi, self.table, self._sigmas)
-        fresh.setflags(write=False)
+        fresh = freeze(spatial_vector(poi, self.table, self._sigmas))
         self.misses += 1
         self._rows[poi] = fresh
         if len(self._rows) > self.capacity:

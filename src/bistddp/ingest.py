@@ -6,10 +6,10 @@ temporal pattern of a timestamp, and builds the identification samples
 (one per check-in that has enough context on both sides). A corpus is its
 POI table and check-in columns. `PreparedCorpus(corpus, w)` derives the rest
 from it: the split, one int8 segment code per check-in, and the samples, one
-read-only `SampleBatch` of columns grouped by split so that each split is a
-view of its rows. The parsers collect each line's values straight into
-columns, and no later step builds per-POI, per-user or per-sample objects.
-`Sample` is a batch's row view, made only on request.
+`SampleBatch` grouped by split so that each split is a view of its rows. The
+parsers collect values straight into columns; no step builds per-POI, per-user
+or per-sample objects (`Sample` is a batch's row view, made on request). Every
+value here is frozen when built: its arrays are read-only, its ids tuples.
 
 A prepared corpus can be written to / read from a versioned TSV file
 (magic "STDDP2"); see `write_corpus` for the exact layout. The file holds
@@ -31,6 +31,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .geodata import BadPoi, PoiTable, coordinate_error
+from .numerics import Frozen, freeze
 
 log = logging.getLogger(__name__)
 
@@ -79,9 +80,17 @@ class BadCorpusFile(ValueError):
     """A bad prepared-corpus file; the message names the file and line."""
 
 
+class DuplicateUser(ValueError):
+    """User `index` repeats the id of user `first`."""
+
+    def __init__(self, user_id: str, index: int, first: int):
+        super().__init__(f"user {index}: duplicate user id {user_id!r} (first is user {first})")
+        self.index, self.first = index, first
+
+
 @dataclass(frozen=True)
-class CheckIns:
-    """Check-ins as parallel int64 columns, row i holding check-in i."""
+class CheckIns(Frozen):
+    """Check-ins as parallel read-only int64 columns, row i holding check-in i."""
 
     users: np.ndarray  # user index
     pois: np.ndarray  # POI index
@@ -92,13 +101,22 @@ class CheckIns:
         return len(self.times)
 
 
-@dataclass
-class Corpus:
-    """POIs, users, and check-ins grouped by user in index order, each user's time-sorted."""
+@dataclass(frozen=True)
+class Corpus(Frozen):
+    """POIs, users, and check-ins grouped by user in index order, each user's
+    time-sorted. No two users share an id (a `DuplicateUser` names the first
+    user that does)."""
 
     poi_table: PoiTable
-    user_ids: list[str]
+    user_ids: tuple[str, ...]
     checkins: CheckIns
+
+    def __post_init__(self):
+        first: dict[str, int] = {}
+        for k, user_id in enumerate(self.user_ids):
+            if first.setdefault(user_id, k) != k:
+                raise DuplicateUser(user_id, k, first[user_id])
+        super().__post_init__()
 
     @property
     def n_users(self) -> int:
@@ -134,7 +152,7 @@ _BLOCK = 1 << 12  # rows per block: bounds the lists that iterating a batch and 
 
 
 @dataclass(frozen=True)
-class SampleBatch:
+class SampleBatch(Frozen):
     """Samples as parallel arrays, row i holding sample i (struct of arrays)."""
 
     users: np.ndarray  # (B,) int64
@@ -209,14 +227,14 @@ class SampleBatch:
                          keep(bwd, bwd), before, after, SPLITS[seg])
 
 
-@dataclass
-class ParseResult:
+@dataclass(frozen=True)
+class ParseResult(Frozen):
     """A parsed dump as columns: the POI table, the users and the check-ins."""
 
     table: PoiTable  # POIs in order of first appearance, each with its first-seen coordinates
-    user_ids: list[str]  # users in order of first appearance; `checkins.users` indexes it
+    user_ids: tuple[str, ...]  # users in order of first appearance; `checkins.users` indexes it
     checkins: CheckIns  # in file order
-    malformed: list[tuple[int, str]]  # (line number, reason)
+    malformed: tuple[tuple[int, str], ...]  # (line number, reason)
 
 
 def time_error(utc_seconds: int, tz_offset: int) -> str | None:
@@ -343,7 +361,7 @@ def _parse_file(path, line_parser) -> ParseResult:
         raise EmptyCorpus(f"{path}: no valid check-ins")
     checkins = CheckIns(**{name: np.frombuffer(c, dtype=np.int64) for name, c in columns.items()})
     table = PoiTable(pois, np.frombuffer(lats), np.frombuffer(lons))
-    return ParseResult(table, list(users), checkins, malformed)
+    return ParseResult(table, tuple(users), checkins, tuple(malformed))
 
 
 def parse_foursquare(path) -> ParseResult:
@@ -352,7 +370,7 @@ def parse_foursquare(path) -> ParseResult:
     Tab-separated, 8 columns: user id, venue id, category id, category name,
     latitude, longitude, tz offset in minutes, UTC time like
     "Tue Apr 03 18:00:09 +0000 2012". Bad lines are skipped and reported in
-    the result's `malformed` list.
+    the result's `malformed` tuple.
     """
     return _parse_file(path, _parse_foursquare_line)
 
@@ -411,7 +429,7 @@ def filter_min_activity(
     kept = CheckIns(users[order], poi_index[ci.pois[rows]], ci.times[rows], ci.tz[rows])
     ids, lat, lon = parsed.table.ids, parsed.table.lat, parsed.table.lon
     table = PoiTable([ids[p] for p in kept_pois.tolist()], lat[kept_pois], lon[kept_pois])
-    return Corpus(table, [parsed.user_ids[u] for u in survivors.tolist()], kept)
+    return Corpus(table, tuple(parsed.user_ids[u] for u in survivors.tolist()), kept)
 
 
 def chronological_split(t):
@@ -448,8 +466,7 @@ def encode_temporal_pattern(utc_seconds: int, tz_offset_minutes: int) -> tuple[i
 def build_samples(corpus: Corpus, split: np.ndarray, w: int) -> SampleBatch:
     """One sample per check-in with >= w check-ins of its user on each side,
     grouped by split: the train samples, then val, then test, each group in
-    row order. Every column is read-only, so a view of a split cannot write
-    into the batch.
+    row order.
 
     `split` is `split_corpus(corpus)`, one segment code per check-in. Each
     sample's split code is its target's segment; context windows may
@@ -465,7 +482,7 @@ def build_samples(corpus: Corpus, split: np.ndarray, w: int) -> SampleBatch:
     targets = targets[np.argsort(split[targets], kind="stable")]  # train, val, test
     offsets = np.arange(1, w + 1)
     hours = np.diff(ci.times) / 3600.0  # hours[i]: t_{i+1} - t_i
-    batch = SampleBatch(
+    return SampleBatch(
         users=ci.users[targets],
         targets=ci.pois[targets],
         target_utc=ci.times[targets],
@@ -476,9 +493,6 @@ def build_samples(corpus: Corpus, split: np.ndarray, w: int) -> SampleBatch:
         pattern_code=_PATTERN_CODES[_pattern_index(ci.times[targets], ci.tz[targets])],
         split=split[targets],
     )
-    for f in fields(batch):
-        getattr(batch, f.name).setflags(write=False)
-    return batch
 
 
 @dataclass(frozen=True)
@@ -492,14 +506,12 @@ class PreparedCorpus:
     samples: SampleBatch = field(init=False)
 
     def __post_init__(self):
-        split = split_corpus(self.corpus)
-        split.setflags(write=False)
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "samples", build_samples(self.corpus, split, self.window))
+        object.__setattr__(self, "split", freeze(split_corpus(self.corpus)))
+        object.__setattr__(self, "samples", build_samples(self.corpus, self.split, self.window))
 
     def samples_for(self, split: str) -> SampleBatch:
         """The samples whose target is in `split` (train, val or test), in row
-        order: a read-only view of their rows of `samples`, not a copy."""
+        order: a view of their rows of `samples`, not a copy."""
         code = SPLITS.index(split)
         lo, hi = np.searchsorted(self.samples.split, np.array([code, code + 1], dtype=np.int8))
         return self.samples.take(slice(lo, hi))
@@ -728,5 +740,9 @@ def load_corpus(path) -> PreparedCorpus:
     lines.expect(in_order, first,
                  lambda k: f"timestamp {times[k]} is earlier than the user's previous one")
 
-    corpus = Corpus(table, user_ids, CheckIns(users, pois, times, tz))
+    try:
+        corpus = Corpus(table, tuple(user_ids), CheckIns(users, pois, times, tz))
+    except DuplicateUser as exc:  # user k is on line n_pois + k + 2
+        raise lines.error(1 + n_pois + exc.index, f"duplicate user id {user_ids[exc.index]!r} "
+                          f"(first on line {n_pois + exc.first + 2})") from None
     return PreparedCorpus(corpus, window)

@@ -1,4 +1,4 @@
-"""Dense numeric kernels and deterministic randomness.
+"""Dense numeric kernels, deterministic randomness, and `freeze`.
 
 All tensors in this package are row-major float64 numpy arrays. Randomness
 comes from numpy's PCG64 generator, which produces identical streams for
@@ -13,6 +13,20 @@ import numpy as np
 
 class ShapeMismatch(ValueError):
     """Operand shapes are incompatible."""
+
+
+def freeze(value):
+    """`value`, with the array it is, or each array it holds, marked read-only; no copy."""
+    for held in [value] if isinstance(value, np.ndarray) else vars(value).values():
+        if isinstance(held, np.ndarray):
+            held.setflags(write=False)
+    return value
+
+
+class Frozen:
+    """Base of a frozen dataclass whose constructor `freeze`s what it holds."""
+
+    __post_init__ = freeze
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -32,7 +32,7 @@ def corpus_from_events(
     users, pois, times, tz = np.array(rows, dtype=np.int64).reshape(-1, 4).T
     order = np.lexsort((times, users))  # stable: ties keep event order
     checkins = CheckIns(users[order], pois[order], times[order], tz[order])
-    return Corpus(table, [f"u{u}" for u in range(len(user_events))], checkins)
+    return Corpus(table, tuple(f"u{u}" for u in range(len(user_events))), checkins)
 
 
 def overfit_corpus(

@@ -12,7 +12,7 @@ import pytest
 from bistddp import cli
 from bistddp.cli import ExperimentConfig, main
 from bistddp.ingest import load_corpus
-from bistddp.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from bistddp.model import CHECKPOINT_MAGIC, NonFiniteScores, load_checkpoint, save_checkpoint
 from conftest import foursquare_lines
 
 
@@ -534,6 +534,40 @@ class TestAblateAndSweep:
             ("3", "error: metric 'val_map' needs a non-empty validation split")]
         assert "w=2: FAILED (no samples to evaluate)\n" in capsys.readouterr().err
 
+    def test_an_internal_error_at_a_point_ends_the_sweep(self, prepared_dir, tmp_path,
+                                                         monkeypatch, capsys):
+        # only bad input at a point, or diverged training, is recorded as a failed row
+        fit = cli._fit
+
+        def fail_at_d4(cfg, *args):
+            if cfg.d == 4:
+                raise RuntimeError("a fault in the package")
+            return fit(cfg, *args)
+
+        monkeypatch.setattr(cli, "_fit", fail_at_d4)
+        out = tmp_path / "sw"
+        assert run("sweep", "--data", prepared_dir / "corpus.tsv", "--out", out,
+                   "--grid", "d=2,4", "--h", 4, "--epochs", 1, "--batch", 64) == 1
+        assert capsys.readouterr().err == "internal error: a fault in the package\n"
+        assert not (out / "sweep.csv").exists()
+
+    def test_non_finite_test_scores_at_a_point_are_a_failed_row(self, prepared_dir, tmp_path,
+                                                                monkeypatch):
+        # training wraps this error as Diverged; scoring the test split raises it as it is
+        target_ranks = cli.target_ranks
+
+        def overflow_at_d4(samples, params, *args):
+            if params.hyper.d == 4:
+                raise NonFiniteScores("non-finite scores")
+            return target_ranks(samples, params, *args)
+
+        monkeypatch.setattr(cli, "target_ranks", overflow_at_d4)
+        out = tmp_path / "sw"
+        assert run("sweep", "--data", prepared_dir / "corpus.tsv", "--out", out,
+                   "--grid", "d=2,4", "--h", 4, "--epochs", 1, "--batch", 64) == 0
+        assert [(r["value"], r["status"]) for r in read_csv(out / "sweep.csv")] == [
+            ("2", "ok"), ("4", "error: non-finite scores")]
+
     def test_sweep_single_point_matches_train_evaluate(self, prepared_dir, tmp_path):
         out = tmp_path / "sw1"
         assert run("sweep", "--data", prepared_dir / "corpus.tsv", "--out", out,
@@ -646,6 +680,8 @@ CORRUPTIONS = {
                                  "bad timestamp"),
     "latitude out of range": (lambda L: _set_field(L, 5, 2, "95.0"), 5, "out of range"),
     "duplicate POI id": (lambda L: _set_field(L, 3, 1, "venue0"), 3, "first on line 2"),
+    "duplicate user id": (lambda L: _set_field(L, 16, 1, "user0"), 16,
+                          "duplicate user id 'user0' (first on line 14)"),
     "C block out of user order": (lambda L: _set_field(L, 46, 1, "2"), 46, "user order"),
     "POI outside [0, M)": (lambda L: _set_field(L, 50, 2, "99999"), 50, "outside [0, 12)"),
     "timestamp out of range": (lambda L: _set_field(L, 60, 3, "-5"), 60, "outside [1970"),

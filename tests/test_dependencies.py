@@ -1,7 +1,8 @@
 """The package imports nothing but the standard library and numpy, neither the
 CLI nor the gradient oracle uses the per-sample model API, the package
 namespace exports none of it, one model function reads the variant's flags,
-and the model reads distance rows only through the row cache it is handed."""
+the model reads distance rows only through the row cache it is handed, and one
+helper marks arrays read-only."""
 
 import ast
 import inspect
@@ -188,6 +189,16 @@ def test_only_the_row_cache_computes_distance_rows():
                if isinstance(node, ast.Name) and node.id == "spatial_vector"
                or isinstance(node, ast.Attribute) and node.attr == "spatial_vector"}
     assert readers == {("geodata.py", "SpatialRowCache.row")}
+
+
+def test_only_freeze_marks_an_array_read_only():
+    # every input value's constructor calls it, so the rule stays in one place
+    callers = {(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
+               for scope, node in scoped_nodes(path)
+               if isinstance(node, ast.Attribute) and (
+                   node.attr == "setflags"
+                   or node.attr.lower() == "writeable" and isinstance(node.ctx, ast.Store))}
+    assert callers == {("numerics.py", "freeze")}
 
 
 @pytest.mark.parametrize("function", [forward_batch, target_ranks, batch_gradients,

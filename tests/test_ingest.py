@@ -3,7 +3,7 @@ import re
 import tempfile
 import tracemalloc
 from collections import Counter
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -13,11 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bistddp import ingest
-from bistddp.geodata import PoiTable
+from bistddp.baselines import fit_counts
+from bistddp.geodata import PoiTable, SpatialRowCache
 from bistddp.ingest import (
     BadCorpusFile,
     CheckIns,
     Corpus,
+    DuplicateUser,
     EmptyCorpus,
     ParseResult,
     PreparedCorpus,
@@ -37,6 +39,7 @@ from bistddp.ingest import (
     write_corpus,
 )
 from bistddp.synthetic import corpus_from_events, overfit_corpus, planted_corpus, random_instance
+from conftest import foursquare_lines
 
 
 def fsq_line(user="u1", venue="v1", lat=40.7, lon=-74.0, tz=-240,
@@ -61,7 +64,7 @@ class TestParsers:
         expected = int(datetime(2012, 4, 3, 18, 0, 9, tzinfo=timezone.utc).timestamp())
         assert res.checkins.times.tolist() == [expected]
         assert res.checkins.tz.tolist() == [-240]
-        assert res.checkins.users.tolist() == [0] and res.user_ids == ["u1"]
+        assert res.checkins.users.tolist() == [0] and res.user_ids == ("u1",)
         assert res.checkins.pois.tolist() == [0] and res.table.ids == ("v1",)
         assert {c.dtype for c in (res.checkins.users, res.checkins.pois,
                                   res.checkins.times, res.checkins.tz)} == {np.dtype(np.int64)}
@@ -109,7 +112,7 @@ class TestParsers:
         expected = int(datetime(2010, 10, 19, 23, 55, 27, tzinfo=timezone.utc).timestamp())
         assert res.checkins.times.tolist() == [expected]
         assert res.checkins.tz.tolist() == [0]  # distribution carries no timezone
-        assert res.user_ids == ["7"] and res.table.ids == ("420315",)
+        assert res.user_ids == ("7",) and res.table.ids == ("420315",)
 
     def test_gowalla_bad_line_and_dedup(self, tmp_path):
         lines = [
@@ -162,7 +165,7 @@ def test_one_range_rule_for_parser_table_and_corpus_file(pairs):
             texts = [line(lat="1.5", lon="2.5")]  # one good line: the dump is never empty
             texts += [line(**{poi: f"w{k}"}, lat=lat, lon=lon) for k, (lat, lon) in enumerate(pairs)]
             res = parse(write(Path(tmp), "dump.tsv", texts))
-            assert res.malformed == [(k + 2, e) for k, e in enumerate(errors) if e is not None]
+            assert res.malformed == tuple((k + 2, e) for k, e in enumerate(errors) if e is not None)
             assert res.table.ids[1:] == tuple(f"w{k}" for k in kept)
             assert res.table.lat.tobytes() == np.array([1.5, *(lats[k] for k in kept)]).tobytes()
             assert res.table.lon.tobytes() == np.array([2.5, *(lons[k] for k in kept)]).tobytes()
@@ -204,7 +207,7 @@ def make_checkins(spec):
     table = PoiTable(pois, [(i + 1) * 0.5 for i in range(len(pois))],
                      [(i + 1) * 0.25 for i in range(len(pois))])
     columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    return ParseResult(table, list(users), CheckIns(*columns), [])
+    return ParseResult(table, tuple(users), CheckIns(*columns), ())
 
 
 def reference_filter(parsed, min_user, min_poi_users, fixpoint=False):
@@ -243,7 +246,7 @@ def reference_filter(parsed, min_user, min_poi_users, fixpoint=False):
     # tied timestamps keep file order
     rows = sorted(((user_index[u], poi_index[p], t, z) for u, p, t, z in kept),
                   key=lambda row: (row[0], row[2]))
-    return Corpus(table, list(user_index), CheckIns(*np.array(rows, dtype=np.int64).T))
+    return Corpus(table, tuple(user_index), CheckIns(*np.array(rows, dtype=np.int64).T))
 
 
 def assert_same_table(got, expected):
@@ -377,7 +380,7 @@ class TestFilter:
         # POIs p0..p2 get both users; keep thresholds small so only the
         # user rule bites
         corpus = filter_min_activity(make_checkins(spec), min_user=10, min_poi_users=1)
-        assert corpus.user_ids == ["b"]
+        assert corpus.user_ids == ("b",)
         assert corpus.n_checkins == 12
 
     def test_poi_distinct_user_criterion(self):
@@ -450,7 +453,7 @@ class TestFilter:
             ci = single.checkins
             seen["ties"] += bool(np.any((np.diff(ci.times) == 0) & (np.diff(ci.users) == 0)))
             # the first surviving check-in, not the first line, orders the users
-            parse_order = sorted(single.user_ids, key=parsed.user_ids.index)
+            parse_order = tuple(sorted(single.user_ids, key=parsed.user_ids.index))
             seen["reordered"] += single.user_ids != parse_order
         assert seen["ties"] == 30 and seen["reordered"] > 0, seen
 
@@ -660,14 +663,12 @@ class TestBuildSamples:
 
     def test_a_split_view_cannot_write_into_the_corpus(self):
         prep = PreparedCorpus(random_corpus(1, n_users=6, t=17), 1)
-        for batch in (prep.samples, prep.samples_for("val")):
+        copy = prep.samples_for("val").take(np.arange(2))  # indices: a copy, read-only too
+        assert not np.shares_memory(copy.users, prep.samples.users)
+        for batch in (prep.samples, prep.samples_for("val"), copy):
             for f in fields(SampleBatch):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(batch, f.name)[0] = 1
-        before = prep.samples.users.copy()
-        copy = prep.samples_for("val").take(np.arange(2))  # indices: a writable copy
-        copy.users[:] = -1
-        np.testing.assert_array_equal(prep.samples.users, before)
 
     def test_ungrouped_samples_are_refused(self):
         # the samples cannot be handed in, so only an assignment could ungroup them
@@ -771,6 +772,76 @@ class TestPreparedCorpus:
         assert_same_columns(back, prep)
 
 
+def mutable_parts(value, path="value") -> list[str]:
+    """Where `value` can change in place: each writable array, each list or
+    dict, and each dataclass that is not frozen, found through tuples,
+    dataclass fields and `PoiTable` attributes."""
+    if isinstance(value, np.ndarray):
+        return [path] if value.flags.writeable else []
+    if isinstance(value, (list, dict)):
+        return [path]
+    if isinstance(value, tuple):
+        return [p for i, held in enumerate(value) for p in mutable_parts(held, f"{path}[{i}]")]
+    if not (is_dataclass(value) or isinstance(value, PoiTable)):
+        return []
+    found = []
+    if is_dataclass(value) and not type(value).__dataclass_params__.frozen:
+        found.append(f"{path} (not frozen)")
+    for name, held in vars(value).items():
+        found += mutable_parts(held, f"{path}.{name}")
+    return found
+
+
+class TestInputValuesAreImmutable:
+    def test_the_walk_finds_each_kind_of_mutable_part(self):
+        @dataclass
+        class Loose:
+            ids: list
+            column: np.ndarray
+            index: dict
+            table: PoiTable
+
+        table = PoiTable(["a"], [1.0], [2.0])
+        table.lat = np.zeros(1)
+        assert mutable_parts((Loose(["a"], np.zeros(2), {}, table),)) == [
+            "value[0] (not frozen)", "value[0].ids", "value[0].column", "value[0].index",
+            "value[0].table.lat"]
+
+    def test_nothing_reachable_from_parse_prepare_load_or_fit_counts_can_change(self, tmp_path):
+        parsed = parse_foursquare(write(tmp_path, "dump.tsv", foursquare_lines() + ["bad"]))
+        assert parsed.malformed and len(parsed.user_ids) == 20
+        prep = prepare(parsed, 1)
+        write_corpus(tmp_path / "corpus.tsv", prep)
+        loaded = load_corpus(tmp_path / "corpus.tsv")
+        values = {
+            "parsed": parsed,
+            "prepared": prep,
+            "loaded": loaded,
+            "planted": PreparedCorpus(planted_corpus(0).corpus, 2),
+            "counts": fit_counts(loaded.corpus, loaded.split),
+            "taken": loaded.samples.take(np.arange(3)),
+            "from_samples": SampleBatch.from_samples(list(loaded.samples_for("test"))),
+            "row": SpatialRowCache(loaded.corpus.poi_table).row(0),
+        }
+        for name, value in values.items():
+            assert mutable_parts(value, name) == []
+
+    @pytest.mark.parametrize("source", ["PreparedCorpus", "prepare", "load_corpus"])
+    def test_a_check_in_column_cannot_be_written(self, tmp_path, source):
+        # at the parent, this write succeeded and left the split and the samples stale
+        prep = PreparedCorpus(planted_corpus(0).corpus, 1)
+        if source == "prepare":
+            prep = prepare(parse_foursquare(write(tmp_path, "dump.tsv", foursquare_lines())), 1)
+        elif source == "load_corpus":
+            write_corpus(tmp_path / "corpus.tsv", prep)
+            prep = load_corpus(tmp_path / "corpus.tsv")
+        with pytest.raises(ValueError, match="read-only"):
+            prep.corpus.checkins.pois[:] = 0
+        assert isinstance(prep.corpus.user_ids, tuple)
+        with pytest.raises(FrozenInstanceError):
+            prep.corpus.user_ids = list(prep.corpus.user_ids)
+
+
 class TestRoundTrips:
     def test_parse_filter_split_deterministic(self, tmp_path):
         lines = []
@@ -817,7 +888,7 @@ class TestRoundTrips:
                       max_size=6)
         n_pois = data.draw(st.integers(1, 5))
         poi_ids = data.draw(st.lists(ids, min_size=n_pois, max_size=n_pois, unique=True))
-        user_ids = data.draw(st.lists(ids, min_size=1, max_size=5))
+        user_ids = tuple(data.draw(st.lists(ids, min_size=1, max_size=5)))
         times = st.one_of(st.sampled_from([0, 1, 4102444799, 4102444798]),
                           st.integers(0, 4102444799))
         rows = []
@@ -828,6 +899,13 @@ class TestRoundTrips:
             rows += [(u, p, t, z) for p, t, z in sorted(history, key=lambda row: row[1])]
         columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
         table = PoiTable(poi_ids, np.linspace(-90, 90, n_pois), np.linspace(180, -180, n_pois))
+        repeats = [k for k, user_id in enumerate(user_ids) if user_id in user_ids[:k]]
+        if repeats:  # no corpus, so no file, holds a repeated user id
+            with pytest.raises(DuplicateUser, match="duplicate user id") as refused:
+                Corpus(table, user_ids, CheckIns(*columns))
+            k = refused.value.index
+            assert k == repeats[0] and refused.value.first == user_ids.index(user_ids[k])
+            return
         expected = PreparedCorpus(
             Corpus(table, user_ids, CheckIns(*columns)), data.draw(st.integers(1, 3)))
         with tempfile.TemporaryDirectory() as tmp:
@@ -880,7 +958,7 @@ class TestRoundTrips:
             prep = load_corpus(path)
             corpus = prep.corpus
             assert (corpus.n_users, corpus.n_pois, corpus.n_checkins) == (7, 4, 19)
-            assert corpus.user_ids == list(lengths)
+            assert corpus.user_ids == tuple(lengths)
             assert prep.split.tolist() == reference_segments(corpus) == [
                 0, 0, 0, 0, 0, 1, 2,  # a: T = 7, train_end 5, val_end 6
                 0, 2,  # b: T = 2, train_end 1, val_end 1
@@ -894,7 +972,6 @@ class TestRoundTrips:
         path = tmp_path / "corpus.tsv"
         write_corpus(path, PreparedCorpus(random_corpus(1), 1))
         old = path.read_bytes()
-        prep = PreparedCorpus(random_corpus(2, n_pois=2000), 1)
         written = []
 
         class FailingId(str):
@@ -902,7 +979,8 @@ class TestRoundTrips:
                 written.extend(p.stat().st_size for p in tmp_path.iterdir() if p != path)
                 raise OSError("no space left on device")
 
-        prep.corpus.user_ids[0] = FailingId("u0")
+        corpus = random_corpus(2, n_pois=2000)
+        prep = PreparedCorpus(replace(corpus, user_ids=(FailingId("u0"), *corpus.user_ids[1:])), 1)
         with pytest.raises(OSError, match="no space"):
             write_corpus(path, prep)
         assert len(written) == 1 and written[0] > 0  # it failed partway through a temp file
