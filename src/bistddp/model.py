@@ -30,7 +30,8 @@ import numpy as np
 # spatial_vector is a module attribute only, for perfbench's tracer to patch
 from .geodata import PoiTable, SpatialRowCache, row_source, spatial_vector  # noqa: F401
 from .ingest import Sample, SampleBatch, atomic_open
-from .numerics import ShapeMismatch, glorot_uniform, softmax_cross_entropy, stable_softmax
+from .numerics import (ShapeMismatch, behind, glorot_uniform, softmax_cross_entropy,
+                       stable_softmax)
 
 CHECKPOINT_MAGIC = b"STDDPCKPT"
 
@@ -244,7 +245,8 @@ def forward_batch(
     rows: SpatialRowCache,
     variant: VariantConfig = VARIANTS["bi-stddp"],
 ) -> BatchTrace:
-    """Evaluate the model on a batch: logits are one (B x h) @ (h x M) GEMM.
+    """Evaluate the model on a batch: logits are one (B x h) @ (h x M) GEMM,
+    run `behind` the distance-row lookups.
 
     Dependence terms use only the immediate neighbors (t-1 / t+1) even for
     w > 1; wider context enters through the hidden branches.
@@ -261,12 +263,16 @@ def forward_batch(
         b.act = np.tanh(acc)
         pref += b.act
 
-    logits = pref @ params.out_weights.T
+    # the row lookups stay on this thread, so perfbench's tracer and the
+    # cache's LRU order see them as serial code does
+    with behind(lambda: pref @ params.out_weights.T) as product:
+        for d in directions:
+            # one row lookup per distinct POI, in order of first appearance
+            distinct = {p: rows.row(p) for p in dict.fromkeys(d.pois.tolist())}
+            d.rows = [distinct[p] for p in d.pois.tolist()]
+    logits = product.result
 
     for d in directions:
-        # one row lookup per distinct POI, in order of first appearance
-        distinct = {p: rows.row(p) for p in dict.fromkeys(d.pois.tolist())}
-        d.rows = [distinct[p] for p in d.pois.tolist()]
         # each sample's gate row tanh(interval * weights) in one length-M
         # buffer: no (B x M) gate array is built
         weights = tensors[d.weights]

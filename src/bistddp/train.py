@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 import re
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .model import (
     param_layout,
     target_ranks,
 )
-from .numerics import ShapeMismatch, make_rng, softmax_cross_entropy
+from .numerics import ShapeMismatch, behind, make_rng, softmax_cross_entropy
 
 # module attributes only: perfbench's tracer patches train.forward,
 # train.cross_entropy and train.evaluate, and nothing here calls them
@@ -135,10 +137,10 @@ def backward_batch(trace: BatchTrace, g: np.ndarray, params: ModelParams,
     out.g, out.pref = g, trace.pref
     tensors, grads = dict(params.named_tensors()), out.tensors
 
-    for d in trace.directions:
-        _gate_grad(grads[d.weights], g, d.rows, tensors[d.weights], d.interval)
-
-    pref_grad = g @ params.out_weights
+    with behind(lambda: g @ params.out_weights) as product:
+        for d in trace.directions:
+            _gate_grad(grads[d.weights], g, d.rows, tensors[d.weights], d.interval)
+    pref_grad = product.result
 
     for b in trace.branches:
         a = pref_grad * (1.0 - b.act**2)
@@ -217,15 +219,17 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState):
     The arena is updated in pieces, every piece through the whole operation
     sequence before the next, so the arrays it touches stay in cache: pieces
     of ADAM_BLOCK elements up to `out_weights`, then its `row_blocks`, whose
-    gradient `out_weights_rows` first forms in a third scratch piece. The
-    operations per element are the textbook update's, in its order, so the
-    result is bit-identical to whole-array passes over `grads.dense()`. An
-    arena, factors or moments whose shapes do not fit the parameters raise
-    before anything is updated.
+    gradient `out_weights_rows` forms `behind` the update of the piece
+    before, in one of two buffers that alternate. The operations per element
+    are the textbook update's, in its order, so the result is bit-identical
+    to whole-array passes over `grads.dense()`. An arena, factors or moments
+    whose shapes do not fit the parameters raise before anything is updated.
     """
     theta, dense, m, v = params.data, grads.data, state.m, state.v
     rows, h = params.out_weights.shape
-    n = theta.size - rows * h  # elements before out_weights
+    # elements before out_weights: poi_emb's at least, so row block 0's
+    # gradient has a piece to form behind
+    n = theta.size - rows * h
     if not (theta.shape == m.shape == v.shape and dense.shape == (n,)
             and grads.g.shape[1:] == (rows,) and grads.pref.shape == (len(grads.g), h)):
         raise ShapeMismatch(f"parameters {theta.shape} (out_weights {rows} x {h}), gradients "
@@ -234,29 +238,38 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState):
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
-    a_buf, b_buf, g_buf = (np.empty(max(ADAM_BLOCK, h)) for _ in range(3))
+    # three pieces of scratch: `a_buf`, and the two buffers row block j's
+    # gradient alternates in, g_bufs[j % 2]
+    a_buf, *g_bufs = (np.empty(max(ADAM_BLOCK, h)) for _ in range(3))
+    blocks = row_blocks(rows, h)
+
+    def form(j: int) -> np.ndarray:
+        r = blocks[j]
+        return grads.out_weights_rows(r, g_bufs[j % 2][: (r.stop - r.start) * h].reshape(-1, h))
+
     pieces = [*((slice(lo, min(lo + ADAM_BLOCK, n)), None) for lo in range(0, n, ADAM_BLOCK)),
-              *((slice(n + r.start * h, n + r.stop * h), r) for r in row_blocks(rows, h))]
-    for piece, out_rows in pieces:
+              *((slice(n + r.start * h, n + r.stop * h), j) for j, r in enumerate(blocks))]
+    for k, (piece, block) in enumerate(pieces):
         th, mp, vp = theta[piece], m[piece], v[piece]
-        a, b = a_buf[: th.size], b_buf[: th.size]
-        if out_rows is None:
-            gp = dense[piece]
-        else:
-            gp = g_buf[: th.size]
-            grads.out_weights_rows(out_rows, gp.reshape(-1, h))
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
-        # theta -= lr (m / c1) / (sqrt(v / c2) + eps), operation for
-        # operation in that order, through the two scratch arrays
-        mp *= ADAM_BETA1
-        mp += np.multiply(1.0 - ADAM_BETA1, gp, out=a)
-        vp *= ADAM_BETA2
-        np.multiply(1.0 - ADAM_BETA2, gp, out=a)
-        vp += np.multiply(a, gp, out=a)
-        np.multiply(state.lr, np.divide(mp, c1, out=a), out=a)
-        np.sqrt(np.divide(vp, c2, out=b), out=b)
-        b += ADAM_EPS
-        th -= np.divide(a, b, out=a)
+        a = a_buf[: th.size]
+        if block is None:  # the gradient is the arena's; g_bufs[1] is free until block 1
+            gp, q = dense[piece], g_bufs[1][: th.size]
+        else:  # the block's own buffer, free for `q` once m and v are updated
+            gp = q = g_bufs[block % 2][: th.size]
+        next_block = pieces[k + 1][1] if k + 1 < len(pieces) else None
+        with behind(partial(form, next_block)) if next_block is not None else nullcontext():
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+            # theta -= lr (m / c1) / (sqrt(v / c2) + eps), operation for
+            # operation in that order, through `a` and `q`
+            mp *= ADAM_BETA1
+            mp += np.multiply(1.0 - ADAM_BETA1, gp, out=a)
+            vp *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, gp, out=a)
+            vp += np.multiply(a, gp, out=a)
+            np.multiply(state.lr, np.divide(mp, c1, out=q), out=q)
+            np.sqrt(np.divide(vp, c2, out=a), out=a)
+            a += ADAM_EPS
+            th -= np.divide(q, a, out=q)
     return params, state
 
 

@@ -826,6 +826,14 @@ class TestInputValuesAreImmutable:
         for name, value in values.items():
             assert mutable_parts(value, name) == []
 
+    def test_the_array_a_column_views_cannot_be_written_either(self):
+        # at the parent, this write succeeded and changed c.pois through its base
+        a = np.zeros((4, 3), dtype=np.int64)
+        c = CheckIns(*a)
+        with pytest.raises(ValueError, match="read-only"):
+            a[1, 0] = 5
+        assert c.pois.tolist() == [0, 0, 0]
+
     @pytest.mark.parametrize("source", ["PreparedCorpus", "prepare", "load_corpus"])
     def test_a_check_in_column_cannot_be_written(self, tmp_path, source):
         # at the parent, this write succeeded and left the split and the samples stale

@@ -1,11 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bistddp import numerics
 from bistddp.numerics import (
+    behind,
     glorot_uniform,
     make_rng,
     seeded_generators,
@@ -103,3 +111,75 @@ def test_seeded_generators_independent_and_reproducible():
     # the two child streams are distinct
     assert not np.array_equal(seeded_generators(9, 2)[0].uniform(size=5),
                               seeded_generators(9, 2)[1].uniform(size=5))
+
+
+def test_behind_raises_a_background_overflow_as_the_callers_error_state_says():
+    big = np.full((2, 2), 1e300)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            with behind(lambda: big @ big):
+                pass
+    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's default: warn, not raise
+        with behind(lambda: big @ big) as job:
+            pass
+    assert np.isinf(job.result).all()
+
+
+def test_an_exception_in_the_block_propagates_after_background_has_finished():
+    out = np.zeros(3)
+
+    def slow_write():
+        time.sleep(0.2)
+        out[:] = 1.0
+
+    with pytest.raises(KeyError, match="block"):
+        with behind(slow_write):
+            raise KeyError("block")
+    assert out.tolist() == [1.0, 1.0, 1.0]
+    assert not numerics._the_worker().lock.locked()  # the worker is idle
+
+
+def test_every_background_runs_on_one_worker_thread_unless_it_is_taken():
+    caller, threads = threading.get_ident(), set()
+    for _ in range(3):
+        with behind(threading.get_ident) as outer:
+            with behind(threading.get_ident) as inner:  # the worker is taken: inline
+                pass
+        threads.add(outer.result)
+        assert inner.result == caller
+    assert len(threads) == 1 and caller not in threads
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str) -> str:
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_package_starts_no_thread():
+    assert run_python("import threading, bistddp; print(threading.active_count())") == "1\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_gets_a_worker_of_its_own():
+    # the parent's worker thread does not survive the fork; a child that
+    # handed its product to the parent's worker would wait for ever (the
+    # alarm ends it)
+    code = """if True:
+        import os, signal, threading
+        from bistddp.numerics import behind
+        with behind(threading.get_ident) as job:
+            pass
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(20)
+            with behind(threading.get_ident) as job:
+                pass
+            os._exit(0 if job.result != threading.get_ident() else 1)
+        print(os.waitpid(pid, 0)[1])
+    """
+    assert run_python(code) == "0\n"

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import traceback
 import tracemalloc
 from dataclasses import replace
@@ -646,6 +647,62 @@ def test_fit_deterministic_same_seed():
     assert [r.val_map for r in a.log] == [r.val_map for r in b.log]
     for (name, x), (_, y) in zip(a.params.named_tensors(), b.params.named_tensors()):
         np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+class _Inline:
+    """`numerics.behind` without the worker: `background`, then the block, on this thread."""
+
+    def __init__(self, background):
+        self.background = background
+
+    def __enter__(self):
+        self.result = self.background()
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+
+@pytest.mark.parametrize("name", ["bi-stddp", "bi-a"])
+def test_fit_is_the_same_with_and_without_the_worker(monkeypatch, name):
+    # h = 300 makes 109-row blocks of out_weights: four at M = 333, the last
+    # one short, after three dense pieces at d = 64
+    prep = planted_corpus(0, n_clusters=9, pois_per_cluster=37)
+    corpus = prep.corpus
+    assert corpus.n_pois == 333
+
+    def run():
+        params = init_params(HyperParams(d=64, h=300, w=1), corpus.n_users, corpus.n_pois,
+                             make_rng(5))
+        result = fit(prep.samples_for("train"), prep.samples_for("val"), params,
+                     corpus.poi_table, TrainConfig(max_epochs=2, patience=2, seed=5),
+                     VARIANTS[name])
+        return (result.params.data.tobytes(),
+                [(r.epoch, r.train_loss, r.val_recall, r.val_map) for r in result.log])
+
+    shipped = run()
+    monkeypatch.setattr("bistddp.model.behind", _Inline)
+    monkeypatch.setattr("bistddp.train.behind", _Inline)
+    assert run() == shipped
+
+
+def test_every_row_lookup_of_a_fit_runs_on_the_calling_thread(monkeypatch):
+    # perfbench's tracer keeps one span stack, and the cache's hits and
+    # misses must fall in the serial order
+    threads = set()
+    row = SpatialRowCache.row
+
+    def recording(self, poi):
+        threads.add(threading.get_ident())
+        return row(self, poi)
+
+    monkeypatch.setattr(SpatialRowCache, "row", recording)
+    prep = planted_corpus(0)
+    corpus = prep.corpus
+    params = init_params(HyperParams(d=4, h=6, w=1), corpus.n_users, corpus.n_pois, make_rng(6))
+    fit(prep.samples_for("train"), prep.samples_for("val"), params, corpus.poi_table,
+        TrainConfig(max_epochs=1, patience=1), VARIANTS["bi-stddp"])
+    assert threads == {threading.get_ident()}
 
 
 def test_loss_non_increasing_over_first_steps():
