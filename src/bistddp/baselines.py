@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import Corpus, Sample
-from .numerics import Frozen
+from .numerics import BadInput, Frozen
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def _count_table(keys, pois, counts, tie, n_keys: int, top1_pos: np.ndarray) -> 
     # counted pairs, so D <= sqrt(2 * P) + 1: every corpus with at most a
     # million users and POIs and fewer than 4e13 train check-ins fits
     if n_keys * n_counts * m >= 2**63:
-        raise ValueError(f"count table too large to sort by one int64 code: {n_keys} keys, "
+        raise BadInput(f"count table too large to sort by one int64 code: {n_keys} keys, "
                          f"{n_counts} distinct counts, {m} POIs")
     order = np.argsort((keys * n_counts + rank) * m + tie)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_keys))))

@@ -8,7 +8,11 @@ reproducible from config + seed alone. A command checks its inputs before it
 writes anything, so one that exits 2 leaves no output directory behind; `train`
 and `ablate` also write nothing when training diverges.
 
-Exit codes: 0 success, 1 diverged training or internal error, 2 bad input.
+Exit codes: 0 success; 2 bad input (`error: ...`), a `BadInput` or an OS
+error on a path; 1 a model whose training or ranking diverged
+(`diverged: ...`), or any other exception, a fault in the package
+(`internal error: ...`). `sweep` records a point that fails with `BadInput`
+or `Diverged` and goes on; any other error ends it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .geodata import (
     haversine_km,
 )
 from .ingest import (
-    EmptyCorpus,
     ParseResult,
     PreparedCorpus,
     SPLITS,
@@ -50,7 +53,6 @@ from .ingest import (
 from .model import (
     HyperParams,
     ModelParams,
-    NonFiniteScores,
     VARIANTS,
     expect_compatible,
     forward_batch,
@@ -60,10 +62,9 @@ from .model import (
     target_ranks,
     zero_params,
 )
-from .numerics import make_rng, seeded_generators, softmax_cross_entropy
+from .numerics import BadInput, Diverged, make_rng, seeded_generators, softmax_cross_entropy
 from .synthetic import corpus_from_events, random_instance
 from .train import (
-    Diverged,
     FitResult,
     TrainConfig,
     check_fit_inputs,
@@ -72,10 +73,6 @@ from .train import (
     format_train_table,
     write_train_log,
 )
-
-
-class MalformedConfig(ValueError):
-    pass
 
 
 @dataclass
@@ -125,23 +122,25 @@ _PARSERS = {bool: _parse_bool, int: int, float: float, str: str, tuple: _parse_k
 
 def load_config_file(path) -> dict[str, str]:
     """Flat UTF-8 key=value lines, each key a config key at most once; blank
-    lines and # comments allowed. MalformedConfig names the file and line."""
+    lines and # comments allowed, NUL bytes not. BadInput names the file and line."""
     raw: dict[str, str] = {}
     for lineno, data in enumerate(Path(path).read_bytes().splitlines(), 1):
         try:
             line = data.decode("utf-8").strip()
         except UnicodeDecodeError as exc:
-            raise MalformedConfig(f"{path}:{lineno}: not UTF-8: byte 0x{data[exc.start]:02x} "
-                                  f"at column {exc.start + 1}") from None
+            raise BadInput(f"{path}:{lineno}: not UTF-8: byte 0x{data[exc.start]:02x} "
+                           f"at column {exc.start + 1}") from None
+        if (nul := data.find(b"\0")) >= 0:  # no path can hold one, so no value may
+            raise BadInput(f"{path}:{lineno}: NUL byte at column {nul + 1}")
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise MalformedConfig(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise BadInput(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise MalformedConfig(f"{path}:{lineno}: unknown config key {key!r}")
+            raise BadInput(f"{path}:{lineno}: unknown config key {key!r}")
         if key in raw:
-            raise MalformedConfig(f"{path}:{lineno}: config key {key!r} is set again")
+            raise BadInput(f"{path}:{lineno}: config key {key!r} is set again")
         raw[key] = value
     return raw
 
@@ -155,7 +154,7 @@ def build_config(file_values: dict[str, str], flag_values: dict[str, str]) -> Ex
         try:
             parsed = _PARSERS[type(getattr(cfg, key))](value)
         except ValueError:
-            raise MalformedConfig(f"bad value for {key}: {value!r}") from None
+            raise BadInput(f"bad value for {key}: {value!r}") from None
         cfg = replace(cfg, **{key: parsed})
     _validate(cfg)
     return cfg
@@ -163,13 +162,13 @@ def build_config(file_values: dict[str, str], flag_values: dict[str, str]) -> Ex
 
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.format not in _FORMATS:
-        raise MalformedConfig(f"unknown format {cfg.format!r}")
+        raise BadInput(f"unknown format {cfg.format!r}")
     if cfg.variant not in VARIANTS:
-        raise MalformedConfig(f"unknown variant {cfg.variant!r}; choose from {sorted(VARIANTS)}")
+        raise BadInput(f"unknown variant {cfg.variant!r}; choose from {sorted(VARIANTS)}")
     for name in ("d", "h", "w", "batch", "epochs", "patience", "cache_capacity",
                  "min_user", "min_poi_users"):
         if getattr(cfg, name) < 1:
-            raise MalformedConfig(f"{name} must be >= 1")
+            raise BadInput(f"{name} must be >= 1")
     TrainConfig(seed=cfg.seed, lr=cfg.lr, metric=cfg.metric)  # raises on a bad seed, lr or metric
 
 
@@ -205,7 +204,7 @@ def _stats_rows(parsed: ParseResult, prepared_corpus: PreparedCorpus):
 
 def cmd_prepare(cfg: ExperimentConfig) -> int:
     if not cfg.data:
-        raise MalformedConfig("prepare needs --data (raw check-in file)")
+        raise BadInput("prepare needs --data (raw check-in file)")
     parser = parse_foursquare if cfg.format == "foursquare" else parse_gowalla
     parsed = parser(cfg.data)
     if parsed.malformed:
@@ -247,10 +246,10 @@ def _set_up(cfg: ExperimentConfig, set_keys, args: argparse.Namespace) -> Setup:
     """Load the corpus and any checkpoint. Unset, w means the corpus's window
     and d and h the checkpoint's; a key in `set_keys` (set explicitly) must match."""
     if not cfg.data:
-        raise MalformedConfig("data= must point at a prepared corpus file")
+        raise BadInput("data= must point at a prepared corpus file")
     data = load_corpus(cfg.data)
     if "w" in set_keys and cfg.w != data.window:
-        raise MalformedConfig(
+        raise BadInput(
             f"w={cfg.w} was set, but {cfg.data} was prepared with w={data.window}; "
             f"the window is fixed at prepare time (prepare --w {cfg.w})")
     cfg, params, path = replace(cfg, w=data.window), None, getattr(args, "checkpoint", None)
@@ -259,7 +258,7 @@ def _set_up(cfg: ExperimentConfig, set_keys, args: argparse.Namespace) -> Setup:
         expect_compatible(params, corpus.n_users, corpus.n_pois, data.window, path, cfg.data)
         for key in ("d", "h"):
             if key in set_keys and getattr(cfg, key) != getattr(params.hyper, key):
-                raise MalformedConfig(
+                raise BadInput(
                     f"{key}={getattr(cfg, key)} was set, but checkpoint {path} has "
                     f"{key}={getattr(params.hyper, key)}; a checkpoint fixes d and h")
         cfg = replace(cfg, d=params.hyper.d, h=params.hyper.h)
@@ -270,7 +269,7 @@ def _set_up(cfg: ExperimentConfig, set_keys, args: argparse.Namespace) -> Setup:
 def _split_samples(run: Setup, split: str) -> SampleBatch:
     samples = run.data.samples_for(split)
     if not samples:
-        raise EmptyCorpus(f"no samples in split {split!r}")
+        raise BadInput(f"no samples in split {split!r}")
     return samples
 
 
@@ -394,17 +393,17 @@ def cmd_ablate(run: Setup) -> int:
 
 def _parse_grid(grid: str) -> tuple[str, list[int]]:
     if "=" not in grid:
-        raise MalformedConfig(f"--grid wants param=v1,v2,..., got {grid!r}")
+        raise BadInput(f"--grid wants param=v1,v2,..., got {grid!r}")
     param, values = grid.split("=", 1)
     param = param.strip()
     if param not in ("d", "h", "w"):
-        raise MalformedConfig(f"sweep parameter must be d, h or w, not {param!r}")
+        raise BadInput(f"sweep parameter must be d, h or w, not {param!r}")
     try:
         vals = [int(v) for v in values.split(",")]
     except ValueError:
-        raise MalformedConfig(f"bad grid values {values!r}") from None
+        raise BadInput(f"bad grid values {values!r}") from None
     if not vals or any(v < 1 for v in vals):
-        raise MalformedConfig("grid values must be >= 1")
+        raise BadInput("grid values must be >= 1")
     return param, vals
 
 
@@ -420,12 +419,12 @@ def cmd_sweep(run: Setup) -> int:
             test = data.samples_for("test")
             if not test:  # raise what training, then scoring, would raise, but train nothing
                 _check_fit_inputs(point, data)
-                raise ValueError("no samples to evaluate")
+                raise BadInput("no samples to evaluate")
             result = _fit(point, data, run.cache)
             rep = _model_report(point, result.params, test, run.cache)
             rows.append((value, rep, "ok"))
             print(f"{param}={value}: map={rep.map:.4f}")
-        except (ValueError, Diverged, NonFiniteScores) as exc:  # bad input or divergence: go on
+        except (BadInput, Diverged) as exc:  # the point's failure; any other error ends the sweep
             rows.append((value, None, f"error: {exc}"))
             print(f"{param}={value}: FAILED ({exc})", file=sys.stderr)
     _write_csv(out / "sweep.csv", [["param", "value", *_metric_head(cfg.k), "status"]]
@@ -614,16 +613,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("prepare", "selfcheck"):
             return command(cfg)
         return command(_set_up(cfg, file_values.keys() | flag_values.keys(), args))
-    except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError,
+    except (BadInput, FileNotFoundError, FileExistsError, IsADirectoryError,
             NotADirectoryError, PermissionError) as exc:
-        # MalformedConfig, EmptyCorpus, BadCorpusFile, BadCheckpoint and
-        # ShapeMismatch are all ValueErrors: bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Diverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
+    except Diverged as exc:  # from training, or from ranking a checkpoint's scores
+        print(f"diverged: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # internal error
+    except Exception as exc:  # a fault in the package, a ValueError among them
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

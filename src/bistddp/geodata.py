@@ -27,7 +27,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .numerics import freeze
+from .numerics import BadInput, freeze
 
 EARTH_RADIUS_KM = 6371.0
 # Stated error bound of a distance row entry against the exact distance d:
@@ -39,11 +39,7 @@ MAX_LAT, MAX_LON = 90.0, 180.0  # degrees; see `coordinate_error`
 ROW_CACHE_CAPACITY = 1024  # rows a `SpatialRowCache` keeps unless told otherwise
 
 
-class DegenerateGeometry(ValueError):
-    """All pairwise distances in a row are zero, so normalization fails."""
-
-
-class BadPoi(ValueError):
+class BadPoi(BadInput):
     """POI `index` breaks the range rule, or repeats the id of POI `first`."""
 
     def __init__(self, message: str, index: int, first: int | None = None):
@@ -93,9 +89,9 @@ class PoiTable:
         self.ids = tuple(ids)
         self.lat, self.lon = np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64)
         if not self.ids:
-            raise ValueError("PoiTable needs at least one POI")
+            raise BadInput("PoiTable needs at least one POI")
         if not self.lat.shape == self.lon.shape == (len(self.ids),):
-            raise ValueError(f"{len(self.ids)} POI ids, {self.lat.shape} lat, {self.lon.shape} lon")
+            raise BadInput(f"{len(self.ids)} POI ids, {self.lat.shape} lat, {self.lon.shape} lon")
         lat, lon = self.lat, self.lon  # the range rule of `coordinate_error`, vectorized
         bad = np.flatnonzero(~((-MAX_LAT <= lat) & (lat <= MAX_LAT)
                                & (-MAX_LON <= lon) & (lon <= MAX_LON)))
@@ -150,7 +146,8 @@ def spatial_vector(
     """Distance row of `poi` divided by its population standard deviation.
 
     The self-distance (zero) is part of the row and of the deviation, so the
-    result always has entry 0 at `poi` and population std 1. `sigmas`, if
+    result always has entry 0 at `poi` and population std 1; a row of zeros
+    (every POI at `poi`'s coordinates) cannot be normalized: BadInput. `sigmas`, if
     given, memoizes the deviations by POI: a POI found there skips its
     `row.std()`, one not yet there is added.
     """
@@ -160,7 +157,7 @@ def spatial_vector(
     if sigma is None:
         sigma = sigmas[poi] = row.std()  # population std (divide by M)
     if sigma == 0.0:
-        raise DegenerateGeometry(f"all POIs coincide with POI {poi}; row std is 0")
+        raise BadInput(f"all POIs coincide with POI {poi}; row std is 0")
     row /= sigma
     return row
 
@@ -177,7 +174,7 @@ class SpatialRowCache:
 
     def __init__(self, table: PoiTable, capacity: int = ROW_CACHE_CAPACITY):
         if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+            raise BadInput("capacity must be >= 1")
         self.table = table
         self.capacity = capacity
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()

@@ -31,7 +31,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .geodata import BadPoi, PoiTable, coordinate_error
-from .numerics import Frozen, freeze
+from .numerics import BadInput, Frozen, freeze
 
 log = logging.getLogger(__name__)
 
@@ -72,15 +72,7 @@ class MalformedLine(ValueError):
     """A raw line that cannot be parsed into a check-in."""
 
 
-class EmptyCorpus(ValueError):
-    """No usable check-ins remain."""
-
-
-class BadCorpusFile(ValueError):
-    """A bad prepared-corpus file; the message names the file and line."""
-
-
-class DuplicateUser(ValueError):
+class DuplicateUser(BadInput):
     """User `index` repeats the id of user `first`."""
 
     def __init__(self, user_id: str, index: int, first: int):
@@ -181,7 +173,7 @@ class SampleBatch(Frozen):
 
         bits = column("pattern", np.int64).reshape(len(samples), 7)
         if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("a sample's pattern bits must each be 0 or 1")
+            raise BadInput("a sample's pattern bits must each be 0 or 1")
 
         return cls(
             users=column("user", np.int64),
@@ -358,7 +350,7 @@ def _parse_file(path, line_parser) -> ParseResult:
         log.warning("%s: skipped %d malformed lines (first: line %d, %s)",
                     path, len(malformed), malformed[0][0], malformed[0][1])
     if not users:
-        raise EmptyCorpus(f"{path}: no valid check-ins")
+        raise BadInput(f"{path}: no valid check-ins")
     checkins = CheckIns(**{name: np.frombuffer(c, dtype=np.int64) for name, c in columns.items()})
     table = PoiTable(pois, np.frombuffer(lats), np.frombuffer(lons))
     return ParseResult(table, tuple(users), checkins, tuple(malformed))
@@ -402,7 +394,7 @@ def filter_min_activity(
     """
     ci, n_users, n_pois = parsed.checkins, len(parsed.user_ids), len(parsed.table)
     if not len(ci):
-        raise EmptyCorpus("no check-ins to filter")
+        raise BadInput("no check-ins to filter")
     keep = np.ones(len(ci), dtype=bool)
     while True:
         before = np.count_nonzero(keep)
@@ -413,7 +405,7 @@ def filter_min_activity(
             break
     rows = np.flatnonzero(keep)
     if not len(rows):
-        raise EmptyCorpus("no check-ins survive activity filtering")
+        raise BadInput("no check-ins survive activity filtering")
 
     survivors, first = np.unique(ci.users[rows], return_index=True)
     survivors = survivors[np.argsort(first)]  # in order of first appearance
@@ -474,20 +466,21 @@ def build_samples(corpus: Corpus, split: np.ndarray, w: int) -> SampleBatch:
     non-negative because histories are time-sorted.
     """
     if w < 1:
-        raise ValueError("window width must be >= 1")
+        raise BadInput("window width must be >= 1")
     ci = corpus.checkins
     # users are contiguous: rows i - w and i + w of one user enclose only its rows
     span = max(len(ci) - 2 * w, 0)
     targets = w + np.flatnonzero(ci.users[:span] == ci.users[2 * w:])
     targets = targets[np.argsort(split[targets], kind="stable")]  # train, val, test
-    offsets = np.arange(1, w + 1)
+    # a window wider than any history has no samples and builds no (w,) offsets
+    offsets = np.arange(1, w + 1 if len(targets) else 1)
     hours = np.diff(ci.times) / 3600.0  # hours[i]: t_{i+1} - t_i
     return SampleBatch(
         users=ci.users[targets],
         targets=ci.pois[targets],
         target_utc=ci.times[targets],
-        fwd=ci.pois[targets[:, None] - offsets],
-        bwd=ci.pois[targets[:, None] + offsets],
+        fwd=ci.pois[targets[:, None] - offsets].reshape(len(targets), w),
+        bwd=ci.pois[targets[:, None] + offsets].reshape(len(targets), w),
         interval_before=hours[targets - 1],
         interval_after=hours[targets],
         pattern_code=_PATTERN_CODES[_pattern_index(ci.times[targets], ci.tz[targets])],
@@ -605,8 +598,8 @@ class _Lines:
         if len(data) > self.start(self.count):
             raise self.error(self.count, "no newline at the end of the file (truncated?)")
 
-    def error(self, i: int, message: str) -> BadCorpusFile:
-        return BadCorpusFile(f"{self.path}:{i + 1}: {message}")
+    def error(self, i: int, message: str) -> BadInput:
+        return BadInput(f"{self.path}:{i + 1}: {message}")
 
     def start(self, i: int) -> int:
         """The offset of line index `i` (of the end of the file, for `i = count`)."""
@@ -694,7 +687,7 @@ def load_corpus(path) -> PreparedCorpus:
 
     The file is UTF-8, its lines end in LF, CRLF or CR, and every integer
     field is ASCII digits with an optional leading "-", at most 18 of them.
-    Raises `BadCorpusFile`, naming the file and line, for a record that
+    Raises `BadInput`, naming the file and line, for a record that
     `write_corpus` could not have written. Values are checked column by
     column, not line by line.
     """

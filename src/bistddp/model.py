@@ -30,8 +30,8 @@ import numpy as np
 # spatial_vector is a module attribute only, for perfbench's tracer to patch
 from .geodata import PoiTable, SpatialRowCache, row_source, spatial_vector  # noqa: F401
 from .ingest import Sample, SampleBatch, atomic_open
-from .numerics import (ShapeMismatch, behind, glorot_uniform, softmax_cross_entropy,
-                       stable_softmax)
+from .numerics import (BadInput, Diverged, ShapeMismatch, behind, glorot_uniform,
+                       softmax_cross_entropy, stable_softmax)
 
 CHECKPOINT_MAGIC = b"STDDPCKPT"
 
@@ -44,7 +44,7 @@ class HyperParams:
 
     def __post_init__(self):
         if min(self.d, self.h, self.w) < 1:
-            raise ValueError(f"hyperparameters must be >= 1: {self}")
+            raise BadInput(f"hyperparameters must be >= 1: {self}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class VariantConfig:
 
     def __post_init__(self):
         if not (self.use_forward_branch or self.use_backward_branch):
-            raise ValueError("at least one direction must be enabled")
+            raise BadInput("at least one direction must be enabled")
 
 
 # The standard model plus the four ablations reported alongside it.
@@ -88,7 +88,10 @@ def param_layout(hp: HyperParams, n_users: int, n_pois: int) -> list[tuple[str, 
 
 
 def arena_size(hp: HyperParams, n_users: int, n_pois: int) -> int:
-    return sum(math.prod(shape) for _, shape, _, _ in param_layout(hp, n_users, n_pois))
+    """The values in `param_layout`, counted without building it: a checkpoint
+    header's w (up to 2**32 - 1) is checked against the file at no cost."""
+    d, h, w, m, n = hp.d, hp.h, hp.w, n_pois, n_users
+    return (m + n) * d + (2 * w + 1) * h * d + 7 * h + 2 * m + m * h
 
 
 def layout_views(data: np.ndarray, layout) -> list[tuple[str, np.ndarray]]:
@@ -317,10 +320,6 @@ def predict_topk(trace: ForwardTrace, k: int) -> np.ndarray:
 RANK_CHUNK = 128
 
 
-class NonFiniteScores(RuntimeError):
-    """Ranking overflowed or gave a non-finite probability; the parameters are unusable."""
-
-
 def target_ranks(
     batch: SampleBatch,
     params: ModelParams,
@@ -335,7 +334,7 @@ def target_ranks(
     `softmax_cross_entropy`, whose operations are `stable_softmax`'s, so ties
     (and underflows to 0.0) fall exactly as they do there. An overflow or
     invalid value in the forward pass, like a non-finite probability, raises
-    NonFiniteScores.
+    Diverged.
     """
     ranks = np.empty(len(batch), dtype=np.int64)
     cols = np.arange(params.n_pois)
@@ -345,7 +344,7 @@ def target_ranks(
             with np.errstate(over="raise", invalid="raise"):
                 p = forward_batch(chunk, params, rows, variant).logits
         except FloatingPointError as exc:
-            raise NonFiniteScores(f"non-finite value while ranking ({exc})") from exc
+            raise Diverged(f"non-finite value while ranking ({exc})") from exc
         softmax_cross_entropy(p, chunk.targets)  # leaves each row's softmax in p
         targets = chunk.targets[:, None]
         p_target = np.take_along_axis(p, targets, axis=1)
@@ -354,7 +353,7 @@ def target_ranks(
         finite = np.isfinite(p_target[:, 0])
         if not finite.all():
             row = lo + int(np.argmin(finite))
-            raise NonFiniteScores(f"non-finite probabilities for sample {row}")
+            raise Diverged(f"non-finite probabilities for sample {row}")
         ahead = np.where(cols < targets, p >= p_target, p > p_target)
         ranks[lo : lo + len(chunk)] = 1 + np.count_nonzero(ahead, axis=1)
     return ranks
@@ -371,30 +370,26 @@ def save_checkpoint(path, params: ModelParams) -> None:
         fh.write(params.data.astype("<f8", copy=False))
 
 
-class BadCheckpoint(ValueError):
-    """Checkpoint file is corrupt, carries the wrong magic or holds a non-finite value."""
-
-
 def load_checkpoint(path) -> ModelParams:
-    """The parameters saved at `path`; BadCheckpoint, naming the file, for a
-    bad header, a payload of the wrong size or a NaN or infinite value."""
+    """The parameters saved at `path`; BadInput, naming the file, for a bad
+    magic or header, a payload of the wrong size or a NaN or infinite value."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
-            raise BadCheckpoint(f"{path}: bad magic {magic!r}")
+            raise BadInput(f"{path}: bad magic {magic!r}")
         header = fh.read(20)
         if len(header) != 20:
-            raise BadCheckpoint(f"{path}: truncated header")
+            raise BadInput(f"{path}: truncated header")
         n, m, d, h, w = struct.unpack("<5I", header)
         dims = f"header (N={n}, M={m}, d={d}, h={h}, w={w})"
         if 0 in (n, m, d, h, w):
-            raise BadCheckpoint(f"{path}: {dims} has a zero dimension")
+            raise BadInput(f"{path}: {dims} has a zero dimension")
         hp = HyperParams(d=d, h=h, w=w)
         # the arena's size, checked before any of it is allocated
         nbytes = 8 * arena_size(hp, n, m)
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload != nbytes:
-            raise BadCheckpoint(f"{path}: {dims} implies {nbytes} bytes of tensors, "
+            raise BadInput(f"{path}: {dims} implies {nbytes} bytes of tensors, "
                                 f"the file holds {payload}")
         params = zero_params(hp, n, m)
         params.data[:] = np.frombuffer(fh.read(nbytes), dtype="<f8")
@@ -402,16 +397,16 @@ def load_checkpoint(path) -> ModelParams:
         bad = np.flatnonzero(~np.isfinite(view))
         if len(bad):
             at = ", ".join(map(str, np.unravel_index(bad[0], view.shape)))
-            raise BadCheckpoint(f"{path}: {name}[{at}] is {view.flat[bad[0]]}; "
+            raise BadInput(f"{path}: {name}[{at}] is {view.flat[bad[0]]}; "
                                 "every value must be finite")
     return params
 
 
 def expect_compatible(params: ModelParams, n_users: int, n_pois: int, w: int,
                       checkpoint, corpus) -> None:
-    """Raise ShapeMismatch, naming both files, unless the checkpoint fits the corpus."""
+    """Raise BadInput, naming both files, unless the checkpoint fits the corpus."""
     if (params.n_users, params.n_pois, params.hyper.w) != (n_users, n_pois, w):
-        raise ShapeMismatch(
+        raise BadInput(
             f"checkpoint {checkpoint} (N={params.n_users}, M={params.n_pois}, w={params.hyper.w}) "
             f"does not match corpus {corpus} (N={n_users}, M={n_pois}, w={w})"
         )

@@ -1,4 +1,5 @@
-"""Dense numeric kernels, deterministic randomness, `freeze`, and `behind`.
+"""Dense numeric kernels, deterministic randomness, `freeze`, `behind`, and
+the package's two failure types, `BadInput` and `Diverged`.
 
 All tensors in this package are row-major float64 numpy arrays. Randomness
 comes from numpy's PCG64 generator, which produces identical streams for
@@ -19,6 +20,16 @@ import numpy as np
 
 class ShapeMismatch(ValueError):
     """Operand shapes are incompatible."""
+
+
+class BadInput(ValueError):
+    """A value from outside the program is unusable: a file, a config value or
+    flag, or an argument to a public constructor. The CLI exits 2 on it."""
+
+
+class Diverged(RuntimeError):
+    """The model's parameters gave a non-finite loss or score, or overflowed in
+    training or ranking; they are no longer usable. The CLI exits 1 on it."""
 
 
 def freeze(value):

@@ -33,14 +33,13 @@ from .model import (
     BatchTrace,
     ForwardTrace,
     ModelParams,
-    NonFiniteScores,
     VariantConfig,
     forward_batch,
     layout_views,
     param_layout,
     target_ranks,
 )
-from .numerics import ShapeMismatch, behind, make_rng, softmax_cross_entropy
+from .numerics import BadInput, Diverged, ShapeMismatch, behind, make_rng, softmax_cross_entropy
 
 # module attributes only: perfbench's tracer patches train.forward,
 # train.cross_entropy and train.evaluate, and nothing here calls them
@@ -86,15 +85,6 @@ class Gradients:
 
 class TraceMismatch(ValueError):
     """Trace was produced by different inputs than the backward call."""
-
-
-class EmptyTrainSet(ValueError):
-    pass
-
-
-class Diverged(RuntimeError):
-    """Training produced non-finite losses or scores; the parameters are no
-    longer usable."""
 
 
 def loss_grad_wrt_logits(trace: ForwardTrace, target: int) -> np.ndarray:
@@ -290,13 +280,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
-            raise ValueError(f"bad training config: {self}")
+            raise BadInput(f"bad training config: {self}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise BadInput(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+            raise BadInput(f"lr must be finite and positive, got {self.lr}")
         if not _METRICS.fullmatch(self.metric):
-            raise ValueError(f"unknown early-stop metric {self.metric!r}: choose val_map, "
+            raise BadInput(f"unknown early-stop metric {self.metric!r}: choose val_map, "
                              f"train_loss, val_recall@K for K in {_VAL_KS} or train_recall@K")
 
 
@@ -378,9 +368,9 @@ def check_fit_inputs(train_samples, val_samples, metric: str) -> None:
     early-stop `metric` is a validation metric and there are no validation
     samples."""
     if not train_samples:
-        raise EmptyTrainSet("no training samples")
+        raise BadInput("no training samples")
     if metric.startswith("val_") and not val_samples:
-        raise ValueError(f"metric {metric!r} needs a non-empty validation split")
+        raise BadInput(f"metric {metric!r} needs a non-empty validation split")
 
 
 def fit(
@@ -441,7 +431,7 @@ def fit(
         def report(samples: SampleBatch, ks: tuple[int, ...]) -> MetricsReport:
             try:
                 ranks = target_ranks(samples, params, rows, variant)
-            except NonFiniteScores as exc:
+            except Diverged as exc:
                 raise Diverged(f"epoch {epoch}: {exc}") from exc
             return report_from_ranks(ranks, ks)
 

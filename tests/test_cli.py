@@ -9,10 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
-from bistddp import cli
+from bistddp import cli, train
 from bistddp.cli import ExperimentConfig, main
 from bistddp.ingest import load_corpus
-from bistddp.model import CHECKPOINT_MAGIC, NonFiniteScores, load_checkpoint, save_checkpoint
+from bistddp.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from bistddp.numerics import Diverged
 from conftest import foursquare_lines
 
 
@@ -85,7 +86,9 @@ class TestConfig:
         (b"# seeds\nseed=3\n\nseed = 4\n", 4, "config key 'seed' is set again"),
         (b"seed=3\nseed=3\n", 2, "config key 'seed' is set again"),
         (b"seed=3\r\nbogus_key=1\r\n", 2, "unknown config key 'bogus_key'"),
-    ], ids=["non-UTF-8", "repeated", "repeated with the same value", "unknown"])
+        # open() would refuse the path with a ValueError of its own
+        (b"seed=3\ndata=a\0b\n", 2, "NUL byte at column 7"),
+    ], ids=["non-UTF-8", "repeated", "repeated with the same value", "unknown", "NUL"])
     def test_file_error_names_the_file_and_line(self, raw_foursquare, tmp_path, capsys,
                                                 text, line, message):
         cfg = tmp_path / "c.cfg"
@@ -187,7 +190,7 @@ class TestTrainEvaluate:
         out = tmp_path / "run"
         assert self.train(prepared_dir, out, extra=("--lr", 1e308, "--epochs", 3)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("training diverged: epoch 1: non-finite") and err.count("\n") == 1
+        assert err.startswith("diverged: epoch 1: non-finite") and err.count("\n") == 1
         assert not out.exists()  # not even config.txt
 
     def test_diverged_last_update_exits_1_without_artifacts(self, prepared_dir, tmp_path,
@@ -198,7 +201,7 @@ class TestTrainEvaluate:
         assert self.train(prepared_dir, out,
                           extra=("--lr", 1e308, "--epochs", 1, "--batch", 100000)) == 1
         assert capsys.readouterr().err.startswith(
-            "training diverged: epoch 1: non-finite value in a training step (overflow")
+            "diverged: epoch 1: non-finite value in a training step (overflow")
         assert not out.exists()
 
     def test_overflow_in_a_training_step_exits_1_without_artifacts(self, prepared_dir,
@@ -207,7 +210,7 @@ class TestTrainEvaluate:
         # overflow a later step
         out = tmp_path / "run"
         assert self.train(prepared_dir, out, extra=("--lr", 1e300, "--epochs", 3)) == 1
-        assert re.fullmatch(r"training diverged: epoch \d: non-finite value in a training "
+        assert re.fullmatch(r"diverged: epoch \d: non-finite value in a training "
                             r"step \(overflow [^\n]*\)\n", capsys.readouterr().err)
         assert not out.exists()
 
@@ -277,6 +280,19 @@ class TestTrainEvaluate:
                        "every value must be finite"] * 2
         assert not ev.exists() and not resumed.exists()
 
+    def test_an_internal_value_error_exits_1_without_artifacts(self, prepared_dir, tmp_path,
+                                                               monkeypatch, capsys):
+        # a fault in the package is not bad input, whatever its exception type
+        def broadcast_fault(*args):
+            return np.zeros(3) + np.zeros(4)
+
+        monkeypatch.setattr(train, "adam_step", broadcast_fault)
+        out = tmp_path / "run"
+        assert self.train(prepared_dir, out) == 1
+        assert capsys.readouterr().err == ("internal error: operands could not be broadcast "
+                                           "together with shapes (3,) (4,) \n")
+        assert not out.exists()
+
     def test_checkpoint_that_overflows_while_ranking_exits_1_without_artifacts(
             self, prepared_dir, tmp_path, capsys):
         # every value is finite, so the checkpoint loads, but the forward pass
@@ -293,7 +309,7 @@ class TestTrainEvaluate:
             assert run("evaluate", "--data", prepared_dir / "corpus.tsv",
                        "--checkpoint", out / "checkpoint.bin", "--out", ev) == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert re.fullmatch(r"internal error: non-finite value while ranking "
+        assert re.fullmatch(r"diverged: non-finite value while ranking "
                             r"\(overflow [^\n]*\)\n", capsys.readouterr().err)
         assert not ev.exists()
 
@@ -507,7 +523,7 @@ class TestAblateAndSweep:
         out = tmp_path / "ab"
         assert run("ablate", "--data", prepared_dir / "corpus.tsv", "--out", out, "--d", 4,
                    "--h", 6, "--batch", 64, "--lr", 1e308, "--epochs", 3) == 1
-        assert capsys.readouterr().err.startswith("training diverged: epoch 1: non-finite")
+        assert capsys.readouterr().err.startswith("diverged: epoch 1: non-finite")
         assert not out.exists()  # not even config.txt
 
     def test_sweep_records_points_and_survives_failures(self, prepared_dir, tmp_path):
@@ -534,14 +550,15 @@ class TestAblateAndSweep:
             ("3", "error: metric 'val_map' needs a non-empty validation split")]
         assert "w=2: FAILED (no samples to evaluate)\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", [RuntimeError, ValueError], ids=lambda e: e.__name__)
     def test_an_internal_error_at_a_point_ends_the_sweep(self, prepared_dir, tmp_path,
-                                                         monkeypatch, capsys):
+                                                         monkeypatch, capsys, fault):
         # only bad input at a point, or diverged training, is recorded as a failed row
         fit = cli._fit
 
         def fail_at_d4(cfg, *args):
             if cfg.d == 4:
-                raise RuntimeError("a fault in the package")
+                raise fault("a fault in the package")
             return fit(cfg, *args)
 
         monkeypatch.setattr(cli, "_fit", fail_at_d4)
@@ -553,12 +570,12 @@ class TestAblateAndSweep:
 
     def test_non_finite_test_scores_at_a_point_are_a_failed_row(self, prepared_dir, tmp_path,
                                                                 monkeypatch):
-        # training wraps this error as Diverged; scoring the test split raises it as it is
+        # training adds the epoch to this error; scoring the test split raises it as it is
         target_ranks = cli.target_ranks
 
         def overflow_at_d4(samples, params, *args):
             if params.hyper.d == 4:
-                raise NonFiniteScores("non-finite scores")
+                raise Diverged("non-finite scores")
             return target_ranks(samples, params, *args)
 
         monkeypatch.setattr(cli, "target_ranks", overflow_at_d4)

@@ -210,3 +210,30 @@ def test_the_batched_core_takes_a_batch_and_one_required_row_cache(function):
     assert list(parameters)[:3] == ["batch", "params", "rows"]
     assert hints["batch"] is SampleBatch and hints["rows"] is SpatialRowCache
     assert parameters["rows"].default is inspect.Parameter.empty
+
+
+# Faults in the calling code, not in its input: the CLI reports them as internal errors
+CALLER_FAULTS = {"ShapeMismatch", "MalformedLine", "TraceMismatch", "TruthMissing"}
+
+
+def test_every_package_exception_is_bad_input_a_divergence_or_a_caller_fault():
+    import importlib
+
+    from bistddp.numerics import BadInput, Diverged
+
+    classes = {cls for path in PACKAGE.glob("*.py")
+               for cls in vars(importlib.import_module(f"bistddp.{path.stem}")).values()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__.startswith("bistddp")}
+    stray = {cls.__name__ for cls in classes
+             if not issubclass(cls, (BadInput, Diverged)) and cls.__name__ not in CALLER_FAULTS}
+    assert not stray, f"exception classes outside the failure rule: {sorted(stray)}"
+    assert len(classes) == 8, sorted(cls.__name__ for cls in classes)
+
+
+@pytest.mark.parametrize("function", ["main", "cmd_sweep"])
+def test_the_cli_never_catches_a_bare_value_error(function):
+    # a ValueError from inside the package is a fault, not bad input
+    caught = [ast.unparse(node.type) for scope, node in scoped_nodes(PACKAGE / "cli.py")
+              if scope == function and isinstance(node, ast.ExceptHandler) and node.type]
+    assert caught and not [t for t in caught if "ValueError" in t], caught

@@ -9,7 +9,6 @@ from bistddp.geodata import (
     ROW_ABS_TOL_KM,
     ROW_REL_MIN_KM,
     ROW_REL_TOL,
-    DegenerateGeometry,
     PoiTable,
     SpatialRowCache,
     coordinate_error,
@@ -18,7 +17,7 @@ from bistddp.geodata import (
 )
 from bistddp.ingest import SampleBatch
 from bistddp.model import VARIANTS, HyperParams, forward_batch, init_params
-from bistddp.numerics import make_rng
+from bistddp.numerics import BadInput, make_rng
 from bistddp.synthetic import planted_corpus, random_instance
 from bistddp.train import TrainConfig, fit
 
@@ -32,7 +31,7 @@ points = st.tuples(finite_lat, finite_lon)  # (lat, lon)
 def test_table_rejects_out_of_range_coordinates():
     for lat, lon, what in ((90.0001, 0.0, "latitude"), (0.0, -180.5, "longitude")):
         assert coordinate_error(lat, lon).startswith(what)
-        with pytest.raises(ValueError, match=f"POI 1 \\('b'\\): {what} out of range"):
+        with pytest.raises(BadInput, match=f"POI 1 \\('b'\\): {what} out of range"):
             PoiTable(["a", "b"], [0.0, lat], [0.0, lon])
     assert coordinate_error(90.0, -180.0) is None and coordinate_error(-90.0, 180.0) is None
 
@@ -71,11 +70,11 @@ def _table(coords):
 
 
 def test_table_rejects_duplicates_and_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInput, match="needs at least one POI"):
         PoiTable([], [], [])
-    with pytest.raises(ValueError, match="duplicate POI id 'a'"):
+    with pytest.raises(BadInput, match="duplicate POI id 'a'"):
         PoiTable(["a", "b", "a"], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-    with pytest.raises(ValueError, match="2 POI ids"):
+    with pytest.raises(BadInput, match="2 POI ids"):
         PoiTable(["a", "b"], [0.0, 1.0, 2.0], [0.0, 1.0])
 
 
@@ -233,7 +232,7 @@ def test_distance_rows_symmetric_zero_diagonal_and_within_bound(table):
 
 def test_degenerate_geometry():
     table = _table([(10.0, 20.0), (10.0, 20.0)])
-    with pytest.raises(DegenerateGeometry):
+    with pytest.raises(BadInput, match="^all POIs coincide with POI 0; row std is 0$"):
         spatial_vector(0, table)
 
 
@@ -272,7 +271,7 @@ def test_cache_remembers_each_deviation_and_misses_through_spatial_vector(monkey
 
     flat = SpatialRowCache(_table([(10.0, 20.0), (10.0, 20.0)]), capacity=1)
     for p in (0, 1, 0, 0):
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(BadInput, match=f"^all POIs coincide with POI {p}; row std is 0$"):
             flat.row(p)
     assert len(calls) == 34 and flat.misses == 0
 

@@ -16,11 +16,9 @@ from bistddp import ingest
 from bistddp.baselines import fit_counts
 from bistddp.geodata import PoiTable, SpatialRowCache
 from bistddp.ingest import (
-    BadCorpusFile,
     CheckIns,
     Corpus,
     DuplicateUser,
-    EmptyCorpus,
     ParseResult,
     PreparedCorpus,
     Sample,
@@ -38,6 +36,7 @@ from bistddp.ingest import (
     split_corpus,
     write_corpus,
 )
+from bistddp.numerics import BadInput
 from bistddp.synthetic import corpus_from_events, overfit_corpus, planted_corpus, random_instance
 from conftest import foursquare_lines
 
@@ -104,7 +103,7 @@ class TestParsers:
         assert [ln for ln, _ in res.malformed] == [2, 3, 4]
 
     def test_foursquare_empty_file_raises(self, tmp_path):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(BadInput, match="a.tsv: no valid check-ins$"):
             parse_foursquare(write(tmp_path, "a.tsv", [""]))
 
     def test_gowalla_single_line(self, tmp_path):
@@ -175,7 +174,7 @@ def test_one_range_rule_for_parser_table_and_corpus_file(pairs):
         bad = [k for k, error in enumerate(errors) if error is not None]
         if bad:
             k = bad[0]
-            with pytest.raises(ValueError, match=re.escape(f"POI {k} ('p{k}'): {errors[k]}")):
+            with pytest.raises(BadInput, match=re.escape(f"POI {k} ('p{k}'): {errors[k]}")):
                 PoiTable(ids, lats, lons)
         else:
             assert PoiTable(ids, lats, lons).lat.tolist() == lats
@@ -186,7 +185,7 @@ def test_one_range_rule_for_parser_table_and_corpus_file(pairs):
             *(f"P\t{poi}\t{lat}\t{lon}" for poi, (lat, lon) in zip(ids, pairs)),
             "U\tu0\t3", *(f"C\t0\t0\t{1_500_000_000 + 60 * i}\t0" for i in range(3))])
         if bad:
-            with pytest.raises(BadCorpusFile) as err:
+            with pytest.raises(BadInput) as err:
                 load_corpus(path)
             assert str(err.value) == f"{path}:{bad[0] + 2}: {errors[bad[0]]}"
         else:
@@ -233,7 +232,7 @@ def reference_filter(parsed, min_user, min_poi_users, fixpoint=False):
             break
         kept = again
     if not kept:
-        raise EmptyCorpus("no check-ins survive activity filtering")
+        raise BadInput("no check-ins survive activity filtering")
     user_index = {}
     for u, _, _, _ in kept:  # dense user ids in order of first appearance
         user_index.setdefault(u, len(user_index))
@@ -393,7 +392,7 @@ class TestFilter:
         for n, u in enumerate(("d", "e", "f", "g")):
             spec += [(u, "popular", 1000 + n * 100 + i) for i in range(10)]
         parsed = make_checkins(spec)
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(BadInput, match="^no check-ins survive activity filtering$"):
             filter_min_activity(parsed, min_user=10, min_poi_users=10)
         corpus = filter_min_activity(parsed, min_user=10, min_poi_users=4)
         assert corpus.poi_table.ids == ("popular",)
@@ -433,7 +432,7 @@ class TestFilter:
         single = filter_min_activity(parsed, min_user=4, min_poi_users=3)
         assert sorted(single.user_ids) == ["s1", "s2", "s3", "x"]
         assert single.n_checkins == 13  # x keeps its one "weak" check-in
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(BadInput, match="^no check-ins survive activity filtering$"):
             filter_min_activity(parsed, min_user=4, min_poi_users=3, fixpoint=True)
 
     def test_matches_per_checkin_reference(self):
@@ -941,7 +940,7 @@ class TestRoundTrips:
             path = write(Path(tmp), "corpus.tsv", head + [line, "C\t0\t2\t1500090000\t0"])
             try:
                 prep = load_corpus(path)
-            except BadCorpusFile as exc:
+            except BadInput as exc:
                 assert re.match(re.escape(str(path)) + r":[1-9][0-9]*: ", str(exc))
                 return
         line = line.removesuffix("\r")  # then the file's LF: a CRLF line end
@@ -998,6 +997,5 @@ class TestRoundTrips:
     def test_corpus_file_magic_checked(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("NOTMAGIC\t1\t1\t1\n", encoding="utf-8")
-        from bistddp.ingest import BadCorpusFile
-        with pytest.raises(BadCorpusFile):
+        with pytest.raises(BadInput, match=f"^{re.escape(str(p))}:1: expected a STDDP2 record"):
             load_corpus(p)

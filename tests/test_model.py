@@ -17,10 +17,8 @@ from bistddp import model
 from bistddp.model import (
     CHECKPOINT_MAGIC,
     RANK_CHUNK,
-    BadCheckpoint,
     HyperParams,
     ModelParams,
-    NonFiniteScores,
     VARIANTS,
     VariantConfig,
     arena_size,
@@ -35,7 +33,7 @@ from bistddp.model import (
     target_ranks,
     zero_params,
 )
-from bistddp.numerics import ShapeMismatch, make_rng
+from bistddp.numerics import BadInput, Diverged, ShapeMismatch, make_rng
 from bistddp.synthetic import planted_corpus, random_instance
 from bistddp.train import Gradients, TrainConfig, batch_gradients, finite_difference_check, fit
 
@@ -43,12 +41,12 @@ from bistddp.train import Gradients, TrainConfig, batch_gradients, finite_differ
 def test_hyperparams_defaults_and_validation():
     hp = HyperParams()
     assert (hp.d, hp.h, hp.w) == (64, 256, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInput, match="hyperparameters must be >= 1"):
         HyperParams(d=0)
 
 
 def test_variant_requires_a_direction():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInput, match="at least one direction must be enabled"):
         VariantConfig(use_forward_branch=False, use_backward_branch=False)
 
 
@@ -421,7 +419,7 @@ def test_target_ranks_reject_non_finite_scores():
     table, params, sample = random_instance(17, m=9, n=3, d=3, h=4, w=1)
     params.user_emb[2] = np.nan
     samples = [replace(sample, user=0)] * (RANK_CHUNK + 1) + [replace(sample, user=2)]
-    with pytest.raises(NonFiniteScores, match=f"sample {RANK_CHUNK + 1}"):
+    with pytest.raises(Diverged, match=f"sample {RANK_CHUNK + 1}"):
         target_ranks(SampleBatch.from_samples(samples), params, SpatialRowCache(table))
 
 
@@ -494,19 +492,19 @@ class TestCheckpoint:
         assert (k == 0, k == params.data.size - 1) == (where == "first", where == "last")
         path = tmp_path / "ck.bin"
         save_checkpoint(path, params)
-        with pytest.raises(BadCheckpoint) as err:
+        with pytest.raises(BadInput) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: {text} is {value}; every value must be finite"
         if where != "last":  # with a later non-finite value too, the first is named
             params.out_weights[8, 3] = np.nan
             save_checkpoint(path, params)
-            with pytest.raises(BadCheckpoint, match=re.escape(f"{text} is {value};")):
+            with pytest.raises(BadInput, match=re.escape(f"{text} is {value};")):
                 load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOTACKPT" + b"\0" * 64)
-        with pytest.raises(BadCheckpoint):
+        with pytest.raises(BadInput, match=re.escape(f"{p}: bad magic b'NOTACKPT\\x00'")):
             load_checkpoint(p)
 
     def test_truncated(self, tmp_path):
@@ -515,7 +513,8 @@ class TestCheckpoint:
         save_checkpoint(path, params)
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
-        with pytest.raises(BadCheckpoint):
+        with pytest.raises(BadInput, match=f"{re.escape(str(path))}: header .* implies "
+                                           r"\d+ bytes of tensors, the file holds \d+$"):
             load_checkpoint(path)
 
     def test_header_is_checked_against_the_file_size_first(self, tmp_path, monkeypatch):
@@ -525,11 +524,14 @@ class TestCheckpoint:
         raw = path.read_bytes()
         at = len(CHECKPOINT_MAGIC)
         huge_m = raw[:at] + struct.pack("<5I", 3, 4_000_000_000, 3, 4, 1) + raw[at + 20:]
+        # 2**32 - 1 hidden matrices each way: the size is counted, not laid out
+        huge_w = raw[:at] + struct.pack("<5I", 3, 9, 3, 4, 2**32 - 1) + raw[at + 20:]
         monkeypatch.setattr(model, "zero_params", lambda *a: pytest.fail("tensors allocated"))
-        for name, text in {"M = 4e9": huge_m, "trailing byte": raw + b"\0",
-                           "truncated header": raw[:at + 10]}.items():
+        monkeypatch.setattr(model, "param_layout", lambda *a: pytest.fail("layout built"))
+        for text, message in [(huge_m, "implies"), (huge_w, "implies"), (raw + b"\0", "implies"),
+                              (raw[:at + 10], "truncated header")]:
             path.write_bytes(text)
-            with pytest.raises(BadCheckpoint):
+            with pytest.raises(BadInput, match=f"^{re.escape(str(path))}: .*{message}"):
                 load_checkpoint(path)
 
     @pytest.mark.parametrize("field", ["N", "M", "d", "h", "w"])
@@ -541,14 +543,14 @@ class TestCheckpoint:
         path = tmp_path / "ck.bin"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<5I", n, m, d, h, w) + b"\0" * 8 * values)
         monkeypatch.setattr(model, "zero_params", lambda *a: pytest.fail("tensors allocated"))
-        with pytest.raises(BadCheckpoint, match="zero dimension") as err:
+        with pytest.raises(BadInput, match="zero dimension") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
     def test_expect_compatible(self):
         _, params, _ = random_instance(16, m=9, n=3, d=3, h=4, w=1)
         expect_compatible(params, 3, 9, 1, "ck.bin", "corpus.tsv")
-        with pytest.raises(ShapeMismatch, match="ck.bin .* corpus.tsv"):
+        with pytest.raises(BadInput, match="ck.bin .* does not match corpus corpus.tsv"):
             expect_compatible(params, 3, 10, 1, "ck.bin", "corpus.tsv")
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(BadInput, match="does not match"):
             expect_compatible(params, 3, 9, 2, "ck.bin", "corpus.tsv")

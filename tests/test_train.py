@@ -21,14 +21,13 @@ from bistddp.model import (
     predict_topk,
     zero_params,
 )
-from bistddp.numerics import ShapeMismatch, make_rng, seeded_generators, softmax_cross_entropy
+from bistddp.numerics import (BadInput, Diverged, ShapeMismatch, make_rng, seeded_generators,
+                              softmax_cross_entropy)
 from bistddp.synthetic import overfit_corpus, planted_corpus, random_instance
 from bistddp.train import (
     ADAM_BLOCK,
     AdamState,
-    Diverged,
     EarlyStopState,
-    EmptyTrainSet,
     EpochRecord,
     FdReport,
     FitResult,
@@ -618,7 +617,7 @@ class TestEarlyStop:
         params = init_params(HyperParams(d=4, h=6, w=1), 5, 10, make_rng(0))
         before = params.copy()
         for metric in ("val_map", "val_recall@5"):
-            with pytest.raises(ValueError, match="needs a non-empty validation split"):
+            with pytest.raises(BadInput, match="needs a non-empty validation split"):
                 fit(prep.samples_for("train"), [], params, prep.corpus.poi_table,
                     TrainConfig(metric=metric), VARIANTS["bi-stddp"])
         for (name, a), (_, b) in zip(params.named_tensors(), before.named_tensors()):
@@ -627,7 +626,7 @@ class TestEarlyStop:
     def test_empty_train_set(self):
         prep = overfit_corpus()
         params = init_params(HyperParams(d=4, h=6, w=1), 5, 10, make_rng(0))
-        with pytest.raises(EmptyTrainSet):
+        with pytest.raises(BadInput, match="^no training samples$"):
             fit([], [], params, prep.corpus.poi_table, TrainConfig(), VARIANTS["bi-stddp"])
 
 
@@ -744,18 +743,18 @@ def test_overfit_reaches_perfect_training_recall():
 class TestTrainConfig:
     @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -0.001])
     def test_rejects_a_learning_rate_that_is_not_finite_and_positive(self, lr):
-        with pytest.raises(ValueError, match="lr must be finite and positive"):
+        with pytest.raises(BadInput, match="lr must be finite and positive"):
             TrainConfig(lr=lr)
 
     @pytest.mark.parametrize("metric", ["val_recall@7", "val_recall@", "val_recall",
                                         "train_recall@0", "train_recall@x", "train_recall@-1",
                                         "val_loss", "map", ""])
     def test_rejects_a_metric_fit_cannot_score(self, metric):
-        with pytest.raises(ValueError, match="unknown early-stop metric"):
+        with pytest.raises(BadInput, match="unknown early-stop metric"):
             TrainConfig(metric=metric)
 
     def test_rejects_a_negative_seed(self):
-        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        with pytest.raises(BadInput, match=r"^seed must be >= 0, got -1$"):
             TrainConfig(seed=-1)
         assert TrainConfig(seed=0).seed == 0
 
