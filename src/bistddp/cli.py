@@ -18,6 +18,7 @@ or `Diverged` and goes on; any other error ends it.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 import tempfile
@@ -68,6 +69,7 @@ from .train import (
     FitResult,
     TrainConfig,
     check_fit_inputs,
+    check_fit_memory,
     finite_difference_check,
     fit,
     format_train_table,
@@ -290,19 +292,21 @@ def _fit(cfg: ExperimentConfig, prepared_corpus: PreparedCorpus, cache: SpatialR
 
     `params` are the tensors to start from; by default they are drawn from
     `cfg.seed`, whose second generator shuffles the batches either way.
+    Training buffers that physical memory cannot hold are refused first.
     """
-    corpus = prepared_corpus.corpus
+    corpus, train_samples = prepared_corpus.corpus, prepared_corpus.samples_for("train")
     init_rng, shuffle_rng = seeded_generators(cfg.seed, 2)
+    # the window is baked into the corpus file at prepare time
+    hp = HyperParams(d=cfg.d, h=cfg.h, w=prepared_corpus.window) if params is None else params.hyper
+    check_fit_memory(hp, corpus.n_users, corpus.n_pois, min(cfg.batch, len(train_samples)))
     if params is None:
-        # the window is baked into the corpus file at prepare time
-        hp = HyperParams(d=cfg.d, h=cfg.h, w=prepared_corpus.window)
         params = init_params(hp, corpus.n_users, corpus.n_pois, init_rng)
     tc = TrainConfig(
         batch_size=cfg.batch, max_epochs=cfg.epochs, patience=cfg.patience,
         seed=cfg.seed, lr=cfg.lr, metric=cfg.metric,
     )
     return fit(
-        prepared_corpus.samples_for("train"),
+        train_samples,
         prepared_corpus.samples_for("val"),
         params,
         corpus.poi_table,
@@ -365,8 +369,9 @@ def _metric_cells(rep: MetricsReport | None, ks) -> list[str]:
 
 
 def _write_csv(path, rows: list[list[str]]) -> None:
+    """`rows` as CSV, a cell quoted where it holds a comma, a quote or a line end."""
     with atomic_open(path) as fh:
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _write_report_grid(path, reports: dict[str, MetricsReport], ks) -> None:

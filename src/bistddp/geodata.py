@@ -2,7 +2,7 @@
 
 A `PoiTable` holds the POI ids, latitudes and longitudes once, as columns.
 Every coordinate that enters the package (a dump line, a corpus file, a
-table's arrays) passes one range rule, `coordinate_error`.
+table's arrays) passes one range rule, `in_range`.
 
 A POI's spatial vector is its distance row to every candidate POI divided by
 the population standard deviation of that row. The full M x M distance
@@ -27,7 +27,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .numerics import BadInput, freeze
+from .numerics import BadInput, BadRow, freeze
 
 EARTH_RADIUS_KM = 6371.0
 # Stated error bound of a distance row entry against the exact distance d:
@@ -35,24 +35,23 @@ EARTH_RADIUS_KM = 6371.0
 ROW_REL_TOL = 5e-8
 ROW_REL_MIN_KM = 1e-3
 ROW_ABS_TOL_KM = 1e-11
-MAX_LAT, MAX_LON = 90.0, 180.0  # degrees; see `coordinate_error`
+MAX_LAT, MAX_LON = 90.0, 180.0  # degrees; see `in_range`
 ROW_CACHE_CAPACITY = 1024  # rows a `SpatialRowCache` keeps unless told otherwise
 
 
-class BadPoi(BadInput):
-    """POI `index` breaks the range rule, or repeats the id of POI `first`."""
-
-    def __init__(self, message: str, index: int, first: int | None = None):
-        super().__init__(message)
-        self.index, self.first = index, first
+def in_range(lat, lon):
+    """The range rule, latitude in [-90, 90] and longitude in [-180, 180] degrees
+    (NaN is in neither): whether `lat` and whether `lon` keep it, two bools for
+    one point or two masks for columns."""
+    return (-MAX_LAT <= lat) & (lat <= MAX_LAT), (-MAX_LON <= lon) & (lon <= MAX_LON)
 
 
 def coordinate_error(lat: float, lon: float) -> str | None:
-    """Why (`lat`, `lon`) in degrees breaks the range rule, latitude in [-90, 90]
-    and longitude in [-180, 180] (NaN is in neither), or None if it does not."""
-    if not -MAX_LAT <= lat <= MAX_LAT:
+    """Why (`lat`, `lon`) in degrees breaks the range rule, or None if it does not."""
+    lat_ok, lon_ok = in_range(lat, lon)
+    if not lat_ok:
         return f"latitude out of range: {lat}"
-    if not -MAX_LON <= lon <= MAX_LON:
+    if not lon_ok:
         return f"longitude out of range: {lon}"
     return None
 
@@ -78,8 +77,9 @@ class PoiTable:
 
     POI k has external id `ids[k]` and coordinates (`lat[k]`, `lon[k]`) in
     degrees: `ids` is a tuple, and `lat` and `lon` are float64 copies of the
-    arrays given, which must pass the range rule and carry no duplicate id
-    (a `BadPoi` names the first POI that does not). Five more length-M
+    arrays given. There is at least one POI, every coordinate keeps the range
+    rule, and no id repeats another or holds a TAB, LF or CR; a `BadRow`
+    names the first POI that breaks a rule. Five more length-M
     arrays, derived from those, let distance rows vectorize without
     trigonometry: the sine and cosine of each half latitude and half
     longitude, and the cosine of each latitude.
@@ -92,17 +92,9 @@ class PoiTable:
             raise BadInput("PoiTable needs at least one POI")
         if not self.lat.shape == self.lon.shape == (len(self.ids),):
             raise BadInput(f"{len(self.ids)} POI ids, {self.lat.shape} lat, {self.lon.shape} lon")
-        lat, lon = self.lat, self.lon  # the range rule of `coordinate_error`, vectorized
-        bad = np.flatnonzero(~((-MAX_LAT <= lat) & (lat <= MAX_LAT)
-                               & (-MAX_LON <= lon) & (lon <= MAX_LON)))
-        if len(bad):
-            k = int(bad[0])
-            raise BadPoi(f"POI {k} ({self.ids[k]!r}): {coordinate_error(lat[k], lon[k])}", k)
-        first: dict[str, int] = {}
-        for k, poi_id in enumerate(self.ids):
-            if first.setdefault(poi_id, k) != k:
-                raise BadPoi(f"POI {k}: duplicate POI id {poi_id!r} (first is POI {first[poi_id]})",
-                             k, first[poi_id])
+        lat_ok, lon_ok = in_range(self.lat, self.lon)
+        BadRow.expect(lat_ok & lon_ok, "POI", lambda k: coordinate_error(self.lat[k], self.lon[k]))
+        BadRow.expect_ids(self.ids, "POI")
         lat, lon = np.radians(self.lat), np.radians(self.lon)
         self._sin_hlat, self._cos_hlat = np.sin(lat / 2.0), np.cos(lat / 2.0)
         self._sin_hlon, self._cos_hlon = np.sin(lon / 2.0), np.cos(lon / 2.0)

@@ -9,7 +9,8 @@ from it: the split, one int8 segment code per check-in, and the samples, one
 `SampleBatch` grouped by split so that each split is a view of its rows. The
 parsers collect values straight into columns; no step builds per-POI, per-user
 or per-sample objects (`Sample` is a batch's row view, made on request). Every
-value here is frozen when built: its arrays are read-only, its ids tuples.
+value here is frozen when built: its arrays are read-only, its ids tuples. And
+`CheckIns`, `PoiTable` and `Corpus` check their rules when built, from any source.
 
 A prepared corpus can be written to / read from a versioned TSV file
 (magic "STDDP2"); see `write_corpus` for the exact layout. The file holds
@@ -30,8 +31,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .geodata import BadPoi, PoiTable, coordinate_error
-from .numerics import BadInput, Frozen, freeze
+from .geodata import PoiTable, coordinate_error
+from .numerics import BadInput, BadRow, Frozen, freeze
 
 log = logging.getLogger(__name__)
 
@@ -39,7 +40,7 @@ CORPUS_MAGIC = "STDDP2"
 
 _UTC_MIN = 0  # 1970-01-01
 _UTC_MAX = 4102444800  # 2100-01-01
-_TZ_MIN, _TZ_MAX = -720, 840  # see `time_error`
+_TZ_MIN, _TZ_MAX = -720, 840  # see `_time_in_range`
 
 # Day sessions as half-open intervals in seconds of local day:
 # morning [8:00,11:30), noon [11:30,14:00), afternoon [14:00,17:30),
@@ -72,42 +73,80 @@ class MalformedLine(ValueError):
     """A raw line that cannot be parsed into a check-in."""
 
 
-class DuplicateUser(BadInput):
-    """User `index` repeats the id of user `first`."""
-
-    def __init__(self, user_id: str, index: int, first: int):
-        super().__init__(f"user {index}: duplicate user id {user_id!r} (first is user {first})")
-        self.index, self.first = index, first
-
-
 @dataclass(frozen=True)
 class CheckIns(Frozen):
-    """Check-ins as parallel read-only int64 columns, row i holding check-in i."""
+    """Check-ins as parallel read-only columns, row i holding check-in i: four
+    1-D int64 arrays of one length (BadInput if they are not)."""
 
     users: np.ndarray  # user index
     pois: np.ndarray  # POI index
     times: np.ndarray  # UTC seconds
     tz: np.ndarray  # minutes east of UTC
 
+    def __post_init__(self):
+        columns = [getattr(self, f.name) for f in fields(self)]  # users first, so its len is 1-D's
+        if not all(isinstance(c, np.ndarray) and c.dtype == np.int64 and c.ndim == 1
+                   and len(c) == len(self.users) for c in columns):
+            got = ", ".join(f"{getattr(c, 'dtype', type(c).__name__)} {getattr(c, 'shape', '')}"
+                            for c in columns)
+            raise BadInput(f"check-in columns must be 1-D int64 arrays of one length, got {got}")
+        super().__post_init__()
+
     def __len__(self) -> int:
         return len(self.times)
 
 
+def _time_in_range(utc, tz):
+    """The range rule of a check-in's time, UTC seconds in [1970, 2100) and tz
+    offset in [-720, 840] minutes: whether `utc` and whether `tz` keep it, two
+    bools for one check-in or two masks for columns."""
+    return (_UTC_MIN <= utc) & (utc < _UTC_MAX), (_TZ_MIN <= tz) & (tz <= _TZ_MAX)
+
+
+def time_error(utc_seconds: int, tz_offset: int) -> str | None:
+    """Why a check-in's UTC seconds and tz offset in minutes break the range
+    rule, or None if they do not."""
+    utc_ok, tz_ok = _time_in_range(utc_seconds, tz_offset)
+    if not utc_ok:
+        return f"timestamp {utc_seconds} outside [1970, 2100)"
+    if not tz_ok:
+        return f"tz offset {tz_offset} outside [{_TZ_MIN}, {_TZ_MAX}]"
+    return None
+
+
+def _expect_owner(users: np.ndarray, owner: np.ndarray) -> None:
+    """BadRow at the first check-in whose user is not `owner`'s, the user its row should hold."""
+    BadRow.expect(users == owner, "check-in", lambda k: f"check-in of user {users[k]} out of "
+                                                        f"user order (user {owner[k]} expected)")
+
+
 @dataclass(frozen=True)
 class Corpus(Frozen):
-    """POIs, users, and check-ins grouped by user in index order, each user's
-    time-sorted. No two users share an id (a `DuplicateUser` names the first
-    user that does)."""
+    """POIs, users, and check-ins, checked when built: at least one user; users
+    in [0, N), grouped in index order, each one's times non-decreasing; POIs in
+    [0, M); times in `time_error`'s range; user ids unique and free of TAB, LF
+    and CR. A `BadRow` names the first check-in or user at fault. `build_samples`
+    rests on these rules: a sample's context is its user's adjacent check-ins."""
 
     poi_table: PoiTable
     user_ids: tuple[str, ...]
     checkins: CheckIns
 
     def __post_init__(self):
-        first: dict[str, int] = {}
-        for k, user_id in enumerate(self.user_ids):
-            if first.setdefault(user_id, k) != k:
-                raise DuplicateUser(user_id, k, first[user_id])
+        n, m, ci = len(self.user_ids), len(self.poi_table), self.checkins
+        if not n:
+            raise BadInput("a corpus needs at least one user")
+        users, pois, times, tz = ci.users, ci.pois, ci.times, ci.tz
+        # users in [0, N), grouped in index order: row k holds the user the counts put there
+        counts = np.bincount(users.clip(0, n - 1), minlength=n)  # clipped: any user outside differs
+        _expect_owner(users, np.repeat(np.arange(n), counts))
+        BadRow.expect((0 <= pois) & (pois < m), "check-in",
+                      lambda k: f"POI {pois[k]} outside [0, {m})")
+        for ok in _time_in_range(times, tz):  # every timestamp, then every offset
+            BadRow.expect(ok, "check-in", lambda k: time_error(times[k], tz[k]))
+        BadRow.expect(np.r_[True, (np.diff(times) >= 0) | (np.diff(users) != 0)], "check-in",
+                      lambda k: f"timestamp {times[k]} is earlier than the user's previous one")
+        BadRow.expect_ids(self.user_ids, "user")
         super().__post_init__()
 
     @property
@@ -130,7 +169,6 @@ class Sample:
 
     user: int
     target_poi: int
-    target_utc: int
     pattern: tuple[int, ...]  # 7 bits: day kind (2) + session (5)
     fwd: tuple[int, ...]  # POIs at t-1 .. t-w
     bwd: tuple[int, ...]  # POIs at t+1 .. t+w
@@ -149,7 +187,6 @@ class SampleBatch(Frozen):
 
     users: np.ndarray  # (B,) int64
     targets: np.ndarray  # (B,) int64
-    target_utc: np.ndarray  # (B,) int64 UTC seconds
     fwd: np.ndarray  # (B, w) int64, POIs at t-1 .. t-w
     bwd: np.ndarray  # (B, w) int64, POIs at t+1 .. t+w
     interval_before: np.ndarray  # (B,) hours
@@ -178,7 +215,6 @@ class SampleBatch(Frozen):
         return cls(
             users=column("user", np.int64),
             targets=column("target_poi", np.int64),
-            target_utc=column("target_utc", np.int64),
             fwd=column("fwd", np.int64),
             bwd=column("bwd", np.int64),
             interval_before=column("interval_before", np.float64),
@@ -209,13 +245,13 @@ class SampleBatch(Frozen):
 
     def _rows(self, rows: slice, shared: dict):
         keep = shared.setdefault
-        for u, target, utc, code, fwd, bwd, before, after, seg in zip(
+        for u, target, code, fwd, bwd, before, after, seg in zip(
                 self.users[rows].tolist(), self.targets[rows].tolist(),
-                self.target_utc[rows].tolist(), self.pattern_code[rows].tolist(),
+                self.pattern_code[rows].tolist(),
                 zip(*self.fwd[rows].T.tolist()), zip(*self.bwd[rows].T.tolist()),
                 self.interval_before[rows].tolist(), self.interval_after[rows].tolist(),
                 self.split[rows].tolist()):
-            yield Sample(keep(u, u), target, utc, _BIT_TUPLES[code], keep(fwd, fwd),
+            yield Sample(keep(u, u), target, _BIT_TUPLES[code], keep(fwd, fwd),
                          keep(bwd, bwd), before, after, SPLITS[seg])
 
 
@@ -227,16 +263,6 @@ class ParseResult(Frozen):
     user_ids: tuple[str, ...]  # users in order of first appearance; `checkins.users` indexes it
     checkins: CheckIns  # in file order
     malformed: tuple[tuple[int, str], ...]  # (line number, reason)
-
-
-def time_error(utc_seconds: int, tz_offset: int) -> str | None:
-    """Why a check-in's UTC seconds and tz offset in minutes break the range
-    rule, seconds in [1970, 2100) and offset in [-720, 840], or None if they do not."""
-    if not _UTC_MIN <= utc_seconds < _UTC_MAX:
-        return f"timestamp {utc_seconds} outside [1970, 2100)"
-    if not _TZ_MIN <= tz_offset <= _TZ_MAX:
-        return f"tz offset {tz_offset} outside [{_TZ_MIN}, {_TZ_MAX}]"
-    return None
 
 
 # The dumps' time layouts, exactly: C-locale names, two-digit fields, and
@@ -292,16 +318,11 @@ def _parse_foursquare_line(parts: list[str]) -> tuple[str, str, int, int, float,
     user_id, venue_id, _cat_id, _cat_name, lat_s, lon_s, tz_s, time_s = parts
     try:
         lat, lon = float(lat_s), float(lon_s)
-        if error := coordinate_error(lat, lon):
-            raise ValueError(error)
         tz_offset = int(tz_s)
         dt = _foursquare_time(time_s.strip())
     except ValueError as exc:
         raise MalformedLine(str(exc)) from None
-    utc_seconds = int(dt.timestamp())
-    if error := time_error(utc_seconds, tz_offset):
-        raise MalformedLine(error)
-    return user_id, venue_id, utc_seconds, tz_offset, lat, lon
+    return user_id, venue_id, int(dt.timestamp()), tz_offset, lat, lon
 
 
 def _parse_gowalla_line(parts: list[str]) -> tuple[str, str, int, int, float, float]:
@@ -310,16 +331,11 @@ def _parse_gowalla_line(parts: list[str]) -> tuple[str, str, int, int, float, fl
     user_id, time_s, lat_s, lon_s, loc_id = parts
     try:
         lat, lon = float(lat_s), float(lon_s)
-        if error := coordinate_error(lat, lon):
-            raise ValueError(error)
         dt = _gowalla_time(time_s.strip())
     except ValueError as exc:
         raise MalformedLine(str(exc)) from None
-    utc_seconds = int(dt.replace(tzinfo=timezone.utc).timestamp())
     # the distribution carries no timezone; local time falls back to UTC
-    if error := time_error(utc_seconds, 0):
-        raise MalformedLine(error)
-    return user_id, loc_id, utc_seconds, 0, lat, lon
+    return user_id, loc_id, int(dt.replace(tzinfo=timezone.utc).timestamp()), 0, lat, lon
 
 
 def _parse_file(path, line_parser) -> ParseResult:
@@ -335,6 +351,8 @@ def _parse_file(path, line_parser) -> ParseResult:
                 continue
             try:
                 user_id, poi_id, utc_seconds, tz_offset, lat, lon = line_parser(line.split("\t"))
+                if error := coordinate_error(lat, lon) or time_error(utc_seconds, tz_offset):
+                    raise MalformedLine(error)
             except MalformedLine as exc:
                 malformed.append((lineno, str(exc)))
                 continue
@@ -463,12 +481,12 @@ def build_samples(corpus: Corpus, split: np.ndarray, w: int) -> SampleBatch:
     `split` is `split_corpus(corpus)`, one segment code per check-in. Each
     sample's split code is its target's segment; context windows may
     cross segment boundaries. Intervals are fractional hours and
-    non-negative because histories are time-sorted.
+    non-negative because `Corpus` keeps each user's check-ins time-sorted.
     """
     if w < 1:
         raise BadInput("window width must be >= 1")
     ci = corpus.checkins
-    # users are contiguous: rows i - w and i + w of one user enclose only its rows
+    # `Corpus` keeps users contiguous: rows i - w and i + w of one user enclose only its rows
     span = max(len(ci) - 2 * w, 0)
     targets = w + np.flatnonzero(ci.users[:span] == ci.users[2 * w:])
     targets = targets[np.argsort(split[targets], kind="stable")]  # train, val, test
@@ -478,7 +496,6 @@ def build_samples(corpus: Corpus, split: np.ndarray, w: int) -> SampleBatch:
     return SampleBatch(
         users=ci.users[targets],
         targets=ci.pois[targets],
-        target_utc=ci.times[targets],
         fwd=ci.pois[targets[:, None] - offsets].reshape(len(targets), w),
         bwd=ci.pois[targets[:, None] + offsets].reshape(len(targets), w),
         interval_before=hours[targets - 1],
@@ -675,21 +692,16 @@ class _Lines:
         values = np.fromstring(self.data[lo:hi].replace(b"C", b" "), dtype=np.int64, sep=" ")
         return values.reshape(n, 4).T.copy()
 
-    def expect(self, ok: np.ndarray, first: int, describe) -> None:
-        """Raise at line `first + k` for the first k where `ok[k]` is False."""
-        bad = np.flatnonzero(~ok)
-        if len(bad):
-            raise self.error(first + int(bad[0]), describe(int(bad[0])))
-
 
 def load_corpus(path) -> PreparedCorpus:
     """Read a file written by `write_corpus`; rebuild its split and samples.
 
-    The file is UTF-8, its lines end in LF, CRLF or CR, and every integer
-    field is ASCII digits with an optional leading "-", at most 18 of them.
-    Raises `BadInput`, naming the file and line, for a record that
-    `write_corpus` could not have written. Values are checked column by
-    column, not line by line.
+    This checks the file's own rules: UTF-8, lines ending in LF, CRLF or CR,
+    each record's tag and field count, integers as ASCII digits with an
+    optional leading "-" (at most 18), floats, header counts >= 1, U counts
+    that match the C records, and no line after the last C record. `PoiTable`,
+    `CheckIns` and `Corpus` check the values as they are built. Either way a
+    `BadInput` names the file and line at fault; checks go column by column.
     """
     lines = _Lines(path)
     if [line.split("\t")[0] for line in lines.text(0, 1)] == ["STDDP1"]:
@@ -699,43 +711,26 @@ def load_corpus(path) -> PreparedCorpus:
                                for c in lines.records(0, 1, CORPUS_MAGIC, 4)[1:])
     if min(n_users, n_pois, window) < 1:
         raise lines.error(0, f"counts {n_users}, {n_pois}, {window} must be >= 1")
+    start = {"POI": 1, "user": 1 + n_pois, "check-in": 1 + n_pois + n_users}  # row 0's line index
 
-    ids, lat, lon = lines.records(1, n_pois, "P", 4)[1:]
-    lat, lon = lines.column(1, lat, float, "latitude"), lines.column(1, lon, float, "longitude")
-    try:
-        table = PoiTable(ids, lat, lon)
-    except BadPoi as exc:  # POI k is on line k + 2
-        k, first = exc.index, exc.first
-        raise lines.error(1 + k, coordinate_error(lat[k], lon[k]) if first is None
-                          else f"duplicate POI id {ids[k]!r} (first on line {first + 2})") from None
-
-    first = 1 + n_pois
-    user_ids, lengths = lines.records(first, n_users, "U", 3)[1:]
-    lengths = lines.column(first, lengths, int, "check-in count")
-    lines.expect((0 <= lengths) & (lengths <= lines.count), first,
-                 lambda k: f"check-in count {lengths[k]} out of range")
-
-    first += n_users
-    end = first + int(lengths.sum())
-    users, pois, times, tz = lines.checkins(first, end - first)
+    ids, lat, lon = lines.records(start["POI"], n_pois, "P", 4)[1:]
+    lat = lines.column(start["POI"], lat, float, "latitude")
+    lon = lines.column(start["POI"], lon, float, "longitude")
+    user_ids, lengths = lines.records(start["user"], n_users, "U", 3)[1:]
+    lengths = lines.column(start["user"], lengths, int, "check-in count")
+    if len(bad := np.flatnonzero((lengths < 0) | (lengths > lines.count))):
+        raise lines.error(start["user"] + bad[0], f"check-in count {lengths[bad[0]]} out of range")
+    end = start["check-in"] + int(lengths.sum())
+    users, pois, times, tz = lines.checkins(start["check-in"], end - start["check-in"])
     if lines.count > end:
         raise lines.error(end, "extra line after the last C record")
-    owner = np.repeat(np.arange(n_users), lengths)
-    lines.expect(users == owner, first,
-                 lambda k: f"check-in of user {users[k]} out of user order (user {owner[k]} expected)")
-    lines.expect((0 <= pois) & (pois < n_pois), first,
-                 lambda k: f"POI {pois[k]} outside [0, {n_pois})")
-    # the range rule of `time_error`, vectorized: every timestamp, then every offset
-    for ok in ((_UTC_MIN <= times) & (times < _UTC_MAX), (_TZ_MIN <= tz) & (tz <= _TZ_MAX)):
-        lines.expect(ok, first, lambda k: time_error(times[k], tz[k]))
-    in_order = np.ones(len(times), dtype=bool)
-    in_order[1:] = (times[1:] >= times[:-1]) | (owner[1:] != owner[:-1])
-    lines.expect(in_order, first,
-                 lambda k: f"timestamp {times[k]} is earlier than the user's previous one")
 
     try:
+        table = PoiTable(ids, lat, lon)
+        _expect_owner(users, np.repeat(np.arange(n_users), lengths))  # the U counts
         corpus = Corpus(table, tuple(user_ids), CheckIns(users, pois, times, tz))
-    except DuplicateUser as exc:  # user k is on line n_pois + k + 2
-        raise lines.error(1 + n_pois + exc.index, f"duplicate user id {user_ids[exc.index]!r} "
-                          f"(first on line {n_pois + exc.first + 2})") from None
+    except BadRow as exc:
+        line = start[exc.kind]
+        again = "" if exc.first is None else f" (first on line {line + exc.first + 1})"
+        raise lines.error(line + exc.row, exc.reason + again) from None
     return PreparedCorpus(corpus, window)

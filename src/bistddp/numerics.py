@@ -1,5 +1,5 @@
 """Dense numeric kernels, deterministic randomness, `freeze`, `behind`, and
-the package's two failure types, `BadInput` and `Diverged`.
+the package's failure types: `BadInput` (with `BadRow`) and `Diverged`.
 
 All tensors in this package are row-major float64 numpy arrays. Randomness
 comes from numpy's PCG64 generator, which produces identical streams for
@@ -25,6 +25,35 @@ class ShapeMismatch(ValueError):
 class BadInput(ValueError):
     """A value from outside the program is unusable: a file, a config value or
     flag, or an argument to a public constructor. The CLI exits 2 on it."""
+
+
+class BadRow(BadInput):
+    """Row `row` of a value's `kind` rows ("POI", "user" or "check-in") breaks
+    a rule of the value, for `reason`; `first`, for a repeated id, is the row
+    that holds it first."""
+
+    def __init__(self, kind: str, row: int, reason: str, first: int | None = None):
+        again = "" if first is None else f" (first is {kind} {first})"
+        super().__init__(f"{kind} {row}: {reason}{again}")
+        self.kind, self.row, self.reason, self.first = kind, row, reason, first
+
+    @classmethod
+    def expect(cls, ok: np.ndarray, kind: str, describe) -> None:
+        """Raise for the first row k where `ok[k]` is False, for `describe(k)`."""
+        if not ok.all():
+            k = int(ok.argmin())  # the first False
+            raise cls(kind, k, describe(k))
+
+    @classmethod
+    def expect_ids(cls, ids: tuple[str, ...], kind: str) -> None:
+        """Raise for the first of `ids` that repeats an earlier one or holds a
+        TAB, LF or CR, which no record of a file could hold."""
+        first: dict[str, int] = {}
+        for k, name in enumerate(ids):
+            if first.setdefault(name, k) != k:
+                raise cls(kind, k, f"duplicate {kind} id {name!r}", first[name])
+            if "\t" in name or "\n" in name or "\r" in name:
+                raise cls(kind, k, f"{kind} id {name!r} holds a TAB, LF or CR")
 
 
 class Diverged(RuntimeError):

@@ -125,7 +125,6 @@ def random_instance(
     sample = Sample(
         user=int(rng.integers(n)),
         target_poi=int(rng.integers(m)),
-        target_utc=1_600_000_000,
         pattern=tuple(bits),
         fwd=tuple(int(rng.integers(m)) for _ in range(w)),
         bwd=tuple(int(rng.integers(m)) for _ in range(w)),

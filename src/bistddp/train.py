@@ -18,6 +18,7 @@ one-row shim over the batched path, kept for perfbench and the tests.
 from __future__ import annotations
 
 import math
+import os
 import re
 import time
 from contextlib import nullcontext
@@ -32,8 +33,10 @@ from .ingest import Sample, SampleBatch, atomic_open
 from .model import (
     BatchTrace,
     ForwardTrace,
+    HyperParams,
     ModelParams,
     VariantConfig,
+    arena_size,
     forward_batch,
     layout_views,
     param_layout,
@@ -371,6 +374,18 @@ def check_fit_inputs(train_samples, val_samples, metric: str) -> None:
         raise BadInput("no training samples")
     if metric.startswith("val_") and not val_samples:
         raise BadInput(f"metric {metric!r} needs a non-empty validation split")
+
+
+def check_fit_memory(hp: HyperParams, n_users: int, n_pois: int, batch_rows: int) -> None:
+    """BadInput, before any of them is allocated, if `fit`'s buffers would
+    not fit in physical memory: five arenas of `arena_size` values (the
+    parameters, Adam's m and v, the gradients, which take less, and the best
+    epoch's copy) and the (`batch_rows` x M) logits of a batch."""
+    need = 8 * (5 * arena_size(hp, n_users, n_pois) + batch_rows * n_pois)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise BadInput(f"d={hp.d}, h={hp.h}: training needs {need} bytes of buffers, "
+                       f"more than the {have} bytes of physical memory")
 
 
 def fit(

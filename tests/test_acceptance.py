@@ -72,8 +72,7 @@ def test_criterion_2_uniform_sanity():
     table = PoiTable([f"p{i}" for i in range(m)], rng.uniform(-80, 80, m),
                      rng.uniform(-179, 179, m))
     params = zero_params(HyperParams(d=3, h=4, w=1), n_users=5, n_pois=m)
-    sample = Sample(user=2, target_poi=11, target_utc=1_600_000_000,
-                    pattern=(1, 0, 0, 0, 1, 0, 0), fwd=(7,), bwd=(23,),
+    sample = Sample(user=2, target_poi=11, pattern=(1, 0, 0, 0, 1, 0, 0), fwd=(7,), bwd=(23,),
                     interval_before=2.0, interval_after=3.0, split="train")
     trace = forward(sample, params, table)
     loss = cross_entropy(trace, sample.target_poi)

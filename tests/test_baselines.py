@@ -29,7 +29,7 @@ def corpus_of(sequences, n_pois):
 
 
 def sample_with(fwd=0, bwd=0, user=0):
-    return Sample(user=user, target_poi=0, target_utc=0, pattern=(1, 0, 1, 0, 0, 0, 0),
+    return Sample(user=user, target_poi=0, pattern=(1, 0, 1, 0, 0, 0, 0),
                   fwd=(fwd,), bwd=(bwd,), interval_before=1.0, interval_after=1.0,
                   split="test")
 

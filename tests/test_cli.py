@@ -526,6 +526,26 @@ class TestAblateAndSweep:
         assert capsys.readouterr().err.startswith("diverged: epoch 1: non-finite")
         assert not out.exists()  # not even config.txt
 
+    def test_training_buffers_past_physical_memory_are_refused_first(self, prepared_dir, tmp_path,
+                                                                     monkeypatch, capsys):
+        # d = 10^12 asks for about 10^14 bytes of arenas: refused before any is allocated
+        drawn, init = [], cli.init_params
+        monkeypatch.setattr(cli, "init_params", lambda hp, *a: drawn.append(hp.d) or init(hp, *a))
+        refusal = (r"d=1000000000000, h=4: training needs [0-9]+ bytes of buffers, "
+                   r"more than the [0-9]+ bytes of physical memory")
+        for command in ("train", "ablate"):
+            out = tmp_path / command
+            assert run(command, "--data", prepared_dir / "corpus.tsv", "--out", out,
+                       "--d", 10 ** 12, "--h", 4, "--epochs", 1) == 2
+            assert re.fullmatch(f"error: {refusal}\n", capsys.readouterr().err)
+            assert not out.exists()
+        out = tmp_path / "sw"
+        assert run("sweep", "--data", prepared_dir / "corpus.tsv", "--out", out,
+                   "--grid", "d=2,1000000000000", "--h", 4, "--epochs", 1, "--batch", 64) == 0
+        rows = read_csv(out / "sweep.csv")
+        assert rows[0]["status"] == "ok" and re.fullmatch(f"error: {refusal}", rows[1]["status"])
+        assert drawn == [2]
+
     def test_sweep_records_points_and_survives_failures(self, prepared_dir, tmp_path):
         out = tmp_path / "sw"
         assert run("sweep", "--data", prepared_dir / "corpus.tsv", "--out", out,
@@ -683,8 +703,8 @@ def _earlier_than_previous(lines):
 # The fixture's corpus file: header on line 1, P records on lines 2-13,
 # U records on 14-33, C records on 34-273 (user 0 on 34-45, user 1 from 46).
 # Each edit returns the corrupted text (a lone surrogate stands for the raw
-# byte it escapes); it is paired with the line at fault and a piece of the
-# message.
+# byte it escapes); it is paired with the line at fault and its message: the
+# whole message for a data rule, a piece of it for a rule of the file's layout.
 CORRUPTIONS = {
     "header field count": (lambda L: _set_field(L, 1, 3, "1\t9"), 1, "4 fields"),
     "header count not an integer": (lambda L: _set_field(L, 1, 2, "12x"), 1, "bad count"),
@@ -695,15 +715,22 @@ CORRUPTIONS = {
                                       "bad check-in count"),
     "timestamp not an integer": (lambda L: _set_field(L, 41, 3, "1333500000.5"), 41,
                                  "bad timestamp"),
-    "latitude out of range": (lambda L: _set_field(L, 5, 2, "95.0"), 5, "out of range"),
-    "duplicate POI id": (lambda L: _set_field(L, 3, 1, "venue0"), 3, "first on line 2"),
+    "latitude out of range": (lambda L: _set_field(L, 5, 2, "95.0"), 5,
+                              "latitude out of range: 95.0"),
+    "duplicate POI id": (lambda L: _set_field(L, 3, 1, "venue0"), 3,
+                         "duplicate POI id 'venue0' (first on line 2)"),
     "duplicate user id": (lambda L: _set_field(L, 16, 1, "user0"), 16,
                           "duplicate user id 'user0' (first on line 14)"),
-    "C block out of user order": (lambda L: _set_field(L, 46, 1, "2"), 46, "user order"),
-    "POI outside [0, M)": (lambda L: _set_field(L, 50, 2, "99999"), 50, "outside [0, 12)"),
-    "timestamp out of range": (lambda L: _set_field(L, 60, 3, "-5"), 60, "outside [1970"),
-    "tz out of range": (lambda L: _set_field(L, 61, 4, "900"), 61, "tz offset 900"),
-    "time decreases within a user": (_earlier_than_previous, 36, "earlier"),
+    "C block out of user order": (lambda L: _set_field(L, 46, 1, "2"), 46,
+                                  "check-in of user 2 out of user order (user 1 expected)"),
+    "POI outside [0, M)": (lambda L: _set_field(L, 50, 2, "99999"), 50,
+                           "POI 99999 outside [0, 12)"),
+    "timestamp out of range": (lambda L: _set_field(L, 60, 3, "-5"), 60,
+                               "timestamp -5 outside [1970, 2100)"),
+    "tz out of range": (lambda L: _set_field(L, 61, 4, "900"), 61,
+                        "tz offset 900 outside [-720, 840]"),
+    "time decreases within a user": (
+        _earlier_than_previous, 36, "timestamp 1333455059 is earlier than the user's previous one"),
     "missing last line": (lambda L: "\n".join(L[:-1]) + "\n", 273, "file ends"),
     "extra line": (lambda L: "\n".join(L + [L[-1]]) + "\n", 274, "extra line"),
     "last line cut short": (lambda L: "\n".join(L)[:-3], 273, "no newline"),

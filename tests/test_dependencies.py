@@ -1,8 +1,8 @@
 """The package imports nothing but the standard library and numpy, neither the
 CLI nor the gradient oracle uses the per-sample model API, the package
 namespace exports none of it, one model function reads the variant's flags,
-the model reads distance rows only through the row cache it is handed, and one
-helper marks arrays read-only."""
+the model reads distance rows only through the row cache it is handed, one
+helper marks arrays read-only, and one function compares each range bound."""
 
 import ast
 import inspect
@@ -201,6 +201,25 @@ def test_only_freeze_marks_an_array_read_only():
     assert callers == {("numerics.py", "freeze")}
 
 
+# the bounds of the coordinate and check-in time range rules
+RANGE_BOUNDS = ("MAX_LAT", "MAX_LON", "_UTC_MIN", "_UTC_MAX", "_TZ_MIN", "_TZ_MAX")
+
+
+def test_each_range_bound_is_compared_in_one_function():
+    # the values' constructors and the dump parsers share it, for a column or one
+    # value, and `load_corpus` keeps only the file's own rules
+    comparers = {name: set() for name in RANGE_BOUNDS}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in scoped_nodes(path):
+            if isinstance(node, ast.Compare):
+                for name in ast.walk(node):
+                    if isinstance(name, ast.Name) and name.id in comparers:
+                        comparers[name.id].add((path.name, scope))
+    assert all(len(found) == 1 for found in comparers.values()), comparers
+    assert not [name for name, found in comparers.items()
+                if ("ingest.py", "load_corpus") in found], comparers
+
+
 @pytest.mark.parametrize("function", [forward_batch, target_ranks, batch_gradients,
                                       finite_difference_check], ids=lambda f: f.__name__)
 def test_the_batched_core_takes_a_batch_and_one_required_row_cache(function):
@@ -228,7 +247,7 @@ def test_every_package_exception_is_bad_input_a_divergence_or_a_caller_fault():
     stray = {cls.__name__ for cls in classes
              if not issubclass(cls, (BadInput, Diverged)) and cls.__name__ not in CALLER_FAULTS}
     assert not stray, f"exception classes outside the failure rule: {sorted(stray)}"
-    assert len(classes) == 8, sorted(cls.__name__ for cls in classes)
+    assert len(classes) == 7, sorted(cls.__name__ for cls in classes)
 
 
 @pytest.mark.parametrize("function", ["main", "cmd_sweep"])

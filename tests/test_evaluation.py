@@ -15,14 +15,14 @@ from bistddp.ingest import Sample
 
 
 def sample(target, idx=0):
-    return Sample(user=0, target_poi=target, target_utc=idx, pattern=(1, 0, 1, 0, 0, 0, 0),
+    return Sample(user=idx, target_poi=target, pattern=(1, 0, 1, 0, 0, 0, 0),
                   fwd=(0,), bwd=(0,), interval_before=1.0, interval_after=1.0, split="test")
 
 
 def scored(lists, truths, ks=(1, 5, 10)):
     """`evaluate`'s report on ranking `lists[i]` of instance i, whose truth is `truths[i]`."""
     samples = [sample(truth, idx=i) for i, truth in enumerate(truths)]
-    return evaluate(lambda s: lists[s.target_utc], samples, ks=ks)
+    return evaluate(lambda s: lists[s.user], samples, ks=ks)
 
 
 class TestRecall:
@@ -144,7 +144,7 @@ class TestEvaluate:
             ranked.insert(r - 1, truth)
             samples.append(sample(truth, idx=i))
             lists.append(ranked)
-        rep = evaluate(lambda s: lists[s.target_utc], samples, ks=(1, 5, 10))
+        rep = evaluate(lambda s: lists[s.user], samples, ks=(1, 5, 10))
         # hand-scored: hits@1 = 3, hits@5 = 7, hits@10 = 10
         assert rep.recall[1] == pytest.approx(0.3)
         assert rep.recall[5] == pytest.approx(0.7)
@@ -163,7 +163,7 @@ class TestEvaluate:
             ranked = rng.permutation(m).tolist()
             samples.append(sample(int(rng.integers(m)), idx=i))
             lists.append(ranked)
-        rep = evaluate(lambda s: lists[s.target_utc], samples, ks=(1, 5, 10))
+        rep = evaluate(lambda s: lists[s.user], samples, ks=(1, 5, 10))
         for k in (1, 5, 10):
             assert rep.f1[k] == 2.0 * rep.recall[k] / (k + 1)  # exact, not approx
 

@@ -31,7 +31,7 @@ points = st.tuples(finite_lat, finite_lon)  # (lat, lon)
 def test_table_rejects_out_of_range_coordinates():
     for lat, lon, what in ((90.0001, 0.0, "latitude"), (0.0, -180.5, "longitude")):
         assert coordinate_error(lat, lon).startswith(what)
-        with pytest.raises(BadInput, match=f"POI 1 \\('b'\\): {what} out of range"):
+        with pytest.raises(BadInput, match=f"^POI 1: {what} out of range"):
             PoiTable(["a", "b"], [0.0, lat], [0.0, lon])
     assert coordinate_error(90.0, -180.0) is None and coordinate_error(-90.0, 180.0) is None
 

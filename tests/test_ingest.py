@@ -18,7 +18,6 @@ from bistddp.geodata import PoiTable, SpatialRowCache
 from bistddp.ingest import (
     CheckIns,
     Corpus,
-    DuplicateUser,
     ParseResult,
     PreparedCorpus,
     Sample,
@@ -36,7 +35,7 @@ from bistddp.ingest import (
     split_corpus,
     write_corpus,
 )
-from bistddp.numerics import BadInput
+from bistddp.numerics import BadInput, BadRow
 from bistddp.synthetic import corpus_from_events, overfit_corpus, planted_corpus, random_instance
 from conftest import foursquare_lines
 
@@ -174,7 +173,7 @@ def test_one_range_rule_for_parser_table_and_corpus_file(pairs):
         bad = [k for k, error in enumerate(errors) if error is not None]
         if bad:
             k = bad[0]
-            with pytest.raises(BadInput, match=re.escape(f"POI {k} ('p{k}'): {errors[k]}")):
+            with pytest.raises(BadInput, match=re.escape(f"POI {k}: {errors[k]}")):
                 PoiTable(ids, lats, lons)
         else:
             assert PoiTable(ids, lats, lons).lat.tolist() == lats
@@ -520,9 +519,13 @@ class TestTemporalPattern:
         base = 18519 * 86400
         events = [[(k % 4, base - 60 * tz + 1800 * (k - 1), tz) for k in range(338)]
                   for tz in (0, -570)]
-        batch = PreparedCorpus(corpus_from_events([(0, 0)] * 4, events), 1).samples
-        utc, tz = batch.target_utc, np.array([0, -570])[batch.users]
+        prep = PreparedCorpus(corpus_from_events([(0, 0)] * 4, events), 1)
+        batch, ci = prep.samples, prep.corpus.checkins
+        rows = np.r_[1:337, 339:675]  # the targets: each user's check-ins but its first and last
+        rows = rows[np.argsort(prep.split[rows], kind="stable")]  # grouped by split, as the batch
         assert len(batch) == 2 * 336 and np.bincount(batch.users).tolist() == [336, 336]
+        assert (ci.users[rows] == batch.users).all() and (ci.pois[rows] == batch.targets).all()
+        utc, tz = ci.times[rows], ci.tz[rows]
         expected = [reference_pattern(t, z) for t, z in zip(utc.tolist(), tz.tolist())]
         assert batch.pattern.dtype == np.float64
         np.testing.assert_array_equal(batch.pattern, np.array(expected, dtype=np.float64))
@@ -584,7 +587,6 @@ def reference_samples(corpus, w):
         samples.append(Sample(
             user=users[i],
             target_poi=pois[i],
-            target_utc=times[i],
             pattern=encode_temporal_pattern(times[i], tz[i]),
             fwd=tuple(pois[i - k] for k in range(1, w + 1)),
             bwd=tuple(pois[i + k] for k in range(1, w + 1)),
@@ -597,7 +599,7 @@ def reference_samples(corpus, w):
 
 def assert_plain(s):
     """`s` holds plain Python values, as the per-sample path made them."""
-    ints = (s.user, s.target_poi, s.target_utc, *s.pattern, *s.fwd, *s.bwd)
+    ints = (s.user, s.target_poi, *s.pattern, *s.fwd, *s.bwd)
     assert {type(v) for v in ints} == {int}
     assert type(s.interval_before) is type(s.interval_after) is float
     assert type(s.split) is str and type(s.fwd) is type(s.pattern) is tuple
@@ -738,12 +740,12 @@ class TestPatternCode:
             SampleBatch.from_samples([sample, replace(sample, pattern=pattern)])
 
     @pytest.mark.parametrize("w", [1, 2])
-    def test_a_sample_takes_42_plus_16_w_bytes(self, w):
+    def test_a_sample_takes_34_plus_16_w_bytes(self, w):
         # eight bytes a column and a context POI, one for the pattern code and
         # one for the split: a float pattern would add 55
         batch = PreparedCorpus(overfit_corpus().corpus, w).samples
         size = sum(getattr(batch, f.name).nbytes for f in fields(batch))
-        assert size == (42 + 16 * w) * len(batch) > 0
+        assert size == (34 + 16 * w) * len(batch) > 0
 
 
 class TestPreparedCorpus:
@@ -849,6 +851,49 @@ class TestInputValuesAreImmutable:
             prep.corpus.user_ids = list(prep.corpus.user_ids)
 
 
+def hand_built(users=(0, 0, 0), pois=(0, 1, 2), times=(0, 3600, 7200), tz=(0, 0, 0),
+               user_ids=("u0",), poi_ids=("p0", "p1", "p2"), dtype=np.int64):
+    """A corpus built from its columns as given, times counted from 2017-07-14."""
+    table = PoiTable(poi_ids, np.zeros(len(poi_ids)), np.zeros(len(poi_ids)))
+    columns = [np.array(c, dtype=np.int64).astype(dtype) for c in (users, pois, times, tz)]
+    columns[2] += 1_500_000_000
+    return Corpus(table, user_ids, CheckIns(*columns))
+
+
+# each value built by hand that breaks a rule, and its refusal, which names the row
+REFUSED = {
+    "interleaved users": (dict(users=(0, 1, 0), user_ids=("u0", "u1")),
+                          "check-in 1: check-in of user 1 out of user order (user 0 expected)"),
+    "user outside [0, N)": (dict(users=(0, 1, 5), user_ids=("u0", "u1")),
+                            "check-in 2: check-in of user 5 out of user order (user 1 expected)"),
+    "time decreases": (dict(times=(7200, 0, 3600)),
+                       "check-in 1: timestamp 1500000000 is earlier than the user's previous one"),
+    "POI outside [0, M)": (dict(pois=(0, 7, 2)), "check-in 1: POI 7 outside [0, 3)"),
+    "timestamp outside [1970, 2100)": (dict(times=(-1_500_000_001, 0, 1)),
+                                       "check-in 0: timestamp -1 outside [1970, 2100)"),
+    "tz outside [-720, 840]": (dict(tz=(0, 900, 0)),
+                               "check-in 1: tz offset 900 outside [-720, 840]"),
+    "TAB in a user id": (dict(user_ids=("u\t0",)), "user 0: user id 'u\\t0' holds a TAB, LF or CR"),
+    "CR in a POI id": (dict(poi_ids=("p0", "p\r", "p2")),
+                       "POI 1: POI id 'p\\r' holds a TAB, LF or CR"),
+    "repeated user id": (dict(users=(0, 0, 1), user_ids=("u0", "u0")),
+                         "user 1: duplicate user id 'u0' (first is user 0)"),
+    "no user": (dict(users=(), pois=(), times=(), tz=(), user_ids=()),
+                "a corpus needs at least one user"),
+    "int32 columns": (dict(dtype=np.int32), "check-in columns must be 1-D int64 arrays of one "
+                      "length, got int32 (3,), int32 (3,), int32 (3,), int32 (3,)"),
+    "columns of two lengths": (dict(tz=(0, 0)), "check-in columns must be 1-D int64 arrays of one "
+                               "length, got int64 (3,), int64 (3,), int64 (3,), int64 (2,)"),
+}
+
+
+@pytest.mark.parametrize("kw, message", REFUSED.values(), ids=list(REFUSED))
+def test_a_hand_built_value_that_breaks_a_rule_is_refused(kw, message):
+    # before the constructors checked their rules, only the repeated user id was refused
+    with pytest.raises(BadInput, match=f"^{re.escape(message)}$"):
+        hand_built(**kw)
+
+
 class TestRoundTrips:
     def test_parse_filter_split_deterministic(self, tmp_path):
         lines = []
@@ -887,15 +932,17 @@ class TestRoundTrips:
             assert_same_table(back.corpus.poi_table, prep.corpus.poi_table)
 
     @given(st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_any_corpus_round_trips_through_the_file(self, data):
-        # ids drawn from any text a record can hold (no TAB, LF or CR), non-ASCII included;
-        # histories with T = 0, and times and tz offsets at both ends of their ranges
+        # ids drawn from any text, non-ASCII included; histories with T = 0, and
+        # times and tz offsets at both ends of their ranges; then at most one
+        # fault that may break a rule of the values. A corpus that breaks one
+        # is refused when it is built; any other comes back from its file as it was.
         ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
                       max_size=6)
         n_pois = data.draw(st.integers(1, 5))
         poi_ids = data.draw(st.lists(ids, min_size=n_pois, max_size=n_pois, unique=True))
-        user_ids = tuple(data.draw(st.lists(ids, min_size=1, max_size=5)))
+        user_ids = data.draw(st.lists(ids, min_size=1, max_size=5))
         times = st.one_of(st.sampled_from([0, 1, 4102444799, 4102444798]),
                           st.integers(0, 4102444799))
         rows = []
@@ -903,18 +950,44 @@ class TestRoundTrips:
             history = data.draw(st.lists(st.tuples(st.integers(0, n_pois - 1), times,
                                                    st.sampled_from([-720, 840, 0, -240, 330])),
                                          max_size=7))
-            rows += [(u, p, t, z) for p, t, z in sorted(history, key=lambda row: row[1])]
-        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-        table = PoiTable(poi_ids, np.linspace(-90, 90, n_pois), np.linspace(180, -180, n_pois))
-        repeats = [k for k, user_id in enumerate(user_ids) if user_id in user_ids[:k]]
-        if repeats:  # no corpus, so no file, holds a repeated user id
-            with pytest.raises(DuplicateUser, match="duplicate user id") as refused:
-                Corpus(table, user_ids, CheckIns(*columns))
-            k = refused.value.index
-            assert k == repeats[0] and refused.value.first == user_ids.index(user_ids[k])
+            rows += [[u, p, t, z] for p, t, z in sorted(history, key=lambda row: row[1])]
+        dtype = np.int64
+        fault = data.draw(st.sampled_from([None] * 6 + [
+            "POI id", "user id", "swap", "POI", "time", "tz", "dtype"]))
+        if fault in ("POI id", "user id"):  # a TAB, LF or CR in one id
+            held = poi_ids if fault == "POI id" else user_ids
+            k = data.draw(st.integers(0, len(held) - 1))
+            held[k] += data.draw(st.sampled_from("\t\n\r"))
+        elif fault == "dtype":
+            dtype = data.draw(st.sampled_from([np.int32, np.uint64, np.float64]))
+        elif fault and rows:
+            i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+            if fault == "swap":  # interleaves two users, or puts one user's times out of order
+                rows[i], rows[j] = rows[j], rows[i]
+            else:
+                column, values = {"POI": (1, [-1, n_pois, n_pois + 7]),
+                                  "time": (2, [-1, 4102444800, 10 ** 12]),
+                                  "tz": (3, [-721, 841])}[fault]
+                rows[i][column] = data.draw(st.sampled_from(values))
+        breaks = (dtype is not np.int64 or len(set(user_ids)) < len(user_ids)
+                  or any({"\t", "\n", "\r"} & set(name) for name in poi_ids + user_ids)
+                  or any((u, t) > (u1, t1) for (u, _, t, _), (u1, _, t1, _) in zip(rows, rows[1:]))
+                  or not all(0 <= p < n_pois and 0 <= t < 4102444800 and -720 <= z <= 840
+                             for _, p, t, z in rows))
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T.astype(dtype)
+        lat, lon = np.linspace(-90, 90, n_pois), np.linspace(180, -180, n_pois)
+        try:
+            expected = PreparedCorpus(
+                Corpus(PoiTable(poi_ids, lat, lon), tuple(user_ids), CheckIns(*columns)),
+                data.draw(st.integers(1, 3)))
+        except BadInput as refused:
+            assert breaks, refused
+            repeats = [k for k, name in enumerate(user_ids) if name in user_ids[:k]]
+            if isinstance(refused, BadRow) and refused.first is not None:  # a repeated user id
+                k = refused.row
+                assert k == repeats[0] and refused.first == user_ids.index(user_ids[k])
             return
-        expected = PreparedCorpus(
-            Corpus(table, user_ids, CheckIns(*columns)), data.draw(st.integers(1, 3)))
+        assert not breaks
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.tsv"
             write_corpus(path, expected)

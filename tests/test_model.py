@@ -129,8 +129,7 @@ def test_views_tile_the_arena_once_in_checkpoint_order(n, m, d, h, w):
 
 
 def _sample(**kw):
-    base = dict(user=0, target_poi=0, target_utc=1_600_000_000,
-                pattern=(1, 0, 0, 1, 0, 0, 0), fwd=(1,), bwd=(2,),
+    base = dict(user=0, target_poi=0, pattern=(1, 0, 0, 1, 0, 0, 0), fwd=(1,), bwd=(2,),
                 interval_before=1.5, interval_after=2.5, split="train")
     base.update(kw)
     return Sample(**base)
